@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.profile import DEFAULT_ACT_TO_FIRST_FLIP
 from ..errors import SanitizerViolationError
+from ..kernel.physmem import FrameUse
 from ..mmu import bits
 from .report import SanitizerReport, Violation
 
@@ -153,7 +154,15 @@ class PteSanitizer(Sanitizer):
         if tracer.TRACE_MODE != "rsvd":
             return  # the present-bit tracer has no rsvd invariant
         armed = tracer._armed
+        frame_table = self.kernel.frame_table
         for pte_paddr in sorted(self._marked | set(armed)):
+            if (pte_paddr not in armed
+                    and frame_table.use_of(pte_paddr >> bits.PAGE_SHIFT)
+                    is not FrameUse.PAGE_TABLE):
+                # The frame was freed (or recycled): it holds no live
+                # PTE, so whatever its bytes say is not a trace mark.
+                self._marked.discard(pte_paddr)
+                continue
             entry = self._raw_entry(pte_paddr)
             bit_set = bool(entry & bits.PTE_RSVD_TRACE)
             tracked = pte_paddr in armed

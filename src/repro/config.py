@@ -24,7 +24,6 @@ All values are deterministic; each profile carries its own seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .clock import SimClock
 from .dram.address import AddressMapping, interleaved_mapping, linear_mapping
@@ -94,10 +93,6 @@ class MachineSpec:
     #: at boot.  Off by default so benchmarks stay fast; tests flip it
     #: (or use ``with sanitized(kernel):``) to get invariant checking.
     sanitize: bool = False
-    #: Disturbance accumulator store: ``True`` forces the array-backed
-    #: dense core, ``False`` the dict core, ``None`` (default) consults
-    #: the ``REPRO_DENSE`` knob at DRAM construction.
-    dense: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.mapping_kind not in ("linear", "interleaved"):
@@ -123,7 +118,6 @@ class MachineSpec:
             clock=clock,
             row_policy=self.row_policy,
             remap=build_remap(self.remap_kind, self.geometry.rows_per_bank),
-            dense=self.dense,
         )
 
     @property

@@ -28,6 +28,7 @@ demonstrate that failure mode (see the robustness tests and the
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Optional, Set
 
 from ..mmu import bits
@@ -238,11 +239,47 @@ class AdjacentPageTracer:
         """Forget armed entries living in a freed page-table page.
 
         Without this, a recycled L1PT frame could alias a stale armed
-        record and block re-arming at the same entry address.
+        record and block re-arming at the same entry address.  A table
+        *relocated* before the free — its entries copied, trace marks
+        included, into a new frame that now translates the same vaddrs
+        — keeps its records: they move to the marked copies, so a later
+        access through the copy is a trace fault this tracer owns, not
+        an orphaned mark the kernel must panic on.
         """
-        for pte_paddr in list(self._armed):
-            if pte_paddr >> 12 == table_ppn:
-                del self._armed[pte_paddr]
+        for pte_paddr in [paddr for paddr in self._armed
+                          if paddr >> 12 == table_ppn]:
+            ref = self._armed.pop(pte_paddr)
+            moved = self._relocated_slot(ref)
+            if moved is not None:
+                self._armed[moved] = replace(ref, pte_paddr=moved)
+
+    def _relocated_slot(self, ref: PteRef) -> Optional[int]:
+        """Where ``ref``'s marked L1PT entry now lives, if its table moved.
+
+        Walks ``ref.vaddr`` with instrumentation reads (no simulated
+        cost) and returns the leaf slot when it is a different, not yet
+        tracked slot holding an exact, marked copy of the old entry.
+        """
+        if ref.leaf_level != 1:
+            return None
+        pt_ops = self.kernel.mmu.pt_ops
+        l2_ppn = self._l2_table_of(ref.pid, ref.vaddr)
+        if l2_ppn is None:
+            return None
+        entry = pt_ops.raw_read_entry(l2_ppn, bits.level_index(ref.vaddr, 2))
+        if not bits.is_present(entry) or bits.is_huge(entry):
+            return None
+        table = bits.pte_ppn(entry)
+        index = bits.level_index(ref.vaddr, 1)
+        slot = pt_ops.entry_paddr(table, index)
+        if slot == ref.pte_paddr or slot in self._armed:
+            return None
+        old = pt_ops.raw_read_entry(ref.pte_paddr >> 12,
+                                    (ref.pte_paddr & 0xFFF) // 8)
+        copy = pt_ops.raw_read_entry(table, index)
+        if copy != old or not self._is_marked(copy):
+            return None
+        return slot
 
     def resync_armed(self) -> int:
         """Drop armed records whose PTE no longer carries the mark.

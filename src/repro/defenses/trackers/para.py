@@ -11,7 +11,7 @@ SoftTRR's precise page-table tracking).
 
 The tracker draws one Bernoulli per ACT from a
 :func:`~repro.rng.derive_rng` stream keyed by the machine seed, so runs
-are deterministic and scalar/batch/dense execution sees the identical
+are deterministic and scalar and batched execution see the identical
 draw sequence (the feed publishes identically in every mode).
 """
 

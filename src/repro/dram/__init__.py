@@ -23,13 +23,11 @@ from .geometry import DramGeometry
 from .timing import DramTimings
 from .address import AddressMapping, DramAddress, linear_mapping, interleaved_mapping
 from .disturbance import (
-    DisturbanceCore,
     DisturbanceEngine,
     DisturbanceParams,
     FlipEvent,
     VulnerableCell,
 )
-from .dense import DenseDisturbanceEngine
 from .chiptrr import TrrParams, ChipTrr
 from .feed import ActivationFeed, RefreshActuator, Tracker
 from .bank import BankState, RowBufferPolicy
@@ -44,9 +42,7 @@ __all__ = [
     "DramAddress",
     "linear_mapping",
     "interleaved_mapping",
-    "DisturbanceCore",
     "DisturbanceEngine",
-    "DenseDisturbanceEngine",
     "DisturbanceParams",
     "FlipEvent",
     "VulnerableCell",

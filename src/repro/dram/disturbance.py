@@ -30,27 +30,91 @@ they are) is a pure function of ``(seed, bank, row)``, so every machine
 profile has a stable, reproducible flip map — the property templating
 and the security evaluation depend on.
 
-Two interchangeable accumulator stores implement the model:
+:class:`DisturbanceEngine` keeps the accumulators in two flat per-bank
+arrays indexed by row:
 
-* :class:`DisturbanceEngine` (this module) — the original dict-keyed
-  core, kept behind ``REPRO_DENSE=0`` as the differential baseline; and
-* :class:`~repro.dram.dense.DenseDisturbanceEngine` — the array-backed
-  dense core (the default), indexed flat by row per bank.
+* ``array('d')`` — accumulated disturbance units, and
+* ``array('q')`` — the refresh epoch the row was last deposited into
+  (``-1`` = never touched).
 
-Both derive from :class:`DisturbanceCore` (the shared deterministic
-cell map, victim plans and counters) and are proven observably
-identical by ``tests/perf/test_generative_differential.py``.
+A row's value is only meaningful when its epoch tag matches the current
+refresh epoch; a deposit into a stale-tagged row first rolls the tag and
+zeroes the value; :meth:`~DisturbanceEngine.heal` zeroes the value but
+never touches the tag, so a healed row still reads 0 in every epoch.
+
+Three paths write the store.  The scalar path (:meth:`on_activate` ->
+:meth:`deposit`, one call per activation) is the reference; the batched
+kernels behind :meth:`~repro.dram.module.DramModule.hammer_batch` —
+:meth:`hammer_kernel` for any stream and :meth:`hammer_periodic`, the
+closed-form kernel for the periodic streams hammer loops issue — are
+proven bit-identical to it by ``tests/perf/test_generative_differential.py``.
+Per refresh-epoch segment the periodic kernel classifies each victim
+row once and replays whole cycles at C speed:
+
+* invulnerable non-aggressor rows take one fused add for the whole span
+  (the sanctioned last-ULP relaxation — such rows can never flip);
+* vulnerable non-aggressor rows get the exact sequential float cumsum
+  of their per-cycle deposit pattern (``numpy.cumsum`` when available,
+  ``itertools.accumulate`` otherwise — both bit-identical to the scalar
+  ``+=`` walk) and per-cell crossings located by binary search;
+* aggressor-self rows (healed mid-cycle by their own activation) are
+  simulated exactly for two cycles, after which every later cycle is a
+  bit-identical replica (the post-heal end value is independent of the
+  cycle's carry-in), so its flips are replicated instead of recomputed;
+* cycle fragments at segment edges are replayed item-by-item.
+
+Every flip keeps the scalar stream's exact ``(item, plan-entry, cell)``
+order and its exact integer timestamp, recomputed per flip from the
+item's global index — never incrementally accumulated.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigError
 from ..rng import derive_rng
 from .geometry import DramGeometry
 from .remap import IdentityRemap, RowRemap
+
+try:  # pragma: no cover - exercised via both branches in CI matrices
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
+
+#: Minimum tiled-add count before the numpy cumsum pays for itself.
+_NUMPY_MIN = 192
+
+
+def _exact_cumsum(carry: float, adds: List[float], reps: int):
+    """``[carry, carry+a0, carry+a0+a1, ...]`` over ``adds`` tiled
+    ``reps`` times — bit-identical to a sequential float ``+=`` walk.
+
+    Returns any indexable supporting ``bisect_left``-style search; entry
+    ``i`` is the accumulator value after ``i`` deposits.
+    """
+    total = len(adds) * reps
+    if _np is not None and total >= _NUMPY_MIN:
+        arr = _np.empty(total + 1)
+        arr[0] = carry
+        if len(adds) == 1:
+            arr[1:] = adds[0]
+        else:
+            arr[1:] = _np.tile(_np.asarray(adds), reps)
+        _np.cumsum(arr, out=arr)
+        return arr
+    return list(accumulate(adds * reps, initial=carry))
+
+
+def _first_reaching(cum, threshold: float) -> int:
+    """Index of the first entry ``>= threshold`` (entries non-decreasing)."""
+    if _np is not None and not isinstance(cum, list):
+        return int(_np.searchsorted(cum, threshold, side="left"))
+    return bisect_left(cum, threshold)
 
 
 def crosses(before: float, threshold: float, after: float) -> bool:
@@ -129,24 +193,15 @@ class DisturbanceParams:
         return self.distance_decay ** (distance - 1)
 
 
-class DisturbanceCore:
-    """Shared skeleton of both disturbance engines.
+class DisturbanceEngine:
+    """The disturbance model over flat per-bank row arrays.
 
-    Owns everything that is *not* the accumulator store: the
-    deterministic vulnerable-cell map, the cached per-aggressor victim
-    plans, and the two counters the telemetry layer samples.  Both
-    stores expose the same observable API — ``deposit``, ``on_activate``,
-    ``deposit_batch``, ``heal``, ``accumulated``,
-    ``vulnerable_accumulated`` and the batched ``hammer_kernel`` — so
-    :class:`~repro.dram.module.DramModule` is store-agnostic.
-
-    The engines are deliberately clock-free: callers pass the current
-    refresh epoch and timestamp so they can be unit-tested in isolation.
+    Owns the deterministic vulnerable-cell map, the cached per-aggressor
+    victim plans, the accumulator store and the two counters the
+    telemetry layer samples.  The engine is deliberately clock-free:
+    callers pass the current refresh epoch and timestamp so it can be
+    unit-tested in isolation.
     """
-
-    #: Whether :meth:`~repro.dram.module.DramModule.hammer_batch` may
-    #: route periodic streams to :meth:`hammer_periodic` (dense only).
-    supports_periodic = False
 
     def __init__(self, geometry: DramGeometry, params: DisturbanceParams,
                  remap: Optional[RowRemap] = None) -> None:
@@ -166,6 +221,11 @@ class DisturbanceCore:
             Tuple[int, int],
             Tuple[Tuple[int, float, Tuple[VulnerableCell, ...]], ...],
         ] = {}
+        banks = geometry.num_banks
+        #: Per-bank accumulated units, lazily allocated on first touch.
+        self._values: List[Optional[array]] = [None] * banks
+        #: Per-bank epoch tags (-1 = never deposited into).
+        self._epochs: List[Optional[array]] = [None] * banks
         self.total_deposits = 0
         self.total_flip_events = 0
 
@@ -239,7 +299,7 @@ class DisturbanceCore:
             self._plans[key] = plan
         return plan
 
-    # ----------------------------------------------------- shared logic
+    # ------------------------------------------------------ activation
     def on_activate(
         self, bank: int, row: int, count: int, epoch: int, now_ns: int
     ) -> List[FlipEvent]:
@@ -291,52 +351,15 @@ class DisturbanceCore:
             flips.extend(self.deposit(bank, row, units, epoch, now_ns))
         return flips
 
-    # ------------------------------------------------- store interface
-    def deposit(self, bank: int, row: int, units: float, epoch: int,
-                now_ns: int) -> List[FlipEvent]:
-        raise NotImplementedError
-
-    def heal(self, bank: int, row: int) -> None:
-        raise NotImplementedError
-
-    def accumulated(self, bank: int, row: int, epoch: int) -> float:
-        raise NotImplementedError
-
-    def vulnerable_accumulated(self, epoch: int) -> Dict[Tuple[int, int], float]:
-        raise NotImplementedError
-
-    def _fused_add(self, bank: int, row: int, amount: float,
-                   epoch: int) -> None:
-        raise NotImplementedError
-
-
-class DisturbanceEngine(DisturbanceCore):
-    """The dict-keyed accumulator store (the differential baseline).
-
-    Accumulators live in a sparse ``(bank, row) -> [epoch, units]`` dict;
-    ``REPRO_DENSE=0`` selects this core so any run of the dense core can
-    be replayed against it bit-for-bit.
-    """
-
-    def __init__(self, geometry: DramGeometry, params: DisturbanceParams,
-                 remap: Optional[RowRemap] = None) -> None:
-        super().__init__(geometry, params, remap=remap)
-        # (bank, row) -> [epoch, accumulated_units]
-        self._acc: Dict[Tuple[int, int], List[float]] = {}
-
     # ------------------------------------------------------ accumulation
-    def _bucket(self, bank: int, row: int, epoch: int) -> List[float]:
-        key = (bank, row)
-        bucket = self._acc.get(key)
-        if bucket is None:
-            bucket = [epoch, 0.0]
-            self._acc[key] = bucket
-        elif bucket[0] != epoch:
-            # Lazy auto-refresh: the window rolled over since this row's
-            # accumulator was last touched, so the charge was restored.
-            bucket[0] = epoch
-            bucket[1] = 0.0
-        return bucket
+    def _bank_arrays(self, bank: int) -> Tuple[array, array]:
+        values = self._values[bank]
+        if values is None:
+            rows = self.geometry.rows_per_bank
+            values = array("d", bytes(8 * rows))
+            self._values[bank] = values
+            self._epochs[bank] = array("q", [-1]) * rows
+        return values, self._epochs[bank]
 
     def deposit(
         self, bank: int, row: int, units: float, epoch: int, now_ns: int
@@ -346,14 +369,20 @@ class DisturbanceEngine(DisturbanceCore):
             return []
         if row < 0 or row >= self.geometry.rows_per_bank:
             return []
-        bucket = self._bucket(bank, row, epoch)
-        before = bucket[1]
+        values, epochs = self._bank_arrays(bank)
+        if epochs[row] != epoch:
+            # Lazy auto-refresh: the window rolled over since this row's
+            # accumulator was last touched, so the charge was restored.
+            epochs[row] = epoch
+            before = 0.0
+        else:
+            before = values[row]
         after = before + units
-        bucket[1] = after
+        values[row] = after
         self.total_deposits += 1
         flips: List[FlipEvent] = []
         for cell in self.vulnerable_cells(bank, row):
-            if crosses(before, cell.threshold, after):
+            if before < cell.threshold <= after:
                 flips.append(
                     FlipEvent(
                         bank=bank,
@@ -368,40 +397,55 @@ class DisturbanceEngine(DisturbanceCore):
 
     def _fused_add(self, bank: int, row: int, amount: float,
                    epoch: int) -> None:
-        bucket = self._bucket(bank, row, epoch)
-        bucket[1] += amount
+        values, epochs = self._bank_arrays(bank)
+        if epochs[row] != epoch:
+            epochs[row] = epoch
+            values[row] = amount
+        else:
+            values[row] += amount
 
     def heal(self, bank: int, row: int) -> None:
-        """Refresh (recharge) a row: accumulated disturbance is cleared."""
-        key = (bank, row)
-        bucket = self._acc.get(key)
-        if bucket is not None:
-            bucket[1] = 0.0
+        """Refresh (recharge) a row: accumulated disturbance is cleared.
+
+        Zeroes the value but leaves the epoch tag alone: a row never
+        deposited into stays "never touched", and a healed row reads 0
+        in its current epoch and in every later one.
+        """
+        if not 0 <= bank < len(self._values):
+            return
+        values = self._values[bank]
+        if values is not None and 0 <= row < len(values):
+            values[row] = 0.0
 
     def accumulated(self, bank: int, row: int, epoch: int) -> float:
         """Disturbance units accumulated by (bank, row) in ``epoch``."""
-        key = (bank, row)
-        bucket = self._acc.get(key)
-        if bucket is None or bucket[0] != epoch:
+        if not 0 <= bank < len(self._values):
             return 0.0
-        return bucket[1]
+        values = self._values[bank]
+        if values is None or not 0 <= row < len(values):
+            return 0.0
+        if self._epochs[bank][row] != epoch:
+            return 0.0
+        return values[row]
 
     def vulnerable_accumulated(self, epoch: int) -> Dict[Tuple[int, int], float]:
         """Nonzero ``epoch`` accumulators of rows that can actually flip.
 
-        The canonical cross-core fingerprint: accumulators of rows with
-        no vulnerable cells are subject to the fused-add ULP relaxation,
-        so equivalence (dense == dict == scalar) is asserted over
-        vulnerable rows only, and zero entries are dropped because the
-        stores materialise them differently (a dict bucket exists only
-        once touched; a dense slot always exists).
+        The canonical scalar-vs-batched fingerprint: accumulators of
+        rows with no vulnerable cells are subject to the fused-add ULP
+        relaxation, so equivalence is asserted over vulnerable rows only
+        (they always take exact sequential float arithmetic).
         """
-        return {
-            key: bucket[1]
-            for key, bucket in self._acc.items()
-            if bucket[0] == epoch and bucket[1] != 0.0
-            and self.is_vulnerable(*key)
-        }
+        result: Dict[Tuple[int, int], float] = {}
+        for bank, values in enumerate(self._values):
+            if values is None:
+                continue
+            epochs = self._epochs[bank]
+            for row, value in enumerate(values):
+                if (value != 0.0 and epochs[row] == epoch
+                        and self.is_vulnerable(bank, row)):
+                    result[(bank, row)] = value
+        return result
 
     # ---------------------------------------------------- batched kernel
     def hammer_kernel(self, resolved, *, epoch: int, now_ns: int,
@@ -416,9 +460,10 @@ class DisturbanceEngine(DisturbanceCore):
         The speed comes from aggregating per-(bank, row) work:
 
         * victims that can actually flip — and every aggressor row, and
-          every victim when ChipTRR is enabled (its mid-batch refreshes
-          interleave with deposits) — are replayed deposit-by-deposit,
-          preserving flip ordering via per-cell threshold crossings;
+          every victim when a tracker rides the activation feed (its
+          mid-batch refreshes interleave with deposits) — are replayed
+          deposit-by-deposit, preserving flip ordering via per-cell
+          threshold crossings;
         * the remaining victims are invulnerable bookkeeping-only rows:
           their accumulators take one fused ``weight * total_count`` add
           per aggressor at the end of the batch (the sanctioned
@@ -426,34 +471,30 @@ class DisturbanceEngine(DisturbanceCore):
           dropped at refresh-epoch rollovers exactly as the scalar
           path's lazy heal discards them.
         """
-        from itertools import repeat
-
         trr_enabled = trr_on is not None
         aggressors = {key for key, _ in resolved}
-        acc = self._acc
         now = now_ns
         boundary = (epoch + 1) * window
 
-        # Per-aggressor plans.  Exact victims get their bucket resolved
-        # up front (the first scalar deposit would create it with the
-        # same epoch anyway); summed victims are flushed at the end.
         plans = {}
         for key in aggressors:
             bank, row = key
-            exact = []   # (bucket, weight, cells, first_threshold, victim)
-            summed = []  # ((bank, victim), weight)
+            values, epochs = self._bank_arrays(bank)
+            exact = []   # (victim, weight, cells, first_threshold)
+            summed = []  # (victim, weight)
             for victim, weight, cells in self.victim_plan(bank, row):
                 if cells or (bank, victim) in aggressors or trr_enabled:
-                    bucket = self._bucket(bank, victim, epoch)
+                    # Resolve the slot's epoch up front, as the first
+                    # scalar deposit of the batch would.
+                    if epochs[victim] != epoch:
+                        epochs[victim] = epoch
+                        values[victim] = 0.0
                     first = cells[0].threshold if cells else 0.0
-                    exact.append((bucket, weight, cells, first, victim))
+                    exact.append((victim, weight, cells, first))
                 else:
-                    summed.append(((bank, victim), weight))
-            plans[key] = [None, exact, summed, 0, len(exact) + len(summed)]
-        for key in aggressors:
-            # Own-row heal target: only a bucket that exists by now can
-            # ever be healed during the batch (heal never creates one).
-            plans[key][0] = acc.get(key)
+                    summed.append((victim, weight))
+            plans[key] = [values, epochs, exact, summed, 0,
+                          len(exact) + len(summed)]
 
         flips: List[FlipEvent] = []
         deposits = 0
@@ -477,6 +518,7 @@ class DisturbanceEngine(DisturbanceCore):
                     j += 1
             bank, row = key
             plan = plans[key]
+            values, epochs = plan[0], plan[1]
             if j == i + 1:
                 # Single item (or ChipTRR interleaving): per-item replay.
                 if now >= boundary:
@@ -485,17 +527,16 @@ class DisturbanceEngine(DisturbanceCore):
                     for p in plans.values():
                         # The scalar path's lazy heal would discard these
                         # old-epoch sums at the victims' next touch.
-                        p[3] = 0
-                own = plan[0]
-                if own is not None:
-                    own[1] = 0.0
-                for bucket, weight, cells, first, victim in plan[1]:
-                    if bucket[0] != epoch:
-                        bucket[0] = epoch
-                        bucket[1] = 0.0
-                    before = bucket[1]
+                        p[4] = 0
+                values[row] = 0.0  # own heal (tag untouched)
+                for victim, weight, cells, first in plan[2]:
+                    if epochs[victim] != epoch:
+                        epochs[victim] = epoch
+                        before = 0.0
+                    else:
+                        before = values[victim]
                     after = before + weight * count
-                    bucket[1] = after
+                    values[victim] = after
                     if cells and after >= first:
                         for cell in cells:
                             if before < cell.threshold <= after:
@@ -506,8 +547,8 @@ class DisturbanceEngine(DisturbanceCore):
                                     from_value=cell.from_value,
                                     at_ns=now,
                                 ))
-                plan[3] += count
-                deposits += plan[4]
+                plan[4] += count
+                deposits += plan[5]
                 if trr_enabled:
                     trr_on(bank, row, count, epoch, now)
                 recent_append((bank, row, origin))
@@ -527,33 +568,31 @@ class DisturbanceEngine(DisturbanceCore):
             # into scalar (item-major, victim-minor) order by their
             # strictly increasing timestamps.
             remaining = j - i
-            own = plan[0]
-            if own is not None:
-                own[1] = 0.0
-            exact = plan[1]
-            per_run_deposits = plan[4]
+            values[row] = 0.0
+            exact = plan[2]
+            per_run_deposits = plan[5]
             while remaining:
                 if now >= boundary:
                     epoch = now // window
                     boundary = (epoch + 1) * window
                     for p in plans.values():
-                        p[3] = 0
+                        p[4] = 0
                 # Items whose pre-item rollover check stays quiet: those
                 # with now + k*step < boundary.
                 r = (boundary - now + step - 1) // step
                 if r > remaining:
                     r = remaining
                 run_flips = []
-                for e_idx, (bucket, weight, cells, first, victim) in (
+                for e_idx, (victim, weight, cells, first) in (
                         enumerate(exact)):
-                    if bucket[0] != epoch:
-                        bucket[0] = epoch
-                        bucket[1] = 0.0
+                    if epochs[victim] != epoch:
+                        epochs[victim] = epoch
+                        value = 0.0
+                    else:
+                        value = values[victim]
                     add = weight * count
-                    value = bucket[1]
                     if not cells:
-                        value += add * r
-                        bucket[1] = value
+                        values[victim] = value + add * r
                         continue
                     at = now
                     for _ in range(r):
@@ -577,11 +616,11 @@ class DisturbanceEngine(DisturbanceCore):
                                     first = cell.threshold
                                     break
                         at += step
-                    bucket[1] = value
+                    values[victim] = value
                 if run_flips:
                     run_flips.sort(key=lambda rf: (rf[0], rf[1]))
                     flips.extend(rf[2] for rf in run_flips)
-                plan[3] += count * r
+                plan[4] += count * r
                 deposits += per_run_deposits * r
                 recent_extend(repeat((bank, row, origin), r))
                 acts += count * r
@@ -593,19 +632,282 @@ class DisturbanceEngine(DisturbanceCore):
 
         # Fused accumulator flush for the invulnerable summed victims.
         for plan in plans.values():
-            pending = plan[3]
+            pending = plan[4]
             if not pending:
                 continue
-            for vkey, weight in plan[2]:
-                bucket = acc.get(vkey)
-                if bucket is None:
-                    acc[vkey] = [epoch, weight * pending]
-                elif bucket[0] != epoch:
-                    bucket[0] = epoch
-                    bucket[1] = weight * pending
+            values, epochs = plan[0], plan[1]
+            for victim, weight in plan[3]:
+                if epochs[victim] != epoch:
+                    epochs[victim] = epoch
+                    values[victim] = weight * pending
                 else:
-                    bucket[1] += weight * pending
+                    values[victim] += weight * pending
 
         self.total_deposits += deposits
         self.total_flip_events += len(flips)
         return flips, acts, now, bank_totals, bank_last
+
+    # --------------------------------------------------- periodic kernel
+    def hammer_periodic(self, cycle, n_items: int, *, epoch: int,
+                        now_ns: int, per_act_ns: int, window: int,
+                        origin: str, recent):
+        """Closed-form replay of a periodic aggressor stream.
+
+        ``cycle`` is the resolved period — ``((bank, row), count)`` with
+        every count positive — and the full stream is ``cycle`` repeated
+        to ``n_items`` items (the last repetition may be partial).
+        Requires ``per_act_ns > 0`` and no ChipTRR (the module gates
+        this).  Returns the same ``(flips, acts, now_end, bank_totals,
+        bank_last)`` tuple as :meth:`hammer_kernel` and is observably
+        identical to it.
+        """
+        p = len(cycle)
+        prefix = [0] * (p + 1)
+        for s, (_key, count) in enumerate(cycle):
+            prefix[s + 1] = prefix[s] + count
+        cycle_acts = prefix[p]
+
+        # Per-victim schedules: (bank, vrow) -> (adds, heal_positions)
+        # where adds is [(pos, e_idx, add_units, cells)] in deposit order.
+        sched: Dict[Tuple[int, int], Tuple[list, list]] = {}
+        plan_sizes = []
+        for s, ((bank, row), count) in enumerate(cycle):
+            self._bank_arrays(bank)
+            rec = sched.get((bank, row))
+            if rec is None:
+                rec = sched[(bank, row)] = ([], [])
+            rec[1].append(s)
+            plan = self.victim_plan(bank, row)
+            plan_sizes.append(len(plan))
+            for e_idx, (victim, weight, cells) in enumerate(plan):
+                vkey = (bank, victim)
+                vrec = sched.get(vkey)
+                if vrec is None:
+                    vrec = sched[vkey] = ([], [])
+                vrec[0].append((s, e_idx, weight * count, cells))
+
+        full_cycles, rem = divmod(n_items, p)
+        total_acts = full_cycles * cycle_acts + prefix[rem]
+
+        def item_time(j: int) -> int:
+            q, s = divmod(j, p)
+            return now_ns + (q * cycle_acts + prefix[s]) * per_act_ns
+
+        # keyed flips: (item_index, e_idx, cell_idx, FlipEvent)
+        out: list = []
+        j = 0
+        while j < n_items:
+            seg_epoch = item_time(j) // window
+            boundary = (seg_epoch + 1) * window
+            if item_time(n_items - 1) < boundary:
+                j_end = n_items
+            else:
+                lo, hi = j + 1, n_items - 1
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if item_time(mid) >= boundary:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                j_end = lo
+            self._periodic_segment(cycle, sched, j, j_end, seg_epoch,
+                                   now_ns, per_act_ns, prefix,
+                                   cycle_acts, out)
+            j = j_end
+
+        out.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
+        flips = [rec[3] for rec in out]
+
+        # Deposit count is a pure function of the stream shape: one
+        # deposit per victim-plan entry per item, epochs and flips aside.
+        cycle_deposits = sum(plan_sizes)
+        self.total_deposits += (full_cycles * cycle_deposits
+                                + sum(plan_sizes[:rem]))
+        self.total_flip_events += len(flips)
+
+        bank_totals: Dict[int, int] = {}
+        for s, ((bank, _row), count) in enumerate(cycle):
+            per_cycle = full_cycles + (1 if s < rem else 0)
+            if per_cycle:
+                bank_totals[bank] = (bank_totals.get(bank, 0)
+                                     + count * per_cycle)
+        bank_last: Dict[int, int] = {}
+        for back in range(1, min(p, n_items) + 1):
+            bank, row = cycle[(n_items - back) % p][0]
+            if bank not in bank_last:
+                bank_last[bank] = row
+
+        tail = min(n_items, getattr(recent, "maxlen", None) or n_items)
+        tuples = [(bank, row, origin) for (bank, row), _count in cycle]
+        recent.extend(tuples[j % p] for j in range(n_items - tail, n_items))
+
+        now_end = now_ns + total_acts * per_act_ns
+        return flips, total_acts, now_end, bank_totals, bank_last
+
+    def _periodic_segment(self, cycle, sched, j_start: int, j_end: int,
+                          epoch: int, now_ns: int, per_act_ns: int,
+                          prefix, cycle_acts: int, out: list) -> None:
+        """Replay items ``[j_start, j_end)`` — all in ``epoch``."""
+        p = len(cycle)
+        head_end = -(-j_start // p) * p  # first whole-cycle start
+        if head_end > j_end:
+            head_end = j_end
+        span_cycles = (j_end - head_end) // p
+        if span_cycles < 2:
+            # Too short to amortise: plain per-item replay.
+            self._replay_items(cycle, j_start, j_end, epoch, now_ns,
+                               per_act_ns, prefix, cycle_acts, out)
+            return
+        tail_start = head_end + span_cycles * p
+        self._replay_items(cycle, j_start, head_end, epoch, now_ns,
+                           per_act_ns, prefix, cycle_acts, out)
+        self._replay_span(cycle, sched, head_end // p, span_cycles, epoch,
+                          now_ns, per_act_ns, prefix, cycle_acts, out)
+        self._replay_items(cycle, tail_start, j_end, epoch, now_ns,
+                           per_act_ns, prefix, cycle_acts, out)
+
+    def _replay_items(self, cycle, j_start: int, j_end: int, epoch: int,
+                      now_ns: int, per_act_ns: int, prefix,
+                      cycle_acts: int, out: list) -> None:
+        """Exact item-by-item replay (cycle fragments at segment edges)."""
+        p = len(cycle)
+        for j in range(j_start, j_end):
+            q, s = divmod(j, p)
+            (bank, row), count = cycle[s]
+            values, epochs = self._bank_arrays(bank)
+            values[row] = 0.0  # own heal
+            at = now_ns + (q * cycle_acts + prefix[s]) * per_act_ns
+            for e_idx, (victim, weight, cells) in enumerate(
+                    self.victim_plan(bank, row)):
+                if epochs[victim] != epoch:
+                    epochs[victim] = epoch
+                    before = 0.0
+                else:
+                    before = values[victim]
+                after = before + weight * count
+                values[victim] = after
+                if cells and after >= cells[0].threshold:
+                    for c_idx, cell in enumerate(cells):
+                        if before < cell.threshold <= after:
+                            out.append((j, e_idx, c_idx, FlipEvent(
+                                bank=bank,
+                                row=victim,
+                                bit_offset=cell.bit_offset,
+                                from_value=cell.from_value,
+                                at_ns=at,
+                            )))
+
+    def _replay_span(self, cycle, sched, first_cycle: int, reps: int,
+                     epoch: int, now_ns: int, per_act_ns: int, prefix,
+                     cycle_acts: int, out: list) -> None:
+        """Vectorized replay of ``reps`` whole cycles in one epoch."""
+        p = len(cycle)
+        for (bank, vrow), (adds, heals) in sched.items():
+            values, epochs = self._bank_arrays(bank)
+            if heals:
+                if not adds:
+                    # Heal-only row: idempotent zero, tag untouched.
+                    values[vrow] = 0.0
+                    continue
+                self._replay_cyclic(bank, vrow, adds, heals, first_cycle,
+                                    reps, epoch, now_ns, per_act_ns,
+                                    prefix, cycle_acts, p, out)
+                continue
+            if epochs[vrow] != epoch:
+                epochs[vrow] = epoch
+                carry = 0.0
+            else:
+                carry = values[vrow]
+            cells = adds[0][3]
+            if not cells:
+                # Invulnerable victim: fused add (sanctioned relaxation).
+                values[vrow] = carry + sum(a for _s, _e, a, _c in adds) * reps
+                continue
+            # Vulnerable victim, no mid-cycle heal: the accumulator is a
+            # strict cumsum of the tiled per-cycle deposit pattern.
+            k = len(adds)
+            cum = _exact_cumsum(carry, [a for _s, _e, a, _c in adds], reps)
+            end_value = cum[len(cum) - 1]
+            for c_idx, cell in enumerate(cells):
+                threshold = cell.threshold
+                if not carry < threshold <= end_value:
+                    continue
+                idx = _first_reaching(cum, threshold) - 1  # deposit index
+                m, r = divmod(idx, k)
+                s, e_idx = adds[r][0], adds[r][1]
+                cyc = first_cycle + m
+                out.append((cyc * p + s, e_idx, c_idx, FlipEvent(
+                    bank=bank,
+                    row=vrow,
+                    bit_offset=cell.bit_offset,
+                    from_value=cell.from_value,
+                    at_ns=now_ns + (cyc * cycle_acts + prefix[s])
+                    * per_act_ns,
+                )))
+            values[vrow] = float(end_value)
+
+    def _replay_cyclic(self, bank: int, vrow: int, adds, heals,
+                       first_cycle: int, reps: int, epoch: int,
+                       now_ns: int, per_act_ns: int, prefix,
+                       cycle_acts: int, p: int, out: list) -> None:
+        """Aggressor-self victim: healed by its own activation(s) each
+        cycle, possibly fed by other aggressors.
+
+        The cycle's end value is the post-heal tail sum — independent of
+        its carry-in — so after simulating cycles 1 and 2 exactly, every
+        later cycle is a bit-identical replica of cycle 2 and only its
+        flips (if any) need re-emitting at shifted items/timestamps.
+        """
+        values, epochs = self._bank_arrays(bank)
+        # Per-cycle op list: heals (before that item's deposits) merged
+        # with adds in scalar order.
+        ops = sorted(
+            [(s, -1, 0.0, None) for s in heals] + list(adds),
+            key=lambda op: (op[0], op[1]))
+        if epochs[vrow] != epoch:
+            epochs[vrow] = epoch
+            value = 0.0
+        else:
+            value = values[vrow]
+
+        def run_cycle(value: float):
+            fired = []  # (pos, e_idx, c_idx, cell)
+            for s, e_idx, add, cells in ops:
+                if e_idx < 0:
+                    value = 0.0
+                    continue
+                before = value
+                value += add
+                if cells and value >= cells[0].threshold:
+                    for c_idx, cell in enumerate(cells):
+                        if before < cell.threshold <= value:
+                            fired.append((s, e_idx, c_idx, cell))
+            return value, fired
+
+        def emit(cyc: int, fired) -> None:
+            for s, e_idx, c_idx, cell in fired:
+                out.append((cyc * p + s, e_idx, c_idx, FlipEvent(
+                    bank=bank,
+                    row=vrow,
+                    bit_offset=cell.bit_offset,
+                    from_value=cell.from_value,
+                    at_ns=now_ns + (cyc * cycle_acts + prefix[s])
+                    * per_act_ns,
+                )))
+
+        value, fired = run_cycle(value)
+        emit(first_cycle, fired)
+        if reps >= 2:
+            steady = value
+            value, fired = run_cycle(value)
+            emit(first_cycle + 1, fired)
+            if value == steady:
+                # Replicate: identical carry-in -> identical cycle.
+                if fired:
+                    for m in range(2, reps):
+                        emit(first_cycle + m, fired)
+            else:  # pragma: no cover - defensive; heals pin the end value
+                for m in range(2, reps):
+                    value, fired = run_cycle(value)
+                    emit(first_cycle + m, fired)
+        values[vrow] = value

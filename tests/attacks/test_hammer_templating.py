@@ -8,6 +8,7 @@ from repro.attacks.hammer import HammerKit
 from repro.attacks.templating import FlipTemplater
 from repro.kernel.kernel import Kernel
 from repro.kernel.vma import PAGE
+from repro.patterns import round_robin
 
 
 def bed(trr=False):
@@ -29,7 +30,9 @@ class TestHammerKit:
         kernel, proc = bed()
         kit = HammerKit(kernel, proc)
         with pytest.raises(AttackError):
-            kit.hammer([], 100)
+            kit.run(round_robin(1, 100), [])
+        with pytest.raises(AttackError):
+            kit.run_for([], 100)
 
     def test_hammer_activates_rows(self):
         kernel, proc = bed()
@@ -39,7 +42,7 @@ class TestHammerKit:
         va = base
         pa = kit.paddr_of(va)
         bank, row = kernel.dram.mapping.row_of(pa)
-        kit.hammer([va], 500)
+        kit.run(round_robin(1, 500), [va])
         # Neighbouring rows accumulated disturbance.
         acc = kernel.dram.row_accumulated(bank, row + 1)
         assert acc >= 400  # most of the 500 activations landed
@@ -50,18 +53,18 @@ class TestHammerKit:
         kit = HammerKit(kernel, proc)
         kit.paddr_of(base)
         t0 = kernel.clock.now_ns
-        kit.hammer([base], 1000)
+        kit.run(round_robin(1, 1000), [base])
         elapsed = kernel.clock.now_ns - t0
         # ~80 ns per activation.
         assert 60_000 < elapsed < 200_000
 
-    def test_hammer_for_duration(self):
+    def test_run_for_duration(self):
         kernel, proc = bed()
         base = kernel.mmap(proc, PAGE)
         kit = HammerKit(kernel, proc)
         kit.paddr_of(base)
         t0 = kernel.clock.now_ns
-        kit.hammer_for([base], 1_000_000)
+        kit.run_for([base], 1_000_000)
         assert kernel.clock.now_ns - t0 >= 1_000_000
 
     def test_row_patterns(self):
@@ -96,7 +99,7 @@ class TestTemplating:
         payload = bytes([0xFF if flip.from_value else 0x00]) * PAGE
         kernel.user_write(proc, vp.victim_vaddr, payload)
         kernel.clock.advance(64_000_000)  # fresh refresh window
-        templater.kit.hammer(vp.aggressor_vaddrs, 3000)
+        templater.kit.run(round_robin(2, 3000), vp.aggressor_vaddrs)
         after = kernel.user_read(proc, vp.victim_vaddr, PAGE)
         assert after != payload
         changed = after[flip.byte_offset] ^ payload[flip.byte_offset]

@@ -3,6 +3,8 @@ purging, arming rules, ring-buffer interplay."""
 
 import pytest
 
+from repro.attacks.placement import free_user_frame, place_l1pt_at
+from repro.checkers import sanitized
 from repro.clock import NS_PER_MS
 from repro.config import tiny_machine
 from repro.core.profile import SoftTrrParams
@@ -94,6 +96,34 @@ class TestPurge:
         tracer.purge_table(table_ppn)
         assert len(tracer._armed) < before
         assert all(p >> 12 != table_ppn for p in tracer._armed)
+
+    def test_relocated_table_keeps_its_armed_records(self):
+        # place_l1pt_at copies the L1PT, trace marks included, into a
+        # new frame and then frees the old one.  The armed records must
+        # follow the marks: otherwise the next access through a copied
+        # mark is a reserved-bit fault nobody owns (a KernelPanic), and
+        # the strict PTE sanitizer sees an orphaned mark.
+        kernel, proc, base, module = build()
+        tracer = module.tracer
+        with sanitized(kernel, strict=True) as manager:
+            tick(kernel)
+            ref = next(iter(tracer._armed.values()))
+            old_table = ref.pte_paddr >> 12
+            armed_vaddrs = {r.vaddr for r in tracer._armed.values()}
+            spare = next(base + i * PAGE for i in reversed(range(24))
+                         if base + i * PAGE not in armed_vaddrs)
+            target = free_user_frame(kernel, proc, spare)
+            moving = sum(1 for p in tracer._armed if p >> 12 == old_table)
+            place_l1pt_at(kernel, proc, ref.vaddr, target)
+            assert not any(p >> 12 == old_table for p in tracer._armed)
+            assert sum(1 for p in tracer._armed
+                       if p >> 12 == target) == moving
+            manager.checkpoint()
+            # The access through the copied mark is a trace fault the
+            # tracer owns (stale if the move revoked the adjacency).
+            owned = tracer.captured_faults + tracer.stale_faults
+            kernel.user_read(proc, ref.vaddr, 1)
+            assert tracer.captured_faults + tracer.stale_faults == owned + 1
 
     def test_process_exit_purges_and_rearms_cleanly(self):
         kernel, proc, base, module = build()

@@ -11,6 +11,7 @@ from repro.defenses.zebram import ZebramDefense
 from repro.errors import DefenseError, OutOfMemoryError
 from repro.kernel.physmem import FrameUse
 from repro.kernel.vma import HUGE, PAGE
+from repro.patterns import round_robin
 
 
 class TestRegistry:
@@ -170,7 +171,7 @@ class TestAnvil:
             pages.setdefault(mapping.row_of(pa)[0], []).append((va, pa))
         bank, pairs = next((b, p) for b, p in pages.items() if len(p) >= 2)
         vaddrs = [pairs[0][0], pairs[1][0]]
-        kit.hammer(vaddrs, 30_000)
+        kit.run(round_robin(len(vaddrs), 30_000), vaddrs)
         assert defense.module.detections > 0
         assert defense.module.refreshes > 0
 

@@ -1,12 +1,12 @@
 """Snapshot/restore of the array-backed disturbance state.
 
-The dense core keeps its accumulators in per-bank ``array('d')`` /
-``array('q')`` pairs hanging off the engine; ``Machine.snapshot`` must
-carry them (plain ``deepcopy`` does) so that a restore mid-epoch — with
-partially-filled accumulators that have *not* yet crossed a threshold —
-replays to bit-identical FlipEvents and ``telemetry.as_flat_dict()``,
-with the batched and the scalar replay alike, and identically on the
-dict core.
+The disturbance engine keeps its accumulators in per-bank
+``array('d')`` / ``array('q')`` pairs hanging off the engine;
+``Machine.snapshot`` must carry them (plain ``deepcopy`` does) so that a
+restore mid-epoch — with partially-filled accumulators that have *not*
+yet crossed a threshold — replays to bit-identical FlipEvents and
+``telemetry.as_flat_dict()``, with the batched and the scalar replay
+alike.
 """
 
 import pytest
@@ -14,9 +14,8 @@ import pytest
 from repro.machine import Machine
 
 
-def _machine(dense):
-    return Machine(machine="tiny", dense=dense, sanitize=True,
-                   strict_sanitizers=True)
+def _machine():
+    return Machine(machine="tiny", sanitize=True, strict_sanitizers=True)
 
 
 def _victim_and_aggressors(machine):
@@ -60,12 +59,10 @@ def _finish(machine, paddrs, batched):
 
 
 class TestDenseSnapshotRestore:
-    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "dict"])
     @pytest.mark.parametrize("batched", [True, False],
                              ids=["batch", "scalar"])
-    def test_mid_epoch_restore_replays_bit_identically(self, dense,
-                                                       batched):
-        m = _machine(dense)
+    def test_mid_epoch_restore_replays_bit_identically(self, batched):
+        m = _machine()
         row, paddrs = _victim_and_aggressors(m)
         # Partially fill the victim's accumulator mid-epoch: below every
         # threshold, so the flips must come from the replay itself.
@@ -83,7 +80,7 @@ class TestDenseSnapshotRestore:
     def test_batch_and_scalar_replays_agree_after_restore(self):
         results = {}
         for batched in (True, False):
-            m = _machine(dense=True)
+            m = _machine()
             _row, paddrs = _victim_and_aggressors(m)
             _charge(m, paddrs, 300)
             snap = m.snapshot()
@@ -92,22 +89,10 @@ class TestDenseSnapshotRestore:
             results[batched] = _finish(m, paddrs, batched)
         assert results[True] == results[False]
 
-    def test_cores_agree_through_snapshot_restore(self):
-        results = {}
-        for dense in (True, False):
-            m = _machine(dense)
-            _row, paddrs = _victim_and_aggressors(m)
-            _charge(m, paddrs, 300)
-            snap = m.snapshot()
-            _finish(m, paddrs, batched=True)
-            m.restore(snap)
-            results[dense] = _finish(m, paddrs, batched=True)
-        assert results[True] == results[False]
-
     def test_snapshot_isolates_the_arrays(self):
         # The restored engine's arrays must be copies, not views: more
         # hammering before restore must not leak into the snapshot.
-        m = _machine(dense=True)
+        m = _machine()
         row, paddrs = _victim_and_aggressors(m)
         _charge(m, paddrs, 100)
         partial = m.dram.engine.accumulated(0, row, m.dram._epoch())
@@ -121,7 +106,7 @@ class TestDenseSnapshotRestore:
         # Roll into the next refresh epoch after the snapshot: restore
         # must bring back both the values and the epoch tags (a stale
         # tag reads as zero in the new epoch).
-        m = _machine(dense=True)
+        m = _machine()
         row, paddrs = _victim_and_aggressors(m)
         _charge(m, paddrs, 300)
         epoch = m.dram._epoch()

@@ -33,6 +33,14 @@ class TestMachineConfig:
                                defense_params=View(timer_inr_ns=1))
         assert type(config.defense_params) is dict
 
+    def test_one_disturbance_engine_no_store_knob(self):
+        from repro.dram import DisturbanceEngine
+
+        machine = Machine(machine="tiny")
+        assert type(machine.dram.engine) is DisturbanceEngine
+        with pytest.raises(TypeError):
+            Machine(machine="tiny", dense=True)
+
     def test_replace_and_label(self):
         config = MachineConfig(machine="tiny")
         swapped = config.replace(defense="softtrr")

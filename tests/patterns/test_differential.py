@@ -2,7 +2,7 @@
 
 The compile pipeline fixes step boundaries; execution only chooses a
 backend.  So a compiled plan run through :class:`AttackProgram` —
-batched or scalar, dense or dict disturbance core — must be
+batched or scalar — must be
 bit-identical to a hand-written scalar replay of the same plan:
 identical FlipEvents, counters, simulated nanoseconds and telemetry,
 under strict sanitizers.  Plus: the DSL double-sided pattern reproduces
@@ -19,14 +19,14 @@ from repro.patterns.compile import CompiledPlan
 SEED = 11
 
 
-def build(defense="vanilla", dense=None, defense_params=None):
+def build(defense="vanilla", defense_params=None):
     from repro.analysis.zoo import TINY_DEFENSE_PARAMS
 
     params = dict(TINY_DEFENSE_PARAMS.get(defense, {}))
     params.update(defense_params or {})
     return Machine(MachineConfig(
         machine="tiny", defense=defense, defense_params=params,
-        sanitize=True, strict_sanitizers=True, dense=dense, seed=SEED))
+        sanitize=True, strict_sanitizers=True, seed=SEED))
 
 
 def bank0_victim(machine, margin):
@@ -72,28 +72,26 @@ def scalar_replay(kernel, plan):
         kernel.dispatch_timers()
 
 
-@pytest.mark.parametrize("dense", [False, True])
-def test_compiled_equals_handwritten_scalar(dense):
-    reference = build(dense=dense)
+def test_compiled_equals_handwritten_scalar():
+    reference = build()
     plan = double_sided_plan(reference)
     scalar_replay(reference.kernel, plan)
     want = fingerprint(reference)
     assert want["flip_log"], "the reference replay must actually flip"
     for use_batch in (False, True):
-        machine = build(dense=dense)
+        machine = build()
         AttackProgram(plan, mode="rows",
                       use_batch=use_batch).run(machine.kernel)
         assert fingerprint(machine) == want, f"use_batch={use_batch}"
 
 
-@pytest.mark.parametrize("dense", [False, True])
 @pytest.mark.parametrize("defense", ["chiptrr", "misra_gries"])
-def test_batched_equals_scalar_under_feed_trackers(defense, dense):
+def test_batched_equals_scalar_under_feed_trackers(defense):
     """Tracker state (and its refresh actuations) must not depend on
     the execution backend either."""
     prints = {}
     for use_batch in (False, True):
-        machine = build(defense=defense, dense=dense)
+        machine = build(defense=defense)
         plan = double_sided_plan(machine)
         AttackProgram(plan, mode="rows",
                       use_batch=use_batch).run(machine.kernel)
@@ -131,9 +129,8 @@ def test_dsl_double_sided_matches_legacy_attack_stream():
     assert legacy.clock.now_ns == authored.clock.now_ns
 
 
-@pytest.mark.parametrize("dense", [False, True])
-def test_snapshot_restore_mid_pattern_replays_identically(dense):
-    machine = build(dense=dense)
+def test_snapshot_restore_mid_pattern_replays_identically():
+    machine = build()
     plan = double_sided_plan(machine)
     half = len(plan.steps) // 2
     first = CompiledPlan(plan.name, plan.steps[:half], plan.act_ns)

@@ -218,3 +218,15 @@ def test_fuzz_fleet_cell_is_deterministic():
     assert first["point"] == sample_point(SEED, 3).to_dict()
     assert first["defense"] == "chiptrr"
     assert first["target"] == "rows"
+
+
+def test_softtrr_pt_cell_survives_the_l1pt_relocation():
+    # Seed 101 point 4 relocates an L1PT whose entries carry SoftTRR
+    # trace marks; the hammer then touches a page through a copied
+    # mark.  The tracer must own that fault (no KernelPanic) and keep
+    # the page table flip-free.
+    result = run_fleet_cell({"scenario": "point-4", "defense": "softtrr"},
+                            "fuzz", {"fuzz_seed": 101})
+    assert "error" not in result
+    assert result["target"] == "pt"
+    assert result["protected"]

@@ -1,21 +1,23 @@
-"""Generative differential harness for the disturbance cores.
+"""Generative differential harness for the disturbance engine.
 
 Draws seeded random *hammer programs* — mixed one-location /
 double-sided / many-sided aggressor sets, irregular (aperiodic) bursts,
 interleaved heals and refreshes, clock hops onto refresh-epoch
 boundaries, SoftTRR timer ticks, snapshot/restore midpoints — and
-replays each program four ways on a strict-sanitized tiny machine:
+replays each program two ways on a strict-sanitized tiny machine:
 
-======  =========  ==============================================
-store   replay     what it exercises
-======  =========  ==============================================
-dict    batched    the dict core's run-grouped batch kernel
-dict    scalar     the reference semantics, item by item
-dense   batched    the array core's periodic + generic kernels
-dense   scalar     the array core's scalar deposit path
-======  =========  ==============================================
+=========  =====================================================
+replay     what it exercises
+=========  =====================================================
+scalar     the reference semantics: ``on_activate`` -> ``deposit``
+           per activation
+batched    the closed-form periodic kernel and the generic
+           run-grouped batch kernel (``hammer_periodic`` /
+           ``hammer_kernel``)
+=========  =====================================================
 
-All four must produce bit-identical FlipEvent streams, DRAM bytes,
+The two legs share no accumulator code, and both must produce
+bit-identical FlipEvent streams, DRAM bytes,
 counters, simulated nanoseconds and ``telemetry.as_flat_dict()``.  On a
 mismatch the failure is shrunk (ddmin over the op list, then per-batch
 item halving) to a minimal reproducing program printed with its seed.
@@ -42,12 +44,10 @@ from functools import lru_cache
 from repro.machine import Machine, MachineConfig
 from repro.rng import derive_rng
 
-#: Modes the differential covers: (dense_core, batched_replay).
+#: Modes the differential covers: (label, batched_replay).
 MODES = (
-    ("dict/scalar", False, False),
-    ("dict/batch", False, True),
-    ("dense/scalar", True, False),
-    ("dense/batch", True, True),
+    ("scalar", False),
+    ("batch", True),
 )
 
 #: Tiny-machine-scaled parameters per defense, tuned so the policies
@@ -178,11 +178,11 @@ def generate_program(seed: int):
     return tuple(ops)
 
 
-def run_program(program, *, dense: bool, batched: bool,
-                defense: str = "vanilla", fault_plan=None):
+def run_program(program, *, batched: bool, defense: str = "vanilla",
+                fault_plan=None):
     """Execute ``program`` on a fresh machine; return its fingerprint."""
     config = MachineConfig(
-        machine="tiny", dense=dense, batch=batched,
+        machine="tiny", batch=batched,
         sanitize=True, strict_sanitizers=True, defense=defense,
         defense_params=DEFENSE_PARAMS.get(defense, {}),
         fault_plan=fault_plan)
@@ -219,7 +219,7 @@ def run_program(program, *, dense: bool, batched: bool,
 
 
 def fingerprint(machine):
-    """Every observable the four-way equivalence claim covers."""
+    """Every observable the scalar ≡ batched claim covers."""
     dram = machine.dram
     engine = dram.engine
     return {
@@ -239,17 +239,16 @@ def fingerprint(machine):
 
 
 def mismatch(program, **kwargs) -> bool:
-    """True when the four modes disagree on ``program``."""
-    results = [run_program(program, dense=dense, batched=batched, **kwargs)
-               for _label, dense, batched in MODES]
+    """True when the modes disagree on ``program``."""
+    results = [run_program(program, batched=batched, **kwargs)
+               for _label, batched in MODES]
     return any(result != results[0] for result in results[1:])
 
 
 def describe_mismatch(program, **kwargs) -> str:
     """Which modes and which fingerprint keys disagree."""
-    results = {label: run_program(program, dense=dense, batched=batched,
-                                  **kwargs)
-               for label, dense, batched in MODES}
+    results = {label: run_program(program, batched=batched, **kwargs)
+               for label, batched in MODES}
     base_label, *_rest = results
     base = results[base_label]
     lines = []
@@ -300,7 +299,7 @@ def shrink(program, failing, max_rounds: int = 12):
 
 
 def check_seed(seed: int, **kwargs) -> None:
-    """Assert four-way equivalence for the program drawn from ``seed``.
+    """Assert scalar ≡ batched for the program drawn from ``seed``.
 
     On failure, shrinks to a minimal reproducing op sequence and raises
     with the seed and the program spelled out for replay.

@@ -29,6 +29,7 @@ from repro.core.softtrr import SoftTrr
 from repro.dram.bank import RowBufferPolicy
 from repro.kernel.kernel import Kernel
 from repro.kernel.vma import PAGE
+from repro.patterns import round_robin
 from repro.rng import derive_rng
 from repro.workloads.base import SliceWorkload, WorkloadProfile
 
@@ -41,9 +42,8 @@ def strict(spec):
 def dram_fingerprint(dram):
     """Every DRAM-level observable the equivalence claim covers."""
     engine = dram.engine
-    # The canonical cross-core fingerprint: nonzero current-epoch
-    # accumulators of vulnerable rows, identical across the dict and
-    # dense stores and across scalar/batched/periodic replay.
+    # The canonical fingerprint: nonzero current-epoch accumulators of
+    # vulnerable rows, identical across scalar/batched/periodic replay.
     vulnerable_acc = engine.vulnerable_accumulated(dram._epoch())
     return {
         "rows": {key: bytes(data) for key, data in dram._rows.items()},
@@ -219,7 +219,8 @@ def _kit_scenario(spec, pattern, use_batch, iterations, softtrr):
     for i in range(8):
         kernel.user_write(process, base + i * PAGE, b"A")
     kit = HammerKit(kernel, process, use_batch=use_batch)
-    kit.hammer(_pattern_vaddrs(kit, base, pattern), iterations)
+    vaddrs = _pattern_vaddrs(kit, base, pattern)
+    kit.run(round_robin(len(vaddrs), iterations), vaddrs)
     return kernel_fingerprint(kernel)
 
 
@@ -319,12 +320,12 @@ def test_full_softtrr_run_equivalence():
         for i in range(8):
             kernel.user_write(attacker, base + i * PAGE, b"A")
         kit = HammerKit(kernel, attacker, use_batch=use_batch)
-        kit.hammer([base + PAGE, base + 3 * PAGE], 1000)
+        kit.run(round_robin(2, 1000), [base + PAGE, base + 3 * PAGE])
         profile = WorkloadProfile(
             name="diff-mix", duration_ms=10, hot_pages=4,
             cold_pool_pages=16, cold_touches=2, hot_touch_repeat=3)
         SliceWorkload(kernel, profile, seed=5, use_batch=use_batch).run()
-        kit.hammer([base + PAGE, base + 3 * PAGE], 1000)
+        kit.run(round_robin(2, 1000), [base + PAGE, base + 3 * PAGE])
         fingerprint = kernel_fingerprint(kernel)
         assert "softtrr_stats" in fingerprint
         return fingerprint

@@ -1,9 +1,10 @@
-"""Four-way generative differential: dense == dict == scalar, bit for bit.
+"""Generative differential: scalar == batched, bit for bit.
 
-Satellite of the dense-core PR: ≥200 seeded random hammer programs
-(see :mod:`tests.perf.generative`) replayed under strict sanitizers in
-all four (store, replay) modes, plus a band with the SoftTRR defense
-and an active FaultPlan, plus unit coverage for the shrinker itself.
+260 seeded random hammer programs (see :mod:`tests.perf.generative`)
+replayed under strict sanitizers through the scalar per-ACT path and
+the batched kernels, plus per-defense and fault-plan bands, a check
+that the batched leg really reaches every batched kernel path, and
+unit coverage for the shrinker itself.
 """
 
 import pytest
@@ -11,8 +12,9 @@ import pytest
 from repro.defenses import DEFENSES
 from repro.faults import FaultPlan, FaultSpec
 
+from repro.dram import DisturbanceEngine
+
 from .generative import (
-    MODES,
     check_seed,
     generate_program,
     mismatch,
@@ -48,23 +50,23 @@ def _chunks(seeds):
 class TestGenerativeDifferential:
     @pytest.mark.parametrize("seeds", _chunks(PLAIN_SEEDS),
                              ids=lambda c: f"seeds{c[0]}-{c[-1]}")
-    def test_four_way_equivalence(self, seeds):
+    def test_scalar_batched_equal(self, seeds):
         for seed in seeds:
             check_seed(seed)
 
     @pytest.mark.parametrize("seeds", _chunks(CHAOS_SEEDS),
                              ids=lambda c: f"seeds{c[0]}-{c[-1]}")
-    def test_four_way_equivalence_under_faults(self, seeds):
+    def test_scalar_batched_equal_under_faults(self, seeds):
         for seed in seeds:
             check_seed(seed, defense="softtrr", fault_plan=CHAOS_PLAN)
 
     @pytest.mark.parametrize("defense", ALL_DEFENSES)
-    def test_four_way_equivalence_per_defense(self, defense):
+    def test_scalar_batched_equal_per_defense(self, defense):
         for seed in DEFENSE_SEEDS:
             check_seed(seed, defense=defense)
 
     @pytest.mark.parametrize("defense", TRACKER_DEFENSES)
-    def test_four_way_equivalence_trackers_under_faults(self, defense):
+    def test_scalar_batched_equal_trackers_under_faults(self, defense):
         for seed in TRACKER_CHAOS_SEEDS:
             check_seed(seed, defense=defense, fault_plan=CHAOS_PLAN)
 
@@ -74,8 +76,8 @@ class TestGenerativeDifferential:
         # the per-defense equivalence band would be vacuous for the
         # policy under test.
         for seed in DEFENSE_SEEDS:
-            result = run_program(generate_program(seed), dense=True,
-                                 batched=True, defense=defense)
+            result = run_program(generate_program(seed), batched=True,
+                                 defense=defense)
             if result["telemetry"]["actuator.refreshes"] > 0:
                 return
         pytest.fail(f"no seed made the {defense} tracker actuate")
@@ -84,9 +86,8 @@ class TestGenerativeDifferential:
         # At least one chaos program must draw injected faults, or the
         # fault-plan leg of the claim would be vacuous.
         for seed in CHAOS_SEEDS:
-            result = run_program(generate_program(seed), dense=True,
-                                 batched=True, defense="softtrr",
-                                 fault_plan=CHAOS_PLAN)
+            result = run_program(generate_program(seed), batched=True,
+                                 defense="softtrr", fault_plan=CHAOS_PLAN)
             injected = sum(
                 value for key, value in result["telemetry"].items()
                 if key.startswith("faults.") and key.endswith(".injected"))
@@ -114,19 +115,46 @@ class TestGenerativeDifferential:
                 "snapshot", "restore"} <= kinds
         assert shapes == {"periodic", "irregular"}
 
-    def test_modes_really_differ_in_mechanism(self):
-        # Same program, four distinct engine/replay combinations — the
-        # dense cores must actually be DenseDisturbanceEngine and the
-        # batch legs must actually take hammer_batch (checked via the
-        # engine classes the config materialises).
-        from repro.dram import DenseDisturbanceEngine, DisturbanceEngine
-        from repro.machine import Machine, MachineConfig
+    def test_batched_leg_reaches_every_kernel_path(self, monkeypatch):
+        # The scalar leg is the reference; the claim is only as strong
+        # as the batched paths it is compared against.  Count, over the
+        # plain programs, the closed-form periodic kernel and both
+        # branches of the generic kernel: the run fast path records its
+        # activations with one ``recent.extend`` per run, the per-item
+        # path with one ``recent.append`` per item.
+        hits = {"periodic": 0, "run": 0, "item": 0}
+        periodic = DisturbanceEngine.hammer_periodic
+        generic = DisturbanceEngine.hammer_kernel
 
-        dense = Machine(MachineConfig(machine="tiny", dense=True))
-        sparse = Machine(MachineConfig(machine="tiny", dense=False))
-        assert type(dense.dram.engine) is DenseDisturbanceEngine
-        assert type(sparse.dram.engine) is DisturbanceEngine
-        assert len(MODES) == 4
+        class Recent:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def append(self, entry):
+                hits["item"] += 1
+                self.inner.append(entry)
+
+            def extend(self, entries):
+                hits["run"] += 1
+                self.inner.extend(entries)
+
+        def counting_periodic(engine, *args, **kwargs):
+            hits["periodic"] += 1
+            return periodic(engine, *args, **kwargs)
+
+        def counting_generic(engine, resolved, **kwargs):
+            kwargs["recent"] = Recent(kwargs["recent"])
+            return generic(engine, resolved, **kwargs)
+
+        monkeypatch.setattr(DisturbanceEngine, "hammer_periodic",
+                            counting_periodic)
+        monkeypatch.setattr(DisturbanceEngine, "hammer_kernel",
+                            counting_generic)
+        for seed in PLAIN_SEEDS:
+            run_program(generate_program(seed), batched=True)
+            if all(hits.values()):
+                return
+        pytest.fail(f"batched leg missed a kernel path: {hits}")
 
 
 class TestShrinker:

@@ -1,9 +1,8 @@
-"""Tests for the ``REPRO_BATCH``/``REPRO_DENSE`` knobs
-(:mod:`repro.batching`)."""
+"""Tests for the ``REPRO_BATCH`` knob (:mod:`repro.batching`)."""
 
 import pytest
 
-from repro.batching import batch_enabled, dense_enabled
+from repro.batching import batch_enabled
 from repro.errors import ConfigError
 from repro.workloads.base import WorkloadProfile
 
@@ -30,46 +29,6 @@ class TestBatchEnabled:
         assert not batch_enabled()
         monkeypatch.setenv("REPRO_BATCH", "1")
         assert batch_enabled()
-
-
-class TestDenseEnabled:
-    def test_default_on_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DENSE", raising=False)
-        assert dense_enabled()
-        assert not dense_enabled(default=False)
-
-    @pytest.mark.parametrize("value", ["0", "false", "no", "off",
-                                       " OFF ", "False"])
-    def test_off_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_DENSE", value)
-        assert not dense_enabled()
-
-    @pytest.mark.parametrize("value", ["1", "true", "yes", "on", ""])
-    def test_everything_else_is_on(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_DENSE", value)
-        assert dense_enabled()
-
-    def test_knob_selects_the_engine_class(self, monkeypatch):
-        from repro.dram import DenseDisturbanceEngine, DisturbanceEngine
-        from repro.machine import Machine
-
-        monkeypatch.setenv("REPRO_DENSE", "0")
-        assert isinstance(Machine(machine="tiny").dram.engine,
-                          DisturbanceEngine)
-        monkeypatch.setenv("REPRO_DENSE", "1")
-        assert isinstance(Machine(machine="tiny").dram.engine,
-                          DenseDisturbanceEngine)
-
-    def test_config_pin_beats_the_env_knob(self, monkeypatch):
-        from repro.dram import DenseDisturbanceEngine, DisturbanceEngine
-        from repro.machine import Machine
-
-        monkeypatch.setenv("REPRO_DENSE", "0")
-        machine = Machine(machine="tiny", dense=True)
-        assert isinstance(machine.dram.engine, DenseDisturbanceEngine)
-        monkeypatch.setenv("REPRO_DENSE", "1")
-        machine = Machine(machine="tiny", dense=False)
-        assert type(machine.dram.engine) is DisturbanceEngine
 
 
 class TestHotTouchRepeat:
