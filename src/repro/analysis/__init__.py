@@ -7,13 +7,15 @@
 * :mod:`repro.analysis.memory`   — Figures 4 and 5 (LAMP memory cost and
   protected/traced page counts over 60 minutes).
 * :mod:`repro.analysis.robustness` — Table V (LTP syscall stress).
-* :mod:`repro.analysis.chaos`    — fault-injection sweep (protection
-  erosion per ``repro.faults`` site, the ``repro-chaos`` CLI).
+* :mod:`repro.analysis.chaos`    — fault-injection cells (protection
+  erosion per ``repro.faults`` site; the ``chaos`` fleet group).
+* :mod:`repro.analysis.zoo`      — defense-zoo cells (trackers head to
+  head; the ``zoo`` fleet group).
 * :mod:`repro.analysis.tables`   — plain-text rendering shared by the
   benchmark targets and EXPERIMENTS.md.
 """
 
-from .chaos import run_chaos_cell, run_chaos_matrix, summarise_matrix
+from .chaos import run_chaos_cell
 from .overhead import OverheadRow, measure_suite_overhead
 from .security import Table2Row, run_table2, run_baseline_matrix
 from .memory import run_lamp_series
@@ -23,8 +25,6 @@ from .tables import render_table
 __all__ = [
     "OverheadRow",
     "run_chaos_cell",
-    "run_chaos_matrix",
-    "summarise_matrix",
     "measure_suite_overhead",
     "Table2Row",
     "run_table2",

@@ -1,4 +1,4 @@
-"""Chaos sweep: SoftTRR's protection under injected machine faults.
+"""Chaos cells: SoftTRR's protection under injected machine faults.
 
 The paper's security argument (``threshold = timer_inr x (count_limit -
 1)``) silently assumes a perfectly reliable substrate: every timer tick
@@ -15,34 +15,28 @@ chaos harness perturbs exactly those five choke points through
 
 Each cell runs the smoke-scale memory-spray attack on the tiny machine
 with one fault site active, healing on (`HEALING_PARAMS`) or off, under
-the runtime sanitizers in report mode.  ``repro-chaos --check`` gates
-CI: healing on must keep every L1PT clean, and at least one raw cell
-must show measurable erosion (otherwise the injection itself is dead).
+the runtime sanitizers in report mode.  The sweep grid is the
+registry's ``chaos`` group, run as ``repro-fleet run --group chaos``;
+``repro-fleet status --check`` gates it (:mod:`repro.fleet.report`):
+healing on must keep every L1PT clean, and at least one raw cell must
+show measurable erosion (otherwise the injection itself is dead).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
-from .. import cli_common
-from ..errors import AttackError, ConfigError, ReproError
-from ..faults import FAULT_SITES, FaultPlan, FaultSpec
-from ..machine import Machine, MachineConfig
-from ..scenarios.spec import ScenarioResult, ScenarioSpec
+from ..errors import AttackError, ConfigError
+from ..faults import FAULT_SITES, SITE_MODES, FaultPlan, FaultSpec
+from ..scenarios.spec import ScenarioSpec
+from .zoo import build_machine
 
 __all__ = [
     "DEFAULT_INTENSITY",
     "HEALING_PARAMS",
-    "chaos_specs",
-    "main",
     "run_chaos_cell",
-    "run_chaos_matrix",
     "run_chaos_scenario",
     "site_spec",
-    "summarise_matrix",
 ]
 
 #: SoftTrrParams overrides that switch every graceful-degradation
@@ -57,32 +51,19 @@ HEALING_PARAMS = {
 #: Default per-opportunity fault probability for every site.
 DEFAULT_INTENSITY = 0.25
 
-#: Fault mode exercised per site in the sweep (one representative mode;
-#: the spec layer supports more).
-_SITE_MODES = {
-    "timers": "drop",
-    "hooks": "drop",
-    "mmu": "swallow",
-    "tlb": "lost_invlpg",
-    "refresher": "fail_refresh",
-}
-
 #: Smoke-scale attack knobs (mirrors the ``smoke`` scenario group).
 _ATTACK_PARAMS = {"m": 1, "region_pages": 224, "template_rounds": 3_000,
                   "hammer_ns": 4_000_000}
 
-#: SoftTRR timing scaled to the tiny machine (mirrors the registry).
-_TINY_SOFTTRR = {"timer_inr_ns": 50_000}
 
-
-def site_spec(site: str, intensity: float = DEFAULT_INTENSITY,
-              seed: int = 0) -> FaultSpec:
-    """The representative :class:`FaultSpec` for one site."""
-    if site not in _SITE_MODES:
+def site_spec(site: str, seed: int = 0) -> FaultSpec:
+    """The representative :class:`FaultSpec` for one site: its first
+    :data:`~repro.faults.SITE_MODES` mode at :data:`DEFAULT_INTENSITY`."""
+    if site not in SITE_MODES:
         raise ConfigError(
             f"unknown fault site {site!r}; known: {FAULT_SITES}")
-    return FaultSpec(site=site, mode=_SITE_MODES[site],
-                     probability=intensity, seed=seed)
+    return FaultSpec(site=site, mode=SITE_MODES[site][0],
+                     probability=DEFAULT_INTENSITY, seed=seed)
 
 
 def _erosion_ns(site: str, counters: Mapping[str, int],
@@ -101,7 +82,6 @@ def _erosion_ns(site: str, counters: Mapping[str, int],
 
 def run_chaos_cell(
     site: str,
-    intensity: float = DEFAULT_INTENSITY,
     healing: bool = True,
     seed: int = 11,
     machine_name: str = "tiny",
@@ -115,28 +95,23 @@ def run_chaos_cell(
     """
     from ..attacks.memory_spray import MemorySprayAttack
 
-    params = dict(_TINY_SOFTTRR)
-    params.update(defense_params or {})
+    params = dict(defense_params or {})
     if healing:
         params.update(HEALING_PARAMS)
     knobs = dict(_ATTACK_PARAMS)
     knobs.update(attack_params or {})
-    plan = FaultPlan(specs=(site_spec(site, intensity, seed),), seed=seed)
-    machine = Machine(MachineConfig(
-        machine=machine_name,
-        defense="softtrr",
-        defense_params=params,
-        # Report mode, never strict: a lost invlpg legitimately leaves a
-        # stale TLB entry behind — that is the fault, not a model bug.
-        sanitize=True,
-        strict_sanitizers=False,
-        fault_plan=plan,
-    ))
+    spec = site_spec(site, seed)
+    # Report-mode sanitizers, never strict: a lost invlpg legitimately
+    # leaves a stale TLB entry behind — that is the fault, not a model
+    # bug.
+    machine = build_machine(
+        "softtrr", params, machine_name,
+        fault_plan=FaultPlan(specs=(spec,), seed=seed))
     kernel = machine.kernel
     payload: Dict[str, object] = {
         "site": site,
-        "mode": _SITE_MODES[site],
-        "intensity": intensity,
+        "mode": spec.mode,
+        "intensity": DEFAULT_INTENSITY,
         "healing": healing,
         "seed": seed,
     }
@@ -196,152 +171,18 @@ def run_chaos_cell(
 
 
 def run_chaos_scenario(spec: ScenarioSpec) -> dict:
-    """Adapter for the scenario runner (``kind="chaos"``)."""
+    """Adapter for the scenario runner (``kind="chaos"``).
+
+    The cell fixes its own defense (SoftTRR) and fault plan, so the
+    fleet rejects a defenses or fault-plans axis on chaos scenarios
+    (:meth:`repro.fleet.spec.FleetSpec.validate_names`).
+    """
     params = spec.params
     return run_chaos_cell(
         site=params["site"],
-        intensity=params.get("intensity", DEFAULT_INTENSITY),
         healing=params.get("healing", True),
         seed=params.get("seed", 11),
         machine_name=spec.machine,
         defense_params=spec.defense_params,
-        attack_params={k: params[k] for k in
-                       ("m", "region_pages", "template_rounds", "hammer_ns")
-                       if k in params},
+        attack_params={k: params[k] for k in _ATTACK_PARAMS if k in params},
     )
-
-
-def chaos_specs(
-    sites: Sequence[str] = FAULT_SITES,
-    intensities: Sequence[float] = (DEFAULT_INTENSITY,),
-    seed: int = 11,
-) -> List[ScenarioSpec]:
-    """The sweep grid: every (site, intensity) with healing on and off."""
-    specs = []
-    for site in sites:
-        if site not in _SITE_MODES:
-            raise ConfigError(
-                f"unknown fault site {site!r}; known: {FAULT_SITES}")
-        for intensity in intensities:
-            for healing in (True, False):
-                label = "healed" if healing else "raw"
-                specs.append(ScenarioSpec(
-                    name=f"chaos-{site}-i{intensity:g}-{label}",
-                    kind="chaos",
-                    group="chaos",
-                    title=f"Chaos: {site} at p={intensity:g} ({label})",
-                    machine="tiny",
-                    defense="softtrr",
-                    defense_params=_TINY_SOFTTRR,
-                    params={"site": site, "intensity": intensity,
-                            "healing": healing, "seed": seed},
-                ))
-    return specs
-
-
-def run_chaos_matrix(
-    sites: Sequence[str] = FAULT_SITES,
-    intensities: Sequence[float] = (DEFAULT_INTENSITY,),
-    seed: int = 11,
-    workers: int = 1,
-) -> List[ScenarioResult]:
-    """Run the sweep grid through the scenario runner."""
-    from ..scenarios.runner import run_sweep
-
-    return run_sweep(chaos_specs(sites, intensities, seed), workers=workers)
-
-
-def summarise_matrix(results: Sequence[ScenarioResult]) -> dict:
-    """Per-site healed-vs-raw digest of a chaos sweep."""
-    sites: Dict[str, dict] = {}
-    for result in results:
-        payload = result.payload
-        entry = sites.setdefault(payload["site"], {
-            "healed_l1pt_flip_events": 0,
-            "raw_l1pt_flip_events": 0,
-            "healed_erosion_ns": 0,
-            "raw_erosion_ns": 0,
-        })
-        column = "healed" if payload["healing"] else "raw"
-        entry[f"{column}_l1pt_flip_events"] += payload["l1pt_flip_events"]
-        entry[f"{column}_erosion_ns"] += payload["erosion_ns"]
-    return {
-        "sites": sites,
-        "healed_clean": all(
-            entry["healed_l1pt_flip_events"] == 0
-            for entry in sites.values()),
-        "raw_erosion_seen": any(
-            entry["raw_erosion_ns"] > 0 for entry in sites.values()),
-    }
-
-
-# ---------------------------------------------------------------- the CLI
-def _build_parser() -> argparse.ArgumentParser:
-    parser = cli_common.build_parser(
-        prog="repro-chaos",
-        description=("Sweep fault-injection intensities over SoftTRR and "
-                     "report protection-window erosion per site."),
-    )
-    parser.add_argument(
-        "--sites", nargs="*", default=list(FAULT_SITES),
-        help=f"fault sites to sweep (default: all of {FAULT_SITES})")
-    parser.add_argument(
-        "--intensities", nargs="*", type=float,
-        default=[DEFAULT_INTENSITY],
-        help="per-opportunity fault probabilities (default: 0.25)")
-    cli_common.add_seed_option(parser, default=11)
-    cli_common.add_jobs_option(parser)
-    cli_common.add_out_option(
-        parser, help_text="write the JSON report to PATH instead of stdout")
-    cli_common.add_check_option(
-        parser,
-        help_text="exit non-zero unless healing keeps every L1PT clean AND "
-                  "at least one raw cell shows erosion (the CI gate)")
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    args = _build_parser().parse_args(argv)
-    try:
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be >= 1")
-        results = run_chaos_matrix(
-            sites=args.sites, intensities=args.intensities,
-            seed=args.seed, workers=args.jobs)
-    except ReproError as exc:
-        print(f"repro-chaos: error: {exc}", file=sys.stderr)
-        return cli_common.EXIT_USAGE
-    summary = summarise_matrix(results)
-    report = {
-        "intensities": args.intensities,
-        "seed": args.seed,
-        "summary": summary,
-        "cells": [result.to_dict() for result in results],
-    }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        cli_common.atomic_write_text(args.out, text)
-        print(f"[{len(results)} chaos cells -> {args.out}]")
-    else:
-        sys.stdout.write(text)
-    if args.check:
-        failures = []
-        if not summary["healed_clean"]:
-            failures.append("healing enabled still leaked L1PT flip events")
-        if not summary["raw_erosion_seen"]:
-            failures.append("no raw cell showed protection-window erosion "
-                            "(injection dead?)")
-        if failures:
-            for failure in failures:
-                print(f"repro-chaos: CHECK FAILED: {failure}",
-                      file=sys.stderr)
-            return cli_common.EXIT_CHECK_FAILED
-        print("repro-chaos: check passed "
-              f"({len(results)} cells, healing holds, erosion measurable)",
-              file=sys.stderr)
-    return cli_common.EXIT_OK
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -1,4 +1,4 @@
-"""Defense-zoo sweep: trackers head-to-head on one machine.
+"""Defense-zoo cells: trackers head-to-head on one machine.
 
 The layered tracker architecture makes defenses comparable: every
 tracker rides the same :class:`~repro.dram.feed.ActivationFeed` and
@@ -24,32 +24,34 @@ Two legs per defense:
 * **spray** — the smoke-scale memory-spray attack (page-table centric,
   SoftTRR's home turf, mirroring the chaos harness minus the faults).
 
-``repro-zoo --check`` gates CI: vanilla must flip somewhere (the bench
-has teeth), every tracker must actuate somewhere (the feed is live) and
-at least one tracker must fully protect a cell vanilla loses.
+The sweep grid is the registry's ``zoo`` group (:func:`zoo_specs`),
+run as ``repro-fleet run --group zoo``.  ``repro-fleet status --check``
+gates it (:mod:`repro.fleet.report`): vanilla must flip somewhere (the
+bench has teeth), every tracker must actuate somewhere (the feed is
+live) and at least one tracker must fully protect a cell vanilla loses.
+
+:func:`build_machine` (the sanitized cell machine) and
+:func:`cheapest_victim` are shared with the chaos, pattern and window
+cells.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .. import cli_common
-from ..errors import AttackError, ConfigError, ReproError
+from ..errors import AttackError, ConfigError
 from ..machine import Machine, MachineConfig
-from ..scenarios.spec import ScenarioResult, ScenarioSpec
+from ..scenarios.spec import ScenarioSpec
 
 __all__ = [
     "PATTERNS",
     "TINY_DEFENSE_PARAMS",
     "ZOO_DEFENSES",
-    "main",
+    "build_machine",
+    "cheapest_victim",
     "run_zoo_cell",
-    "run_zoo_matrix",
     "run_zoo_scenario",
-    "summarise_matrix",
+    "tracker_metrics",
     "zoo_specs",
 ]
 
@@ -84,6 +86,10 @@ _PATTERN_OFFSETS = {
     "many_sided": (-4, -3, -2, -1, 1, 2, 3, 4),
 }
 
+#: Bank-edge slack that fits the widest pattern around any victim.
+_MARGIN = max(abs(off) for offsets in _PATTERN_OFFSETS.values()
+              for off in offsets)
+
 #: Smoke-scale memory-spray knobs (mirrors the chaos harness).
 _SPRAY_PARAMS = {"m": 1, "region_pages": 224, "template_rounds": 3_000,
                  "hammer_ns": 4_000_000}
@@ -93,9 +99,16 @@ _SPRAY_PARAMS = {"m": 1, "region_pages": 224, "template_rounds": 3_000,
 _PATTERN_ROUNDS = 50
 
 
-def _build_machine(defense: str, defense_params: Optional[Mapping],
-                   machine_name: str) -> Machine:
-    params = dict(TINY_DEFENSE_PARAMS.get(defense, {}))
+def build_machine(defense: str, defense_params: Optional[Mapping] = None,
+                  machine_name: str = "tiny", seed: Optional[int] = None,
+                  fault_plan: Optional[Mapping] = None,
+                  trace: str = "off") -> Machine:
+    """A machine under report-mode sanitizers, with the defense scaled
+    to the tiny machine (:data:`TINY_DEFENSE_PARAMS`, then
+    ``defense_params``) when ``machine_name`` is ``"tiny"``."""
+    params: Dict[str, object] = dict(
+        TINY_DEFENSE_PARAMS.get(defense, {}) if machine_name == "tiny"
+        else {})
     params.update(defense_params or {})
     return Machine(MachineConfig(
         machine=machine_name,
@@ -103,17 +116,21 @@ def _build_machine(defense: str, defense_params: Optional[Mapping],
         defense_params=params,
         sanitize=True,
         strict_sanitizers=False,
+        seed=seed,
+        fault_plan=fault_plan,
+        trace=trace,
     ))
 
 
-def _cheapest_victim(machine: Machine):
-    """(bank, row, threshold) of the cheapest hammerable vulnerable cell.
+def cheapest_victim(machine: Machine,
+                    margin: int = _MARGIN) -> Tuple[int, int, float]:
+    """(bank, row, threshold) of the cheapest vulnerable cell at least
+    ``margin`` rows from either bank edge.
 
-    Rows too close to the bank edge for the widest pattern are skipped
-    so every pattern leg hammers the same victim.
+    The default margin fits the widest zoo pattern, so every pattern
+    leg hammers the same victim.
     """
     dram = machine.dram
-    margin = max(abs(off) for off in _PATTERN_OFFSETS["many_sided"])
     best = None
     for bank in range(dram.geometry.num_banks):
         for row in range(margin, dram.geometry.rows_per_bank - margin):
@@ -125,7 +142,8 @@ def _cheapest_victim(machine: Machine):
     return best
 
 
-def _tracker_metrics(machine: Machine) -> Dict[str, object]:
+def tracker_metrics(machine: Machine) -> Dict[str, object]:
+    """Activations, refresh overhead, SRAM bits and tracker counters."""
     dram = machine.dram
     flat = machine.telemetry.as_flat_dict()
     activations = dram.total_activations
@@ -148,22 +166,25 @@ def run_zoo_cell(
     machine_name: str = "tiny",
     defense_params: Optional[Mapping] = None,
     attack_params: Optional[Mapping] = None,
+    fault_plan: Optional[Mapping] = None,
 ) -> dict:
     """One zoo cell; deterministic in all arguments.
 
     ``pattern`` is one of :data:`PATTERNS` (direct hammer leg) or
-    ``"spray"`` (memory-spray attack leg).
+    ``"spray"`` (memory-spray attack leg).  ``seed`` is recorded in
+    the payload only: the machine keeps its profile's default seed.
     """
     if pattern == "spray":
         return _run_spray_cell(defense, seed, machine_name,
-                               defense_params, attack_params)
+                               defense_params, attack_params, fault_plan)
     if pattern not in _PATTERN_OFFSETS:
         raise ConfigError(
             f"unknown zoo pattern {pattern!r}; known: "
             f"{PATTERNS + ('spray',)}")
-    machine = _build_machine(defense, defense_params, machine_name)
+    machine = build_machine(defense, defense_params, machine_name,
+                            fault_plan=fault_plan)
     dram = machine.dram
-    bank, victim, threshold = _cheapest_victim(machine)
+    bank, victim, threshold = cheapest_victim(machine)
     offsets = _PATTERN_OFFSETS[pattern]
     budget = int(1.5 * threshold)
     per_round = max(1, budget // _PATTERN_ROUNDS)
@@ -186,18 +207,20 @@ def run_zoo_cell(
         "flip_events": flips,
         "protected": flips == 0,
     }
-    payload.update(_tracker_metrics(machine))
+    payload.update(tracker_metrics(machine))
     return payload
 
 
 def _run_spray_cell(defense: str, seed: int, machine_name: str,
                     defense_params: Optional[Mapping],
-                    attack_params: Optional[Mapping]) -> dict:
+                    attack_params: Optional[Mapping],
+                    fault_plan: Optional[Mapping]) -> dict:
     from ..attacks.memory_spray import MemorySprayAttack
 
     knobs = dict(_SPRAY_PARAMS)
     knobs.update(attack_params or {})
-    machine = _build_machine(defense, defense_params, machine_name)
+    machine = build_machine(defense, defense_params, machine_name,
+                            fault_plan=fault_plan)
     kernel = machine.kernel
     payload: Dict[str, object] = {
         "defense": defense,
@@ -232,7 +255,7 @@ def _run_spray_cell(defense: str, seed: int, machine_name: str,
             "l1pt_flip_events": flips,
             "protected": not outcome.succeeded and flips == 0,
         })
-    payload.update(_tracker_metrics(machine))
+    payload.update(tracker_metrics(machine))
     return payload
 
 
@@ -245,17 +268,14 @@ def run_zoo_scenario(spec: ScenarioSpec) -> dict:
         seed=params.get("seed", 11),
         machine_name=spec.machine,
         defense_params=spec.defense_params,
-        attack_params={k: params[k] for k in
-                       ("m", "region_pages", "template_rounds", "hammer_ns")
-                       if k in params},
+        attack_params={k: params[k] for k in _SPRAY_PARAMS if k in params},
+        fault_plan=params.get("fault_plan"),
     )
 
 
 def zoo_specs(
     defenses: Sequence[str] = ZOO_DEFENSES,
     patterns: Sequence[str] = PATTERNS + ("spray",),
-    seed: int = 11,
-    attack_params: Optional[Mapping] = None,
 ) -> List[ScenarioSpec]:
     """The sweep grid: every (defense, pattern) cell."""
     from ..defenses import DEFENSES
@@ -270,9 +290,6 @@ def zoo_specs(
                 raise ConfigError(
                     f"unknown zoo pattern {pattern!r}; known: "
                     f"{PATTERNS + ('spray',)}")
-            params: Dict[str, object] = {"pattern": pattern, "seed": seed}
-            if pattern == "spray" and attack_params:
-                params.update(attack_params)
             specs.append(ScenarioSpec(
                 name=f"zoo-{defense}-{pattern}",
                 kind="zoo",
@@ -281,144 +298,6 @@ def zoo_specs(
                 machine="tiny",
                 defense=defense,
                 defense_params=TINY_DEFENSE_PARAMS.get(defense, {}),
-                params=params,
+                params={"pattern": pattern, "seed": 11},
             ))
     return specs
-
-
-def run_zoo_matrix(
-    defenses: Sequence[str] = ZOO_DEFENSES,
-    patterns: Sequence[str] = PATTERNS + ("spray",),
-    seed: int = 11,
-    workers: int = 1,
-    attack_params: Optional[Mapping] = None,
-) -> List[ScenarioResult]:
-    """Run the sweep grid through the scenario runner."""
-    from ..scenarios.runner import run_sweep
-
-    return run_sweep(
-        zoo_specs(defenses, patterns, seed, attack_params), workers=workers)
-
-
-def summarise_matrix(results: Sequence[ScenarioResult]) -> dict:
-    """Per-defense protection-rate x overhead x SRAM digest."""
-    defenses: Dict[str, dict] = {}
-    for result in results:
-        payload = result.payload
-        entry = defenses.setdefault(payload["defense"], {
-            "cells": 0,
-            "protected_cells": 0,
-            "refreshes": 0,
-            "activations": 0,
-            "sram_bits": 0,
-        })
-        entry["cells"] += 1
-        entry["protected_cells"] += int(payload["protected"])
-        entry["refreshes"] += payload["refreshes"]
-        entry["activations"] += payload["activations"]
-        entry["sram_bits"] = max(entry["sram_bits"], payload["sram_bits"])
-    for entry in defenses.values():
-        entry["protection_rate"] = (
-            entry["protected_cells"] / entry["cells"] if entry["cells"]
-            else 0.0)
-        entry["refresh_overhead"] = (
-            entry["refreshes"] / entry["activations"]
-            if entry["activations"] else 0.0)
-    vanilla = defenses.get("vanilla")
-    trackers = {name: entry for name, entry in defenses.items()
-                if name not in ("vanilla", "softtrr")}
-    return {
-        "defenses": defenses,
-        "vanilla_flips_somewhere": bool(
-            vanilla and vanilla["protected_cells"] < vanilla["cells"]),
-        "all_trackers_actuate": bool(
-            trackers and all(entry["refreshes"] > 0
-                             for entry in trackers.values())),
-        "some_tracker_beats_vanilla": bool(
-            vanilla and trackers and any(
-                entry["protected_cells"] > vanilla["protected_cells"]
-                for entry in trackers.values())),
-    }
-
-
-# ---------------------------------------------------------------- the CLI
-def _build_parser() -> argparse.ArgumentParser:
-    parser = cli_common.build_parser(
-        prog="repro-zoo",
-        description=("Comparative tracker sweep: protection rate x refresh "
-                     "overhead x SRAM budget per defense."),
-    )
-    cli_common.add_defenses_option(parser, default=ZOO_DEFENSES)
-    parser.add_argument(
-        "--patterns", nargs="*", default=list(PATTERNS + ("spray",)),
-        help="hammer patterns and/or 'spray' "
-             f"(default: {' '.join(PATTERNS + ('spray',))})")
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="reduced cell count for CI: spray leg shrunk, patterns "
-             "trimmed to one_sided + many_sided")
-    cli_common.add_seed_option(parser, default=11)
-    cli_common.add_jobs_option(parser)
-    cli_common.add_out_option(
-        parser, help_text="write the JSON report to PATH instead of stdout")
-    cli_common.add_check_option(
-        parser,
-        help_text="exit non-zero unless vanilla flips somewhere, every "
-                  "tracker actuates and some tracker protects a cell "
-                  "vanilla loses (the CI gate)")
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    args = _build_parser().parse_args(argv)
-    attack_params = None
-    patterns = args.patterns
-    if args.smoke:
-        patterns = [p for p in patterns if p in ("one_sided", "many_sided",
-                                                 "spray")]
-        attack_params = {"region_pages": 160, "template_rounds": 2_000,
-                         "hammer_ns": 3_000_000}
-    try:
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be >= 1")
-        results = run_zoo_matrix(
-            defenses=args.defenses, patterns=patterns,
-            seed=args.seed, workers=args.jobs, attack_params=attack_params)
-    except ReproError as exc:
-        print(f"repro-zoo: error: {exc}", file=sys.stderr)
-        return cli_common.EXIT_USAGE
-    summary = summarise_matrix(results)
-    report = {
-        "seed": args.seed,
-        "smoke": args.smoke,
-        "summary": summary,
-        "cells": [result.to_dict() for result in results],
-    }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        cli_common.atomic_write_text(args.out, text)
-        print(f"[{len(results)} zoo cells -> {args.out}]")
-    else:
-        sys.stdout.write(text)
-    if args.check:
-        failures = []
-        if not summary["vanilla_flips_somewhere"]:
-            failures.append("vanilla never flipped (bench has no teeth)")
-        if not summary["all_trackers_actuate"]:
-            failures.append("a tracker never actuated a refresh "
-                            "(feed wiring dead?)")
-        if not summary["some_tracker_beats_vanilla"]:
-            failures.append("no tracker protected a cell vanilla loses")
-        if failures:
-            for failure in failures:
-                print(f"repro-zoo: CHECK FAILED: {failure}", file=sys.stderr)
-            return cli_common.EXIT_CHECK_FAILED
-        print("repro-zoo: check passed "
-              f"({len(results)} cells, trackers live, protection measured)",
-              file=sys.stderr)
-    return cli_common.EXIT_OK
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -24,7 +24,11 @@ README's Performance section).
 ``--check`` turns the run into a CI perf-regression gate: each hammer
 case's batched act/s is compared against the committed baseline
 snapshot (``benchmarks/perf_baseline.json``, a ``--quick`` run) and the
-tool exits non-zero if any case regressed by more than 20 %.
+tool exits non-zero if any case regressed by more than 20 %.  That
+snapshot is a single-replay run while the gate reads the best of
+:data:`HAMMER_REPEATS` replays, so a case clears the floor with more
+headroom than one replay would (the floor is deliberately not
+re-based: see README's Performance section).
 """
 
 from __future__ import annotations
@@ -48,6 +52,13 @@ DEFAULT_BASELINE = "benchmarks/perf_baseline.json"
 #: A case fails the gate below this fraction of its baseline act/s.
 REGRESSION_FLOOR = 0.8
 
+#: Replays per leg of each hammer case; each leg reports its fastest.
+#: One quick-mode batched replay takes ~1 ms, short enough for host
+#: jitter to push a single timing under the gate's floor.  The legs run
+#: one after the other, not interleaved: a batched replay timed right
+#: after a scalar one ran ~25 % slower on a shared 2-vCPU host.
+HAMMER_REPEATS = 5
+
 
 def _timed(fn: Callable[[], object]) -> float:
     """Wall seconds one call takes (bench code: RPR001-sanctioned)."""
@@ -67,16 +78,22 @@ def _dram_observables(dram) -> tuple:
 
 
 def _hammer_case(label: str, items, activations: int) -> Dict[str, object]:
-    """Time one scalar-loop vs one batched replay of ``items``."""
-    scalar_dram = Machine.from_parts(machine(BENCH_MACHINE)).dram
-    batched_dram = Machine.from_parts(machine(BENCH_MACHINE)).dram
+    """Best of :data:`HAMMER_REPEATS` scalar-loop replays of ``items``
+    vs best of as many batched replays, each on a fresh machine."""
 
-    def scalar() -> None:
+    def best_of(replay: Callable[[object], object]) -> Tuple[float, object]:
+        seconds = float("inf")
+        for _ in range(HAMMER_REPEATS):
+            dram = Machine.from_parts(machine(BENCH_MACHINE)).dram
+            seconds = min(seconds, _timed(lambda: replay(dram)))
+        return seconds, dram
+
+    def scalar(dram) -> None:
         for paddr, count in items:
-            scalar_dram.hammer(paddr, count)
+            dram.hammer(paddr, count)
 
-    scalar_s = _timed(scalar)
-    batched_s = _timed(lambda: batched_dram.hammer_batch(items))
+    scalar_s, scalar_dram = best_of(scalar)
+    batched_s, batched_dram = best_of(lambda dram: dram.hammer_batch(items))
     if _dram_observables(scalar_dram) != _dram_observables(batched_dram):
         raise AssertionError(
             f"hammer[{label}]: batched run diverged from scalar run; "

@@ -1,7 +1,7 @@
 """Shared argparse conventions for the ``repro-*`` command-line tools.
 
-Every CLI in this repo (``repro-sweep``, ``repro-chaos``,
-``repro-perfbench``, ``repro-trace``, ``repro-lint``,
+Every CLI in this repo (``repro-sweep``, ``repro-fleet``,
+``repro-fuzz``, ``repro-perfbench``, ``repro-trace``, ``repro-lint``,
 ``repro-analyze``) historically grew its own spellings for the same
 knobs (``--workers`` vs ``--jobs``, ``--output`` vs ``--out``).  This module pins the canonical flags and
 exit codes; the old spellings stay as hidden aliases so existing
@@ -85,7 +85,7 @@ def add_defenses_option(parser: argparse.ArgumentParser,
     """``--defenses NAME [NAME ...]``: the defense axis of a sweep.
 
     The one canonical spelling for every CLI that sweeps defenses
-    (``repro-zoo``, ``repro-fuzz``, ``repro-fleet``); singular
+    (``repro-fuzz``, ``repro-fleet``); singular
     ``--defense`` spellings are banned so invocations compose across
     tools.
     """

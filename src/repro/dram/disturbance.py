@@ -319,38 +319,6 @@ class DisturbanceEngine:
                 flips.extend(self.deposit(bank, victim, units, epoch, now_ns))
         return flips
 
-    def deposit_batch(
-        self, bank: int, row: int, units: float, count: int,
-        epoch: int, now_ns: int,
-    ) -> List[FlipEvent]:
-        """``count`` equal deposits of ``units`` into (bank, row) at once.
-
-        Equivalent to ``count`` successive :meth:`deposit` calls at the
-        same timestamp.  Vulnerability is a static property of the cell
-        map — never of the accumulator's current epoch bucket — so a
-        vulnerable row always takes the exact per-deposit path, even
-        when its bucket still carries a stale epoch tag (pinned by
-        ``tests/dram/test_deposit_boundary.py``).  For rows with *no*
-        vulnerable cells the per-cell scan and the per-deposit
-        accumulator walk are skipped entirely: the row can never flip,
-        so its accumulator only needs the fused sum (``units * count``),
-        which may differ from the sequential float sum in the last ULPs
-        — the one sanctioned relaxation of the batching invariant (see
-        DESIGN.md).
-        """
-        if count <= 0 or units <= 0:
-            return []
-        if row < 0 or row >= self.geometry.rows_per_bank:
-            return []
-        if not self.is_vulnerable(bank, row):
-            self._fused_add(bank, row, units * count, epoch)
-            self.total_deposits += count
-            return []
-        flips: List[FlipEvent] = []
-        for _ in range(count):
-            flips.extend(self.deposit(bank, row, units, epoch, now_ns))
-        return flips
-
     # ------------------------------------------------------ accumulation
     def _bank_arrays(self, bank: int) -> Tuple[array, array]:
         values = self._values[bank]
@@ -394,15 +362,6 @@ class DisturbanceEngine:
                 )
         self.total_flip_events += len(flips)
         return flips
-
-    def _fused_add(self, bank: int, row: int, amount: float,
-                   epoch: int) -> None:
-        values, epochs = self._bank_arrays(bank)
-        if epochs[row] != epoch:
-            epochs[row] = epoch
-            values[row] = amount
-        else:
-            values[row] += amount
 
     def heal(self, bank: int, row: int) -> None:
         """Refresh (recharge) a row: accumulated disturbance is cleared.

@@ -14,6 +14,10 @@ Examples::
     repro-fleet status results/fleet --check       # complete?
     repro-fleet report results/fleet --out fleet_report.json
 
+    # the defense zoo and the chaos harness, gated by status --check:
+    repro-fleet run --group zoo --jobs 2 --out results/zoo
+    repro-fleet status results/zoo --check
+
 A spec can also travel as JSON (``--spec fleet.json``), which is the
 only way to put fault plans with full per-spec control on the fourth
 axis; ``--fault-sites`` covers the common single-site case inline.
@@ -35,8 +39,7 @@ from .supervisor import resume_fleet, run_fleet
 
 __all__ = ["main"]
 
-#: Probability for ``--fault-sites`` single-site plans (matches the
-#: chaos harness default intensity).
+#: Probability for ``--fault-sites`` single-site plans.
 _FAULT_SITE_PROBABILITY = 0.1
 
 
@@ -110,7 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cli_common.add_check_option(
         status,
         help_text="exit non-zero unless every cell is accounted for "
-                  "(completed or quarantined) — the CI gate")
+                  "(completed or quarantined) and every gate of the "
+                  "fleet's scenario groups (zoo, chaos) passes — the CI "
+                  "gate")
 
     report = sub.add_parser(
         "report", help="build the aggregate report (canonical JSON)")
@@ -240,12 +245,32 @@ def _cmd_status(args: argparse.Namespace) -> int:
             print(f"  integrity: {status['torn_lines']} torn lines, "
                   f"{status['duplicate_records']} duplicate records "
                   "(tolerated)")
-    if args.check and not status["complete"]:
-        print(f"repro-fleet: CHECK FAILED: {status['remaining']} of "
-              f"{status['cells']} cells not yet accounted for",
-              file=sys.stderr)
-        return cli_common.EXIT_CHECK_FAILED
-    return cli_common.EXIT_OK
+        for group, digest in status["groups"].items():
+            _print_group(group, digest)
+    if not args.check:
+        return cli_common.EXIT_OK
+    failures = [f"{group} gate {gate} failed"
+                for group, digest in status["groups"].items()
+                for gate, passed in digest["gates"].items() if not passed]
+    if not status["complete"]:
+        failures.insert(0, f"{status['remaining']} of {status['cells']} "
+                           "cells not yet accounted for")
+    for failure in failures:
+        print(f"repro-fleet: CHECK FAILED: {failure}", file=sys.stderr)
+    return (cli_common.EXIT_CHECK_FAILED if failures
+            else cli_common.EXIT_OK)
+
+
+def _print_group(group: str, digest: Mapping) -> None:
+    """One gated scenario group: its gates, then its summary table."""
+    gates = digest["gates"]
+    print(f"group {group}: {sum(gates.values())}/{len(gates)} gates pass")
+    for gate, passed in gates.items():
+        print(f"  {'PASS' if passed else 'FAIL'} {gate}")
+    for row, columns in sorted(digest["summary"].items()):
+        print(f"  {row:14s} " + " ".join(
+            f"{key}={value:.4f}" if isinstance(value, float)
+            else f"{key}={value}" for key, value in columns.items()))
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

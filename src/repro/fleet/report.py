@@ -18,15 +18,29 @@ Four sections:
   ``null`` when the quantile lands in the overflow bucket);
 * ``failures`` — the quarantine ledger: every cell that exhausted its
   retry budget, with its structured error.
+
+Campaign gates live in :func:`fleet_status`, not in the report: each
+scenario group in :data:`GROUP_GATES` (``zoo``, ``chaos``) is summarised
+over its ok records into pass/fail gates that ``repro-fleet status
+--check`` enforces, plus an ``all_cells_ok`` gate that fails while any
+member cell is quarantined or missing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from .checkpoint import ResultDir
 
-__all__ = ["build_report", "fleet_status", "render_report"]
+__all__ = [
+    "GROUP_GATES",
+    "build_report",
+    "fleet_status",
+    "group_gates",
+    "render_report",
+    "summarise_chaos",
+    "summarise_zoo",
+]
 
 #: Payload keys that count as "bit flips observed", in priority order
 #: (different cell kinds report different flip metrics).
@@ -91,6 +105,54 @@ def _percentile_ns(boundaries: List[int], counts: List[int],
     return None
 
 
+def _tally_defense(defenses: Dict[str, dict], record: Mapping) -> None:
+    """Fold one ok record into the per-defense table."""
+    payload = record.get("payload") or {}
+    entry = defenses.setdefault(_defense_of(record), {
+        "cells": 0,
+        "flip_cells": 0,
+        "flip_events": 0,
+        "flip_metric_cells": 0,
+        "protected_cells": 0,
+        "protection_metric_cells": 0,
+        "refreshes": 0,
+        "activations": 0,
+        "windows": 0,
+        "erosion_ns": 0,
+    })
+    entry["cells"] += 1
+    flips = _flips_of(payload)
+    if flips is not None:
+        entry["flip_metric_cells"] += 1
+        entry["flip_events"] += flips
+        entry["flip_cells"] += int(flips > 0)
+    protected = _protected_of(payload)
+    if protected is not None:
+        entry["protection_metric_cells"] += 1
+        entry["protected_cells"] += int(protected)
+    for key in ("refreshes", "activations", "windows", "erosion_ns"):
+        value = payload.get(key)
+        if isinstance(value, int):
+            entry[key] += value
+
+
+def _finish_defenses(defenses: Dict[str, dict]) -> None:
+    """Derive each per-defense entry's rates from its totals."""
+    for entry in defenses.values():
+        entry["flip_rate"] = (
+            entry["flip_cells"] / entry["flip_metric_cells"]
+            if entry["flip_metric_cells"] else None)
+        entry["protection_rate"] = (
+            entry["protected_cells"] / entry["protection_metric_cells"]
+            if entry["protection_metric_cells"] else None)
+        entry["refresh_overhead"] = (
+            entry["refreshes"] / entry["activations"]
+            if entry["activations"] else None)
+        entry["erosion_per_window_ns"] = (
+            entry["erosion_ns"] / entry["windows"]
+            if entry["windows"] else None)
+
+
 def build_report(result_dir: ResultDir) -> dict:
     """The aggregate report dict (canonical, JSON-stable)."""
     manifest = result_dir.load_manifest()
@@ -127,33 +189,8 @@ def build_report(result_dir: ResultDir) -> dict:
             })
             continue
         ok_cells += 1
+        _tally_defense(defenses, record)
         payload = record.get("payload") or {}
-        entry = defenses.setdefault(_defense_of(record), {
-            "cells": 0,
-            "flip_cells": 0,
-            "flip_events": 0,
-            "flip_metric_cells": 0,
-            "protected_cells": 0,
-            "protection_metric_cells": 0,
-            "refreshes": 0,
-            "activations": 0,
-            "windows": 0,
-            "erosion_ns": 0,
-        })
-        entry["cells"] += 1
-        flips = _flips_of(payload)
-        if flips is not None:
-            entry["flip_metric_cells"] += 1
-            entry["flip_events"] += flips
-            entry["flip_cells"] += int(flips > 0)
-        protected = _protected_of(payload)
-        if protected is not None:
-            entry["protection_metric_cells"] += 1
-            entry["protected_cells"] += int(protected)
-        for key in ("refreshes", "activations", "windows", "erosion_ns"):
-            value = payload.get(key)
-            if isinstance(value, int):
-                entry[key] += value
         histograms = payload.get("span_histograms") or {}
         if isinstance(histograms, Mapping):
             for name in sorted(histograms):
@@ -161,19 +198,7 @@ def build_report(result_dir: ResultDir) -> dict:
                 if not _merge_histogram(target, histograms[name]):
                     span_skipped += 1
 
-    for entry in defenses.values():
-        entry["flip_rate"] = (
-            entry["flip_cells"] / entry["flip_metric_cells"]
-            if entry["flip_metric_cells"] else None)
-        entry["protection_rate"] = (
-            entry["protected_cells"] / entry["protection_metric_cells"]
-            if entry["protection_metric_cells"] else None)
-        entry["refresh_overhead"] = (
-            entry["refreshes"] / entry["activations"]
-            if entry["activations"] else None)
-        entry["erosion_per_window_ns"] = (
-            entry["erosion_ns"] / entry["windows"]
-            if entry["windows"] else None)
+    _finish_defenses(defenses)
 
     span_percentiles: Dict[str, dict] = {}
     for name, accumulator in sorted(span_accumulators.items()):
@@ -245,7 +270,109 @@ def fleet_status(result_dir: ResultDir) -> dict:
         "duplicate_records": scan["duplicates"],
         "shards": per_shard,
         "runner": manifest["spec"]["runner"],
+        "groups": group_gates(manifest, records),
     }
+
+
+# ------------------------------------------------------------ group gates
+def summarise_zoo(records: Sequence[Mapping]) -> dict:
+    """Zoo gates over the report's per-defense table, plus SRAM bits.
+
+    Vanilla must flip somewhere (the bench has teeth), every feed
+    tracker must actuate (the feed is live), and some tracker must
+    protect more cells than vanilla.  SoftTRR is not a feed tracker,
+    so neither tracker gate covers it.
+    """
+    defenses: Dict[str, dict] = {}
+    sram_bits: Dict[str, int] = {}
+    for record in records:
+        _tally_defense(defenses, record)
+        name = _defense_of(record)
+        sram_bits[name] = max(sram_bits.get(name, 0),
+                              record["payload"].get("sram_bits", 0))
+    _finish_defenses(defenses)
+    vanilla = defenses.get("vanilla")
+    trackers = [entry for name, entry in defenses.items()
+                if name not in ("vanilla", "softtrr")]
+    return {
+        "gates": {
+            "vanilla_flips_somewhere": bool(vanilla) and (
+                vanilla["protected_cells"] < vanilla["cells"]),
+            "all_trackers_actuate": bool(trackers) and all(
+                entry["refreshes"] > 0 for entry in trackers),
+            "some_tracker_beats_vanilla": bool(vanilla) and any(
+                entry["protected_cells"] > vanilla["protected_cells"]
+                for entry in trackers),
+        },
+        "summary": {
+            name: {"cells": entry["cells"],
+                   "protection_rate": entry["protection_rate"],
+                   "refresh_overhead": entry["refresh_overhead"],
+                   "sram_bits": sram_bits[name]}
+            for name, entry in defenses.items()},
+    }
+
+
+def summarise_chaos(records: Sequence[Mapping]) -> dict:
+    """Chaos gates over the per-site healed/raw table.
+
+    Healing on must keep every L1PT clean, and some raw cell must show
+    protection-window erosion (otherwise the injection is dead).
+    """
+    sites: Dict[str, dict] = {}
+    for record in records:
+        payload = record["payload"]
+        entry = sites.setdefault(payload["site"], dict.fromkeys((
+            "healed_l1pt_flip_events", "raw_l1pt_flip_events",
+            "healed_erosion_ns", "raw_erosion_ns"), 0))
+        column = "healed" if payload["healing"] else "raw"
+        entry[f"{column}_l1pt_flip_events"] += payload["l1pt_flip_events"]
+        entry[f"{column}_erosion_ns"] += payload["erosion_ns"]
+    return {
+        "gates": {
+            "healed_clean": all(entry["healed_l1pt_flip_events"] == 0
+                                for entry in sites.values()),
+            "raw_erosion_seen": any(entry["raw_erosion_ns"] > 0
+                                    for entry in sites.values()),
+        },
+        "summary": sites,
+    }
+
+
+#: Scenario group -> summariser of the group's ok records into
+#: ``{"gates": {name: passed}, "summary": {row: {column: value}}}``.
+GROUP_GATES = {"chaos": summarise_chaos, "zoo": summarise_zoo}
+
+
+def group_gates(manifest: Mapping, records: Mapping[str, dict]
+                ) -> Dict[str, dict]:
+    """Every gated scenario group's digest over its member cells.
+
+    The group's own gates see only its ok records, so each group also
+    gets an ``all_cells_ok`` gate: a member cell that was quarantined
+    or has no record yet fails the group instead of dropping out of
+    its gates.  Only the ``scenario`` runner names registry scenarios,
+    so fleets of the other runners have no groups and no gates.
+    """
+    if manifest["spec"]["runner"] != "scenario":
+        return {}
+    from ..scenarios.registry import scenario
+
+    members: Dict[str, List[Optional[Mapping]]] = {}
+    for cell in manifest["cells"]:
+        group = scenario(cell["scenario"]).group
+        if group in GROUP_GATES:
+            members.setdefault(group, []).append(
+                records.get(cell["cell_id"]))
+    digests: Dict[str, dict] = {}
+    for group, member_records in sorted(members.items()):
+        ok = [record for record in member_records
+              if record is not None and record.get("status") == "ok"]
+        digest = GROUP_GATES[group](ok)
+        digest["gates"] = {"all_cells_ok": len(ok) == len(member_records),
+                           **digest["gates"]}
+        digests[group] = digest
+    return digests
 
 
 def render_report(report: Mapping) -> str:

@@ -26,6 +26,7 @@ supervisor, not here.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import time
 from typing import Dict, List, Mapping, Optional
@@ -57,32 +58,23 @@ def materialise_scenario(cell: Mapping):
     replaces the base spec's defense/params wholesale when set.
     """
     from ..scenarios.registry import scenario
-    from ..scenarios.spec import ScenarioSpec
 
     base = scenario(cell["scenario"])
-    params = dict(base.params)
+    overrides = {"params": _with_axes(cell, base.params)}
+    if cell.get("defense"):
+        overrides["defense"] = cell["defense"]
+        overrides["defense_params"] = dict(cell.get("defense_params") or {})
+    return dataclasses.replace(base, **overrides)
+
+
+def _with_axes(cell: Mapping, params: Mapping) -> dict:
+    """``params`` with the cell's seed and fault-plan axis values."""
+    params = dict(params)
     if cell.get("seed") is not None:
         params["seed"] = cell["seed"]
     if cell.get("fault_plan"):
         params["fault_plan"] = dict(cell["fault_plan"])
-    defense = base.defense
-    defense_params = base.defense_params
-    if cell.get("defense"):
-        defense = cell["defense"]
-        defense_params = dict(cell.get("defense_params") or {})
-    return ScenarioSpec(
-        name=base.name,
-        kind=base.kind,
-        group=base.group,
-        title=base.title,
-        machine=base.machine,
-        defense=defense,
-        defense_params=defense_params,
-        attack=base.attack,
-        workload=base.workload,
-        pattern=base.pattern,
-        params=params,
-    )
+    return params
 
 
 def _run_scenario_cell(cell: Mapping, runner_params: Mapping,
@@ -118,30 +110,18 @@ def run_window_cell(
     protection story (flips, refreshes, windows covered, erosion under
     an active fault plan) plus the raw span histograms.
     """
-    from ..analysis.zoo import TINY_DEFENSE_PARAMS, _PATTERN_OFFSETS
-    from ..machine import Machine, MachineConfig
+    from ..analysis.zoo import (
+        _PATTERN_OFFSETS, build_machine, cheapest_victim)
 
     if pattern not in WINDOW_PATTERNS:
         raise ConfigError(
             f"unknown window pattern {pattern!r}; known: "
             f"{WINDOW_PATTERNS}")
     defense = defense or "vanilla"
-    params: Dict[str, object] = dict(
-        TINY_DEFENSE_PARAMS.get(defense, {}) if machine_name == "tiny"
-        else {})
-    params.update(defense_params or {})
-    machine = Machine(MachineConfig(
-        machine=machine_name,
-        defense=defense,
-        defense_params=params,
-        sanitize=True,
-        strict_sanitizers=False,
-        seed=seed,
-        fault_plan=fault_plan,
-        trace="spans",
-    ))
+    machine = build_machine(defense, defense_params, machine_name, seed,
+                            fault_plan, trace="spans")
     dram = machine.dram
-    bank, victim, threshold = _cheapest_victim(machine, _PATTERN_OFFSETS)
+    bank, victim, threshold = cheapest_victim(machine)
     offsets = _PATTERN_OFFSETS[pattern]
     budget = int(budget_factor * threshold)
     per_round = max(1, budget // max(1, rounds))
@@ -182,26 +162,6 @@ def run_window_cell(
         "span_histograms": machine.telemetry.span_histograms(),
     }
     return payload
-
-
-def _cheapest_victim(machine, pattern_offsets):
-    """(bank, row, threshold) of the cheapest hammerable victim.
-
-    Mirrors the zoo's search; rows too close to the bank edge for the
-    widest pattern are skipped so every pattern hits the same victim.
-    """
-    dram = machine.dram
-    margin = max(max(abs(off) for off in offsets)
-                 for offsets in pattern_offsets.values())
-    best = None
-    for bank in range(dram.geometry.num_banks):
-        for row in range(margin, dram.geometry.rows_per_bank - margin):
-            cells = dram.engine.vulnerable_cells(bank, row)
-            if cells and (best is None or cells[0].threshold < best[2]):
-                best = (bank, row, cells[0].threshold)
-    if best is None:
-        raise ConfigError("machine seed produced no vulnerable rows")
-    return best
 
 
 def _window_erosion_ns(machine, fault_plan: Optional[Mapping],
@@ -271,18 +231,8 @@ def _run_fuzz_cell(cell: Mapping, runner_params: Mapping,
         point, defense, fuzz_seed, target=target,
         defense_params=cell.get("defense_params"),
         machine_name=runner_params.get("machine", "tiny"))
-    params = dict(spec.params)
-    if cell.get("seed") is not None:
-        params["seed"] = cell["seed"]
-    if cell.get("fault_plan"):
-        params["fault_plan"] = dict(cell["fault_plan"])
-    from ..scenarios.spec import ScenarioSpec
-
-    payload = run_pattern_scenario(ScenarioSpec(
-        name=spec.name, kind=spec.kind, group=spec.group,
-        title=spec.title, machine=spec.machine, defense=spec.defense,
-        defense_params=spec.defense_params, pattern=spec.pattern,
-        params=params))
+    payload = run_pattern_scenario(dataclasses.replace(
+        spec, params=_with_axes(cell, spec.params)))
     payload["kind"] = "pattern"
     payload["point"] = point.to_dict()
     return payload

@@ -15,7 +15,8 @@ Axis semantics per cell runner:
   (:mod:`repro.scenarios.registry`); the defense/seed/fault-plan axes
   override the named spec's fields (seed and fault plan travel through
   ``params`` and are honoured by the scenario runner's machine
-  assembly).
+  assembly).  Chaos scenarios fix SoftTRR and their own fault plan, so
+  they reject a defenses or fault-plans axis.
 * ``"window"`` — the scenarios axis holds hammer pattern names
   (``one_sided``/``double_sided``/``many_sided``/``spray``); each cell
   is a protection-window bench on a fresh machine (flips, refresh
@@ -236,8 +237,15 @@ class FleetSpec:
         if self.runner == "scenario":
             from ..scenarios.registry import scenario
 
+            axes = {"defenses": any(d["name"] for d in self.defenses),
+                    "fault_plans": any(self.fault_plans)}
             for name in self.scenarios:
-                scenario(name)  # raises ConfigError on unknown names
+                spec = scenario(name)  # raises ConfigError on unknown names
+                for axis, used in axes.items():
+                    if spec.kind == "chaos" and used:
+                        raise ConfigError(
+                            f"chaos scenario {name!r} runs SoftTRR under "
+                            f"its own fault plan; drop the {axis} axis")
         elif self.runner == "window":
             from .runners import WINDOW_PATTERNS
 

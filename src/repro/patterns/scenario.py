@@ -25,7 +25,7 @@ flip threshold, split across :data:`DEFAULT_ROUNDS` interleaved rounds.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from ..errors import AttackError, ConfigError, PatternError
 from .compile import CompiledPlan, compile_pattern
@@ -106,44 +106,6 @@ def _budget_bindings(pat: Pattern, bindings: Mapping, threshold: float,
     return out
 
 
-def _build_machine(defense: str, defense_params: Optional[Mapping],
-                   machine_name: str, seed: Optional[int],
-                   fault_plan: Optional[Mapping] = None):
-    """Sanitized machine with the tiny-scale defense params applied
-    (mirrors the zoo/window builders, plus the seed/fault-plan axes)."""
-    from ..analysis.zoo import TINY_DEFENSE_PARAMS
-    from ..machine import Machine, MachineConfig
-
-    params: Dict[str, object] = dict(
-        TINY_DEFENSE_PARAMS.get(defense, {}) if machine_name == "tiny"
-        else {})
-    params.update(defense_params or {})
-    return Machine(MachineConfig(
-        machine=machine_name,
-        defense=defense,
-        defense_params=params,
-        sanitize=True,
-        strict_sanitizers=False,
-        seed=seed,
-        fault_plan=fault_plan,
-    ))
-
-
-def _cheapest_victim(machine, margin: int) -> Tuple[int, int, float]:
-    """(bank, row, threshold) of the cheapest victim the pattern fits
-    around (``margin`` rows of slack to each bank edge)."""
-    dram = machine.dram
-    best = None
-    for bank in range(dram.geometry.num_banks):
-        for row in range(margin, dram.geometry.rows_per_bank - margin):
-            cells = dram.engine.vulnerable_cells(bank, row)
-            if cells and (best is None or cells[0].threshold < best[2]):
-                best = (bank, row, cells[0].threshold)
-    if best is None:
-        raise ConfigError("machine seed produced no vulnerable rows")
-    return best
-
-
 def run_pattern_cell(
     source,
     defense: str = "vanilla",
@@ -188,15 +150,15 @@ def _base_payload(pat: Pattern, plan: CompiledPlan, defense: str,
 
 def _run_rows_cell(pat, defense, defense_params, machine_name, seed,
                    bindings, use_batch, budget_factor, fault_plan) -> dict:
-    from ..analysis.zoo import _tracker_metrics
+    from ..analysis.zoo import build_machine, cheapest_victim, tracker_metrics
 
-    machine = _build_machine(defense, defense_params, machine_name, seed,
-                             fault_plan)
+    machine = build_machine(defense, defense_params, machine_name, seed,
+                            fault_plan)
     relative = "victim" in pat.param_names() and "victim" not in bindings
     if relative:
         offsets = _probe_offsets(pat, bindings)
         margin = max(abs(off) for off in offsets)
-        bank, victim, threshold = _cheapest_victim(machine, margin)
+        bank, victim, threshold = cheapest_victim(machine, margin)
         final = _budget_bindings(pat, {**bindings, "victim": 0},
                                  threshold, budget_factor)
         plan = compile_pattern(pat, final).remap_targets(
@@ -217,14 +179,14 @@ def _run_rows_cell(pat, defense, defense_params, machine_name, seed,
         "protected": outcome.flip_events == 0,
         "hammer_ns": outcome.hammer_ns,
     })
-    payload.update(_tracker_metrics(machine))
+    payload.update(tracker_metrics(machine))
     return payload
 
 
 def _run_pt_cell(pat, defense, defense_params, machine_name, seed,
                  bindings, use_batch, budget_factor, region_pages,
                  fault_plan) -> dict:
-    from ..analysis.zoo import _tracker_metrics
+    from ..analysis.zoo import build_machine, tracker_metrics
     from ..attacks.hammer import HammerKit
     from ..attacks.placement import (
         free_user_frame,
@@ -240,8 +202,8 @@ def _run_pt_cell(pat, defense, defense_params, machine_name, seed,
             "unbound 'victim' parameter the cell can aim)")
     offsets = _probe_offsets(pat, bindings)
     margin = max(abs(off) for off in offsets)
-    machine = _build_machine(defense, defense_params, machine_name, seed,
-                             fault_plan)
+    machine = build_machine(defense, defense_params, machine_name, seed,
+                            fault_plan)
     kernel = machine.kernel
     attacker = kernel.create_process("pattern-attacker")
     kit = HammerKit(kernel, attacker, use_batch=use_batch)
@@ -321,7 +283,7 @@ def _run_pt_cell(pat, defense, defense_params, machine_name, seed,
         "protected": flips == 0,
         "hammer_ns": outcome.hammer_ns,
     })
-    payload.update(_tracker_metrics(machine))
+    payload.update(tracker_metrics(machine))
     return payload
 
 

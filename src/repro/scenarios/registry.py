@@ -16,7 +16,9 @@ subset can be handed to :func:`repro.scenarios.runner.run_sweep` (or the
 ``anatomy``    The DP3 overhead decomposition (extra bench).
 ``smoke``      A seconds-scale subset used by CI and the test suite.
 ``chaos``      Fault-injection cells (one per ``repro.faults`` site,
-               healing on and off) backing the ``repro-chaos`` harness.
+               healing on and off), gated by ``repro-fleet status``.
+``zoo``        Defense-zoo cells (every tracker vs every hammer pattern
+               and the memory spray), gated the same way.
 ``patterns``   Hammer-pattern DSL cells (:mod:`repro.patterns`):
                DSL-authored sided patterns vs the headline defenses on
                the rows and page-table targets.

@@ -1,4 +1,4 @@
-"""Zoo sweep harness: specs, summarisation, live cells, determinism."""
+"""Zoo cells: specs, fleet gates, live cells, determinism."""
 
 import pytest
 
@@ -6,13 +6,13 @@ from repro.analysis.zoo import (
     PATTERNS,
     ZOO_DEFENSES,
     run_zoo_cell,
-    summarise_matrix,
     zoo_specs,
 )
 from repro.errors import ConfigError
+from repro.fleet.report import GROUP_GATES, summarise_zoo
 from repro.scenarios.registry import scenario_group
 from repro.scenarios.runner import run_sweep
-from repro.scenarios.spec import ScenarioResult, results_to_json
+from repro.scenarios.spec import results_to_json
 
 
 class TestSpecs:
@@ -40,43 +40,47 @@ class TestSpecs:
 
 
 class TestSummarise:
+    """The zoo's ``repro-fleet status --check`` gates, over records."""
+
     @staticmethod
-    def _result(defense, protected, refreshes=5, activations=1000,
+    def _record(defense, protected, refreshes=5, activations=1000,
                 sram_bits=64):
-        return ScenarioResult(
-            name=f"x-{defense}-{protected}-{refreshes}", kind="zoo",
-            group="zoo",
-            payload={"defense": defense, "protected": protected,
-                     "refreshes": refreshes, "activations": activations,
-                     "sram_bits": sram_bits})
+        return {"status": "ok", "payload": {
+            "defense": defense, "protected": protected,
+            "refreshes": refreshes, "activations": activations,
+            "sram_bits": sram_bits}}
 
     def test_rates_and_gates(self):
-        summary = summarise_matrix([
-            self._result("vanilla", False, refreshes=0, sram_bits=0),
-            self._result("vanilla", False, refreshes=0, sram_bits=0),
-            self._result("para", True),
-            self._result("para", False),
+        digest = summarise_zoo([
+            self._record("vanilla", False, refreshes=0, sram_bits=0),
+            self._record("vanilla", False, refreshes=0, sram_bits=0),
+            self._record("para", True),
+            self._record("para", False),
         ])
-        assert summary["defenses"]["para"]["protection_rate"] == 0.5
-        assert summary["defenses"]["vanilla"]["protection_rate"] == 0.0
-        assert summary["vanilla_flips_somewhere"] is True
-        assert summary["all_trackers_actuate"] is True
-        assert summary["some_tracker_beats_vanilla"] is True
+        assert GROUP_GATES["zoo"] is summarise_zoo
+        assert digest["summary"]["para"]["protection_rate"] == 0.5
+        assert digest["summary"]["para"]["sram_bits"] == 64
+        assert digest["summary"]["vanilla"]["protection_rate"] == 0.0
+        assert digest["gates"] == {
+            "vanilla_flips_somewhere": True,
+            "all_trackers_actuate": True,
+            "some_tracker_beats_vanilla": True,
+        }
 
     def test_dead_tracker_fails_the_gate(self):
-        summary = summarise_matrix([
-            self._result("vanilla", False, refreshes=0),
-            self._result("ptmp", False, refreshes=0),
-        ])
-        assert summary["all_trackers_actuate"] is False
-        assert summary["some_tracker_beats_vanilla"] is False
+        gates = summarise_zoo([
+            self._record("vanilla", False, refreshes=0),
+            self._record("ptmp", False, refreshes=0),
+        ])["gates"]
+        assert gates["all_trackers_actuate"] is False
+        assert gates["some_tracker_beats_vanilla"] is False
 
     def test_toothless_bench_fails_the_gate(self):
-        summary = summarise_matrix([
-            self._result("vanilla", True, refreshes=0),
-            self._result("para", True),
-        ])
-        assert summary["vanilla_flips_somewhere"] is False
+        gates = summarise_zoo([
+            self._record("vanilla", True, refreshes=0),
+            self._record("para", True),
+        ])["gates"]
+        assert gates["vanilla_flips_somewhere"] is False
 
 
 class TestLiveCells:

@@ -7,11 +7,10 @@ never re-fires while the accumulator sits at or above the threshold —
 ``before == threshold`` is not a crossing.  An off-by-one here either
 double-fires cells (every deposit past the threshold would flip again)
 or delays every flip by one deposit, so the exact semantics are pinned
-down to the boundary values, for the scalar :meth:`deposit` and for
-:meth:`deposit_batch`, which must agree bit for bit.
+down to the boundary values, for the scalar :meth:`deposit` and for the
+batched kernels behind :meth:`DramModule.hammer_batch`, which must
+agree bit for bit.
 """
-
-import pytest
 
 from repro.dram.disturbance import (
     DisturbanceEngine,
@@ -20,6 +19,7 @@ from repro.dram.disturbance import (
     crosses,
 )
 from repro.dram.geometry import DramGeometry
+from repro.machine import Machine
 
 
 def make_engine(vuln_probability=0.0):
@@ -39,6 +39,26 @@ def inject_cells(engine, bank, row, cells):
     if cells:
         engine._vulnerable.add(key)
     return key
+
+
+def scalar_hammer(engine, aggressor, count, items, epoch, now_ns):
+    """``items`` activations of ``count`` ACTs of (0, aggressor), one
+    :meth:`on_activate` each, 1 ns per ACT."""
+    flips = []
+    for i in range(items):
+        flips.extend(engine.on_activate(
+            0, aggressor, count, epoch, now_ns + i * count))
+    return flips
+
+
+def batch_hammer(engine, aggressor, count, items, epoch, now_ns):
+    """The same stream through the batched kernel that
+    :meth:`DramModule.hammer_batch` drives."""
+    flips, *_ = engine.hammer_kernel(
+        [((0, aggressor), count)] * items, epoch=epoch, now_ns=now_ns,
+        per_act_ns=1, window=1 << 40, origin="data", trr_on=None,
+        recent=[])
+    return flips
 
 
 class TestCrossesPredicate:
@@ -118,111 +138,143 @@ class TestDepositBoundary:
 
 
 class TestDepositBatchBoundary:
+    """Victim row 5, aggressor row 4: one ACT deposits exactly 1 unit."""
+
     def test_batch_matches_scalar_deposits_on_vulnerable_row(self):
         scalar = make_engine()
         batched = make_engine()
         cells = [VulnerableCell(bit_offset=0, threshold=10.0, from_value=0)]
         inject_cells(scalar, 0, 5, cells)
         inject_cells(batched, 0, 5, cells)
-        scalar_flips = []
-        for _ in range(7):
-            scalar_flips.extend(scalar.deposit(0, 5, 3.0, 0, 42))
-        batched_flips = batched.deposit_batch(0, 5, 3.0, 7, 0, 42)
+        scalar_flips = scalar_hammer(scalar, 4, 3, 7, 0, 42)
+        batched_flips = batch_hammer(batched, 4, 3, 7, 0, 42)
         assert scalar_flips == batched_flips
         assert len(batched_flips) == 1  # fired on the 12.0 crossing
+        assert batched_flips[0].at_ns == 42 + 3 * 3
         assert scalar.accumulated(0, 5, 0) == batched.accumulated(0, 5, 0)
-        assert scalar.total_deposits == batched.total_deposits == 7
+        assert scalar.total_deposits == batched.total_deposits
 
     def test_batch_fires_exactly_at_threshold(self):
         engine = make_engine()
         inject_cells(engine, 0, 5, [
             VulnerableCell(bit_offset=0, threshold=10.0, from_value=0)])
-        flips = engine.deposit_batch(0, 5, 2.5, 4, epoch=0, now_ns=0)
-        assert len(flips) == 1  # 2.5 * 4 reaches 10.0 exactly
+        flips = batch_hammer(engine, 4, 5, 2, epoch=0, now_ns=0)
+        assert len(flips) == 1  # 5.0 + 5.0 reaches 10.0 exactly
+        assert flips[0].at_ns == 5
+        assert batch_hammer(engine, 4, 5, 2, epoch=0, now_ns=10) == []
 
     def test_batch_skips_scan_for_invulnerable_row(self):
         engine = make_engine()
         key = inject_cells(engine, 0, 5, [])
         assert not engine.is_vulnerable(0, 5)
-        assert engine.deposit_batch(0, 5, 2.0, 5, epoch=0, now_ns=0) == []
-        assert engine.accumulated(0, 5, 0) == 10.0
-        assert engine.total_deposits == 5
+        assert batch_hammer(engine, 4, 2, 5, epoch=0, now_ns=0) == []
+        assert engine.accumulated(0, 5, 0) == 10.0  # the fused add
+        assert engine.total_deposits == 5 * len(engine.victim_plan(0, 4))
         assert key not in engine._vulnerable
-
-    @pytest.mark.parametrize("units,count", [(0.0, 5), (-1.0, 5),
-                                             (1.0, 0), (1.0, -2)])
-    def test_batch_rejects_degenerate_inputs(self, units,
-                                             count):
-        engine = make_engine()
-        assert engine.deposit_batch(0, 5, units, count, 0, 0) == []
-        assert engine.total_deposits == 0
 
     def test_batch_out_of_range_row_is_ignored(self):
         engine = make_engine()
-        assert engine.deposit_batch(0, -1, 1.0, 3, 0, 0) == []
-        assert engine.deposit_batch(0, 64, 1.0, 3, 0, 0) == []
-        assert engine.total_deposits == 0
+        for edge in (0, 63):
+            assert batch_hammer(engine, edge, 1, 3, 0, 0) == []
+        # Only the six in-bank neighbours of each edge row take deposits.
+        assert engine.total_deposits == 2 * 3 * 6
+        assert engine.accumulated(0, -1, 0) == 0.0
+        assert engine.accumulated(0, 64, 0) == 0.0
+
+
+VICTIM = (0, 20)
+
+
+def module_with_cells(cells):
+    """A tiny machine's DRAM with ``cells`` as the victim row's map."""
+    dram = Machine(machine="tiny").dram
+    engine = dram.engine
+    engine._cells[VICTIM] = tuple(cells)
+    engine._vulnerable.discard(VICTIM)
+    if cells:
+        engine._vulnerable.add(VICTIM)
+    return dram
+
+
+def stale_streams(dram, stale_acts):
+    """Deposit ``stale_acts`` units into the victim in epoch 0, roll
+    the clock into epoch 1 — the victim's tag is now stale — and return
+    one 80-ACT double-sided stream in two shapes: periodic (the
+    closed-form kernel) and one burst per aggressor (the generic one)."""
+    bank, row = VICTIM
+    left, right = (dram.mapping.dram_to_phys(bank, row + d, 0)
+                   for d in (-1, 1))
+    dram.hammer(left, stale_acts)
+    assert dram.engine.accumulated(bank, row, 0) == float(stale_acts)
+    dram.clock.advance(dram.timings.refresh_window_ns - dram.clock.now_ns)
+    return {"periodic": [(left, 1), (right, 1)] * 40,
+            "bursts": [(left, 40), (right, 40)]}
+
+
+def victim_flips(dram):
+    return [f for f in dram.flip_log if (f.bank, f.row) == VICTIM]
 
 
 class TestStaleEpochBucket:
     """Vulnerability is a static property of the cell map, never of the
     accumulator's current epoch tag.
 
-    Regression guard for the fused-add shortcut in
-    :meth:`DisturbanceEngine.deposit_batch`: a shortcut keyed on the
-    *accumulator's* epoch (e.g. "bucket is from another epoch, so fuse")
-    would silently skip the per-deposit crossing scan for a vulnerable
-    row whose bucket still carries a stale tag — dropping flips the
-    scalar path produces.  These tests pin the correct behaviour.
+    Regression guard for the batched kernels' fused add: a shortcut
+    keyed on the *accumulator's* epoch (e.g. "bucket is from another
+    epoch, so fuse") would silently skip the crossing scan for a
+    vulnerable victim whose bucket still carries a stale tag — dropping
+    flips the scalar path produces.  Pinned on the live path:
+    :meth:`DramModule.hammer_batch` against the scalar ``hammer`` loop.
     """
 
     CELLS = [VulnerableCell(bit_offset=0, threshold=10.0, from_value=0)]
 
     def test_vulnerable_row_with_stale_tag_still_flips(self):
-        engine = make_engine()
-        inject_cells(engine, 0, 5, self.CELLS)
-        # Touch the row in epoch 0 so its accumulator exists, tagged 0.
-        assert engine.deposit(0, 5, 3.0, epoch=0, now_ns=0) == []
-        assert engine.accumulated(0, 5, 0) == 3.0
-        # Batch into epoch 1: the tag is stale, but the row is
-        # vulnerable, so the exact path must run — and flip.
-        flips = engine.deposit_batch(0, 5, 2.5, 4, epoch=1, now_ns=7)
-        assert len(flips) == 1
-        assert flips[0].at_ns == 7
-        assert engine.accumulated(0, 5, 1) == 10.0
-        assert engine.accumulated(0, 5, 0) == 0.0  # epoch-0 sum is gone
+        for shape in ("periodic", "bursts"):
+            dram = module_with_cells(self.CELLS)
+            dram.hammer_batch(stale_streams(dram, 3)[shape])
+            assert len(victim_flips(dram)) == 1, shape
+            assert dram.engine.accumulated(*VICTIM, 1) == 80.0
+            assert dram.engine.accumulated(*VICTIM, 0) == 0.0  # sum gone
 
     def test_stale_tag_batch_matches_scalar_exactly(self):
-        reference = make_engine()
-        batched = make_engine()
-        for engine in (reference, batched):
-            inject_cells(engine, 0, 5, self.CELLS)
-            engine.deposit(0, 5, 9.5, epoch=3, now_ns=1)  # below threshold
-        scalar_flips = []
-        for _ in range(6):
-            scalar_flips.extend(reference.deposit(0, 5, 2.0, 8, 99))
-        batched_flips = batched.deposit_batch(0, 5, 2.0, 6, 8, 99)
-        assert batched_flips == scalar_flips
-        assert len(batched_flips) == 1
-        assert (reference.accumulated(0, 5, 8)
-                == batched.accumulated(0, 5, 8))
-        assert reference.total_deposits == batched.total_deposits
+        for shape in ("periodic", "bursts"):
+            results = {}
+            for batched in (True, False):
+                dram = module_with_cells(self.CELLS)
+                items = stale_streams(dram, 9)[shape]  # 9.0: below 10.0
+                if batched:
+                    dram.hammer_batch(items)
+                else:
+                    for paddr, count in items:
+                        dram.hammer(paddr, count)
+                results[batched] = (
+                    tuple(dram.flip_log), dram.clock.now_ns,
+                    dram.total_activations, dram.engine.total_deposits,
+                    dram.engine.accumulated(*VICTIM, 1))
+            assert results[True] == results[False], shape
+            assert len(victim_flips(dram)) == 1
 
     def test_invulnerable_row_with_stale_tag_takes_fused_path(self):
-        engine = make_engine()
-        inject_cells(engine, 0, 5, [])
-        engine.deposit(0, 5, 7.0, epoch=0, now_ns=0)
-        assert engine.deposit_batch(0, 5, 2.0, 5, epoch=2, now_ns=1) == []
-        # The fused add landed in the new epoch; the stale sum is gone.
-        assert engine.accumulated(0, 5, 2) == 10.0
-        assert engine.accumulated(0, 5, 0) == 0.0
-        assert engine.total_deposits == 6
+        for shape in ("periodic", "bursts"):
+            dram = module_with_cells([])
+            dram.hammer_batch(stale_streams(dram, 7)[shape])
+            # The fused add landed in the new epoch; the stale sum is
+            # gone and nothing flipped.
+            assert dram.engine.accumulated(*VICTIM, 1) == 80.0
+            assert dram.engine.accumulated(*VICTIM, 0) == 0.0
+            assert victim_flips(dram) == []
+            assert not dram.engine.is_vulnerable(*VICTIM)
 
     def test_vulnerability_is_not_a_function_of_epochs(self):
-        engine = make_engine()
-        inject_cells(engine, 0, 5, self.CELLS)
-        assert engine.is_vulnerable(0, 5)
-        for epoch in (0, 4, 1):
-            engine.deposit_batch(0, 5, 1.0, 2, epoch, 0)
-            assert engine.is_vulnerable(0, 5)
-        assert not engine.is_vulnerable(0, 6)
+        dram = module_with_cells(self.CELLS)
+        bank, row = VICTIM
+        items = [(dram.mapping.dram_to_phys(bank, row + d, 0), 1)
+                 for d in (-1, 1)] * 40
+        window = dram.timings.refresh_window_ns
+        for epoch in (0, 1, 4):
+            dram.clock.advance(epoch * window - dram.clock.now_ns)
+            dram.hammer_batch(items)
+            assert dram.engine.is_vulnerable(*VICTIM)
+        # The lazy auto-refresh re-arms the cell in every epoch.
+        assert len(victim_flips(dram)) == 3

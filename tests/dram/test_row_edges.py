@@ -121,15 +121,23 @@ class TestEdgeRowEpochRollover:
 
     @pytest.mark.parametrize("row", EDGE_ROWS)
     def test_batch_deposit_at_edge_matches_scalar(self, row):
+        # Five 3-ACT activations of the edge row's only neighbour, one
+        # on_activate each vs the batched kernel behind hammer_batch.
         reference = make_engine()
         batched = make_engine()
         cells = [VulnerableCell(bit_offset=2, threshold=9.0, from_value=1)]
         for engine in (reference, batched):
             inject_cells(engine, 0, row, cells)
+        aggressor = 1 if row == 0 else LAST - 1
         scalar_flips = []
-        for _ in range(5):
-            scalar_flips.extend(reference.deposit(0, row, 3.0, 2, 11))
-        assert batched.deposit_batch(0, row, 3.0, 5, 2, 11) == scalar_flips
+        for i in range(5):
+            scalar_flips.extend(
+                reference.on_activate(0, aggressor, 3, 2, 11 + 3 * i))
+        batched_flips, *_ = batched.hammer_kernel(
+            [((0, aggressor), 3)] * 5, epoch=2, now_ns=11, per_act_ns=1,
+            window=1 << 40, origin="data", trr_on=None, recent=[])
+        assert batched_flips == scalar_flips
+        assert len(batched_flips) == 1  # 9.0 reached on the 3rd ACT
         assert (reference.accumulated(0, row, 2)
                 == batched.accumulated(0, row, 2))
 

@@ -163,3 +163,77 @@ def test_group_flag_pulls_registered_scenarios(tmp_path, capsys):
     assert code == EXIT_OK
     summary = json.loads(capsys.readouterr().out.strip())
     assert summary["ok"] == summary["cells"] >= 2
+
+
+class TestGroupGates:
+    """``status --check`` also enforces the gates of scenario groups."""
+
+    @staticmethod
+    def _run_zoo_pair(tmp_path, capsys):
+        out = str(tmp_path / "zoo")
+        assert main(["run", "--out", out, "--scenarios",
+                     "zoo-vanilla-double_sided", "zoo-para-double_sided",
+                     "--shards", "1", "--json"]) == EXIT_OK
+        capsys.readouterr()
+        return out
+
+    @staticmethod
+    def _rewrite_vanilla_record(out, rewrite):
+        shard = ResultDir(out).shard_path(0)
+        records = [json.loads(line)
+                   for line in open(shard, encoding="utf-8")]
+        for record in records:
+            if record["payload"]["defense"] == "vanilla":
+                rewrite(record)
+        with open(shard, "w", encoding="utf-8") as handle:
+            handle.writelines(json.dumps(r) + "\n" for r in records)
+
+    def test_zoo_fleet_gates_pass_then_fail_on_a_rewritten_record(
+            self, tmp_path, capsys):
+        out = self._run_zoo_pair(tmp_path, capsys)
+        assert main(["status", out, "--check"]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert "group zoo: 4/4 gates pass" in printed
+        for gate in ("all_cells_ok", "vanilla_flips_somewhere",
+                     "all_trackers_actuate", "some_tracker_beats_vanilla"):
+            assert f"PASS {gate}" in printed
+        # Claim vanilla protected its cell: the bench loses its teeth.
+        self._rewrite_vanilla_record(
+            out, lambda record: record["payload"].update(protected=True))
+        assert main(["status", out, "--check"]) == EXIT_CHECK_FAILED
+        assert ("zoo gate vanilla_flips_somewhere failed"
+                in capsys.readouterr().err)
+
+    def test_a_quarantined_member_fails_its_group(self, tmp_path, capsys):
+        out = self._run_zoo_pair(tmp_path, capsys)
+
+        def quarantine(record):
+            record.update(status="quarantined", error={
+                "type": "KernelPanic", "message": "injected"})
+            del record["payload"]
+
+        # Every cell is accounted for, so only the group gate can fail
+        # the check for the crashed cell.
+        self._rewrite_vanilla_record(out, quarantine)
+        assert main(["status", out, "--check"]) == EXIT_CHECK_FAILED
+        err = capsys.readouterr().err
+        assert "zoo gate all_cells_ok failed" in err
+        assert "not yet accounted for" not in err
+
+    def test_synthetic_fleet_has_no_gates(self, tmp_path, capsys):
+        # The CI fleet-smoke spec's shape, minus its pacing.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "scenarios": [f"synth-{i:03d}" for i in range(20)],
+            "seeds": [1, 2, 3], "runner": "synthetic",
+            "runner_params": {"poison": ["synth-007@2"]},
+            "shards": 4, "timeout_s": 30.0, "max_attempts": 3,
+            "backoff_s": 0.01}), encoding="utf-8")
+        out = str(tmp_path / "fleet")
+        assert main(["run", "--spec", str(spec_path), "--out", out,
+                     "--json"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["status", out, "--check"]) == EXIT_OK
+        assert "group" not in capsys.readouterr().out
+        assert main(["status", out, "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["groups"] == {}

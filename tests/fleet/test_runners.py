@@ -122,6 +122,17 @@ class TestScenarioRunner:
         assert first == again
         assert first["defense"] == "vanilla"
 
+    def test_zoo_cell_installs_the_fault_plan_axis(self):
+        cell = {"cell_id": "x", "scenario": "zoo-softtrr-spray",
+                "seed": None, "defense": None, "defense_params": {}}
+        plan = {"specs": [{"site": "mmu", "mode": "swallow",
+                           "probability": 0.1}], "seed": 0}
+        clean = run_fleet_cell(dict(cell, fault_plan=None), "scenario", {})
+        faulted = run_fleet_cell(dict(cell, fault_plan=plan), "scenario", {})
+        # Swallowed trace faults blind SoftTRR's tracer, so it arms and
+        # refreshes less than on the unfaulted machine.
+        assert faulted["refreshes"] < clean["refreshes"]
+
 
 def test_unknown_runner_is_a_config_error():
     with pytest.raises(ConfigError, match="unknown cell runner"):

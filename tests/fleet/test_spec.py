@@ -120,6 +120,26 @@ class TestSpecValidation:
         _spec(runner="scenario",
               scenarios=("smoke-spray-vanilla",)).validate_names()
 
+    @pytest.mark.parametrize("axis,points", [
+        ("defenses", ("vanilla",)),
+        ("fault_plans", (None, {"specs": [{
+            "site": "timers", "mode": "drop", "probability": 0.1}]})),
+    ])
+    def test_chaos_scenarios_reject_defense_and_fault_axes(
+            self, tmp_path, axis, points):
+        # A chaos cell hard-codes SoftTRR and its own single-site plan:
+        # such an axis would only relabel identical cells.
+        from repro.fleet import run_fleet
+
+        spec = FleetSpec(scenarios=("chaos-mmu-raw",), **{axis: points})
+        with pytest.raises(ConfigError, match=axis):
+            spec.validate_names()
+        with pytest.raises(ConfigError, match=axis):
+            run_fleet(spec, str(tmp_path / "fleet"))
+        assert not (tmp_path / "fleet").exists()  # no cell ever ran
+        FleetSpec(scenarios=("chaos-mmu-raw",),
+                  seeds=(1, 2)).validate_names()
+
 
 class TestRoundTrip:
     def test_spec_dict_round_trip(self):

@@ -103,10 +103,10 @@ def test_dsl_double_sided_matches_legacy_attack_stream():
     """Acceptance bar: the DSL-authored double-sided pattern reproduces
     the legacy zoo double-sided loop's FlipEvent stream bit-identically
     on the same machine seed."""
-    from repro.analysis.zoo import _PATTERN_ROUNDS, _cheapest_victim
+    from repro.analysis.zoo import _PATTERN_ROUNDS, cheapest_victim
 
     legacy = build()
-    bank, victim, threshold = _cheapest_victim(legacy)
+    bank, victim, threshold = cheapest_victim(legacy)
     per_round = max(1, int(1.5 * threshold) // _PATTERN_ROUNDS)
     dram = legacy.dram
     aggressors = [dram.mapping.dram_to_phys(bank, victim + off, 0)
