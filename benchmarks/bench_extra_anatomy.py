@@ -1,35 +1,28 @@
 """Extra experiment 7 — overhead anatomy (design principle DP3).
 
-Decomposes SoftTRR's added time for three contrasting SPEC-like
-programs into its four cost centres (trace-fault capture, timer arming,
-collector hooks, row refreshes).  The DP3 claim to verify: all defense
-time is concentrated on adjacent-page traffic and housekeeping —
-non-adjacent accesses contribute nothing — so the defense/runtime ratio
-stays well below 1 % for every program.
+Decomposes SoftTRR's added time for three contrasting SPEC-like programs
+(the ``anatomy`` scenario group) into its four cost centres (trace-fault
+capture, timer arming, collector hooks, row refreshes).  The DP3 claim
+to verify: all defense time is concentrated on adjacent-page traffic and
+housekeeping — non-adjacent accesses contribute nothing — so the
+defense/runtime ratio stays well below 1 % for every program.
 
 The benchmarked operation is one decomposition run of the smallest
 program.
 """
 
-from conftest import scale
+from conftest import run_group
 
-from repro.analysis.breakdown import measure_breakdown, render_breakdown
+from repro.analysis.breakdown import OverheadBreakdown, measure_breakdown
+from repro.analysis.tables import render_breakdown
 from repro.config import perf_testbed
 from repro.workloads.spec import SPEC_PROFILES
 
-DURATION_MS = scale(50, 120)
-PROGRAMS = ("exchange2_s", "gcc_s", "xalancbmk_s")
-
-
-def _profile(name):
-    return SPEC_PROFILES[name].replace(duration_ms=DURATION_MS)
-
 
 def test_overhead_anatomy(benchmark, announce):
-    breakdowns = [measure_breakdown(_profile(name),
-                                    spec_factory=perf_testbed)
-                  for name in PROGRAMS]
-    announce("extra_anatomy.txt", render_breakdown(breakdowns))
+    results = run_group("anatomy")
+    announce("extra_anatomy.txt", render_breakdown(results))
+    breakdowns = [OverheadBreakdown(**r.payload) for r in results]
     for b in breakdowns:
         assert b.defense_fraction < 0.03, b.workload
         assert b.total_defense_ns > 0
@@ -37,10 +30,9 @@ def test_overhead_anatomy(benchmark, announce):
     tiny, heavy = breakdowns[0], breakdowns[-1]
     assert heavy.total_defense_ns > tiny.total_defense_ns
 
-    small = _profile("exchange2_s")
+    small = SPEC_PROFILES["exchange2_s"].replace(duration_ms=5)
 
     def decompose_once():
-        measure_breakdown(small.replace(duration_ms=5),
-                          spec_factory=perf_testbed)
+        measure_breakdown(small, spec_factory=perf_testbed)
 
     benchmark.pedantic(decompose_once, rounds=5, iterations=1)

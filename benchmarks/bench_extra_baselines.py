@@ -1,6 +1,7 @@
 """Extra experiment 2 — baseline defenses vs the attacks (Sections I/II).
 
-Regenerates the comparison the paper argues from:
+Regenerates the ``baselines`` scenario group, the comparison the paper
+argues from:
 
 * CATT  — blocks Memory Spray, bypassed by CATTmew and PThammer;
 * CTA   — blocks Memory Spray and CATTmew, bypassed by PThammer;
@@ -13,91 +14,51 @@ Regenerates the comparison the paper argues from:
 
 Runs on the tiny machine (the relationships are structural, not
 scale-dependent), with SoftTRR/ANVIL timing scaled to its weaker DRAM.
+PThammer is the probabilistic ``pthammer_spray`` variant: it sprays
+L1PTs and never places them on templated frames.
 
 The benchmarked operation is the CATT placement veto — the cheapest
 structural defense decision.
 """
 
 import pytest
-from conftest import scale
+from conftest import run_group
 
-from repro.analysis.security import run_baseline_matrix
 from repro.analysis.tables import render_matrix
 from repro.config import tiny_machine
-from repro.core.profile import SoftTrrParams
-from repro.defenses.alis import AlisDefense
-from repro.defenses.anvil import AnvilDefense
-from repro.defenses.base import NoDefense, SoftTrrDefense, boot_kernel
+from repro.defenses.base import boot_kernel
 from repro.defenses.catt import CattDefense
-from repro.defenses.cta import CtaDefense
-from repro.defenses.riprh import RipRhDefense
-from repro.defenses.zebram import ZebramDefense
 from repro.errors import DefenseError
 from repro.kernel.physmem import FrameUse
 
-ROUNDS = scale(3000, 6000)
-
 EXPECTED = {
-    ("vanilla", "memory_spray"): "bypassed",
-    ("vanilla", "cattmew"): "bypassed",
-    ("vanilla", "pthammer"): "bypassed",
-    ("catt", "memory_spray"): "blocked",
-    ("catt", "cattmew"): "bypassed",
-    ("catt", "pthammer"): "bypassed",
-    ("cta", "memory_spray"): "blocked",
-    ("cta", "cattmew"): "blocked",
-    ("cta", "pthammer"): "bypassed",
-    ("zebram", "memory_spray"): "blocked",
-    ("zebram", "memory_spray_d2"): "bypassed",
-    ("anvil", "memory_spray"): "blocked",
-    ("anvil", "pthammer"): "bypassed",
-    ("riprh", "memory_spray"): "bypassed",
-    ("alis", "cattmew"): "blocked",
-    ("alis", "memory_spray"): "bypassed",
-    ("softtrr", "memory_spray"): "blocked",
-    ("softtrr", "cattmew"): "blocked",
-    ("softtrr", "pthammer"): "blocked",
+    "baselines-vanilla-memory_spray": "bypassed",
+    "baselines-vanilla-cattmew": "bypassed",
+    "baselines-vanilla-pthammer_spray": "bypassed",
+    "baselines-catt-memory_spray": "blocked",
+    "baselines-catt-cattmew": "bypassed",
+    "baselines-catt-pthammer_spray": "bypassed",
+    "baselines-cta-memory_spray": "blocked",
+    "baselines-cta-cattmew": "blocked",
+    "baselines-cta-pthammer_spray": "bypassed",
+    "baselines-zebram-memory_spray": "blocked",
+    "baselines-zebram-memory_spray_d2": "bypassed",
+    "baselines-anvil-memory_spray": "blocked",
+    "baselines-anvil-pthammer_spray": "bypassed",
+    "baselines-riprh-memory_spray": "bypassed",
+    "baselines-alis-cattmew": "blocked",
+    "baselines-alis-memory_spray": "bypassed",
+    "baselines-softtrr-memory_spray": "blocked",
+    "baselines-softtrr-cattmew": "blocked",
+    "baselines-softtrr-pthammer_spray": "blocked",
 }
-
-TINY_SOFTTRR = SoftTrrParams(timer_inr_ns=50_000)
-TINY_ANVIL = dict(interval_ns=50_000, miss_threshold=300, row_threshold=3)
 
 
 def test_baseline_matrix(benchmark, announce):
-    spec = tiny_machine
-    cells = []
-    cells += run_baseline_matrix(
-        spec, {"vanilla": NoDefense()},
-        ["memory_spray", "cattmew", "pthammer"], template_rounds=ROUNDS)
-    cells += run_baseline_matrix(
-        spec, {"catt": CattDefense()},
-        ["memory_spray", "cattmew", "pthammer"], template_rounds=ROUNDS)
-    cells += run_baseline_matrix(
-        spec, {"cta": CtaDefense()},
-        ["memory_spray", "cattmew", "pthammer"], template_rounds=ROUNDS)
-    cells += run_baseline_matrix(
-        spec, {"zebram": ZebramDefense()},
-        ["memory_spray", "memory_spray_d2"], template_rounds=ROUNDS)
-    cells += run_baseline_matrix(
-        spec, {"anvil": AnvilDefense(**TINY_ANVIL)},
-        ["memory_spray", "pthammer"], template_rounds=ROUNDS)
-    cells += run_baseline_matrix(
-        spec, {"riprh": RipRhDefense()},
-        ["memory_spray"], template_rounds=ROUNDS)
-    cells += run_baseline_matrix(
-        spec, {"alis": AlisDefense()},
-        ["memory_spray"], template_rounds=ROUNDS)
-    cells += run_baseline_matrix(
-        spec, {"alis": AlisDefense()},
-        ["cattmew"], template_rounds=ROUNDS,
-        region_pages=96)  # fit inside ALIS's bounded DMA partition
-    cells += run_baseline_matrix(
-        spec, {"softtrr": SoftTrrDefense(TINY_SOFTTRR)},
-        ["memory_spray", "cattmew", "pthammer"], template_rounds=ROUNDS)
-    announce("extra_baselines.txt", render_matrix(cells))
-    got = {(c.defense, c.attack): c.verdict for c in cells}
-    for key, expected in EXPECTED.items():
-        assert got[key] == expected, f"{key}: got {got[key]}"
+    results = run_group("baselines")
+    announce("extra_baselines.txt", render_matrix(results))
+    got = {result.name: result.payload["verdict"] for result in results}
+    assert got == EXPECTED
 
     kernel = boot_kernel(tiny_machine(), defense := CattDefense())
     user_frame = kernel.alloc_frame(FrameUse.USER)

@@ -1,7 +1,8 @@
 """Figure 5 — protected L1PT pages and traced adjacent pages under the
 LAMP run (Section VI-B).
 
-Regenerates both per-minute series for Δ±1 and Δ±6.  Expected shape:
+Regenerates both per-minute series for Δ±1 and Δ±6 from the ``lamp``
+scenario group.  Expected shape:
 both counts grow and stabilise; the protected counts are in the same
 order of magnitude for both distances (the system activity is the
 same), while Δ±6 traces clearly more adjacent pages than Δ±1 ("an
@@ -12,34 +13,30 @@ The benchmarked operation is one tracer timer tick on the warm LAMP
 server (the recurring cost behind these curves).
 """
 
-from conftest import scale
+from conftest import run_group
 
-from repro.analysis.memory import run_lamp_series
 from repro.analysis.tables import render_lamp_series
-from repro.config import perf_testbed
 from repro.workloads.lamp import LampSimulation
-
-MINUTES = scale(24, 60)
 
 
 def test_fig5_lamp_pages(benchmark, announce, softtrr_machine):
-    series = run_lamp_series(distances=(1, 6), minutes=MINUTES,
-                             spec_factory=perf_testbed)
+    results = run_group("lamp")
     protected = render_lamp_series(
-        series, "protected_pages",
+        results, "protected_pages",
         "Figure 5a — protected L1PT pages over the LAMP run")
     traced = render_lamp_series(
-        series, "traced_pages",
+        results, "traced_pages",
         "Figure 5b — traced adjacent pages over the LAMP run")
     announce("fig5_lamp_pages.txt", protected + "\n\n" + traced)
+    series = {r.payload["distance"]: r.payload["series"] for r in results}
     d1, d6 = series[1], series[6]
     # Growth then stabilisation.
-    assert d1[-1].protected_pages >= d1[0].protected_pages
-    assert d6[-1].protected_pages >= d6[0].protected_pages
+    assert d1[-1]["protected_pages"] >= d1[0]["protected_pages"]
+    assert d6[-1]["protected_pages"] >= d6[0]["protected_pages"]
     # Same order of magnitude protected; D+-6 traces more.
-    ratio = d6[-1].protected_pages / max(1, d1[-1].protected_pages)
+    ratio = d6[-1]["protected_pages"] / max(1, d1[-1]["protected_pages"])
     assert 0.5 < ratio < 2.0
-    assert d6[-1].traced_pages > d1[-1].traced_pages
+    assert d6[-1]["traced_pages"] > d1[-1]["traced_pages"]
 
     module = softtrr_machine.softtrr
     simulation = LampSimulation(softtrr_machine.kernel, workers=3,

@@ -1,31 +1,26 @@
 """Table IV — Phoronix suite runtime overhead (Section VI-A).
 
 Regenerates the 17-program overhead table (CPU / memory / network I/O /
-disk I/O stressors) under Δ±1 and Δ±6.  Expected shape: per-program
+disk I/O stressors) under Δ±1 and Δ±6 from the ``table4`` scenario
+group.  Expected shape: per-program
 overheads within ~±1-2 %, means ~0.2 %.
 
 The benchmarked operation is one defended Apache-profile slice (the
 fork- and syscall-heaviest program of the suite).
 """
 
-from conftest import scale
+from conftest import run_group
 
-from repro.analysis.overhead import measure_suite_overhead
-from repro.analysis.tables import render_overhead_table
-from repro.config import perf_testbed
+from repro.analysis.tables import overhead_rows, render_overhead_table
 from repro.workloads.base import SliceWorkload
-from repro.workloads.phoronix import PHORONIX_ORDER, PHORONIX_PROFILES
-
-DURATION_MS = scale(70, 140)
+from repro.workloads.phoronix import PHORONIX_PROFILES
 
 
 def test_table4_phoronix_overhead(benchmark, announce, softtrr_machine):
-    rows = measure_suite_overhead(
-        PHORONIX_PROFILES, PHORONIX_ORDER, spec_factory=perf_testbed,
-        duration_override_ms=DURATION_MS)
+    results = run_group("table4")
     announce("table4_phoronix.txt", render_overhead_table(
-        rows, "Table IV — Phoronix benchmark overhead"))
-    mean = rows[-1]
+        results, "Table IV — Phoronix benchmark overhead"))
+    mean = overhead_rows(results)[-1]
     assert abs(mean.delta1_pct) < 1.5
     assert abs(mean.delta6_pct) < 1.5
 

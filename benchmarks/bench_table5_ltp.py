@@ -1,6 +1,7 @@
 """Table V — system robustness under syscall stress (Section VI-C).
 
-Regenerates the 20-syscall LTP matrix on vanilla / Δ±1 / Δ±6 machines.
+Regenerates the 20-syscall LTP matrix on vanilla / Δ±1 / Δ±6 machines
+from the ``table5`` scenario group.
 Expected: a full grid of passes — "the test system runs stably with
 SoftTRR enabled".
 
@@ -9,23 +10,18 @@ kernel (fork is the syscall the rejected present-bit tracer dies on,
 so it is the most interesting steady-state unit).
 """
 
-from conftest import scale
+from conftest import run_group
 
-from repro.analysis.robustness import run_table5
 from repro.analysis.tables import render_table5
-from repro.config import perf_testbed
 from repro.workloads.ltp import run_stress_test
-
-ITERATIONS = scale(10, None)
 
 
 def test_table5_ltp_robustness(benchmark, announce, warm_softtrr_machine):
-    rows = run_table5(spec_factory=perf_testbed, iterations=ITERATIONS)
-    announce("table5_ltp.txt", render_table5(rows))
-    for row in rows:
-        assert row.vanilla, f"{row.name} failed on vanilla: {row.error}"
-        assert row.delta1, f"{row.name} failed under D+-1: {row.error}"
-        assert row.delta6, f"{row.name} failed under D+-6: {row.error}"
+    results = run_group("table5")
+    announce("table5_ltp.txt", render_table5(results))
+    for result in results:
+        assert result.payload["passed"], \
+            f"{result.name} failed: {result.payload['error']}"
 
     def clone_stress_once():
         result = run_stress_test(warm_softtrr_machine.kernel, "clone",

@@ -2,29 +2,60 @@
 
 Every bench regenerates one of the paper's tables or figures, prints it
 to the terminal (bypassing capture) and archives it under ``results/``.
-Scale knobs default to laptop-friendly values; set ``REPRO_FULL=1`` for
-paper-scale runs (more victims, longer workloads, 60 LAMP minutes).
+The paper-table benches run and render a :mod:`repro.scenarios` group —
+the same cells ``repro-sweep --group`` runs.  Scale defaults to
+laptop-friendly values; ``REPRO_FULL=1`` lays :data:`FULL_PARAMS` over
+those groups' specs and picks the ``full`` side of :func:`scale` in the
+benches that build their own grids (more victims, longer workloads, 60
+LAMP minutes).
 """
 
+import dataclasses
 import os
 
 import pytest
 
 FULL = os.environ.get("REPRO_FULL", "0") == "1"
 
-#: ``REPRO_BATCH=0`` forces every bench through the scalar execution
-#: paths (``repro.batching.batch_enabled`` reads the environment at
-#: call time, so exporting the variable is all it takes).  The batched
-#: paths are asserted semantically identical by the differential suite,
-#: so this knob changes wall time only — it exists to measure the
-#: batching layer's payoff and to bisect any suspected divergence.
-BATCH = os.environ.get("REPRO_BATCH", "1").strip().lower() not in (
-    "0", "false", "no", "off")
+#: Paper-scale scenario params per registry group (``REPRO_FULL=1``).
+FULL_PARAMS = {
+    "table2": {"m": 4, "region_pages": 384, "template_rounds": 22_000},
+    "baselines": {"template_rounds": 6_000},
+    "table3": {"duration_ms": 160},
+    "table4": {"duration_ms": 140},
+    "table5": {"iterations": None},
+    "lamp": {"minutes": 60},
+    "anatomy": {"duration_ms": 120},
+}
 
 
 def scale(small, full):
-    """Pick a parameter by scale mode."""
+    """Pick a parameter by scale mode (benches without a registry group)."""
     return full if FULL else small
+
+
+def group_specs(group):
+    """A registry group's specs, at paper scale under ``REPRO_FULL=1``."""
+    from repro.scenarios import scenario_group
+
+    specs = scenario_group(group)
+    if not FULL:
+        return specs
+    return [dataclasses.replace(spec, params={**spec.params,
+                                              **FULL_PARAMS[group]})
+            for spec in specs]
+
+
+def run_group(group):
+    """Sweep a registry group; every cell must finish without error."""
+    from repro.scenarios import run_sweep
+
+    results = run_sweep(group_specs(group))
+    for result in results:
+        # run_sweep turns a raising cell into {"error": {type, message}}.
+        error = result.payload.get("error")
+        assert not isinstance(error, dict), f"{result.name} raised {error}"
+    return results
 
 
 @pytest.fixture

@@ -1,16 +1,14 @@
 """Perf — host throughput of the batched execution layer.
 
 Runs the ``repro-perfbench`` suite (scalar vs batched DRAM hammering,
-workload slice replay, end-to-end Table V wall time) and archives the
-JSON payload.  The batched paths must stay semantically invisible —
+workload slice replay, end-to-end ``table5`` sweep wall time) and
+archives the JSON payload.  The batched paths must stay semantically invisible —
 that is enforced by ``tests/perf/test_differential_equivalence.py`` —
 so the only thing at stake here is wall-clock speed; the bench asserts
 the one-location hammer stream keeps its >= 5x advantage, the
-acceptance bar the batching layer was built against.
-
-``REPRO_BATCH=0`` (see ``conftest.BATCH``) steers other benches down
-the scalar paths; this bench times both paths explicitly, so the knob
-does not change what it measures.
+acceptance bar the batching layer was built against.  It times both
+paths explicitly (``use_batch=False`` for the scalar leg); every other
+bench runs the batched default.
 """
 
 import json

@@ -78,24 +78,3 @@ def measure_breakdown(
         per_category_ns=per_category,
     )
 
-
-def render_breakdown(breakdowns) -> str:
-    """Plain-text table of several breakdowns."""
-    from .tables import render_table
-
-    rows = []
-    for b in breakdowns:
-        rows.append([
-            b.workload,
-            f"{b.defense_fraction * 100:.3f}%",
-            f"{b.share('softtrr_trace_fault') * 100:.0f}%",
-            f"{b.share('softtrr_timer') * 100:.0f}%",
-            f"{b.share('softtrr_collector') * 100:.0f}%",
-            f"{b.share('softtrr_refresh') * 100:.0f}%",
-        ])
-    return render_table(
-        ["Workload", "Defense/runtime", "trace faults", "timer",
-         "collector", "refresh"],
-        rows,
-        title="SoftTRR overhead anatomy (shares of defense time)",
-    )

@@ -1,13 +1,14 @@
 """LAMP memory-consumption series (Figures 4 and 5).
 
-``run_lamp_series`` runs the LAMP + Nikto simulation for each requested
-tracking distance and returns the per-minute samples that Figure 4
-(memory bytes) and Figure 5 (protected / traced page counts) plot.
+``measure_lamp`` runs the LAMP + Nikto simulation under one tracking
+distance and returns the per-minute samples that Figure 4 (memory
+bytes) and Figure 5 (protected / traced page counts) plot; the ``lamp``
+scenario group runs it once per distance.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List
 
 from ..config import MachineSpec, perf_testbed
 from ..core.profile import SoftTrrParams
@@ -15,24 +16,21 @@ from ..machine import Machine
 from ..workloads.lamp import LampSample, LampSimulation
 
 
-def run_lamp_series(
-    distances: Sequence[int] = (1, 6),
+def measure_lamp(
+    distance: int = 1,
     minutes: int = 60,
     spec_factory: Callable[[], MachineSpec] = perf_testbed,
     workers: int = 3,
     requests_per_minute: int = 20,
     seed: int = 60,
-) -> Dict[int, List[LampSample]]:
-    """Per-minute SoftTRR samples under each Δ±distance configuration."""
-    series: Dict[int, List[LampSample]] = {}
-    for distance in distances:
-        machine = Machine.from_parts(spec_factory())
-        machine.load_softtrr(SoftTrrParams(max_distance=distance))
-        simulation = LampSimulation(
-            machine.kernel, seed=seed, workers=workers,
-            requests_per_minute=requests_per_minute)
-        series[distance] = simulation.run(minutes=minutes)
-    return series
+) -> List[LampSample]:
+    """Per-minute SoftTRR samples of one LAMP run under Δ±distance."""
+    machine = Machine.from_parts(spec_factory())
+    machine.load_softtrr(SoftTrrParams(max_distance=distance))
+    simulation = LampSimulation(
+        machine.kernel, seed=seed, workers=workers,
+        requests_per_minute=requests_per_minute)
+    return simulation.run(minutes=minutes)
 
 
 def summarise(samples: List[LampSample]) -> Dict[str, float]:

@@ -1,9 +1,10 @@
 """Runtime-overhead measurement (Tables III and IV).
 
-For every program the suite runs three *identical* seeded workloads on
-three freshly booted machines — vanilla, SoftTRR Δ±1, SoftTRR Δ±6 — and
-reports the runtime delta as a percentage, exactly the quantity Tables
-III/IV tabulate.
+Each ``table3``/``table4`` scenario runs one program as three
+*identical* seeded workloads on three freshly booted machines — vanilla,
+SoftTRR Δ±1, SoftTRR Δ±6 — and reports the runtime delta as a
+percentage, exactly the quantity Tables III/IV tabulate (the suite Mean
+row is :func:`repro.analysis.tables.overhead_rows`).
 
 A seeded measurement-noise term (default sigma = 0.35 %) is applied to
 each measured runtime, standing in for the run-to-run variance of real
@@ -15,7 +16,7 @@ the raw model output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Optional
 
 from ..config import MachineSpec, perf_testbed
 from ..core.profile import SoftTrrParams
@@ -72,32 +73,3 @@ def measure_overhead(profile: WorkloadProfile,
         delta1_pct=100.0 * (delta1_m - vanilla_m) / vanilla_m,
         delta6_pct=100.0 * (delta6_m - vanilla_m) / vanilla_m,
     )
-
-
-def measure_suite_overhead(
-    profiles: Dict[str, WorkloadProfile],
-    order: Sequence[str],
-    spec_factory: Callable[[], MachineSpec] = perf_testbed,
-    seed: int = 17,
-    noise_sigma_pct: float = 0.35,
-    duration_override_ms: Optional[int] = None,
-) -> List[OverheadRow]:
-    """All programs of a suite, in table order, plus a Mean row."""
-    rows: List[OverheadRow] = []
-    for name in order:
-        profile = profiles[name]
-        if duration_override_ms is not None:
-            profile = profile.replace(duration_ms=duration_override_ms)
-        rows.append(measure_overhead(
-            profile, spec_factory=spec_factory, seed=seed,
-            noise_sigma_pct=noise_sigma_pct))
-    mean = OverheadRow(
-        name="Mean",
-        vanilla_ns=sum(r.vanilla_ns for r in rows) // len(rows),
-        delta1_ns=sum(r.delta1_ns for r in rows) // len(rows),
-        delta6_ns=sum(r.delta6_ns for r in rows) // len(rows),
-        delta1_pct=sum(r.delta1_pct for r in rows) / len(rows),
-        delta6_pct=sum(r.delta6_pct for r in rows) / len(rows),
-    )
-    rows.append(mean)
-    return rows

@@ -1,40 +1,21 @@
 """System-robustness evaluation (Table V).
 
-Runs the 20 LTP-style stress drivers on the vanilla system, under
-SoftTRR Δ±1 and under SoftTRR Δ±6 — each on a freshly booted machine —
-and tabulates pass/fail.  The expected result (and the paper's) is a
+Each ``table5`` scenario runs one of the 20 LTP-style stress tests on
+a freshly booted machine — vanilla, SoftTRR Δ±1 or SoftTRR Δ±6 — built
+by :func:`stress_machine`.  The expected result (and the paper's) is a
 full column of checkmarks: "there is no deviation for the SoftTRR-based
 system compared to the vanilla system".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from ..clock import NS_PER_MS
-from ..config import MachineSpec, perf_testbed
+from ..config import MachineSpec
 from ..core.profile import SoftTrrParams
 from ..kernel.vma import PAGE
 from ..machine import Machine
-from ..workloads.ltp import LTP_STRESS_TESTS, run_stress_test
-
-
-@dataclass
-class Table5Row:
-    """One Table V line."""
-
-    category: str
-    name: str
-    vanilla: bool
-    delta1: bool
-    delta6: bool
-    error: Optional[str] = None
-
-    def cells(self):
-        """(vanilla, Δ±1, Δ±6) as the table's check/cross marks."""
-        return tuple("pass" if ok else "FAIL"
-                     for ok in (self.vanilla, self.delta1, self.delta6))
 
 
 def stress_machine(spec_factory: Callable[[], MachineSpec],
@@ -53,25 +34,3 @@ def stress_machine(spec_factory: Callable[[], MachineSpec],
         kernel.clock.advance(2 * NS_PER_MS)
         kernel.dispatch_timers()
     return machine
-
-
-def run_table5(spec_factory: Callable[[], MachineSpec] = perf_testbed,
-               iterations: Optional[int] = None) -> List[Table5Row]:
-    """Regenerate Table V."""
-    rows: List[Table5Row] = []
-    for name, (category, _, _) in LTP_STRESS_TESTS.items():
-        results = {}
-        for label, distance in (("vanilla", None), ("d1", 1), ("d6", 6)):
-            machine = stress_machine(spec_factory, distance)
-            results[label] = run_stress_test(machine.kernel, name,
-                                             iterations=iterations)
-        failures = [r.error for r in results.values() if not r.passed]
-        rows.append(Table5Row(
-            category=category,
-            name=name,
-            vanilla=results["vanilla"].passed,
-            delta1=results["d1"].passed,
-            delta6=results["d6"].passed,
-            error=failures[0] if failures else None,
-        ))
-    return rows

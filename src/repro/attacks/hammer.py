@@ -24,7 +24,7 @@ arithmetic that puts the minimum time-to-first-flip just above 1 ms.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 from ..errors import AttackError
 from ..kernel.process import Process
@@ -52,12 +52,12 @@ class HammerKit:
 
     def __init__(self, kernel, process: Process,
                  extra_ns: int = DEFAULT_EXTRA_NS,
-                 use_batch: Optional[bool] = None) -> None:
+                 use_batch: bool = True) -> None:
         self.kernel = kernel
         self.process = process
         self.extra_ns = extra_ns
-        #: None = consult the ``REPRO_BATCH`` knob at each hammer call;
-        #: True/False pins the burst path (differential tests pin both).
+        #: False pins the scalar per-activation path (differential
+        #: tests run both).
         self.use_batch = use_batch
         self.total_activations = 0
 

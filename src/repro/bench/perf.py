@@ -11,8 +11,9 @@ scalar and the batched execution paths:
 * **workload** — slices/second of a memory-bound
   :class:`~repro.workloads.base.SliceWorkload` (``hot_touch_repeat`` >
   1), scalar vs the :meth:`Kernel.user_access_run` replay path.
-* **table5** — end-to-end wall runtime of the Table V robustness
-  evaluation (the heaviest whole-stack consumer in the repo).
+* **table5** — end-to-end wall runtime of the ``table5`` scenario
+  group, the Table V robustness sweep (the heaviest whole-stack
+  consumer in the repo).
 
 Every scalar/batched pair is run on freshly built machines and
 cross-checked on its simulated observables (clock, activations, flips)
@@ -165,17 +166,20 @@ def bench_workload(quick: bool) -> Dict[str, object]:
 
 
 def bench_table5(quick: bool) -> Dict[str, object]:
-    """End-to-end wall runtime of the Table V evaluation."""
-    from ..analysis.robustness import run_table5
+    """End-to-end wall runtime of the ``table5`` sweep (Table V)."""
+    from dataclasses import replace
+
+    from ..scenarios import run_sweep, scenario_group
 
     iterations = 1 if quick else 3
-    rows = []
-    seconds = _timed(
-        lambda: rows.extend(run_table5(iterations=iterations)))
+    specs = [replace(spec, params={**spec.params, "iterations": iterations})
+             for spec in scenario_group("table5")]
+    results = []
+    seconds = _timed(lambda: results.extend(run_sweep(specs)))
     return {
         "iterations": iterations,
-        "rows": len(rows),
-        "all_pass": all(r.vanilla and r.delta1 and r.delta6 for r in rows),
+        "rows": len({spec.workload for spec in specs}),
+        "all_pass": all(r.payload.get("passed") for r in results),
         "wall_seconds": round(seconds, 2),
     }
 

@@ -39,7 +39,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..errors import ConfigError
+from ..errors import ConfigError, FaultError
 
 __all__ = [
     "CELL_RUNNERS",
@@ -132,20 +132,72 @@ class FleetCell:
         return " ".join(parts)
 
 
-def _coerce_defense(entry) -> Dict[str, object]:
-    """A defenses-axis entry as ``{"name":..., "params": {...}}``."""
-    if entry is None:
-        return {"name": None, "params": {}}
-    if isinstance(entry, str):
-        return {"name": entry, "params": {}}
-    if isinstance(entry, Mapping):
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
+#: The keys of a fleet spec's dict form, in :meth:`FleetSpec.to_dict`
+#: order.
+SPEC_FIELDS = ("scenarios", "seeds", "defenses", "fault_plans", "runner",
+               "runner_params", "shards", "timeout_s", "max_attempts",
+               "backoff_s")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+#: Supervisor knobs: (field, validity check, the rule it enforces).
+_KNOBS = (
+    ("shards", lambda v: _is_int(v) and v >= 1, "an int >= 1"),
+    ("timeout_s", lambda v: _is_number(v) and v > 0, "a positive number"),
+    ("max_attempts", lambda v: _is_int(v) and v >= 1, "an int >= 1"),
+    ("backoff_s", lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+)
+
+
+def _check_object(where: str, payload, known: Sequence[str]) -> None:
+    """ConfigError unless ``payload`` is an object of ``known`` keys."""
+    if not isinstance(payload, Mapping):
+        raise ConfigError(
+            f"{where} must be an object, not {type(payload).__name__}")
+    unknown = sorted(set(payload) - set(known), key=str)
+    if unknown:
+        raise ConfigError(
+            f"{where} has unknown keys {unknown}; known: {list(known)}")
+
+
+def _axis(name: str, points, valid=lambda _: True, rule: str = "") -> tuple:
+    """An axis as a tuple of valid points (a string is not an axis)."""
+    if not isinstance(points, (list, tuple)):
+        raise ConfigError(
+            f"fleet spec {name!r} must be a list, not "
+            f"{type(points).__name__}")
+    for point in points:
+        if not valid(point):
             raise ConfigError(
-                f"defense axis entry {entry!r} needs a 'name' string")
-        return {"name": name, "params": dict(entry.get("params", {}))}
-    raise ConfigError(
-        f"cannot read a defense axis entry from {type(entry).__name__}")
+                f"fleet spec {name!r} entries must be {rule}, not {point!r}")
+    return tuple(points)
+
+
+def _coerce_defense(entry) -> Dict[str, object]:
+    """A defenses-axis entry as ``{"name":..., "params": {...}}``.
+
+    ``None`` is the neutral point (keep the scenario's own defense); its
+    dict form, ``{"name": None, "params": {}}``, parses back to it.
+    """
+    where = f"fleet spec 'defenses' entry {entry!r}"
+    if entry is None or isinstance(entry, str):
+        entry = {"name": entry}
+    _check_object(where, entry, ("name", "params"))
+    name, params = entry.get("name", ""), entry.get("params", {})
+    if not isinstance(params, Mapping):
+        raise ConfigError(f"{where}: 'params' must be an object")
+    if name is None and not params:
+        return {"name": None, "params": {}}
+    if not isinstance(name, str) or not name:
+        raise ConfigError(f"{where} needs a non-empty 'name' string")
+    return {"name": name, "params": dict(params)}
 
 
 def _coerce_fault_plan(entry) -> Optional[Dict[str, object]]:
@@ -154,7 +206,20 @@ def _coerce_fault_plan(entry) -> Optional[Dict[str, object]]:
         return None
     from ..faults import FaultPlan
 
-    return FaultPlan.coerce(entry).to_dict()
+    where = f"fleet spec 'fault_plans' entry {entry!r}"
+    specs, seeds = entry, []
+    if isinstance(entry, Mapping):
+        _check_object(where, entry, ("specs", "seed"))
+        specs, seeds = entry.get("specs", ()), [entry.get("seed", 0)]
+    if isinstance(specs, (list, tuple)):
+        seeds += [spec.get("seed", 0) for spec in specs
+                  if isinstance(spec, Mapping)]
+    if not all(_is_int(seed) for seed in seeds):
+        raise ConfigError(f"{where}: every 'seed' must be an int")
+    try:
+        return FaultPlan.coerce(entry).to_dict()
+    except (FaultError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -179,32 +244,37 @@ class FleetSpec:
     backoff_s: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.scenarios:
+        scenarios = _axis("scenarios", self.scenarios,
+                          lambda v: isinstance(v, str) and v != "",
+                          "non-empty strings")
+        if not scenarios:
             raise ConfigError("a fleet needs at least one scenario")
-        object.__setattr__(self, "scenarios", tuple(self.scenarios))
-        object.__setattr__(
-            self, "seeds",
-            tuple(None if seed is None else int(seed)
-                  for seed in self.seeds))
+        object.__setattr__(self, "scenarios", scenarios)
+        object.__setattr__(self, "seeds", _axis(
+            "seeds", self.seeds, lambda v: v is None or _is_int(v),
+            "ints or null"))
         object.__setattr__(
             self, "defenses",
-            tuple(_coerce_defense(entry) for entry in self.defenses))
+            tuple(_coerce_defense(entry)
+                  for entry in _axis("defenses", self.defenses)))
         object.__setattr__(
             self, "fault_plans",
-            tuple(_coerce_fault_plan(entry) for entry in self.fault_plans))
+            tuple(_coerce_fault_plan(entry)
+                  for entry in _axis("fault_plans", self.fault_plans)))
+        if not isinstance(self.runner_params, Mapping):
+            raise ConfigError(
+                "fleet spec 'runner_params' must be an object, not "
+                f"{type(self.runner_params).__name__}")
         object.__setattr__(self, "runner_params", dict(self.runner_params))
         if self.runner not in CELL_RUNNERS:
             raise ConfigError(
                 f"unknown cell runner {self.runner!r}; known: "
                 f"{CELL_RUNNERS}")
-        if self.shards < 1:
-            raise ConfigError("shards must be >= 1")
-        if self.timeout_s <= 0:
-            raise ConfigError("timeout_s must be positive")
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
-        if self.backoff_s < 0:
-            raise ConfigError("backoff_s must be >= 0")
+        for name, valid, rule in _KNOBS:
+            value = getattr(self, name)
+            if not valid(value):
+                raise ConfigError(
+                    f"fleet spec {name!r} must be {rule}, not {value!r}")
 
     def to_dict(self) -> dict:
         """Plain-dict form (JSON-stable; stored in the manifest)."""
@@ -224,13 +294,11 @@ class FleetSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "FleetSpec":
-        known = {f: payload[f] for f in (
-            "scenarios", "seeds", "defenses", "fault_plans", "runner",
-            "runner_params", "shards", "timeout_s", "max_attempts",
-            "backoff_s") if f in payload}
-        if "scenarios" not in known:
+        """Parse a spec dict; any malformed field raises ConfigError."""
+        _check_object("fleet spec", payload, SPEC_FIELDS)
+        if "scenarios" not in payload:
             raise ConfigError("fleet spec needs a 'scenarios' axis")
-        return cls(**known)
+        return cls(**payload)
 
     def validate_names(self) -> None:
         """Check the scenarios axis against the runner's namespace."""

@@ -2,7 +2,7 @@
 
 A :class:`MachineConfig` names everything needed to build one evaluation
 machine — the hardware profile, the defense riding on it, whether the
-runtime sanitizers are installed, and the batching knob — as plain data.
+runtime sanitizers are installed, and the execution path — as plain data.
 It is picklable (scenario sweeps ship configs to worker processes) and
 every field has a deterministic default, so two processes building the
 same config produce bit-identical machines.
@@ -57,9 +57,8 @@ class MachineConfig:
     :data:`repro.defenses.base.DEFENSES` key with ``defense_params``
     passed to its factory (for ``"softtrr"`` they hydrate a
     :class:`SoftTrrParams`).  ``sanitize``/``strict_sanitizers`` install
-    the runtime invariant sanitizers at boot; ``batch`` pins the batched
-    execution paths on/off for workloads run through the machine
-    (``None`` = consult the ``REPRO_BATCH`` environment knob).
+    the runtime invariant sanitizers at boot; ``batch=False`` runs
+    workloads through the machine on the scalar reference path.
     """
 
     machine: str = "perf_testbed"
@@ -67,7 +66,7 @@ class MachineConfig:
     defense_params: Mapping = field(default_factory=dict)
     sanitize: bool = False
     strict_sanitizers: bool = False
-    batch: Optional[bool] = None
+    batch: bool = True
     #: Override the machine profile's seed (None = profile default).
     seed: Optional[int] = None
     #: Deterministic fault plan installed at assembly (``repro.faults``).

@@ -4,7 +4,7 @@ Everything that used to be hand-wired at every entry point — ``Kernel(
 perf_testbed())`` + ``load_module(...)`` + ad-hoc sanitizer installs +
 per-layer counter spelunking — lives here.  A :class:`Machine` owns the
 full simulated stack (clock, DRAM, MMU, kernel, defense, sanitizers,
-batching knob), is built from a declarative :class:`MachineConfig`, and
+execution path), is built from a declarative :class:`MachineConfig`, and
 offers:
 
 * :attr:`telemetry` — every per-layer statistic (TLB, CPU cache, DRAM
@@ -86,7 +86,7 @@ class Machine:
         *,
         sanitize: bool = False,
         strict_sanitizers: bool = False,
-        batch: Optional[bool] = None,
+        batch: bool = True,
         fault_plan=None,
         trace: str = "off",
         trace_capacity: Optional[int] = None,
@@ -196,9 +196,8 @@ class Machine:
     def run_workload(self, profile, seed: int = 1234):
         """Run a :class:`WorkloadProfile` on this machine's kernel.
 
-        The machine's ``batch`` setting (from its config) pins the
-        batched/scalar execution path; ``None`` defers to the
-        ``REPRO_BATCH`` environment knob at run time.
+        The machine's ``batch`` setting (from its config) picks the
+        batched path or the scalar reference path.
         """
         from ..workloads.base import SliceWorkload
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..batching import batch_enabled
 from ..errors import AttackError, PatternError
 from .compile import CompiledPlan, compile_pattern
 from .lang import P, Pattern, act, pattern, repeat, sync, wait
@@ -74,8 +73,8 @@ class AttackProgram:
 
     ``act_ns`` is the inter-ACT overhead beyond the conflict latency
     (user mode defaults to :data:`DEFAULT_EXTRA_NS`, matching the
-    legacy hammer loop); ``use_batch`` pins the batched backend on/off
-    (``None`` consults the ``REPRO_BATCH`` knob per run);
+    legacy hammer loop); ``use_batch=False`` runs the scalar
+    per-activation reference path instead of the batched backend;
     ``dispatch_timers=False`` suppresses the per-step kernel timer
     dispatch for raw-DRAM micro-benches.
     """
@@ -87,7 +86,7 @@ class AttackProgram:
         *,
         mode: str = "rows",
         act_ns: Optional[int] = None,
-        use_batch: Optional[bool] = None,
+        use_batch: bool = True,
         dispatch_timers: bool = True,
     ) -> None:
         if mode not in MODES:
@@ -139,8 +138,6 @@ class AttackProgram:
         index).
         """
         plan = self.plan()
-        use_batch = (batch_enabled() if self.use_batch is None
-                     else self.use_batch)
         dram = kernel.dram
         start_ns = kernel.clock.now_ns
         flips_before = len(dram.flip_log)
@@ -150,9 +147,10 @@ class AttackProgram:
                     f"program {self.name!r}: user mode needs a process "
                     "and an aggressor vaddr list")
             acts = _run_user(kernel, process, aggressors, plan,
-                             use_batch, self.dispatch_timers)
+                             self.use_batch, self.dispatch_timers)
         else:
-            acts = _run_rows(kernel, plan, use_batch, self.dispatch_timers)
+            acts = _run_rows(kernel, plan, self.use_batch,
+                             self.dispatch_timers)
         return ProgramOutcome(
             program=self.name,
             mode=self.mode,

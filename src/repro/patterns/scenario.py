@@ -114,7 +114,6 @@ def run_pattern_cell(
     machine_name: str = "tiny",
     defense_params: Optional[Mapping] = None,
     bindings: Optional[Mapping] = None,
-    use_batch: Optional[bool] = None,
     budget_factor: float = DEFAULT_BUDGET_FACTOR,
     region_pages: int = DEFAULT_REGION_PAGES,
     fault_plan: Optional[Mapping] = None,
@@ -125,12 +124,11 @@ def run_pattern_cell(
     bindings = dict(bindings or {})
     if target == "rows":
         return _run_rows_cell(pat, defense, defense_params, machine_name,
-                              seed, bindings, use_batch, budget_factor,
-                              fault_plan)
+                              seed, bindings, budget_factor, fault_plan)
     if target == "pt":
         return _run_pt_cell(pat, defense, defense_params, machine_name,
-                            seed, bindings, use_batch, budget_factor,
-                            region_pages, fault_plan)
+                            seed, bindings, budget_factor, region_pages,
+                            fault_plan)
     raise ConfigError(
         f"unknown pattern target {target!r}; known: {PATTERN_TARGETS}")
 
@@ -149,7 +147,7 @@ def _base_payload(pat: Pattern, plan: CompiledPlan, defense: str,
 
 
 def _run_rows_cell(pat, defense, defense_params, machine_name, seed,
-                   bindings, use_batch, budget_factor, fault_plan) -> dict:
+                   bindings, budget_factor, fault_plan) -> dict:
     from ..analysis.zoo import build_machine, cheapest_victim, tracker_metrics
 
     machine = build_machine(defense, defense_params, machine_name, seed,
@@ -167,7 +165,7 @@ def _run_rows_cell(pat, defense, defense_params, machine_name, seed,
         bank = victim = threshold = None
         offsets = []
         plan = compile_pattern(pat, bindings)
-    program = AttackProgram(plan, mode="rows", use_batch=use_batch)
+    program = AttackProgram(plan, mode="rows")
     outcome = program.run(machine.kernel)
     payload = _base_payload(pat, plan, defense, "rows", seed)
     payload.update({
@@ -184,8 +182,7 @@ def _run_rows_cell(pat, defense, defense_params, machine_name, seed,
 
 
 def _run_pt_cell(pat, defense, defense_params, machine_name, seed,
-                 bindings, use_batch, budget_factor, region_pages,
-                 fault_plan) -> dict:
+                 bindings, budget_factor, region_pages, fault_plan) -> dict:
     from ..analysis.zoo import build_machine, tracker_metrics
     from ..attacks.hammer import HammerKit
     from ..attacks.placement import (
@@ -206,7 +203,7 @@ def _run_pt_cell(pat, defense, defense_params, machine_name, seed,
                             fault_plan)
     kernel = machine.kernel
     attacker = kernel.create_process("pattern-attacker")
-    kit = HammerKit(kernel, attacker, use_batch=use_batch)
+    kit = HammerKit(kernel, attacker)
     templater = FlipTemplater(kernel, attacker, kit)
     ownership = templater.claim_region(region_pages)
     rows_per_bank = machine.dram.geometry.rows_per_bank
@@ -253,8 +250,7 @@ def _run_pt_cell(pat, defense, defense_params, machine_name, seed,
     # In user mode the row operand indexes the aggressor vaddr list.
     plan = compile_pattern(pat, final).remap_targets(
         {(0, off): (0, i) for i, off in enumerate(offsets)})
-    program = AttackProgram(plan, mode="user", act_ns=kit.extra_ns,
-                            use_batch=use_batch)
+    program = AttackProgram(plan, mode="user", act_ns=kit.extra_ns)
     # Start at a refresh-window boundary where the plan fits in one
     # window — an auto-refresh mid-pattern drains the disturbance the
     # probe is trying to accumulate (real attackers sync too).
@@ -299,7 +295,6 @@ def run_pattern_scenario(spec) -> dict:
         machine_name=spec.machine,
         defense_params=spec.defense_params,
         bindings=params.get("bindings"),
-        use_batch=params.get("use_batch"),
         budget_factor=params.get("budget_factor", DEFAULT_BUDGET_FACTOR),
         region_pages=params.get("region_pages", DEFAULT_REGION_PAGES),
         fault_plan=params.get("fault_plan"),

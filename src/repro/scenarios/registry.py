@@ -23,9 +23,11 @@ subset can be handed to :func:`repro.scenarios.runner.run_sweep` (or the
                DSL-authored sided patterns vs the headline defenses on
                the rows and page-table targets.
 
-Scale choices match the benchmarks' laptop-friendly small mode; a
-sweep is meant to regenerate the tables' *shape and verdicts*, with
-``REPRO_FULL``-style paper scale remaining the benchmarks' job.
+This registry is the only copy of the paper's grids: the paper-table
+benches under ``benchmarks/`` run and render these groups.  The params
+here are the laptop-friendly scale that regenerates the tables' *shape
+and verdicts*; ``REPRO_FULL=1`` makes those benches lay paper-scale
+params over the specs (``FULL_PARAMS`` in ``benchmarks/conftest.py``).
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .spec import ScenarioSpec
 
 __all__ = ["SCENARIOS", "scenario", "scenario_group", "list_groups"]
 
-#: SoftTRR/ANVIL timing scaled to the tiny machine's weaker DRAM
-#: (mirrors the baselines bench).
+#: SoftTRR/ANVIL timing scaled to the tiny machine's weaker DRAM (the
+#: baselines matrix, the smoke spray and the chaos cells).
 _TINY_SOFTTRR = {"timer_inr_ns": 50_000}
 _TINY_ANVIL = {"interval_ns": 50_000, "miss_threshold": 300,
                "row_threshold": 3}

@@ -6,7 +6,7 @@ corresponding analysis machinery on a freshly assembled
 across multiprocessing workers; because every scenario is a pure
 function of its spec (seeded RNG, simulated clock, no wall-clock or
 process state), the merged result list is byte-identical to serial
-execution — ``--workers N`` is a throughput knob, never a semantics
+execution — ``--jobs N`` is a throughput knob, never a semantics
 knob.
 """
 
@@ -159,19 +159,18 @@ def _run_breakdown(spec: ScenarioSpec) -> dict:
 
 # ------------------------------------------------------------------ lamp
 def _run_lamp(spec: ScenarioSpec) -> dict:
-    from ..analysis.memory import run_lamp_series, summarise
+    from ..analysis.memory import measure_lamp, summarise
 
     params = spec.params
     distance = params.get("distance", 1)
-    series = run_lamp_series(
-        distances=(distance,),
+    samples = measure_lamp(
+        distance,
         minutes=params.get("minutes", 24),
         spec_factory=_spec_factory(spec),
         workers=params.get("workers", 3),
         requests_per_minute=params.get("requests_per_minute", 20),
         seed=params.get("seed", 60),
     )
-    samples = series[distance]
     return {
         "distance": distance,
         "summary": summarise(samples),

@@ -26,7 +26,6 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..batching import batch_enabled
 from ..clock import NS_PER_MS
 from ..errors import ConfigError
 from ..kernel.vma import PAGE
@@ -101,14 +100,13 @@ class SliceWorkload:
     """Runs one :class:`WorkloadProfile` against a kernel."""
 
     def __init__(self, kernel, profile: WorkloadProfile, seed: int = 1234,
-                 use_batch: Optional[bool] = None) -> None:
+                 use_batch: bool = True) -> None:
         self.kernel = kernel
         self.profile = profile
         self.seed = seed
-        #: None = consult the ``REPRO_BATCH`` knob at run time.  The
-        #: batched and scalar hot loops consume the seeded rng
-        #: identically and are asserted byte-equivalent by the
-        #: differential suite, so this cannot change any measurement.
+        #: False replays the hot set access by access (the scalar
+        #: reference path); the differential suite asserts both paths
+        #: byte-equivalent, so this cannot change any measurement.
         self.use_batch = use_batch
 
     def run(self) -> WorkloadResult:
@@ -129,8 +127,7 @@ class SliceWorkload:
         accounting_before = kernel.accountant.snapshot()
         touches = forks = churn_events = syscalls = 0
         repeat = prof.hot_touch_repeat
-        use_batch = (batch_enabled() if self.use_batch is None
-                     else self.use_batch)
+        use_batch = self.use_batch
         defense_seen = kernel.defense_overhead_ns()
         start_ns = kernel.clock.now_ns
         for slice_index in range(prof.duration_ms):

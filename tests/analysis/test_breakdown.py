@@ -1,15 +1,18 @@
 """Tests for the overhead-anatomy decomposition."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.analysis.breakdown import (
     OverheadBreakdown,
     SOFTTRR_CATEGORIES,
     measure_breakdown,
-    render_breakdown,
 )
+from repro.analysis.tables import render_breakdown
 from repro.config import tiny_machine
 from repro.core.profile import SoftTrrParams
+from repro.scenarios import ScenarioResult
 from repro.workloads.base import WorkloadProfile
 
 PROFILE = WorkloadProfile(name="anatomy", duration_ms=30, hot_pages=10,
@@ -50,6 +53,8 @@ class TestBreakdown:
         assert empty.dominant_category() == "none"
 
     def test_render(self):
-        text = render_breakdown([run()])
+        result = ScenarioResult(name="anatomy-x", kind="breakdown",
+                                group="anatomy", payload=asdict(run()))
+        text = render_breakdown([result])
         assert "anatomy" in text
         assert "Defense/runtime" in text

@@ -1,10 +1,16 @@
 """FleetSpec expansion: deterministic, stably ordered, content-hashed."""
 
-import pytest
+import json
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.cli_common import EXIT_USAGE
 from repro.errors import ConfigError
 from repro.fleet import FleetSpec, cell_id_of, expand_cells, shard_of
+from repro.fleet.cli import main
 from repro.fleet.runners import _SYNTH_BOUNDARIES
+from repro.fleet.spec import CELL_RUNNERS, SPEC_FIELDS
 from repro.trace.metrics import DURATION_BUCKETS_NS
 
 
@@ -168,3 +174,125 @@ def test_synthetic_boundaries_mirror_duration_buckets():
     # The synthetic runner duplicates the trace-layer bucket edges so
     # its histograms merge with real span histograms in one report.
     assert _SYNTH_BOUNDARIES == DURATION_BUCKETS_NS
+
+
+_DROP = {"site": "timers", "mode": "drop", "probability": 0.1}
+
+#: Spec JSON that once crashed ``repro-fleet run`` with a traceback or
+#: was silently misread: fields laid over a valid synthetic spec, and
+#: the field the ConfigError must name.
+MALFORMED = {
+    "seeds-string": ({"seeds": "abc"}, "seeds"),
+    "seeds-float": ({"seeds": [1.5]}, "seeds"),
+    "seeds-bool": ({"seeds": [True]}, "seeds"),
+    "shards-string": ({"shards": "2"}, "shards"),
+    "max-attempts-null": ({"max_attempts": None}, "max_attempts"),
+    "timeout-string": ({"timeout_s": "30"}, "timeout_s"),
+    "backoff-bool": ({"backoff_s": True}, "backoff_s"),
+    "scenarios-nested": ({"scenarios": [["a"]]}, "scenarios"),
+    "scenarios-string": ({"scenarios": "abc"}, "scenarios"),
+    "scenarios-empty-name": ({"scenarios": [""]}, "scenarios"),
+    "runner-params-list": ({"runner_params": [1]}, "runner_params"),
+    "defense-params-scalar": (
+        {"defenses": [{"name": "vanilla", "params": 3}]}, "defenses"),
+    "fault-plan-unknown-key": (
+        {"fault_plans": [{"specs": [{"site": "timers", "typo": 1}]}]},
+        "fault_plans"),
+    "fault-plan-typo": (
+        {"fault_plans": [{"spec": [_DROP]}]}, "fault_plans"),
+    "fault-plan-seed-float": (
+        {"fault_plans": [{"specs": [_DROP], "seed": 1.5}]}, "fault_plans"),
+    "fault-plan-seed-string": (
+        {"fault_plans": [{"specs": [_DROP], "seed": "x"}]}, "fault_plans"),
+    "fault-spec-seed-bool": (
+        {"fault_plans": [[{**_DROP, "seed": True}]]}, "fault_plans"),
+    "defense-empty-name": ({"defenses": [""]}, "defenses"),
+    "defense-unknown-key": (
+        {"defenses": [{"name": "softtrr", "param": {"count_limit": 2}}]},
+        "defenses"),
+    "unknown-key": ({"seed": [1, 2]}, "seed"),
+}
+
+
+class TestMalformedSpec:
+    @pytest.mark.parametrize("overrides,field", MALFORMED.values(),
+                             ids=list(MALFORMED))
+    def test_run_exits_2_naming_the_field(self, tmp_path, capsys,
+                                          overrides, field):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"scenarios": ["synth-000"], "runner": "synthetic",
+             **overrides}))
+        out = tmp_path / "fleet"
+        code = main(["run", "--spec", str(spec), "--out", str(out),
+                     "--jobs", "1"])
+        assert code == EXIT_USAGE
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any cell ran
+
+    def test_spec_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="must be an object"):
+            FleetSpec.from_dict(["synth-000"])
+
+    def test_null_defense_point_round_trips(self):
+        # Workers and --resume re-parse spec.to_dict(): the neutral
+        # defense point's dict form must parse back to itself.
+        spec = FleetSpec.from_dict(
+            {"scenarios": ["synth-000"], "runner": "synthetic",
+             "defenses": [None, "vanilla"]})
+        assert spec.to_dict()["defenses"][0] == {"name": None, "params": {}}
+        assert FleetSpec.from_dict(spec.to_dict()) == spec
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300)
+    | st.floats(-2, 300, allow_nan=False) | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=3)),
+    max_leaves=8)
+
+#: Well-formed values per field, so the property also reaches specs
+#: that parse (each field still draws arbitrary JSON half the time).
+_VALID = {
+    "scenarios": st.lists(st.sampled_from(["synth-000", "synth-001", "a"]),
+                          min_size=1, max_size=3, unique=True),
+    "seeds": st.lists(st.none() | st.integers(0, 9), max_size=3,
+                      unique=True),
+    "defenses": st.lists(st.sampled_from(
+        [None, "", "vanilla", {"name": "softtrr",
+                               "params": {"max_distance": 1}}]),
+        max_size=2),
+    "fault_plans": st.lists(st.none() | st.just({"specs": [
+        {"site": "timers", "mode": "drop", "probability": 0.1}]}),
+        max_size=2),
+    "runner": st.sampled_from(CELL_RUNNERS),
+    "runner_params": st.dictionaries(st.text(max_size=4), _JSON,
+                                     max_size=2),
+    "shards": st.integers(0, 8),
+    "timeout_s": st.floats(-1, 300, allow_nan=False) | st.integers(-1, 9),
+    "max_attempts": st.integers(0, 5),
+    "backoff_s": st.floats(-1, 5, allow_nan=False),
+}
+
+
+@st.composite
+def _spec_payloads(draw):
+    keys = draw(st.lists(st.sampled_from(SPEC_FIELDS) | st.text(max_size=6),
+                         max_size=8, unique=True))
+    return {key: draw(_VALID[key] | _JSON if key in _VALID else _JSON)
+            for key in keys}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spec_payloads())
+@example({"scenarios": ["synth-000"], "defenses": [None]})
+@example({"scenarios": ["synth-000"], "defenses": [""]})
+@example({"scenarios": ["synth-000"],
+          "defenses": [{"name": None, "params": {}}]})
+def test_from_dict_parses_or_raises_config_error(payload):
+    try:
+        spec = FleetSpec.from_dict(payload)
+    except ConfigError:
+        return
+    assert FleetSpec.from_dict(spec.to_dict()) == spec

@@ -19,7 +19,7 @@ from repro.kernel.vma import PAGE
 from repro.patterns import AttackProgram, compile_pattern, round_robin
 
 
-def make_kit(n_pages=4, use_batch=None):
+def make_kit(n_pages=4, use_batch=True):
     kernel = Kernel(dataclasses.replace(tiny_machine(seed=7),
                                         sanitize=True))
     process = kernel.create_process("attacker")

@@ -90,15 +90,12 @@ class TestSubpackageFacades:
         assert LampSimulation and SliceWorkload and WorkloadProfile
 
     def test_analysis_facade(self):
+        import repro.analysis
         from repro.analysis import (
-            measure_suite_overhead, render_table, run_baseline_matrix,
-            run_lamp_series, run_table2, run_table5,
+            OverheadRow, measure_overhead, render_table, run_chaos_cell,
         )
-        assert all((measure_suite_overhead, render_table,
-                    run_baseline_matrix, run_lamp_series, run_table2,
-                    run_table5))
-
-    def test_report_generators_registry(self):
-        from repro.analysis.report import GENERATORS
-        assert set(GENERATORS) == {
-            "table2", "table3", "table4", "table5", "fig4", "fig5"}
+        assert all((OverheadRow, measure_overhead, render_table,
+                    run_chaos_cell))
+        assert sorted(repro.analysis.__all__) == [
+            "OverheadRow", "measure_overhead", "render_table",
+            "run_chaos_cell"]

@@ -39,6 +39,31 @@ class TestProfileValidation:
             WorkloadProfile(name="x", hot_pages=64, cold_pool_pages=32)
 
 
+class TestHotTouchRepeat:
+    def test_default_is_one(self):
+        assert WorkloadProfile(name="p").hot_touch_repeat == 1
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ConfigError):
+            WorkloadProfile(name="p", hot_touch_repeat=0)
+
+
+def test_batched_path_is_the_default():
+    # The scalar reference path is only ever an explicit opt-out (the
+    # differential suites pass use_batch=False / batch=False).
+    from repro.attacks.hammer import HammerKit
+    from repro.machine import Machine, MachineConfig
+    from repro.patterns import AttackProgram, round_robin
+
+    kernel = Kernel(tiny_machine())
+    process = kernel.create_process("p")
+    assert SliceWorkload(kernel, SMALL).use_batch is True
+    assert AttackProgram(round_robin(2, 10)).use_batch is True
+    assert HammerKit(kernel, process).use_batch is True
+    assert MachineConfig().batch is True
+    assert Machine.from_parts(tiny_machine()).batch is True
+
+
 class TestSliceEngine:
     def test_runtime_at_least_duration(self):
         result, _ = run_on_fresh_kernel(SMALL)
