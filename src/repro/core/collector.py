@@ -43,10 +43,6 @@ class PageTableCollector:
         self._adj_refs: Dict[int, int] = {}
         #: pt ppn -> adjacent ppns it contributed.
         self._pt_contrib: Dict[int, Set[int]] = {}
-        #: row_pages / page_rows caches (the mapping is static hardware
-        #: truth, so caching is exact).
-        self._row_pages_cache: Dict[Tuple[int, int], List[int]] = {}
-        self._page_rows_cache: Dict[int, List[Tuple[int, int]]] = {}
         #: called with a PPN when a page becomes adjacent (tracer wires
         #: this to its arming queue).
         self.on_new_adjacent: Optional[Callable[[int], None]] = None
@@ -78,25 +74,6 @@ class PageTableCollector:
     def adjacent_ppns(self) -> List[int]:
         """Snapshot list of the currently adjacent PPNs."""
         return list(self._adj_refs)
-
-    def page_rows_of(self, ppn: int) -> List[Tuple[int, int]]:
-        """Cached (bank, row) list of a page."""
-        rows = self._page_rows_cache.get(ppn)
-        if rows is None:
-            rows = self.mapping.page_rows(ppn)
-            self._page_rows_cache[ppn] = rows
-        return rows
-
-    def _row_pages(self, bank: int, row: int) -> List[int]:
-        key = (bank, row)
-        pages = self._row_pages_cache.get(key)
-        if pages is None:
-            if 0 <= row < self.mapping.geometry.rows_per_bank:
-                pages = self.mapping.row_pages(bank, row)
-            else:
-                pages = []
-            self._row_pages_cache[key] = pages
-        return pages
 
     def pointed_pages(self, pt_ppn: int) -> List[int]:
         """PPNs referenced by the valid entries of an L1PT page."""
@@ -194,7 +171,7 @@ class PageTableCollector:
         for a trusted-user protected object (no entries to follow)."""
         if ppn in self.structs.pt_rbtree:
             return False
-        rows = self.page_rows_of(ppn)
+        rows = self.mapping.page_rows(ppn)
         self._pt_rows[ppn] = rows
         self.structs.pt_rbtree.insert(ppn, (rows, level))
         self.ever_protected.add(ppn)
@@ -204,10 +181,13 @@ class PageTableCollector:
         contrib: Set[int] = set()
         # (a) Explicit adjacency: user pages in rows physically near
         # this page's rows (translated through the in-DRAM remap).
+        rows_per_bank = self.mapping.geometry.rows_per_bank
         for bank, row in rows:
             for distance in range(1, self.params.max_distance + 1):
                 for near_row in self.structs.neighbor_rows(row, distance):
-                    for candidate in self._row_pages(bank, near_row):
+                    if not 0 <= near_row < rows_per_bank:
+                        continue
+                    for candidate in self.mapping.row_pages(bank, near_row):
                         if candidate == ppn:
                             continue
                         if self._user_accessible(candidate):
@@ -278,11 +258,11 @@ class PageTableCollector:
         PPN in pt_rbtree".)"""
         if len(self.structs.pt_row_rbtree) == 0:
             return False
-        for bank, row in self.page_rows_of(ppn):
+        for bank, row in self.mapping.page_rows(ppn):
             if self.structs.has_pt_near(row, bank, self.params.max_distance):
                 return True
         if l1_ppn is not None:
-            for bank, row in self.page_rows_of(l1_ppn):
+            for bank, row in self.mapping.page_rows(l1_ppn):
                 if self.structs.has_pt_near(row, bank,
                                             self.params.max_distance):
                     return True

@@ -173,23 +173,23 @@ class AdjacentPageTracer:
             pte_paddr=ref.pte_paddr, vaddr=ref.vaddr, pid=ref.pid,
             ppn=accessed_ppn, leaf_level=ref.leaf_level))
         # Charge-leak updates: (a) the page's own rows (explicit attacks).
-        for bank, row in self.collector.page_rows_of(accessed_ppn):
+        for bank, row in self.mapping.page_rows(accessed_ppn):
             self.refresher.on_adjacent_access(bank, row)
         # (b) the page's leaf-table rows (implicit attacks/PThammer):
         # walking to this page activates its L1PT row — and, with the
         # Section VII extension, its L2 row too.
         if ref.leaf_level == 1:
             l1_ppn = ref.pte_paddr >> 12
-            for bank, row in self.collector.page_rows_of(l1_ppn):
+            for bank, row in self.mapping.page_rows(l1_ppn):
                 self.refresher.on_adjacent_access(bank, row)
             if 2 in self.params.protect_levels:
                 l2_ppn = self._l2_table_of(ref.pid, ref.vaddr)
                 if l2_ppn is not None:
-                    for bank, row in self.collector.page_rows_of(l2_ppn):
+                    for bank, row in self.mapping.page_rows(l2_ppn):
                         self.refresher.on_adjacent_access(bank, row)
         elif ref.leaf_level == 2 and 2 in self.params.protect_levels:
             l2_ppn = ref.pte_paddr >> 12
-            for bank, row in self.collector.page_rows_of(l2_ppn):
+            for bank, row in self.mapping.page_rows(l2_ppn):
                 self.refresher.on_adjacent_access(bank, row)
         return "softtrr-traced"
 

@@ -22,15 +22,30 @@ guarantee that by requiring each bank mask to contain exactly one
 *base bit* that is not a row bit, not a column bit, and not in any other
 mask; inversion then scatters the row/column bits and solves each base
 bit from the requested bank parity.
+
+Every output bit is a parity or a copy of address bits, so the mapping
+is linear over GF(2): the coordinates of ``a ^ b`` are those of ``a``
+XOR those of ``b``.  Translation exploits that with lookup tables built
+on first use and shared by every mapping of equal value:
+
+* :meth:`AddressMapping.phys_to_dram` XORs one 256-entry table per
+  address byte, each entry the packed (bank, row, column) of that byte
+  value alone;
+* :meth:`AddressMapping.page_rows` is the page base's (bank, row) XOR
+  each combination of the in-page line bits that feed a bank mask or a
+  row bit (none on the linear mapping, bit 6 on the interleaved one);
+* :meth:`AddressMapping.row_pages` is the row's first page number XOR
+  each combination of the column bits that change the page number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import List, NamedTuple, Sequence, Tuple
 
 from ..errors import AddressMappingError
-from .geometry import DramGeometry, LINE_SHIFT
+from .geometry import DramGeometry, LINE_SHIFT, PAGE_BYTES, PAGE_SHIFT
 
 
 class DramAddress(NamedTuple):
@@ -46,20 +61,66 @@ def _parity(value: int) -> int:
     return bin(value).count("1") & 1
 
 
-def _gather_bits(value: int, positions: Sequence[int]) -> int:
-    """Extract the bits of ``value`` at ``positions`` into a packed int."""
-    out = 0
-    for i, pos in enumerate(positions):
-        out |= ((value >> pos) & 1) << i
-    return out
-
-
 def _scatter_bits(packed: int, positions: Sequence[int]) -> int:
-    """Inverse of :func:`_gather_bits`."""
+    """Deposit bit *i* of ``packed`` at bit ``positions[i]``."""
     out = 0
     for i, pos in enumerate(positions):
         out |= ((packed >> i) & 1) << pos
     return out
+
+
+def _span(contributions: Sequence[int]) -> List[int]:
+    """XOR of every subset of ``contributions``: entry *m* combines the
+    contributions whose index is a set bit of *m*."""
+    span = [0]
+    for contribution in contributions:
+        span += [value ^ contribution for value in span]
+    return span
+
+
+class _Tables(NamedTuple):
+    """Lookup data derived from one mapping value (see the module doc)."""
+
+    #: One table per address byte, LSB first; an entry packs
+    #: ``bank | row << bank_bits | col << (bank_bits + row_bits)``.
+    phys: Tuple[Tuple[int, ...], ...]
+    #: Distinct (bank, row) XOR offsets across one page's lines.
+    page_deltas: Tuple[Tuple[int, int], ...]
+    #: Distinct PPN XOR offsets across one row's lines.
+    row_deltas: Tuple[int, ...]
+
+
+@lru_cache(maxsize=32)
+def _build_tables(mapping: "AddressMapping") -> _Tables:
+    """Build a mapping's tables; cached per mapping *value*, so every
+    machine built from one profile shares one set (a process uses a
+    handful of profiles; the bound only stops test sweeps over random
+    mappings from growing the cache)."""
+    geo = mapping.geometry
+    row_shift = geo.bank_bits
+    col_shift = row_shift + geo.row_bits
+    bit = []  # packed (bank, row, col) of each lone address bit
+    for pos in range(geo.addr_bits):
+        packed = 0
+        for i, mask in enumerate(mapping.bank_masks):
+            packed |= ((mask >> pos) & 1) << i
+        if pos in mapping.row_bits:
+            packed |= 1 << (row_shift + mapping.row_bits.index(pos))
+        if pos in mapping.col_bits:
+            packed |= 1 << (col_shift + mapping.col_bits.index(pos))
+        bit.append(packed)
+    phys = tuple(tuple(_span(bit[low:low + 8]))
+                 for low in range(0, geo.addr_bits, 8))
+    # Entry m of each span is line m of the page (or row); dict.fromkeys
+    # keeps the distinct values in the order that scan first meets them.
+    page = dict.fromkeys(packed & ((1 << col_shift) - 1)
+                         for packed in _span(bit[LINE_SHIFT:PAGE_SHIFT]))
+    page_deltas = tuple((packed & (geo.num_banks - 1), packed >> row_shift)
+                        for packed in page)
+    row = dict.fromkeys(_span([
+        mapping.dram_to_phys(0, 0, 1 << j) >> PAGE_SHIFT
+        for j in range(LINE_SHIFT, geo.col_bits)]))
+    return _Tables(phys, page_deltas, tuple(row))
 
 
 @dataclass(frozen=True)
@@ -135,21 +196,35 @@ class AddressMapping:
             missing = sorted(all_addr_bits - used)
             raise AddressMappingError(f"address bits {missing} are unmapped")
         object.__setattr__(self, "_base_bits", tuple(base_bits))
+        # Capacity and the unpacking of a packed table entry.
+        object.__setattr__(self, "_layout", (
+            geo.capacity_bytes, geo.num_banks - 1, geo.bank_bits,
+            geo.rows_per_bank - 1, geo.bank_bits + geo.row_bits))
+
+    def __reduce__(self):
+        # Copies and pickles rebuild from the fields, leaving the
+        # cached tables behind to be shared again on first use.
+        return (type(self),
+                (self.geometry, self.bank_masks, self.row_bits, self.col_bits))
+
+    @cached_property
+    def _tables(self) -> _Tables:
+        return _build_tables(self)
 
     # ------------------------------------------------------------ forward
     def phys_to_dram(self, paddr: int) -> DramAddress:
         """Map a physical byte address to its DRAM location."""
-        if not 0 <= paddr < self.geometry.capacity_bytes:
+        capacity, bank_mask, row_shift, row_mask, col_shift = self._layout
+        if not 0 <= paddr < capacity:
             raise AddressMappingError(
-                f"paddr {paddr:#x} outside module capacity "
-                f"{self.geometry.capacity_bytes:#x}"
+                f"paddr {paddr:#x} outside module capacity {capacity:#x}"
             )
-        bank = 0
-        for i, mask in enumerate(self.bank_masks):
-            bank |= _parity(paddr & mask) << i
-        row = _gather_bits(paddr, self.row_bits)
-        col = _gather_bits(paddr, self.col_bits)
-        return DramAddress(bank=bank, row=row, col=col)
+        packed = 0
+        for table in self._tables.phys:
+            packed ^= table[paddr & 0xFF]
+            paddr >>= 8
+        return DramAddress(packed & bank_mask, (packed >> row_shift) & row_mask,
+                           packed >> col_shift)
 
     # ------------------------------------------------------------ inverse
     def dram_to_phys(self, bank: int, row: int, col: int = 0) -> int:
@@ -193,14 +268,14 @@ class AddressMapping:
         why SoftTRR's ``pt_row_rbtree`` nodes can carry several
         ``bank_struct`` entries (Table I, [50]).
         """
-        seen: List[Tuple[int, int]] = []
-        base = ppn << 12
-        for off in range(0, 4096, 1 << LINE_SHIFT):
-            dram = self.phys_to_dram(base + off)
-            key = (dram.bank, dram.row)
-            if key not in seen:
-                seen.append(key)
-        return seen
+        base = ppn << PAGE_SHIFT
+        capacity = self._layout[0]
+        if base + PAGE_BYTES > capacity:
+            raise AddressMappingError(
+                f"page {ppn:#x} outside module capacity {capacity:#x}")
+        bank, row, _ = self.phys_to_dram(base)
+        return [(bank ^ d_bank, row ^ d_row)
+                for d_bank, d_row in self._tables.page_deltas]
 
     def row_pages(self, bank: int, row: int) -> List[int]:
         """Distinct PPNs with at least one line in (bank, row).
@@ -208,12 +283,8 @@ class AddressMapping:
         Used by SoftTRR's collector to enumerate the pages that live in a
         row adjacent to a page-table row.
         """
-        seen: List[int] = []
-        for col in range(0, self.geometry.row_bytes, 1 << LINE_SHIFT):
-            ppn = self.dram_to_phys(bank, row, col) >> 12
-            if ppn not in seen:
-                seen.append(ppn)
-        return seen
+        first = self.dram_to_phys(bank, row, 0) >> PAGE_SHIFT
+        return [first ^ delta for delta in self._tables.row_deltas]
 
 
 def linear_mapping(geometry: DramGeometry) -> AddressMapping:

@@ -4,8 +4,11 @@
 transaction of the simulated machine flows (the CPU cache sits above it
 and filters hits).  It owns
 
-* the memory *contents*, stored sparsely per (bank, row) so that bit
-  flips can be applied directly to the row a victim cell lives in;
+* the memory *contents*, stored per physical 4 KiB frame (an all-zero
+  frame is simply absent), so loads and stores are slices and DRAM
+  coordinates are computed only where the physics needs them: to
+  activate rows, and to place a flipped bit through
+  :meth:`~repro.dram.address.AddressMapping.dram_to_phys`;
 * the per-bank row-buffer state (timing side channel, hammer semantics);
 * the :class:`~repro.dram.disturbance.DisturbanceEngine` producing flips;
 * the optional :class:`~repro.dram.chiptrr.ChipTrr` engine; and
@@ -33,9 +36,12 @@ from .bank import BankState, RowBufferPolicy
 from .chiptrr import ChipTrr, TrrParams
 from .disturbance import DisturbanceEngine, DisturbanceParams, FlipEvent
 from .feed import ActivationFeed, RefreshActuator
-from .geometry import DramGeometry, LINE_BYTES
+from .geometry import DramGeometry, LINE_BYTES, PAGE_BYTES, PAGE_SHIFT
 from .remap import IdentityRemap, RowRemap
 from .timing import DramTimings
+
+_PAGE_MASK = PAGE_BYTES - 1
+_ZERO_PAGE = bytes(PAGE_BYTES)
 
 
 def _detect_period(items) -> Optional[int]:
@@ -100,7 +106,9 @@ class DramModule:
         if trr.enabled:
             self.feed.subscribe(self.trr)
         self._banks: List[BankState] = [BankState() for _ in range(self.geometry.num_banks)]
-        self._rows: Dict[Tuple[int, int], bytearray] = {}
+        #: Memory contents: ppn -> its 4 KiB; absent frames read as zeros.
+        self._frames: Dict[int, bytearray] = {}
+        self._capacity = self.geometry.capacity_bytes
         self.flip_log: List[FlipEvent] = []
         self.applied_flips = 0
         self.reads = 0
@@ -118,13 +126,25 @@ class DramModule:
         self.trace = None
 
     # ------------------------------------------------------------ storage
-    def _row_data(self, bank: int, row: int) -> bytearray:
-        key = (bank, row)
-        data = self._rows.get(key)
-        if data is None:
-            data = bytearray(self.geometry.row_bytes)
-            self._rows[key] = data
-        return data
+    def _load(self, paddr: int, size: int) -> bytes:
+        """A copy of the ``size`` bytes at ``paddr``, inside one frame."""
+        frame = self._frames.get(paddr >> PAGE_SHIFT)
+        if frame is None:
+            return bytes(size)
+        offset = paddr & _PAGE_MASK
+        return frame[offset:offset + size]
+
+    def _store(self, paddr: int, data: bytes) -> None:
+        """Store ``data`` at ``paddr``, inside one frame."""
+        ppn = paddr >> PAGE_SHIFT
+        frames = self._frames
+        frame = frames.get(ppn)
+        if frame is None:
+            frame = frames[ppn] = bytearray(PAGE_BYTES)
+        offset = paddr & _PAGE_MASK
+        frame[offset:offset + len(data)] = data
+        if frame == _ZERO_PAGE:
+            del frames[ppn]
 
     def _heal_row(self, bank: int, row: int) -> None:
         """Refresh callback target (TRR / auto / SoftTRR-induced reads)."""
@@ -138,11 +158,11 @@ class DramModule:
             if trace is not None:
                 trace.emit("dram.flip", bank=flip.bank, row=flip.row,
                            bit_offset=flip.bit_offset, at_ns=flip.at_ns)
-            data = self._row_data(flip.bank, flip.row)
-            byte_index, bit_index = divmod(flip.bit_offset, 8)
-            current = (data[byte_index] >> bit_index) & 1
-            if current == flip.from_value:
-                data[byte_index] ^= 1 << bit_index
+            col, bit_index = divmod(flip.bit_offset, 8)
+            paddr = self.mapping.dram_to_phys(flip.bank, flip.row, col)
+            byte = self._load(paddr, 1)[0]
+            if (byte >> bit_index) & 1 == flip.from_value:
+                self._store(paddr, bytes((byte ^ (1 << bit_index),)))
                 self.applied_flips += 1
 
     # --------------------------------------------------------- activation
@@ -393,10 +413,7 @@ class DramModule:
         out = bytearray()
         for line_paddr, offset, chunk in self._lines(paddr, size):
             self._transact_line(line_paddr)
-            dram = self.mapping.phys_to_dram(line_paddr)
-            data = self._row_data(dram.bank, dram.row)
-            start = dram.col + offset
-            out.extend(data[start : start + chunk])
+            out += self._load(line_paddr + offset, chunk)
         return bytes(out)
 
     def write(self, paddr: int, payload: bytes) -> None:
@@ -405,46 +422,44 @@ class DramModule:
         pos = 0
         for line_paddr, offset, chunk in self._lines(paddr, len(payload)):
             self._transact_line(line_paddr)
-            dram = self.mapping.phys_to_dram(line_paddr)
-            data = self._row_data(dram.bank, dram.row)
-            start = dram.col + offset
-            data[start : start + chunk] = payload[pos : pos + chunk]
+            self._store(line_paddr + offset, payload[pos : pos + chunk])
             pos += chunk
 
     # --------------------------------------------------- instrumentation
     def raw_read(self, paddr: int, size: int) -> bytes:
         """Side-effect-free read for integrity checks and test setup."""
-        out = bytearray()
-        for line_paddr, offset, chunk in self._lines(paddr, size):
-            dram = self.mapping.phys_to_dram(line_paddr)
-            data = self._rows.get((dram.bank, dram.row))
-            if data is None:
-                out.extend(b"\x00" * chunk)
-            else:
-                start = dram.col + offset
-                out.extend(data[start : start + chunk])
-        return bytes(out)
+        self._check_span(paddr, size)
+        out = b""
+        end = paddr + size
+        while paddr < end:
+            chunk = min(PAGE_BYTES - (paddr & _PAGE_MASK), end - paddr)
+            out += self._load(paddr, chunk)
+            paddr += chunk
+        return out
 
     def raw_write(self, paddr: int, payload: bytes) -> None:
         """Side-effect-free write for test setup."""
+        self._check_span(paddr, len(payload))
         pos = 0
-        for line_paddr, offset, chunk in self._lines(paddr, len(payload)):
-            dram = self.mapping.phys_to_dram(line_paddr)
-            data = self._row_data(dram.bank, dram.row)
-            start = dram.col + offset
-            data[start : start + chunk] = payload[pos : pos + chunk]
+        while pos < len(payload):
+            chunk = min(PAGE_BYTES - (paddr & _PAGE_MASK), len(payload) - pos)
+            self._store(paddr, payload[pos : pos + chunk])
+            paddr += chunk
             pos += chunk
 
     # ------------------------------------------------------------ helpers
-    def _lines(self, paddr: int, size: int):
-        """Split [paddr, paddr+size) into per-line (line_paddr, off, len)."""
+    def _check_span(self, paddr: int, size: int) -> None:
         if size <= 0:
             raise DramError(f"access size must be positive, got {size}")
-        if paddr < 0 or paddr + size > self.geometry.capacity_bytes:
+        if paddr < 0 or paddr + size > self._capacity:
             raise DramError(
                 f"access [{paddr:#x}, +{size}) outside capacity "
-                f"{self.geometry.capacity_bytes:#x}"
+                f"{self._capacity:#x}"
             )
+
+    def _lines(self, paddr: int, size: int):
+        """Split [paddr, paddr+size) into per-line (line_paddr, off, len)."""
+        self._check_span(paddr, size)
         end = paddr + size
         cursor = paddr
         while cursor < end:

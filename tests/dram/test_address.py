@@ -11,6 +11,127 @@ from repro.dram.address import (
 )
 from repro.dram.geometry import DramGeometry, LINE_BYTES
 from repro.errors import AddressMappingError
+from repro.machine import Machine
+
+
+# The per-line definitions the table-driven mapping must reproduce.
+def brute_phys_to_dram(mapping, paddr):
+    def gather(positions):
+        return sum(((paddr >> pos) & 1) << i for i, pos in enumerate(positions))
+
+    bank = sum((bin(paddr & mask).count("1") & 1) << i
+               for i, mask in enumerate(mapping.bank_masks))
+    return DramAddress(bank, gather(mapping.row_bits), gather(mapping.col_bits))
+
+
+def brute_page_rows(mapping, ppn):
+    seen = []
+    for off in range(0, 4096, LINE_BYTES):
+        dram = brute_phys_to_dram(mapping, (ppn << 12) + off)
+        if (dram.bank, dram.row) not in seen:
+            seen.append((dram.bank, dram.row))
+    return seen
+
+
+def brute_row_pages(mapping, bank, row):
+    seen = []
+    for col in range(0, mapping.geometry.row_bytes, LINE_BYTES):
+        ppn = mapping.dram_to_phys(bank, row, col) >> 12
+        if ppn not in seen:
+            seen.append(ppn)
+    return seen
+
+
+#: (banks, rows, row_bytes): 512-byte rows split a page across 8 rows,
+#: 16 KiB rows hold 4 pages.
+GEOMETRIES = [(8, 64, 8192), (16, 512, 8192), (8, 64, 512),
+              (2, 1024, 512), (4, 128, 16384), (16, 32, 1024)]
+
+
+@st.composite
+def random_mappings(draw):
+    """Any valid mapping: bits 0..5 are the low column bits, the rest
+    are dealt at random to columns, rows and bank base bits, and each
+    bank mask adds random row, column and earlier base bits."""
+    banks, rows, row_bytes = draw(st.sampled_from(GEOMETRIES))
+    geo = DramGeometry(banks, rows, row_bytes)
+    upper = draw(st.permutations(range(6, geo.addr_bits)))
+    n_col = geo.col_bits - 6
+    col_bits = tuple(range(6)) + tuple(upper[:n_col])
+    row_bits = tuple(upper[n_col:n_col + geo.row_bits])
+    bases = upper[n_col + geo.row_bits:]
+    masks = []
+    for i, base in enumerate(bases):
+        extra = list(row_bits) + list(col_bits[6:]) + list(bases[:i])
+        chosen = draw(st.lists(st.sampled_from(extra), max_size=4))
+        mask = 1 << base
+        for pos in chosen:
+            mask |= 1 << pos
+        masks.append(mask)
+    return AddressMapping(geometry=geo, bank_masks=tuple(masks),
+                          row_bits=row_bits, col_bits=col_bits)
+
+
+@st.composite
+def any_mappings(draw):
+    kind = draw(st.sampled_from(["linear", "interleaved", "random"]))
+    if kind == "random":
+        return draw(random_mappings())
+    geo = DramGeometry(*draw(st.sampled_from(GEOMETRIES)))
+    return (linear_mapping if kind == "linear" else interleaved_mapping)(geo)
+
+
+class TestTablesMatchPerLineDefinitions:
+    @given(mapping=any_mappings(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_phys_to_dram(self, mapping, data):
+        cap = mapping.geometry.capacity_bytes
+        for paddr in data.draw(st.lists(
+                st.integers(min_value=0, max_value=cap - 1),
+                min_size=1, max_size=20)):
+            assert mapping.phys_to_dram(paddr) == brute_phys_to_dram(
+                mapping, paddr)
+
+    @given(mapping=any_mappings(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_page_rows(self, mapping, data):
+        ppn = data.draw(st.integers(
+            min_value=0, max_value=(mapping.geometry.capacity_bytes >> 12) - 1))
+        assert mapping.page_rows(ppn) == brute_page_rows(mapping, ppn)
+
+    @given(mapping=any_mappings(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_row_pages(self, mapping, data):
+        geo = mapping.geometry
+        bank = data.draw(st.integers(min_value=0, max_value=geo.num_banks - 1))
+        row = data.draw(st.integers(min_value=0,
+                                    max_value=geo.rows_per_bank - 1))
+        assert mapping.row_pages(bank, row) == brute_row_pages(
+            mapping, bank, row)
+
+    def test_page_and_row_geometry_sizes(self):
+        # 2^k translations per page: k = 0 linear, 1 interleaved.
+        assert len(linear_mapping(DramGeometry(8, 64, 8192)).page_rows(3)) == 1
+        assert len(interleaved_mapping(
+            DramGeometry(16, 512, 8192)).page_rows(3)) == 2
+        small = linear_mapping(DramGeometry(8, 64, 512))
+        assert small.page_rows(3) == brute_page_rows(small, 3)
+        assert len(small.page_rows(3)) == 8
+
+    def test_page_past_capacity_rejected(self):
+        mapping = linear_mapping(geo())
+        with pytest.raises(AddressMappingError):
+            mapping.page_rows(geo().capacity_bytes >> 12)
+        with pytest.raises(AddressMappingError):
+            mapping.page_rows(-1)
+
+    def test_machines_of_one_profile_share_tables(self):
+        first = Machine(machine="tiny")
+        second = Machine(machine="tiny")
+        assert first.dram.mapping is not second.dram.mapping
+        assert first.dram.mapping._tables is second.dram.mapping._tables
+        first.restore(first.snapshot())
+        assert first.dram.mapping._tables is second.dram.mapping._tables
 
 
 def geo() -> DramGeometry:

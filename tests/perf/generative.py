@@ -223,7 +223,7 @@ def fingerprint(machine):
     dram = machine.dram
     engine = dram.engine
     return {
-        "rows": {key: bytes(data) for key, data in dram._rows.items()},
+        "frames": {ppn: bytes(data) for ppn, data in dram._frames.items()},
         "flip_log": tuple(dram.flip_log),
         "applied_flips": dram.applied_flips,
         "now_ns": machine.clock.now_ns,

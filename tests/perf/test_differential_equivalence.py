@@ -46,7 +46,7 @@ def dram_fingerprint(dram):
     # vulnerable rows, identical across scalar/batched/periodic replay.
     vulnerable_acc = engine.vulnerable_accumulated(dram._epoch())
     return {
-        "rows": {key: bytes(data) for key, data in dram._rows.items()},
+        "frames": {ppn: bytes(data) for ppn, data in dram._frames.items()},
         "flip_log": list(dram.flip_log),
         "applied_flips": dram.applied_flips,
         "now_ns": dram.clock.now_ns,
