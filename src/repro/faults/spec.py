@@ -20,7 +20,7 @@ plan replays bit-identically across runs, worker processes and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence, Tuple
 
 from ..errors import FaultError
@@ -56,6 +56,25 @@ SITE_MODES = {
 }
 
 
+def _check_int(owner: str, name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FaultError(f"{owner} {name} must be an int, got {value!r}")
+
+
+def _check_keys(owner: str, value: Mapping, known) -> None:
+    for key in value:
+        if key not in known:
+            raise FaultError(
+                f"unknown {owner} key {key!r}; known: {tuple(known)}")
+
+
+def _check_sequence(owner: str, name: str, value) -> None:
+    if isinstance(value, (str, bytes, Mapping)) or not isinstance(
+            value, Sequence):
+        raise FaultError(
+            f"{owner} {name} must be a list, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One declarative fault: site + mode + trigger (+ magnitude).
@@ -83,8 +102,17 @@ class FaultSpec:
             raise FaultError(
                 f"mode {self.mode!r} is invalid for site {self.site!r}; "
                 f"known: {SITE_MODES[self.site]}")
+        _check_sequence("fault spec", "at_opportunities",
+                        self.at_opportunities)
         object.__setattr__(
             self, "at_opportunities", tuple(self.at_opportunities))
+        _check_int("fault spec", "magnitude_ns", self.magnitude_ns)
+        _check_int("fault spec", "seed", self.seed)
+        if isinstance(self.probability, bool) or not isinstance(
+                self.probability, (int, float)):
+            raise FaultError(
+                f"fault spec probability must be a number, "
+                f"got {self.probability!r}")
         if not 0.0 <= self.probability <= 1.0:
             raise FaultError(
                 f"probability must be within [0, 1], got {self.probability}")
@@ -95,7 +123,8 @@ class FaultSpec:
                 "exactly one trigger is required: probability > 0 or a "
                 "non-empty at_opportunities schedule")
         for index in self.at_opportunities:
-            if not isinstance(index, int) or index < 1:
+            if isinstance(index, bool) or not isinstance(index, int) or (
+                    index < 1):
                 raise FaultError(
                     f"at_opportunities must hold 1-based ints, got {index!r}")
         if list(self.at_opportunities) != sorted(set(self.at_opportunities)):
@@ -127,10 +156,19 @@ class FaultSpec:
 
     @classmethod
     def coerce(cls, value) -> "FaultSpec":
-        """``value`` as a FaultSpec: passes instances, hydrates dicts."""
+        """``value`` as a FaultSpec: passes instances, hydrates dicts.
+
+        A dict must name ``site`` and ``mode`` and may use only the
+        fields of :meth:`to_dict`; anything else raises
+        :class:`FaultError` naming the key or field.
+        """
         if isinstance(value, cls):
             return value
         if isinstance(value, Mapping):
+            _check_keys("fault spec", value, [f.name for f in fields(cls)])
+            for required in ("site", "mode"):
+                if required not in value:
+                    raise FaultError(f"fault spec needs {required!r}")
             return cls(**value)
         raise FaultError(
             f"cannot build a FaultSpec from {type(value).__name__}")
@@ -150,6 +188,8 @@ class FaultPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_sequence("fault plan", "specs", self.specs)
+        _check_int("fault plan", "seed", self.seed)
         object.__setattr__(
             self, "specs",
             tuple(FaultSpec.coerce(spec) for spec in self.specs))
@@ -181,15 +221,16 @@ class FaultPlan:
         """``value`` as a FaultPlan.
 
         Accepts a plan, a mapping (``{"specs": [...], "seed": ...}``),
-        or a bare sequence of specs/dicts.
+        or a bare sequence of specs/dicts.  A mapping with any other key
+        raises :class:`FaultError`, so a typo such as ``"spec"`` cannot
+        quietly become an empty plan.
         """
         if isinstance(value, cls):
             return value
         if isinstance(value, Mapping):
-            return cls(
-                specs=tuple(value.get("specs", ())),
-                seed=value.get("seed", 0),
-            )
+            _check_keys("fault plan", value, ("specs", "seed"))
+            return cls(specs=value.get("specs", ()),
+                       seed=value.get("seed", 0))
         if isinstance(value, Sequence) and not isinstance(value, (str, bytes)):
             return cls(specs=tuple(value))
         raise FaultError(

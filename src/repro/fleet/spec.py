@@ -206,20 +206,11 @@ def _coerce_fault_plan(entry) -> Optional[Dict[str, object]]:
         return None
     from ..faults import FaultPlan
 
-    where = f"fleet spec 'fault_plans' entry {entry!r}"
-    specs, seeds = entry, []
-    if isinstance(entry, Mapping):
-        _check_object(where, entry, ("specs", "seed"))
-        specs, seeds = entry.get("specs", ()), [entry.get("seed", 0)]
-    if isinstance(specs, (list, tuple)):
-        seeds += [spec.get("seed", 0) for spec in specs
-                  if isinstance(spec, Mapping)]
-    if not all(_is_int(seed) for seed in seeds):
-        raise ConfigError(f"{where}: every 'seed' must be an int")
     try:
         return FaultPlan.coerce(entry).to_dict()
-    except (FaultError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    except FaultError as exc:
+        raise ConfigError(
+            f"fleet spec 'fault_plans' entry {entry!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
