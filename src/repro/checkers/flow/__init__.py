@@ -3,7 +3,7 @@
 Layered on the per-file lint framework: :mod:`.symbols` builds a
 cross-module symbol table, :mod:`.callgraph` resolves calls and collects
 per-function facts, :mod:`.taint` runs reachability, and
-:mod:`.rules_flow` implements RPR009–RPR012 on top.  :mod:`.analyze` is
+:mod:`.rules_flow` implements RPR009–RPR014 on top.  :mod:`.analyze` is
 the CLI.
 
 Importing this package registers the flow rules in the shared registry.

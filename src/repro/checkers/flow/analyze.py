@@ -92,7 +92,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser(
         "repro-analyze",
         "Whole-program determinism analyzer for the SoftTRR "
-        "reproduction (flow rules RPR009..RPR012).")
+        "reproduction (flow rules RPR009..RPR014).")
     parser.add_argument(
         "root", nargs="?", default="src/repro",
         help="package directory to analyse (default: src/repro)")

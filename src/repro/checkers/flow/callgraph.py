@@ -6,7 +6,7 @@ through a bounded alias analysis of ``self.x = Collaborator(...)``
 attributes), trace-emission sites with their payload callees, clock/RNG
 touch points, wrapper installs over foreign attributes, and module-global
 reads/writes.  :class:`Program` bundles the table, the facts and the
-cross-cutting indexes the flow rules (RPR009–RPR012) consume.
+cross-cutting indexes the flow rules (RPR009–RPR014) consume.
 
 Everything here is deliberately *bounded*: no fixpoint iteration beyond
 two alias passes, no flow joins, no heap model.  Unresolvable calls stay

@@ -1,4 +1,4 @@
-"""Whole-program flow rules RPR009–RPR012.
+"""Whole-program flow rules RPR009–RPR014.
 
 Each rule is the static shadow of a runtime invariant the differential
 test suite checks dynamically (DESIGN.md §9 maps them one-to-one):

@@ -7,7 +7,7 @@ Usage::
     repro-lint src/ --deep                 # + whole-program flow rules
     repro-lint src/repro/core/tracer.py --rules RPR003,RPR004
 
-``--deep`` layers the flow pass (RPR009..RPR012, see
+``--deep`` layers the flow pass (RPR009..RPR014, see
 :mod:`repro.checkers.flow`) on top of the per-file rules.  Both passes
 share one :class:`~repro.checkers.framework.SourceFile` per file, so a
 deep run reads and parses every file exactly once.
@@ -118,7 +118,7 @@ def _select_rule_ids(spec: Optional[str],
                      deep: bool) -> Tuple[Optional[List[str]],
                                           Optional[List[str]]]:
     """(shallow IDs, flow IDs) selected by ``--rules``; None = all."""
-    # Importing the flow package registers RPR009..RPR012.
+    # Importing the flow package registers RPR009..RPR014.
     from . import flow  # noqa: F401
 
     if not spec:
@@ -145,7 +145,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="Repo-specific lint for the SoftTRR reproduction "
-                    "(rules RPR001..RPR008; --deep adds RPR009..RPR012).",
+                    "(rules RPR001..RPR008; --deep adds RPR009..RPR014).",
     )
     parser.add_argument("paths", nargs="*",
                         help="files or directories to lint")
@@ -155,7 +155,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="comma-separated rule IDs to run (default: all)")
     parser.add_argument("--deep", action="store_true",
                         help="also run the whole-program flow pass "
-                             "(RPR009..RPR012) on the same parsed ASTs")
+                             "(RPR009..RPR014) on the same parsed ASTs")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the known rules and exit")
     args = parser.parse_args(argv)
