@@ -26,10 +26,10 @@ from conftest import run_group
 
 from repro.analysis.tables import render_matrix
 from repro.config import tiny_machine
-from repro.defenses.base import boot_kernel
 from repro.defenses.catt import CattDefense
 from repro.errors import DefenseError
 from repro.kernel.physmem import FrameUse
+from repro.machine import Machine
 
 EXPECTED = {
     "baselines-vanilla-memory_spray": "bypassed",
@@ -60,7 +60,8 @@ def test_baseline_matrix(benchmark, announce):
     got = {result.name: result.payload["verdict"] for result in results}
     assert got == EXPECTED
 
-    kernel = boot_kernel(tiny_machine(), defense := CattDefense())
+    defense = CattDefense()
+    kernel = Machine.from_parts(tiny_machine(), defense).kernel
     user_frame = kernel.alloc_frame(FrameUse.USER)
     kernel.free_frame(user_frame)
 

@@ -26,8 +26,8 @@ from repro.attacks.memory_spray import MemorySprayAttack
 from repro.config import tiny_machine
 from repro.core.profile import SoftTrrParams
 from repro.core.softtrr import SoftTrr
-from repro.defenses.base import boot_kernel
 from repro.errors import TemplatingError
+from repro.machine import Machine
 
 BASE_ROUNDS = scale(4000, 8000)
 
@@ -39,7 +39,7 @@ TINY_PARAMS = dict(timer_inr_ns=50_000)
 
 
 def run_cell(attack_distance: int, defense_distance: int) -> str:
-    kernel = boot_kernel(tiny_machine())
+    kernel = Machine.from_parts(tiny_machine()).kernel
     rounds = int(BASE_ROUNDS / (0.5 ** (attack_distance - 1)))
     attack = MemorySprayAttack(
         kernel, m=1, region_pages=256, template_rounds=rounds,
@@ -81,7 +81,7 @@ def test_distance_sweep(benchmark, announce):
     assert results[(2, 1)] == "BYPASSED"    # the ZebRAM failure mode
     assert results[(2, 6)] == "blocked"     # SoftTRR's fix
 
-    kernel = boot_kernel(tiny_machine())
+    kernel = Machine.from_parts(tiny_machine()).kernel
     module = SoftTrr(SoftTrrParams(max_distance=6, **TINY_PARAMS))
     kernel.load_module("softtrr", module)
     proc = kernel.create_process("app")

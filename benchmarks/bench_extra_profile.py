@@ -18,15 +18,15 @@ from repro.clock import NS_PER_MS
 from repro.config import optiplex_990
 from repro.core.profile import OfflineProfile, SoftTrrParams
 from repro.core.softtrr import SoftTrr
-from repro.defenses.base import boot_kernel
 from repro.dram.timing import DDR3_TIMINGS, DDR4_TIMINGS
+from repro.machine import Machine
 
 ROUNDS = scale(16_000, 22_000)
 
 
 def run_attack_with_params(params: SoftTrrParams) -> int:
     """Flipped-L1PT count for one memory-spray run under ``params``."""
-    kernel = boot_kernel(optiplex_990())
+    kernel = Machine.from_parts(optiplex_990()).kernel
     attack = MemorySprayAttack(kernel, m=1, region_pages=288,
                                template_rounds=ROUNDS,
                                pattern_override="double_sided")

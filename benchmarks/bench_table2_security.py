@@ -19,7 +19,8 @@ from repro.attacks.memory_spray import MemorySprayAttack
 from repro.config import optiplex_390
 from repro.core.profile import SoftTrrParams
 from repro.patterns import round_robin
-from repro.defenses.base import SoftTrrDefense, boot_kernel
+from repro.defenses.base import SoftTrrDefense
+from repro.machine import Machine
 
 
 def test_table2_security(benchmark, announce):
@@ -36,7 +37,7 @@ def test_table2_security(benchmark, announce):
                 f"{result.name}: SoftTRR failed to protect"
     # Benchmark: one defended hammer burst in steady state.
     params = group_specs("table2")[0].params
-    kernel = boot_kernel(optiplex_390())
+    kernel = Machine.from_parts(optiplex_390()).kernel
     attack = MemorySprayAttack(kernel, m=1,
                                region_pages=params["region_pages"],
                                template_rounds=params["template_rounds"])

@@ -17,12 +17,11 @@ of thousands of simulated activations per candidate row.)
 
 import argparse
 
-from repro import NS_PER_MS, SoftTrr, SoftTrrParams
+from repro import NS_PER_MS, Machine, SoftTrr, SoftTrrParams
 from repro.attacks.cattmew import CattmewAttack
 from repro.attacks.memory_spray import MemorySprayAttack
 from repro.attacks.pthammer import PthammerAttack
 from repro.config import optiplex_390, optiplex_990, thinkpad_x230
-from repro.defenses.base import boot_kernel
 
 SCENARIOS = (
     ("Memory Spray [41], 3-sided (TRRespass)", optiplex_390,
@@ -35,7 +34,7 @@ SCENARIOS = (
 
 
 def run(attack_cls, spec_factory, hammer_ns, m, softtrr):
-    kernel = boot_kernel(spec_factory())
+    kernel = Machine.from_parts(spec_factory()).kernel
     attack = attack_cls(kernel, m=m, region_pages=288,
                         template_rounds=16_000)
     attack.setup()

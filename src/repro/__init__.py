@@ -57,7 +57,7 @@ from .errors import SanitizerViolationError
 from .faults import FAULT_SITES, FaultPlan, FaultSpec
 from .kernel.kernel import Kernel
 from .kernel.physmem import FrameUse
-from .machine import Machine, MachineConfig, MachineSnapshot, boot_kernel
+from .machine import Machine, MachineConfig, MachineSnapshot
 from .scenarios import (
     SCENARIOS,
     ScenarioResult,
@@ -110,7 +110,6 @@ __all__ = [
     "Machine",
     "MachineConfig",
     "MachineSnapshot",
-    "boot_kernel",
     "SCENARIOS",
     "ScenarioResult",
     "ScenarioSpec",

@@ -6,9 +6,9 @@ Three halves:
   rules (RPR001..RPR008), runnable as ``python -m repro.checkers.lint
   src/`` or via the ``repro-lint`` entry point.
 * :mod:`repro.checkers.flow` — a whole-program flow pass (RPR009..
-  RPR012: trace purity, RNG provenance, snapshot safety, sweep
-  picklability), runnable as ``repro-lint --deep`` or the standalone
-  ``repro-analyze`` CLI.
+  RPR014: trace purity, RNG provenance, snapshot safety, sweep
+  picklability, tracker layering, pattern compile purity), runnable as
+  ``repro-lint --deep``.
 * :mod:`repro.checkers.sanitizers` — runtime invariant checks that
   install at the simulation's choke points and accumulate violations
   into a :class:`~repro.checkers.report.SanitizerReport`.

@@ -1,10 +1,10 @@
-"""Whole-program flow analysis (``repro-analyze`` / ``repro-lint --deep``).
+"""Whole-program flow analysis (``repro-lint --deep`` / ``--graph``).
 
 Layered on the per-file lint framework: :mod:`.symbols` builds a
 cross-module symbol table, :mod:`.callgraph` resolves calls and collects
 per-function facts, :mod:`.taint` runs reachability, and
-:mod:`.rules_flow` implements RPR009–RPR014 on top.  :mod:`.analyze` is
-the CLI.
+:mod:`.rules_flow` implements RPR009–RPR014 on top.  The CLI is
+:mod:`repro.checkers.lint`.
 
 Importing this package registers the flow rules in the shared registry.
 """

@@ -197,7 +197,7 @@ class Program:
         if not (root / "__init__.py").exists():
             raise CallGraphError(
                 f"{root} is not a package (no __init__.py); point "
-                "repro-analyze at a package directory such as src/repro")
+                "repro-lint --deep at a package directory such as src/repro")
         sources = []
         for path in sorted(root.rglob("*.py")):
             sf = SourceFile.load(path)

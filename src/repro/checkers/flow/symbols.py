@@ -177,15 +177,6 @@ class SymbolTable:
             table.modules[module_name] = _index_module(sf, module_name)
         return table
 
-    @classmethod
-    def from_root(cls, root: Path) -> "SymbolTable":
-        """Parse every ``.py`` file under package directory ``root``."""
-        sources: List[Tuple[SourceFile, str]] = []
-        for path in sorted(root.rglob("*.py")):
-            sf = SourceFile.load(path)
-            sources.append((sf, module_name_for(path, root)))
-        return cls.build(sources)
-
     # ---------------------------------------------------------- resolve
     def resolve(self, module: str, dotted: str,
                 _seen: Optional[Set[Tuple[str, str]]] = None):

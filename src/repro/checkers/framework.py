@@ -9,9 +9,9 @@ Two passes share this module:
 
 Rules are small classes (:class:`LintRule` for shallow,
 ``FlowRule`` for flow) producing :class:`Finding` objects.  Both kinds
-register themselves here through :func:`register_rule`, so the CLIs,
-``--list-rules`` and rule-ID validation all read one registry, and
-future RPR0xx rules are one-class additions.
+register themselves here through :func:`register_rule`, so
+``repro-lint``, ``--list-rules`` and rule-ID validation all read one
+registry, and future RPR0xx rules are one-class additions.
 
 The framework owns file I/O (:class:`SourceFile` caches the parsed AST
 so the shallow and deep passes never re-read or re-parse a file),
@@ -50,8 +50,8 @@ class Finding:
     col: int
     message: str
     #: Enclosing symbol (``pkg.mod.Class.method``) when the producing
-    #: pass knows it — flow findings carry it so baselines stay stable
-    #: across unrelated line drift.
+    #: pass knows it — flow findings carry it so a report names the
+    #: function a whole-program chain starts from.
     symbol: str = ""
 
     def format_text(self) -> str:
@@ -70,18 +70,6 @@ class Finding:
         if self.symbol:
             out["symbol"] = self.symbol
         return out
-
-    def fingerprint(self) -> str:
-        """A line-independent identity used by baseline files.
-
-        Stable across edits that only move code vertically: rule, file,
-        enclosing symbol and a digest of the message (which never embeds
-        line numbers).
-        """
-        import hashlib
-
-        digest = hashlib.md5(self.message.encode("utf-8")).hexdigest()[:10]
-        return f"{self.rule_id}|{self.path}|{self.symbol}|{digest}"
 
 
 def path_matches(rel_path: str, allowed: Sequence[str]) -> bool:

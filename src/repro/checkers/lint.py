@@ -4,13 +4,17 @@ Usage::
 
     python -m repro.checkers.lint src/
     repro-lint src/ --format json
-    repro-lint src/ --deep                 # + whole-program flow rules
+    repro-lint src/repro --deep            # + whole-program flow rules
+    repro-lint src/repro --graph           # resolved call-graph dump
     repro-lint src/repro/core/tracer.py --rules RPR003,RPR004
 
 ``--deep`` layers the flow pass (RPR009..RPR014, see
 :mod:`repro.checkers.flow`) on top of the per-file rules.  Both passes
 share one :class:`~repro.checkers.framework.SourceFile` per file, so a
-deep run reads and parses every file exactly once.
+deep run reads and parses every file exactly once.  The flow pass
+resolves names across modules, so under ``--deep`` and ``--graph``
+every file must sit inside a package (a directory with
+``__init__.py``); a file outside one is a usage error, never skipped.
 
 Exit codes: 0 = clean, 1 = findings, 2 = usage or parse error.
 """
@@ -83,35 +87,57 @@ def lint_paths(
     return lint_sources(load_sources(paths), rules)
 
 
-def deep_findings(sources: Sequence[SourceFile],
-                  rule_ids: Optional[Sequence[str]] = None) -> List[Finding]:
-    """Run the flow pass over the *same* parsed sources (no re-parse).
+def package_sources(
+        sources: Sequence[SourceFile],
+) -> Dict[Path, List[Tuple[SourceFile, str]]]:
+    """Group sources by enclosing package root, with module names.
 
-    Files are grouped by their enclosing package root; files outside any
-    package (no ``__init__.py`` chain) cannot take part in cross-module
-    resolution and are skipped by the flow pass.
+    Raises :class:`ValueError` naming the first file outside any
+    package (no ``__init__.py`` chain): the flow pass cannot resolve
+    its imports, and skipping it would pass vacuously.
     """
-    from .flow import Program, flow_rules, run_flow_rules
     from .flow.symbols import module_name_for, package_root_of
 
     by_root: Dict[Path, List[Tuple[SourceFile, str]]] = {}
     for sf in sources:
-        if sf.path is None:
-            continue
         root = package_root_of(sf.path)
         if not (root / "__init__.py").exists():
-            continue
+            raise ValueError(
+                f"{sf.rel_path} is not inside a package (no __init__.py); "
+                "--deep and --graph analyse package directories such as "
+                "src/repro")
         by_root.setdefault(root, []).append(
             (sf, module_name_for(sf.path, root)))
+    return by_root
+
+
+def deep_findings(sources: Sequence[SourceFile],
+                  rule_ids: Optional[Sequence[str]] = None) -> List[Finding]:
+    """Run the flow pass over the *same* parsed sources (no re-parse)."""
+    from .flow import Program, flow_rules, run_flow_rules
+
     chosen = flow_rules()
     if rule_ids is not None:
         wanted = {rid.upper() for rid in rule_ids}
         chosen = tuple(r for r in chosen if r.rule_id in wanted)
     findings: List[Finding] = []
-    for root in sorted(by_root):
-        program = Program.from_sources(by_root[root])
-        findings.extend(run_flow_rules(program, chosen))
+    for _, members in sorted(package_sources(sources).items()):
+        findings.extend(run_flow_rules(Program.from_sources(members), chosen))
     return findings
+
+
+def graph_json(sources: Sequence[SourceFile]) -> str:
+    """The resolved call graph of the one package under ``sources``."""
+    from .flow import Program
+
+    packages = package_sources(sources)
+    if len(packages) != 1:
+        roots = ", ".join(root.as_posix() for root in sorted(packages))
+        raise ValueError(
+            f"--graph needs files from exactly one package, got {roots}")
+    (members,) = packages.values()
+    return json.dumps(Program.from_sources(members).graph_dict(),
+                      indent=2, sort_keys=True)
 
 
 def _select_rule_ids(spec: Optional[str],
@@ -121,10 +147,12 @@ def _select_rule_ids(spec: Optional[str],
     # Importing the flow package registers RPR009..RPR014.
     from . import flow  # noqa: F401
 
-    if not spec:
+    if spec is None:
         return None, None
     wanted = {token.strip().upper()
               for token in spec.split(",") if token.strip()}
+    if not wanted:
+        raise ValueError(f"--rules {spec!r} names no rule IDs")
     known = {cls.rule_id for cls in registered_rule_classes()}
     unknown = wanted - known
     if unknown:
@@ -156,6 +184,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--deep", action="store_true",
                         help="also run the whole-program flow pass "
                              "(RPR009..RPR014) on the same parsed ASTs")
+    parser.add_argument("--graph", action="store_true",
+                        help="print the resolved call graph of the package "
+                             "under PATHS as JSON and exit")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the known rules and exit")
     args = parser.parse_args(argv)
@@ -174,6 +205,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         shallow_ids, flow_ids = _select_rule_ids(args.rules, args.deep)
         sources = load_sources(args.paths)
+        if not sources:
+            raise ValueError(
+                f"no .py files under {' '.join(args.paths)}")
+        if args.graph:
+            print(graph_json(sources))
+            return 0
         shallow_rules = tuple(default_rules())
         if shallow_ids is not None:
             shallow_rules = tuple(r for r in shallow_rules

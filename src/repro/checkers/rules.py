@@ -295,8 +295,7 @@ class MachineAssemblyRule(LintRule):
             yield self.finding(
                 ctx, node,
                 f"direct {name}() construction; assemble through "
-                "repro.machine.Machine (or Machine.from_parts / "
-                "boot_kernel)",
+                "repro.machine.Machine (or Machine.from_parts)",
             )
 
 

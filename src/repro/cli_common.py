@@ -1,19 +1,16 @@
 """Shared argparse conventions for the ``repro-*`` command-line tools.
 
-Every CLI in this repo (``repro-sweep``, ``repro-fleet``,
-``repro-fuzz``, ``repro-perfbench``, ``repro-trace``, ``repro-lint``,
-``repro-analyze``) historically grew its own spellings for the same
-knobs (``--workers`` vs ``--jobs``, ``--output`` vs ``--out``).  This module pins the canonical flags and
-exit codes; the old spellings stay as hidden aliases so existing
-invocations keep working.
+The campaign CLIs (``repro-sweep``, ``repro-fleet``, ``repro-fuzz``,
+``repro-perfbench``, ``repro-trace``) spell each shared knob one way.
+This module pins those flags and the exit codes.
 
 Canonical flags (each CLI opts in to the subset it needs):
 
 * ``--seed N`` — deterministic RNG root for the run;
-* ``--jobs N`` (alias ``--workers``) — parallel worker count;
+* ``--jobs N`` — parallel worker count;
 * ``--json`` — machine-readable output on stdout;
 * ``--check`` — gate mode: validate and exit non-zero on failure;
-* ``--out PATH`` (alias ``--output``) — artifact destination.
+* ``--out PATH`` — artifact destination.
 
 Exit codes: ``EXIT_OK`` (0) success, ``EXIT_CHECK_FAILED`` (1) a
 ``--check`` gate or the tool's own validation failed,
@@ -71,10 +68,9 @@ def add_seed_option(parser: argparse.ArgumentParser,
 
 def add_jobs_option(parser: argparse.ArgumentParser,
                     default: int = 1) -> None:
-    """``--jobs N`` (alias ``--workers``): parallel worker count."""
+    """``--jobs N``: parallel worker count."""
     parser.add_argument(
-        "--jobs", "--workers", dest="jobs", type=int, default=default,
-        metavar="N",
+        "--jobs", type=int, default=default, metavar="N",
         help=f"parallel worker processes (default {default}; "
              "1 runs serially)")
 
@@ -116,9 +112,9 @@ def add_check_option(parser: argparse.ArgumentParser,
 def add_out_option(parser: argparse.ArgumentParser,
                    default: Optional[str] = None,
                    help_text: Optional[str] = None) -> None:
-    """``--out PATH`` (alias ``--output``): artifact destination."""
+    """``--out PATH``: artifact destination."""
     parser.add_argument(
-        "--out", "--output", dest="out", default=default, metavar="PATH",
+        "--out", default=default, metavar="PATH",
         help=help_text or (
             f"write results to PATH (default {default})" if default
             else "write results to PATH"))

@@ -18,9 +18,8 @@
 * :mod:`repro.defenses.trackers` — the pluggable tracker zoo (ChipTRR,
   PARA, Misra-Gries/Graphene, PTMP, DAPPER) riding the DRAM module's
   activation feed.
-* :mod:`repro.defenses.base`   — the common interface, the
-  ``@register_defense`` registry and the ``boot_kernel`` helper the
-  security benches use.
+* :mod:`repro.defenses.base`   — the common interface and the
+  ``@register_defense`` registry.
 """
 
 from .base import (
@@ -29,7 +28,6 @@ from .base import (
     DefenseRegistry,
     NoDefense,
     SoftTrrDefense,
-    boot_kernel,
     register_defense,
 )
 from .catt import CattDefense, RegionPolicy
@@ -51,7 +49,6 @@ __all__ = [
     "DefenseRegistry",
     "NoDefense",
     "SoftTrrDefense",
-    "boot_kernel",
     "register_defense",
     "DEFENSES",
     "ChipTrrDefense",

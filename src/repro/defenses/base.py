@@ -1,4 +1,4 @@
-"""Common defense interface and kernel-boot helper.
+"""Common defense interface and registry.
 
 A defense can contribute two things:
 
@@ -6,8 +6,9 @@ A defense can contribute two things:
   and ZebRAM are), installed at boot; and/or
 * a *module* installed after boot (what ANVIL and SoftTRR are).
 
-``boot_kernel(spec, defense)`` builds a machine with both applied, which
-is what the security benches iterate over.
+``Machine.from_parts(spec, defense)`` (:mod:`repro.machine`) builds a
+machine with both applied, which is what the security benches iterate
+over.
 
 Defenses self-register by decorating their class with
 :func:`register_defense`; ``DEFENSES`` is the resulting name -> factory
@@ -21,7 +22,6 @@ import importlib
 from collections.abc import Mapping
 from typing import Callable, Dict, Iterator, Optional
 
-from ..config import MachineSpec
 from ..core.profile import SoftTrrParams
 from ..core.softtrr import SoftTrr
 from ..kernel.kernel import Kernel
@@ -154,13 +154,3 @@ class SoftTrrDefense(Defense):
 
     def module_name(self) -> Optional[str]:
         return "softtrr"
-
-
-def boot_kernel(spec: MachineSpec, defense: Optional[Defense] = None) -> Kernel:
-    """Boot a machine with a defense applied (policy + module).
-
-    Compatibility alias: assembly itself lives in :mod:`repro.machine`.
-    """
-    from ..machine import Machine
-
-    return Machine.from_parts(spec, defense).kernel

@@ -308,34 +308,6 @@ class DramModule:
                        count=engine.total_deposits - deposits_before)
             trace.span_end("dram.hammer_batch", span_start)
 
-    def access_batch(self, paddrs) -> None:
-        """Batched line transactions: ``for p in paddrs:
-        self._transact_line(p)``, with consecutive repeats of the same
-        line collapsed into a :meth:`BankState.hit_run` under the
-        open-page policy (a repeat of the just-opened row is always a
-        row-buffer hit, so no disturbance/TRR work is involved)."""
-        n = len(paddrs)
-        open_page = self.row_policy is RowBufferPolicy.OPEN_PAGE
-        hit_ns = self.timings.hit_latency_ns
-        i = 0
-        while i < n:
-            paddr = paddrs[i]
-            j = i + 1
-            while j < n and paddrs[j] == paddr:
-                j += 1
-            run = j - i
-            self._transact_line(paddr)
-            if run > 1:
-                dram = self.mapping.phys_to_dram(paddr)
-                state = self._banks[dram.bank]
-                if open_page and state.open_row == dram.row:
-                    state.hit_run(dram.row, run - 1)
-                    self.clock.advance((run - 1) * hit_ns)
-                else:
-                    for _ in range(run - 1):
-                        self._transact_line(paddr)
-            i = j
-
     def write_run(self, paddr: int, payload: bytes, count: int) -> bool:
         """Replay ``count`` identical architectural writes of ``payload``.
 

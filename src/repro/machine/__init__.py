@@ -8,12 +8,11 @@ RPR006's business.  See :mod:`repro.machine.machine` for the facade and
 """
 
 from .config import MachineConfig, build_defense
-from .machine import Machine, MachineSnapshot, boot_kernel
+from .machine import Machine, MachineSnapshot
 
 __all__ = [
     "Machine",
     "MachineConfig",
     "MachineSnapshot",
-    "boot_kernel",
     "build_defense",
 ]

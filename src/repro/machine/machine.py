@@ -30,7 +30,7 @@ from ..config import MachineSpec
 from ..kernel.kernel import Kernel
 from .config import MachineConfig
 
-__all__ = ["Machine", "MachineSnapshot", "boot_kernel"]
+__all__ = ["Machine", "MachineSnapshot"]
 
 
 class MachineSnapshot:
@@ -58,7 +58,7 @@ class Machine:
     Build declaratively — ``Machine(MachineConfig(machine="perf_testbed",
     defense="softtrr"))`` or the equivalent ``Machine(machine=...,
     defense=...)`` keyword form — or from pre-built parts with
-    :meth:`from_parts` (the compatibility path ``boot_kernel`` uses).
+    :meth:`from_parts`.
     """
 
     def __init__(self, config: Optional[MachineConfig] = None, **overrides) -> None:
@@ -273,12 +273,3 @@ class Machine:
         if injector is not None:
             injector.install()
         return self
-
-
-def boot_kernel(spec: MachineSpec, defense=None) -> Kernel:
-    """Boot a machine with a defense applied; returns the kernel.
-
-    Compatibility shim for the pre-``Machine`` API — equivalent to
-    ``Machine.from_parts(spec, defense).kernel``.
-    """
-    return Machine.from_parts(spec, defense).kernel

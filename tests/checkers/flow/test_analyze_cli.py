@@ -1,9 +1,10 @@
-"""CLI tests for ``repro-analyze`` and ``repro-lint --deep``.
+"""CLI tests for the flow pass behind ``repro-lint --deep`` / ``--graph``.
 
-Covers the acceptance bar: ``repro-analyze --check`` exits 0 on the
-real ``src/repro`` tree; a seeded violation turns the exit non-zero;
-baselines grandfather known findings; and the deep pass reuses the
-shallow pass's parsed ASTs (one ``ast.parse`` per file, total).
+Covers the acceptance bar: ``repro-lint src/repro --deep`` exits 0 on
+the real tree; a seeded violation turns the exit non-zero; a tree the
+flow pass cannot analyse is a usage error rather than a vacuous pass;
+and the deep pass reuses the shallow pass's parsed ASTs (one
+``ast.parse`` per file, total).
 """
 
 import ast
@@ -11,16 +12,16 @@ import json
 import shutil
 from pathlib import Path
 
-import pytest
-
 from repro.checkers import framework
-from repro.checkers.flow.analyze import BASELINE_NAME, main as analyze_main
 from repro.checkers.lint import main as lint_main
 from repro.cli_common import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE
 
 REPO_ROOT = Path(__file__).resolve().parents[3]
 SRC_REPRO = REPO_ROOT / "src" / "repro"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+#: The flow rules alone: the mini-fixtures skip ``__all__`` in their
+#: package inits, which the shallow RPR005 would flag.
+FLOW_RULES = "RPR009,RPR010,RPR011,RPR012,RPR013,RPR014"
 
 
 def copy_fixture(tmp_path, name):
@@ -32,18 +33,19 @@ def copy_fixture(tmp_path, name):
 # ------------------------------------------------------------ self-check
 def test_analyze_check_clean_on_real_tree(capsys):
     """The committed src/repro tree carries zero unsuppressed findings."""
-    assert analyze_main([str(SRC_REPRO), "--check"]) == EXIT_OK
-    out = capsys.readouterr()
-    assert "0 finding(s)" in out.err
+    assert lint_main([str(SRC_REPRO), "--deep"]) == EXIT_OK
+    assert capsys.readouterr().out == ""
 
 
 def test_seeded_violation_fails_the_gate(tmp_path, capsys):
     """A clock read smuggled into a trace payload flips the exit code."""
     root = copy_fixture(tmp_path, "rpr009_good")
+    assert lint_main([str(root), "--deep", "--rules", FLOW_RULES]) == EXIT_OK
     helpers = root / "helpers.py"
     helpers.write_text(helpers.read_text().replace(
         "return value + 1", "return value + value.now_ns"))
-    assert analyze_main([str(root), "--check"]) == EXIT_CHECK_FAILED
+    assert lint_main([str(root), "--deep", "--rules", FLOW_RULES]) \
+        == EXIT_CHECK_FAILED
     out = capsys.readouterr()
     assert "RPR009" in out.out
 
@@ -51,93 +53,61 @@ def test_seeded_violation_fails_the_gate(tmp_path, capsys):
 # ------------------------------------------------------------ output modes
 def test_json_report_shape(tmp_path, capsys):
     root = copy_fixture(tmp_path, "rpr010_bad")
-    assert analyze_main([str(root), "--json"]) == EXIT_CHECK_FAILED
+    assert lint_main([str(root), "--deep", "--rules", FLOW_RULES,
+                      "--format", "json"]) == EXIT_CHECK_FAILED
     report = json.loads(capsys.readouterr().out)
     assert report["count"] == 2
-    assert report["grandfathered"] == 0
-    assert report["rules"] == [
-        "RPR009", "RPR010", "RPR011", "RPR012", "RPR013", "RPR014"]
+    assert report["files"] == len(list(root.rglob("*.py")))
+    assert report["deep"] is True
     assert report["wall_time_s"] >= 0
     assert {f["rule_id"] for f in report["findings"]} == {"RPR010"}
     assert all("symbol" in f for f in report["findings"])
 
 
-def test_out_writes_report_file(tmp_path, capsys):
-    root = copy_fixture(tmp_path, "rpr010_good")
-    out_path = tmp_path / "report.json"
-    assert analyze_main(
-        [str(root), "--json", "--out", str(out_path)]) == EXIT_OK
-    report = json.loads(out_path.read_text())
-    assert report["count"] == 0
-    capsys.readouterr()
-
-
 def test_graph_dump_contains_resolved_edges(tmp_path, capsys):
     root = copy_fixture(tmp_path, "rpr009_bad")
-    assert analyze_main([str(root), "--graph"]) == EXIT_OK
+    assert lint_main([str(root), "--graph"]) == EXIT_OK
     graph = json.loads(capsys.readouterr().out)
     edges = graph["edges"]["rpr009_bad.helpers.describe"]
     assert "rpr009_bad.helpers.transitive" in edges
+    # One graph per run: two packages under PATHS are a usage error.
+    other = copy_fixture(tmp_path, "rpr010_bad")
+    assert lint_main([str(root), str(other), "--graph"]) == EXIT_USAGE
+    assert "exactly one package" in capsys.readouterr().err
 
 
 def test_list_rules_and_rule_selection(tmp_path, capsys):
-    assert analyze_main(["--list-rules"]) == EXIT_OK
+    assert lint_main(["--list-rules"]) == EXIT_OK
     listed = capsys.readouterr().out
-    for rule_id in ("RPR009", "RPR010", "RPR011", "RPR012"):
-        assert rule_id in listed
+    for rule_id in FLOW_RULES.split(","):
+        assert f"{rule_id}  [flow]" in listed
     root = copy_fixture(tmp_path, "rpr010_bad")
     # Selecting a different rule silences the RPR010 findings.
-    assert analyze_main([str(root), "--rules", "RPR011"]) == EXIT_OK
-    assert analyze_main([str(root), "--rules", "RPR999"]) == EXIT_USAGE
+    assert lint_main([str(root), "--deep", "--rules", "RPR011"]) == EXIT_OK
+    assert lint_main([str(root), "--deep", "--rules", "RPR999"]) \
+        == EXIT_USAGE
     capsys.readouterr()
 
 
 def test_bad_root_is_a_usage_error(tmp_path, capsys):
-    assert analyze_main([str(tmp_path / "missing")]) == EXIT_USAGE
-    # A directory that is not a package is rejected with a hint.
-    (tmp_path / "plain").mkdir()
-    assert analyze_main([str(tmp_path / "plain")]) == EXIT_USAGE
-    assert "package" in capsys.readouterr().err
+    assert lint_main([str(tmp_path / "missing"), "--deep"]) == EXIT_USAGE
+    # A directory with nothing to lint is rejected, naming it.
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert lint_main([str(plain), "--deep"]) == EXIT_USAGE
+    assert str(plain) in capsys.readouterr().err
 
 
-# -------------------------------------------------------------- baseline
-def test_baseline_grandfathers_known_findings(tmp_path, capsys):
-    root = copy_fixture(tmp_path, "rpr010_bad")
-    baseline = tmp_path / BASELINE_NAME
-    assert analyze_main(
-        [str(root), "--write-baseline", "--baseline", str(baseline)]) \
-        == EXIT_OK
-    fingerprints = json.loads(baseline.read_text())["fingerprints"]
-    assert len(fingerprints) == 2
-    # With the baseline, the same findings no longer fail the gate...
-    assert analyze_main(
-        [str(root), "--check", "--json", "--baseline", str(baseline)]) \
-        == EXIT_OK
-    capsys.readouterr()
-    # ...and the default discovery finds a baseline placed above root.
-    assert analyze_main([str(root), "--check"]) == EXIT_OK
-    capsys.readouterr()
-    # A *new* violation still fails despite the baseline.
-    (root / "fresh.py").write_text(
-        "import random\n\n\ndef fresh():\n    return random.Random(7)\n")
-    assert analyze_main(
-        [str(root), "--check", "--baseline", str(baseline)]) \
-        == EXIT_CHECK_FAILED
-    report = capsys.readouterr()
-    assert "fresh.py" in report.out
-
-
-def test_baseline_fingerprints_survive_line_drift(tmp_path, capsys):
-    root = copy_fixture(tmp_path, "rpr010_bad")
-    baseline = tmp_path / BASELINE_NAME
-    assert analyze_main(
-        [str(root), "--write-baseline", "--baseline", str(baseline)]) \
-        == EXIT_OK
-    user = root / "user.py"
-    user.write_text('"""Moved down."""\n\n\n' + user.read_text())
-    assert analyze_main(
-        [str(root), "--check", "--baseline", str(baseline)]) == EXIT_OK
-    capsys.readouterr()
+def test_deep_outside_a_package_is_a_usage_error(tmp_path, capsys):
+    """The flow pass never skips a file it cannot analyse."""
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    (plain / "mod.py").write_text(
+        "import random\n\n\ndef make():\n    return random.Random(7)\n")
+    for flags in (["--deep", "--rules", "RPR010"], ["--graph"]):
+        assert lint_main([str(plain)] + flags) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert (plain / "mod.py").as_posix() in err and "package" in err
 
 
 # -------------------------------------------------- repro-lint --deep

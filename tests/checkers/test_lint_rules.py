@@ -219,7 +219,7 @@ class TestMachineAssemblyRule:
 
     def test_facade_spelling_ignored(self):
         assert run("m = Machine(machine='perf_testbed')\n"
-                   "k = boot_kernel(spec)\n",
+                   "k = Machine.from_parts(spec).kernel\n",
                    rules=[MachineAssemblyRule()]) == []
 
 

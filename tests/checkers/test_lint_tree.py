@@ -85,6 +85,17 @@ class TestCliErrors:
         assert main([str(SRC), "--rules", "RPR999"]) == 2
         assert "RPR999" in capsys.readouterr().err
 
+    def test_empty_rule_list_exits_2(self, tmp_path, capsys):
+        """Selecting zero rules is a usage error, not a clean pass."""
+        pkg = seed_tree(tmp_path)
+        for spec in (",", ""):
+            assert main([str(pkg), "--rules", spec]) == 2
+            assert "names no rule IDs" in capsys.readouterr().err
+
+    def test_no_python_files_exits_2(self, tmp_path, capsys):
+        assert main([str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("def broken(:\n")

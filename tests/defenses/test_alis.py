@@ -6,11 +6,11 @@ from repro.attacks.cattmew import CattmewAttack
 from repro.attacks.memory_spray import MemorySprayAttack
 from repro.config import tiny_machine
 from repro.defenses.alis import AlisDefense
-from repro.defenses.base import boot_kernel
 from repro.errors import DefenseError, TemplatingError
 from repro.kernel.devices import SgDevice
 from repro.kernel.physmem import FrameUse
 from repro.kernel.vma import PAGE
+from repro.machine import Machine
 
 KW = dict(m=1, region_pages=192, template_rounds=3000)
 
@@ -18,7 +18,7 @@ KW = dict(m=1, region_pages=192, template_rounds=3000)
 class TestRouting:
     def test_sg_frames_isolated(self):
         defense = AlisDefense()
-        kernel = boot_kernel(tiny_machine(), defense)
+        kernel = Machine.from_parts(tiny_machine(), defense).kernel
         proc = kernel.create_process("app")
         sg = SgDevice(kernel)
         base = sg.alloc_buffer(proc, 2 * PAGE)
@@ -31,7 +31,7 @@ class TestRouting:
 
     def test_sg_rows_never_near_pt_rows(self):
         defense = AlisDefense()
-        kernel = boot_kernel(tiny_machine(), defense)
+        kernel = Machine.from_parts(tiny_machine(), defense).kernel
         proc = kernel.create_process("app")
         base = kernel.mmap(proc, 4 * PAGE)
         for i in range(4):
@@ -53,7 +53,7 @@ class TestCoverage:
         """CATTmew templates through the SG buffer; its vulnerable
         frames live in the isolated DMA region, where the kernel refuses
         to place an L1PT."""
-        kernel = boot_kernel(tiny_machine(), AlisDefense())
+        kernel = Machine.from_parts(tiny_machine(), AlisDefense()).kernel
         # Fit the SG templating region inside the small DMA partition.
         attack = CattmewAttack(kernel, m=1, region_pages=96,
                                template_rounds=3000)
@@ -63,7 +63,7 @@ class TestCoverage:
     def test_memory_spray_unaffected(self):
         """ALIS isolates DMA memory, nothing else: the ordinary
         user-memory attack still corrupts page tables."""
-        kernel = boot_kernel(tiny_machine(), AlisDefense())
+        kernel = Machine.from_parts(tiny_machine(), AlisDefense()).kernel
         attack = MemorySprayAttack(kernel, **KW)
         attack.setup()
         outcome = attack.run(hammer_ns_per_victim=1_500_000)

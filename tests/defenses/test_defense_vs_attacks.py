@@ -16,11 +16,12 @@ from repro.attacks.memory_spray import MemorySprayAttack
 from repro.attacks.pthammer import PthammerSprayAttack
 from repro.config import tiny_machine
 from repro.defenses.anvil import AnvilDefense
-from repro.defenses.base import NoDefense, SoftTrrDefense, boot_kernel
+from repro.defenses.base import NoDefense, SoftTrrDefense
 from repro.defenses.catt import CattDefense
 from repro.defenses.cta import CtaDefense
 from repro.defenses.zebram import ZebramDefense
 from repro.errors import AttackError, DefenseError, TemplatingError
+from repro.machine import Machine
 
 KW = dict(m=1, region_pages=192, template_rounds=3000)
 
@@ -31,20 +32,20 @@ TINY_ANVIL = dict(interval_ns=50_000, miss_threshold=300, row_threshold=3)
 
 class TestCattMatrix:
     def test_catt_blocks_memory_spray_placement(self):
-        kernel = boot_kernel(tiny_machine(), CattDefense())
+        kernel = Machine.from_parts(tiny_machine(), CattDefense()).kernel
         attack = MemorySprayAttack(kernel, **KW)
         with pytest.raises(DefenseError):
             attack.setup()
 
     def test_cattmew_defeats_catt(self):
-        kernel = boot_kernel(tiny_machine(), CattDefense())
+        kernel = Machine.from_parts(tiny_machine(), CattDefense()).kernel
         attack = CattmewAttack(kernel, **KW)
         attack.setup()
         outcome = attack.run(hammer_ns_per_victim=1_500_000)
         assert outcome.succeeded
 
     def test_pthammer_defeats_catt(self):
-        kernel = boot_kernel(tiny_machine(), CattDefense())
+        kernel = Machine.from_parts(tiny_machine(), CattDefense()).kernel
         attack = PthammerSprayAttack(kernel, spray_count=96, victims=1)
         attack.setup()
         outcome = attack.run(hammer_ns_per_victim=4_000_000)
@@ -53,19 +54,19 @@ class TestCattMatrix:
 
 class TestCtaMatrix:
     def test_cta_blocks_memory_spray_placement(self):
-        kernel = boot_kernel(tiny_machine(), CtaDefense())
+        kernel = Machine.from_parts(tiny_machine(), CtaDefense()).kernel
         attack = MemorySprayAttack(kernel, **KW)
         with pytest.raises(DefenseError):
             attack.setup()
 
     def test_cta_blocks_cattmew_placement(self):
-        kernel = boot_kernel(tiny_machine(), CtaDefense())
+        kernel = Machine.from_parts(tiny_machine(), CtaDefense()).kernel
         attack = CattmewAttack(kernel, **KW)
         with pytest.raises(DefenseError):
             attack.setup()
 
     def test_pthammer_defeats_cta(self):
-        kernel = boot_kernel(tiny_machine(), CtaDefense())
+        kernel = Machine.from_parts(tiny_machine(), CtaDefense()).kernel
         attack = PthammerSprayAttack(kernel, spray_count=96, victims=1)
         attack.setup()
         outcome = attack.run(hammer_ns_per_victim=4_000_000)
@@ -75,7 +76,7 @@ class TestCtaMatrix:
 class TestZebramMatrix:
     def test_zebram_starves_distance_one_templating(self):
         """All attacker frames sit in even rows: no +-1 aggressors exist."""
-        kernel = boot_kernel(tiny_machine(), ZebramDefense())
+        kernel = Machine.from_parts(tiny_machine(), ZebramDefense()).kernel
         attack = MemorySprayAttack(kernel, pattern_override="double_sided",
                                    **KW)
         with pytest.raises(TemplatingError):
@@ -84,7 +85,7 @@ class TestZebramMatrix:
     def test_distance_two_hammering_defeats_zebram(self):
         """Kim et al. [26]: flips reach distance >= 2; the stripe is
         jumped entirely (the paper's Section I criticism)."""
-        kernel = boot_kernel(tiny_machine(), ZebramDefense())
+        kernel = Machine.from_parts(tiny_machine(), ZebramDefense()).kernel
         attack = MemorySprayAttack(kernel, pattern_override="distance_two",
                                    m=1, region_pages=224,
                                    template_rounds=5000)
@@ -99,7 +100,7 @@ class TestAnvilMatrix:
         here already at the templating stage (no flippable page can even
         be found while the detector is running)."""
         defense = AnvilDefense(**TINY_ANVIL)
-        kernel = boot_kernel(tiny_machine(), defense)
+        kernel = Machine.from_parts(tiny_machine(), defense).kernel
         attack = MemorySprayAttack(kernel, **KW)
         mitigated = False
         try:
@@ -113,7 +114,7 @@ class TestAnvilMatrix:
 
     def test_anvil_misses_pthammer(self):
         defense = AnvilDefense(**TINY_ANVIL)
-        kernel = boot_kernel(tiny_machine(), defense)
+        kernel = Machine.from_parts(tiny_machine(), defense).kernel
         attack = PthammerSprayAttack(kernel, spray_count=96, victims=1)
         attack.setup()
         outcome = attack.run(hammer_ns_per_victim=4_000_000)
@@ -122,7 +123,7 @@ class TestAnvilMatrix:
 
 class TestVanillaBaseline:
     def test_pthammer_spray_works_on_vanilla(self):
-        kernel = boot_kernel(tiny_machine(), NoDefense())
+        kernel = Machine.from_parts(tiny_machine(), NoDefense()).kernel
         attack = PthammerSprayAttack(kernel, spray_count=96, victims=1)
         attack.setup()
         outcome = attack.run(hammer_ns_per_victim=4_000_000)
@@ -130,7 +131,7 @@ class TestVanillaBaseline:
 
     def test_softtrr_defeats_pthammer_spray(self):
         from repro.core.profile import SoftTrrParams
-        kernel = boot_kernel(tiny_machine(), NoDefense())
+        kernel = Machine.from_parts(tiny_machine(), NoDefense()).kernel
         attack = PthammerSprayAttack(kernel, spray_count=96, victims=1)
         attack.setup()
         SoftTrrDefense(SoftTrrParams(timer_inr_ns=50_000)).install(kernel)

@@ -4,13 +4,14 @@ import pytest
 
 from repro.config import tiny_machine
 from repro.defenses.anvil import AnvilDefense
-from repro.defenses.base import DEFENSES, NoDefense, boot_kernel
+from repro.defenses.base import DEFENSES, NoDefense
 from repro.defenses.catt import CattDefense
 from repro.defenses.cta import CtaDefense
 from repro.defenses.zebram import ZebramDefense
 from repro.errors import DefenseError, OutOfMemoryError
 from repro.kernel.physmem import FrameUse
 from repro.kernel.vma import HUGE, PAGE
+from repro.machine import Machine
 from repro.patterns import round_robin
 
 
@@ -23,7 +24,7 @@ class TestRegistry:
 
 class TestCatt:
     def test_boot_and_basic_operation(self):
-        kernel = boot_kernel(tiny_machine(), CattDefense())
+        kernel = Machine.from_parts(tiny_machine(), CattDefense()).kernel
         proc = kernel.create_process("app")
         base = kernel.mmap(proc, 4 * PAGE)
         kernel.user_write(proc, base, b"works")
@@ -31,7 +32,7 @@ class TestCatt:
 
     def test_partition_separates_uses(self):
         defense = CattDefense()
-        kernel = boot_kernel(tiny_machine(), defense)
+        kernel = Machine.from_parts(tiny_machine(), defense).kernel
         user = kernel.alloc_frame(FrameUse.USER)
         pt = kernel.alloc_frame(FrameUse.PAGE_TABLE)
         sg = kernel.alloc_frame(FrameUse.SG_BUFFER)
@@ -41,7 +42,7 @@ class TestCatt:
 
     def test_guard_rows_exceed_blast_radius(self):
         defense = CattDefense()
-        kernel = boot_kernel(tiny_machine(), defense)
+        kernel = Machine.from_parts(tiny_machine(), defense).kernel
         mapping = kernel.dram.mapping
         pt = kernel.alloc_frame(FrameUse.PAGE_TABLE)
         user = kernel.alloc_frame(FrameUse.USER)
@@ -55,7 +56,7 @@ class TestCatt:
 
     def test_placement_violation_refused(self):
         defense = CattDefense()
-        kernel = boot_kernel(tiny_machine(), defense)
+        kernel = Machine.from_parts(tiny_machine(), defense).kernel
         user = kernel.alloc_frame(FrameUse.USER)
         kernel.free_frame(user)
         with pytest.raises(DefenseError):
@@ -63,7 +64,7 @@ class TestCatt:
 
     def test_compliant_placement_allowed(self):
         defense = CattDefense()
-        kernel = boot_kernel(tiny_machine(), defense)
+        kernel = Machine.from_parts(tiny_machine(), defense).kernel
         pt = kernel.alloc_frame(FrameUse.PAGE_TABLE)
         kernel.free_frame(pt)
         assert defense.policy.alloc_specific(pt, FrameUse.PAGE_TABLE) == pt
@@ -72,7 +73,7 @@ class TestCatt:
 class TestCta:
     def test_pt_region_is_exclusive(self):
         defense = CtaDefense()
-        kernel = boot_kernel(tiny_machine(), defense)
+        kernel = Machine.from_parts(tiny_machine(), defense).kernel
         pt = kernel.alloc_frame(FrameUse.PAGE_TABLE)
         user = kernel.alloc_frame(FrameUse.USER)
         sg = kernel.alloc_frame(FrameUse.SG_BUFFER)
@@ -82,7 +83,7 @@ class TestCta:
 
     def test_sg_cannot_enter_pt_region(self):
         defense = CtaDefense()
-        kernel = boot_kernel(tiny_machine(), defense)
+        kernel = Machine.from_parts(tiny_machine(), defense).kernel
         pt = kernel.alloc_frame(FrameUse.PAGE_TABLE)
         kernel.free_frame(pt)
         with pytest.raises(DefenseError):
@@ -91,7 +92,7 @@ class TestCta:
     def test_pts_remain_mutually_adjacent(self):
         """The PThammer lever: the dedicated region clusters L1PTs."""
         defense = CtaDefense()
-        kernel = boot_kernel(tiny_machine(), defense)
+        kernel = Machine.from_parts(tiny_machine(), defense).kernel
         mapping = kernel.dram.mapping
         frames = [kernel.alloc_frame(FrameUse.PAGE_TABLE) for _ in range(32)]
         locations = {}
@@ -107,26 +108,26 @@ class TestCta:
 class TestZebram:
     def test_all_frames_in_even_rows(self):
         defense = ZebramDefense()
-        kernel = boot_kernel(tiny_machine(), defense)
+        kernel = Machine.from_parts(tiny_machine(), defense).kernel
         mapping = kernel.dram.mapping
         for _ in range(32):
             ppn = kernel.alloc_frame(FrameUse.USER)
             assert all(row % 2 == 0 for _, row in mapping.page_rows(ppn))
 
     def test_capacity_roughly_halved(self):
-        vanilla = boot_kernel(tiny_machine(), NoDefense())
-        zebra = boot_kernel(tiny_machine(), ZebramDefense())
+        vanilla = Machine.from_parts(tiny_machine(), NoDefense()).kernel
+        zebra = Machine.from_parts(tiny_machine(), ZebramDefense()).kernel
         assert zebra.frame_policy.free_frames() < (
             vanilla.frame_policy.free_frames() * 0.6)
 
     def test_huge_pages_unsupported(self):
-        kernel = boot_kernel(tiny_machine(), ZebramDefense())
+        kernel = Machine.from_parts(tiny_machine(), ZebramDefense()).kernel
         with pytest.raises(OutOfMemoryError):
             kernel.alloc_frame(FrameUse.USER, order=9)
 
     def test_unsafe_placement_refused(self):
         defense = ZebramDefense()
-        kernel = boot_kernel(tiny_machine(), defense)
+        kernel = Machine.from_parts(tiny_machine(), defense).kernel
         mapping = kernel.dram.mapping
         odd = next(
             ppn for ppn in range(64, 1024)
@@ -135,7 +136,7 @@ class TestZebram:
             defense.policy.alloc_specific(odd, FrameUse.PAGE_TABLE)
 
     def test_workload_runs(self):
-        kernel = boot_kernel(tiny_machine(), ZebramDefense())
+        kernel = Machine.from_parts(tiny_machine(), ZebramDefense()).kernel
         proc = kernel.create_process("app")
         base = kernel.mmap(proc, 8 * PAGE)
         for i in range(8):
@@ -147,7 +148,7 @@ class TestZebram:
 class TestAnvil:
     def test_module_loads_and_ticks(self):
         defense = AnvilDefense()
-        kernel = boot_kernel(tiny_machine(), defense)
+        kernel = Machine.from_parts(tiny_machine(), defense).kernel
         kernel.clock.advance(5_000_000)
         kernel.dispatch_timers()
         assert defense.module is not None
@@ -157,7 +158,7 @@ class TestAnvil:
     def test_detects_data_hammering(self):
         from repro.attacks.hammer import HammerKit
         defense = AnvilDefense()
-        kernel = boot_kernel(tiny_machine(), defense)
+        kernel = Machine.from_parts(tiny_machine(), defense).kernel
         proc = kernel.create_process("attacker")
         base = kernel.mmap(proc, 64 * PAGE)
         kernel.mlock(proc, base, 64 * PAGE)
@@ -177,7 +178,7 @@ class TestAnvil:
 
     def test_blind_to_walk_activations(self):
         defense = AnvilDefense(miss_threshold=10)
-        kernel = boot_kernel(tiny_machine(), defense)
+        kernel = Machine.from_parts(tiny_machine(), defense).kernel
         # Feed only walker-tagged activations.
         for i in range(5000):
             kernel.dram.hammer(0x4000, 1, origin="walk")

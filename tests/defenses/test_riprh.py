@@ -5,15 +5,15 @@ import pytest
 
 from repro.attacks.hammer import HammerKit
 from repro.config import tiny_machine
-from repro.defenses.base import boot_kernel
 from repro.defenses.riprh import RipRhDefense
 from repro.kernel.physmem import FrameUse
 from repro.kernel.vma import PAGE
+from repro.machine import Machine
 
 
 def booted():
     defense = RipRhDefense()
-    kernel = boot_kernel(tiny_machine(), defense)
+    kernel = Machine.from_parts(tiny_machine(), defense).kernel
     return kernel, defense
 
 

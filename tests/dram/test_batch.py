@@ -2,7 +2,6 @@
 
 Covers the accounting the differential suite cannot isolate on its own:
 origin labels in the PMU sample buffer (``recent_activations``),
-per-bank hit/activation counters under :meth:`DramModule.access_batch`,
 :meth:`BankState.hit_run`'s refusal to mis-count, and
 :meth:`DramModule.write_run`'s precondition checks.
 """
@@ -56,45 +55,6 @@ class TestHammerOriginAccounting:
         dram._transact_line(dram.mapping.dram_to_phys(2, 9, 0))
         assert list(dram.recent_activations) == [
             (2, 7, "walk"), (2, 9, "data")]
-
-
-class TestAccessBatchBankCounters:
-    def test_repeats_collapse_to_hits_under_open_page(self):
-        dram = build_dram()
-        paddr = dram.mapping.dram_to_phys(0, 30, 0)
-        dram.access_batch([paddr] * 10)
-        bank = dram.bank_state(0)
-        assert bank.activations == 1
-        assert bank.hits == 9
-        assert bank.open_row == 30
-        assert dram.total_activations == 1
-
-    def test_alternating_rows_conflict_every_time(self):
-        dram = build_dram()
-        a = dram.mapping.dram_to_phys(0, 30, 0)
-        b = dram.mapping.dram_to_phys(0, 31, 0)
-        dram.access_batch([a, b] * 5)
-        bank = dram.bank_state(0)
-        assert bank.activations == 10
-        assert bank.hits == 0
-
-    def test_closed_page_never_hits(self):
-        dram = build_dram(policy=RowBufferPolicy.CLOSED_PAGE)
-        paddr = dram.mapping.dram_to_phys(0, 30, 0)
-        dram.access_batch([paddr] * 10)
-        bank = dram.bank_state(0)
-        assert bank.activations == 10
-        assert bank.hits == 0
-        assert bank.open_row is None
-
-    def test_timing_matches_hit_and_conflict_latencies(self):
-        dram = build_dram()
-        paddr = dram.mapping.dram_to_phys(0, 30, 0)
-        start = dram.clock.now_ns
-        dram.access_batch([paddr] * 4)
-        expected = (dram.timings.conflict_latency_ns
-                    + 3 * dram.timings.hit_latency_ns)
-        assert dram.clock.now_ns - start == expected
 
 
 class TestBankHitRun:

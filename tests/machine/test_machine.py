@@ -4,8 +4,7 @@ import pytest
 
 from repro.config import tiny_machine
 from repro.errors import ConfigError
-from repro.kernel.kernel import Kernel
-from repro.machine import Machine, MachineConfig, boot_kernel
+from repro.machine import Machine, MachineConfig
 from repro.workloads.spec import SPEC_PROFILES
 
 SHORT = SPEC_PROFILES["exchange2_s"].replace(duration_ms=5)
@@ -98,10 +97,6 @@ class TestMachineFacade:
         assert m.config is None
         assert m.spec.name == "tiny-test-machine"
         assert m.sanitizers is not None
-
-    def test_boot_kernel_compatibility_shim(self):
-        kernel = boot_kernel(tiny_machine())
-        assert isinstance(kernel, Kernel)
 
     def test_run_workload_deterministic_across_machines(self):
         first = Machine(machine="tiny").run_workload(SHORT, seed=99)

@@ -1,7 +1,7 @@
 """Differential equivalence: the batched execution layer is invisible.
 
 Every fast path introduced for performance — ``DramModule.hammer_batch``
-/ ``access_batch`` / ``write_run``, ``Mmu.access_run``,
+/ ``write_run``, ``Mmu.access_run``,
 ``Kernel.user_access_run``, the workload engine's replayed hot-page
 touches and :class:`HammerKit`'s batched burst — must be *semantically
 identical* to the scalar code it replaces: identical DRAM bytes,
@@ -171,27 +171,6 @@ def test_hammer_batch_identical_flip_stream():
     scalar_fp = dram_fingerprint(scalar_dram)
     assert scalar_fp["flip_log"], "scenario must actually flip bits"
     assert_same(scalar_fp, dram_fingerprint(batched_dram))
-
-
-def test_access_batch_matches_transact_loop():
-    """access_batch == a _transact_line loop, open and closed page."""
-    for policy in (RowBufferPolicy.OPEN_PAGE, RowBufferPolicy.CLOSED_PAGE):
-        spec = dataclasses.replace(strict(machine("thinkpad_x230")),
-                                   row_policy=policy)
-        scalar_dram = Kernel(spec).dram
-        batched_dram = Kernel(spec).dram
-        rng = derive_rng("diff-access", policy.name)
-        paddrs = []
-        for _ in range(200):
-            bank = rng.randrange(scalar_dram.geometry.num_banks)
-            row = rng.randrange(16, 48)
-            paddr = scalar_dram.mapping.dram_to_phys(bank, row, 0)
-            paddrs.extend([paddr] * rng.choice([1, 1, 2, 30]))
-        for paddr in paddrs:
-            scalar_dram._transact_line(paddr)
-        batched_dram.access_batch(paddrs)
-        assert_same(dram_fingerprint(scalar_dram),
-                    dram_fingerprint(batched_dram))
 
 
 # --------------------------------------------------------------------------

@@ -109,10 +109,6 @@ class TestCli:
         assert main(["smoke-stress-clone", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
-    def test_workers_alias_still_accepted(self, capsys):
-        assert main(["smoke-stress-clone", "--workers", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err
-
     def test_runs_named_scenarios_to_stdout(self, capsys):
         assert main(["smoke-stress-clone"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -122,5 +118,5 @@ class TestCli:
         assert main(["smoke-stress-clone"]) == 0
         stdout_text = capsys.readouterr().out
         target = tmp_path / "sweep.json"
-        assert main(["smoke-stress-clone", "--output", str(target)]) == 0
+        assert main(["smoke-stress-clone", "--out", str(target)]) == 0
         assert target.read_text() == stdout_text

@@ -53,6 +53,20 @@ class TestAtomicWriteJson:
         assert json.loads(target.read_text()) == payload
 
 
+class TestCanonicalSpellings:
+    def test_retired_aliases_exit_2(self, tmp_path, capsys):
+        """``--workers``/``--output`` are gone: only ``--jobs``/``--out``."""
+        from repro.scenarios.cli import main
+
+        for argv in (["--workers", "1"],
+                     ["--output", str(tmp_path / "sweep.json")]):
+            with pytest.raises(SystemExit) as exc:
+                main(["smoke-stress-clone"] + argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+
 class TestWritersGoThroughTheHelper:
     """The --out paths of the artifact-writing CLIs stay atomic."""
 
@@ -86,8 +100,7 @@ class TestWritersGoThroughTheHelper:
         from repro.scenarios.cli import main
 
         target = tmp_path / "sweep.json"
-        assert main(["smoke-stress-clone", "--output",
-                     str(target)]) == 0
+        assert main(["smoke-stress-clone", "--out", str(target)]) == 0
         assert calls == [str(target)]
         assert json.loads(target.read_text())[0]["name"] \
             == "smoke-stress-clone"

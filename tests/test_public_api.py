@@ -72,12 +72,11 @@ class TestSubpackageFacades:
     def test_defenses_facade(self):
         from repro.defenses import (
             AlisDefense, AnvilDefense, CattDefense, CtaDefense, DEFENSES,
-            RipRhDefense, SoftTrrDefense, ZebramDefense, boot_kernel,
+            RipRhDefense, SoftTrrDefense, ZebramDefense,
         )
         assert DEFENSES["vanilla"] is not None
         assert all((AlisDefense, AnvilDefense, CattDefense, CtaDefense,
-                    RipRhDefense, SoftTrrDefense, ZebramDefense,
-                    boot_kernel))
+                    RipRhDefense, SoftTrrDefense, ZebramDefense))
 
     def test_workloads_facade(self):
         from repro.workloads import (
