@@ -9,7 +9,7 @@ per-function facts, :mod:`.taint` runs reachability, and
 Importing this package registers the flow rules in the shared registry.
 """
 
-from .callgraph import CallGraphError, Program
+from .callgraph import Program
 from .rules_flow import (
     FlowRule,
     RngProvenanceRule,
@@ -31,7 +31,6 @@ from .symbols import (
 from .taint import chain_to, closure_from
 
 __all__ = [
-    "CallGraphError",
     "ClassInfo",
     "External",
     "FlowRule",

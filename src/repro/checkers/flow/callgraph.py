@@ -20,7 +20,6 @@ from __future__ import annotations
 import ast
 import builtins
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..framework import SourceFile
@@ -30,14 +29,12 @@ from .symbols import (
     FunctionInfo,
     ModuleInfo,
     SymbolTable,
-    module_name_for,
 )
 
 __all__ = [
     "CLOCK_READ_ATTRS",
     "CLOCK_MUTATOR_METHODS",
     "RNG_METHODS",
-    "CallGraphError",
     "Emission",
     "FunctionFacts",
     "PoolSubmission",
@@ -67,10 +64,6 @@ _TRACE_EMIT_METHODS = frozenset({"emit", "span_begin", "span_end"})
 #: (``FaultInjector(kernel, plan).install()``).
 _CHAINING_METHODS = frozenset({"install", "replace"})
 _BUILTIN_NAMES = frozenset(dir(builtins))
-
-
-class CallGraphError(Exception):
-    """A program could not be assembled (bad root, unparsable file)."""
 
 
 # -------------------------------------------------- inferred value tags
@@ -188,22 +181,6 @@ class Program:
         self.mutated_globals: Dict[str, Set[str]] = {}
 
     # ------------------------------------------------------------ build
-    @classmethod
-    def from_root(cls, root: Union[str, Path]) -> "Program":
-        """Analyse every module under package directory ``root``."""
-        root = Path(root)
-        if not root.is_dir():
-            raise CallGraphError(f"package root {root} is not a directory")
-        if not (root / "__init__.py").exists():
-            raise CallGraphError(
-                f"{root} is not a package (no __init__.py); point "
-                "repro-lint --deep at a package directory such as src/repro")
-        sources = []
-        for path in sorted(root.rglob("*.py")):
-            sf = SourceFile.load(path)
-            sources.append((sf, module_name_for(path, root)))
-        return cls.from_sources(sources)
-
     @classmethod
     def from_sources(
             cls, sources: Sequence[Tuple[SourceFile, str]]) -> "Program":

@@ -16,15 +16,22 @@ from pathlib import Path
 import pytest
 
 from repro.checkers.flow import Program, flow_rules, run_flow_rules
+from repro.checkers.lint import load_sources, package_sources
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def build_program(root):
+    """The Program ``repro-lint ROOT --deep`` builds for package ``root``."""
+    (members,) = package_sources(load_sources([str(root)])).values()
+    return Program.from_sources(members)
 
 
 def analyze_fixture(tmp_path, name, rule_id=None):
     """Copy fixture ``name`` out of tests/ and run the flow rules."""
     root = tmp_path / name
     shutil.copytree(FIXTURES / name, root)
-    program = Program.from_root(root)
+    program = build_program(root)
     rules = flow_rules()
     if rule_id is not None:
         rules = tuple(r for r in rules if r.rule_id == rule_id)
@@ -81,7 +88,7 @@ def test_rpr010_suppression_comment_honoured(tmp_path):
         "return random.Random(1)",
         "return random.Random(1)  # repro-lint: disable=RPR010")
     user.write_text(patched)
-    program = Program.from_root(root)
+    program = build_program(root)
     findings = run_flow_rules(program)
     assert {f.symbol.rsplit(".", 1)[-1] for f in findings} == {"make"}
 
