@@ -35,6 +35,7 @@ from ..patterns.program import (
     DEFAULT_EXTRA_NS,
     AttackProgram,
     ProgramOutcome,
+    _resolve_user_paddr,
     round_robin,
 )
 
@@ -64,15 +65,17 @@ class HammerKit:
     # ------------------------------------------------------------ helpers
     def paddr_of(self, vaddr: int) -> int:
         """Physical address behind a mapped user vaddr (faulting it in)."""
-        ppn = self.kernel.mapped_ppn_of(self.process, vaddr)
-        if ppn is None:
-            self.kernel.user_read(self.process, vaddr, 1)
-            ppn = self.kernel.mapped_ppn_of(self.process, vaddr)
-        if ppn is None:
-            raise AttackError(f"cannot resolve {vaddr:#x}")
-        return (ppn << 12) | (vaddr & 0xFFF)
+        return _resolve_user_paddr(self.kernel, self.process, vaddr)
 
     # ----------------------------------------------------------- programs
+    def program(self, pattern: Union[Pattern, CompiledPlan, str],
+                bindings=None) -> AttackProgram:
+        """A user-mode :class:`AttackProgram` under this kit's binding
+        (``extra_ns`` and batch pin); it compiles once however often it
+        runs."""
+        return AttackProgram(pattern, bindings, mode="user",
+                             act_ns=self.extra_ns, use_batch=self.use_batch)
+
     def run(self, program: Union[AttackProgram, Pattern, CompiledPlan, str],
             aggressors: Sequence[int],
             bindings=None) -> ProgramOutcome:
@@ -85,9 +88,7 @@ class HammerKit:
         operands index.
         """
         if not isinstance(program, AttackProgram):
-            program = AttackProgram(
-                program, bindings, mode="user", act_ns=self.extra_ns,
-                use_batch=self.use_batch)
+            program = self.program(program, bindings)
         elif program.mode != "user":
             raise AttackError(
                 f"HammerKit.run executes user-mode programs; "
@@ -106,9 +107,8 @@ class HammerKit:
         """
         if not vaddrs:
             raise AttackError("no aggressors to hammer")
-        program = AttackProgram(
-            round_robin(len(vaddrs), batch, batch, per_iter_delay_ns),
-            mode="user", act_ns=self.extra_ns, use_batch=self.use_batch)
+        program = self.program(
+            round_robin(len(vaddrs), batch, batch, per_iter_delay_ns))
         start = self.kernel.clock.now_ns
         rounds = 0
         while self.kernel.clock.now_ns - start < duration_ns:

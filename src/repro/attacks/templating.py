@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import TemplatingError
 from ..kernel.process import Process
 from ..kernel.vma import PAGE
-from ..patterns.program import round_robin
+from ..patterns.program import AttackProgram, round_robin
 from .hammer import HammerKit
 
 #: Hammer rounds per templating pass: enough weighted units to fire the
@@ -145,6 +145,11 @@ class FlipTemplater:
         yield enough flippable pages.
         """
         ownership = self.claim_region(region_pages)
+        # Every probe of the call hammers with the same loop: compile it
+        # once.
+        program = self.kit.program(round_robin(
+            len(self._aggressor_rows(pattern, 0)), rounds,
+            per_iter_delay_ns=per_iter_delay_ns))
         found: List[VulnerablePage] = []
         # Rows already used by a found target (victim or aggressor):
         # targets must not share rows, or later kernel-assisted
@@ -166,8 +171,7 @@ class FlipTemplater:
                 if len(found) >= count:
                     break
                 flips = self._probe_victim(
-                    victim_vaddr, victim_ppn, aggr_vaddrs,
-                    rounds, per_iter_delay_ns)
+                    victim_vaddr, aggr_vaddrs, program, rounds)
                 if flips:
                     used.add((bank, victim_row))
                     used.update((bank, r) for r in rows_needed)
@@ -191,10 +195,11 @@ class FlipTemplater:
             )
         return found
 
-    def _probe_victim(self, victim_vaddr: int, victim_ppn: int,
-                      aggr_vaddrs: Sequence[int], rounds: int,
-                      per_iter_delay_ns: int) -> List[ObservedFlip]:
-        """Two-pass (0xFF / 0x00) hammer-and-diff of one victim page."""
+    def _probe_victim(self, victim_vaddr: int, aggr_vaddrs: Sequence[int],
+                      program: AttackProgram,
+                      rounds: int) -> List[ObservedFlip]:
+        """Two-pass (0xFF / 0x00) hammer-and-diff of one victim page,
+        hammering with ``program`` (``rounds`` round-robin rounds)."""
         flips: List[ObservedFlip] = []
         # Sync with the refresh window, as real templaters do: a probe
         # straddling an auto-refresh loses its accumulated disturbance.
@@ -205,11 +210,10 @@ class FlipTemplater:
         for pattern_byte, from_value in ((0xFF, 1), (0x00, 0)):
             payload = bytes([pattern_byte]) * PAGE
             self.kernel.user_write(self.process, victim_vaddr, payload)
-            self.kit.run(
-                round_robin(len(aggr_vaddrs), rounds,
-                            per_iter_delay_ns=per_iter_delay_ns),
-                aggr_vaddrs)
+            self.kit.run(program, aggr_vaddrs)
             after = self.kernel.user_read(self.process, victim_vaddr, PAGE)
+            if after == payload:
+                continue
             for offset, byte in enumerate(after):
                 if byte == pattern_byte:
                     continue

@@ -42,12 +42,15 @@ refresh epoch; a deposit into a stale-tagged row first rolls the tag and
 zeroes the value; :meth:`~DisturbanceEngine.heal` zeroes the value but
 never touches the tag, so a healed row still reads 0 in every epoch.
 
-Three paths write the store.  The scalar path (:meth:`on_activate` ->
-:meth:`deposit`, one call per activation) is the reference; the batched
-kernels behind :meth:`~repro.dram.module.DramModule.hammer_batch` —
-:meth:`hammer_kernel` for any stream and :meth:`hammer_periodic`, the
-closed-form kernel for the periodic streams hammer loops issue — are
-proven bit-identical to it by ``tests/perf/test_generative_differential.py``.
+Three paths write the store: the plan walk (:meth:`on_activate`, one
+pass over the cached :meth:`victim_plan`; scalar activations and
+one-item :meth:`~repro.dram.module.DramModule.hammer_batch` streams),
+:meth:`hammer_kernel` for longer streams and :meth:`hammer_periodic`,
+the closed-form kernel for the periodic streams hammer loops emit.
+The reference they are proven bit-identical to — per distance
+``remap.neighbors_at``, then :meth:`deposit` per victim — lives in
+``tests/dram/reference.py``; ``tests/dram/test_disturbance.py`` and
+``tests/perf/test_generative_differential.py`` compare against it.
 Per refresh-epoch segment the periodic kernel classifies each victim
 row once and replays whole cycles at C speed:
 
@@ -281,8 +284,8 @@ class DisturbanceEngine:
         exact order :meth:`on_activate` deposits into them.
 
         Each entry is ``(victim_row, weight, cells)``.  The plan is a
-        pure function of the geometry/remap/seed, so it is cached; the
-        batched hammer paths iterate it instead of re-walking
+        pure function of the geometry/remap/seed, so it is cached; all
+        three activation paths iterate it instead of re-walking
         ``neighbors_at`` per activation.
         """
         key = (bank, row)
@@ -308,15 +311,42 @@ class DisturbanceEngine:
         Opening a row recharges it (its own accumulator resets) and
         disturbs every victim within ``max_distance`` rows on both sides.
         Returns all flips produced anywhere.
+
+        This is the plan walk, the engine's first path: one pass over
+        the cached :meth:`victim_plan` with :meth:`deposit`'s arithmetic
+        inlined.  Scalar activations and one-item
+        :meth:`~repro.dram.module.DramModule.hammer_batch` streams take
+        it; longer streams take :meth:`hammer_kernel` or
+        :meth:`hammer_periodic`.  The specification it is held to —
+        ``remap.neighbors_at`` per distance, then :meth:`deposit` per
+        victim — lives in ``tests/dram/reference.py``.
         """
         if count <= 0:
             return []
         self.heal(bank, row)
+        plan = self.victim_plan(bank, row)
+        values, epochs = self._bank_arrays(bank)
         flips: List[FlipEvent] = []
-        for distance in range(1, self.params.max_distance + 1):
-            units = self.params.weight(distance) * count
-            for victim in self.remap.neighbors_at(row, distance):
-                flips.extend(self.deposit(bank, victim, units, epoch, now_ns))
+        for victim, weight, cells in plan:
+            if epochs[victim] != epoch:
+                epochs[victim] = epoch
+                before = 0.0
+            else:
+                before = values[victim]
+            after = before + weight * count
+            values[victim] = after
+            if cells and after >= cells[0].threshold:
+                for cell in cells:
+                    if before < cell.threshold <= after:
+                        flips.append(FlipEvent(
+                            bank=bank,
+                            row=victim,
+                            bit_offset=cell.bit_offset,
+                            from_value=cell.from_value,
+                            at_ns=now_ns,
+                        ))
+        self.total_deposits += len(plan)
+        self.total_flip_events += len(flips)
         return flips
 
     # ------------------------------------------------------ accumulation
@@ -413,9 +443,11 @@ class DisturbanceEngine:
         """Accumulator core of :meth:`DramModule.hammer_batch`.
 
         ``resolved`` is a list of ``((bank, row), count)`` pairs with
-        positive counts.  Returns ``(flips, acts, now_end, bank_totals,
-        bank_last)`` and updates the deposit/flip counters; the module
-        applies the flips, advances the clock and updates bank state.
+        positive counts; the module sends it every stream of two or
+        more items that :meth:`hammer_periodic` does not take.  Returns
+        ``(flips, acts, now_end, bank_totals, bank_last)`` and updates
+        the deposit/flip counters; the module applies the flips,
+        advances the clock and updates bank state.
         The speed comes from aggregating per-(bank, row) work:
 
         * victims that can actually flip — and every aggressor row, and

@@ -211,10 +211,15 @@ class DramModule:
         — identical DRAM bytes, identical ``FlipEvent`` stream (including
         ``at_ns``), identical TRR/bank/engine counters and identical
         simulated time, as enforced by the differential equivalence
-        suite and the generative harness.  Two engine kernels do the
-        aggregation (the module owns resolution and the epilogue):
+        suite and the generative harness.  The module owns resolution
+        and the epilogue; one of the engine's three paths does the
+        deposits:
 
-        * the generic kernel (``engine.hammer_kernel``) replays
+        * a stream that resolves to a single item (the user-mode hybrid
+          hammer's burst) takes the plan walk (``engine.on_activate``,
+          the scalar path's own code) plus one ``feed.publish``;
+        * any longer stream takes the generic kernel
+          (``engine.hammer_kernel``), which replays
           deposit-by-deposit any victim that can actually flip — and
           every aggressor row, and every victim when a tracker rides
           the activation feed (its mid-batch refreshes interleave with
@@ -229,6 +234,11 @@ class DramModule:
           periodic kernel (``engine.hammer_periodic``) replays whole
           aggressor cycles per refresh-epoch segment instead of per
           item.
+
+        The specification all three are held to, ``neighbors_at`` per
+        distance then ``deposit`` per victim, lives in
+        ``tests/dram/reference.py``; the generative harness's scalar leg
+        runs it.
         """
         if not isinstance(items, list):
             items = list(items)
@@ -287,6 +297,14 @@ class DramModule:
                     epoch=epoch, now_ns=start_ns, per_act_ns=per_act_ns,
                     window=window, origin=origin,
                     recent=self.recent_activations))
+        elif len(resolved) == 1:
+            (bank, row), acts = resolved[0]
+            flips = engine.on_activate(bank, row, acts, epoch, start_ns)
+            if feed_active:
+                feed.publish(bank, row, acts, epoch, start_ns)
+            self.recent_activations.append((bank, row, origin))
+            now_end = start_ns + acts * per_act_ns
+            bank_totals, bank_last = {bank: acts}, {bank: row}
         else:
             flips, acts, now_end, bank_totals, bank_last = (
                 engine.hammer_kernel(

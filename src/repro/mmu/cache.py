@@ -91,8 +91,7 @@ class CpuCache:
                 out.extend(dram.raw_read(cursor, chunk))
             else:
                 self.misses += 1
-                dram.read(cursor, chunk)
-                out.extend(dram.raw_read(cursor, chunk))
+                out.extend(dram.read(cursor, chunk))
                 self._insert(line)
             cursor += chunk
         return bytes(out)

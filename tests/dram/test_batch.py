@@ -13,11 +13,56 @@ import pytest
 from repro.config import machine, tiny_machine
 from repro.dram.bank import BankState, RowBufferPolicy
 from repro.kernel.kernel import Kernel
+from repro.machine import Machine, MachineConfig
+
+from ..perf.generative import fingerprint
+
+
+#: The feed trackers, with the overrides that make each one refresh
+#: after a single burst of ~2,000 ACTs (the others' defaults already do).
+TRACKER_PARAMS = {
+    "chiptrr": {"trr_threshold": 1_000},
+    "para": {},
+    "misra_gries": {},
+    "ptmp": {"insert_probability": 1.0},
+    "dapper": {},
+}
 
 
 def build_dram(policy=RowBufferPolicy.OPEN_PAGE):
     spec = dataclasses.replace(tiny_machine(seed=7), row_policy=policy)
     return Kernel(spec).dram
+
+
+def threshold_crossing_burst(tracker, *, batched):
+    """Hammer one aggressor of a tiny machine with ``tracker`` on the
+    feed, once, for enough ACTs to fire its distance-1 victim's easiest
+    cell; that victim's cells hold their charged values beforehand, so
+    the flips change DRAM bytes.  Returns the machine's fingerprint:
+    flips, frames, bank state, recent activations, the clock and the
+    telemetry, which holds ``actuator.refreshes`` and every tracker
+    counter."""
+    machine = Machine(MachineConfig(
+        machine="tiny", seed=7, defense=tracker,
+        defense_params=TRACKER_PARAMS[tracker]))
+    dram = machine.dram
+    assert [t.name for t in dram.feed.trackers()] == [tracker]
+    engine = dram.engine
+    aggressor = next(row for row in range(8, dram.geometry.rows_per_bank)
+                     if engine.victim_plan(0, row)[0][2])
+    victim, weight, cells = engine.victim_plan(0, aggressor)[0]
+    for cell in cells:
+        col, bit = divmod(cell.bit_offset, 8)
+        dram.raw_write(dram.mapping.dram_to_phys(0, victim, col),
+                       bytes((cell.from_value << bit,)))
+    count = int(cells[0].threshold / weight) + 1
+    paddr = dram.mapping.dram_to_phys(0, aggressor, 0)
+    if batched:
+        dram.hammer_batch([(paddr, count)], extra_ns=15)
+    else:
+        dram.hammer(paddr, count)
+        dram.clock.advance(count * 15)
+    return fingerprint(machine)
 
 
 class TestHammerOriginAccounting:
@@ -146,6 +191,17 @@ class TestHammerBatchDegenerates:
         for row in (28, 29, 31, 32):
             assert (scalar.engine.accumulated(0, row, epoch)
                     == batched.engine.accumulated(0, row, epoch))
+
+    @pytest.mark.parametrize("tracker", sorted(TRACKER_PARAMS))
+    def test_single_item_equals_scalar_hammer_under_tracker(self, tracker):
+        """One item whose count crosses a victim threshold, with a feed
+        tracker subscribed: flips land first, then the tracker's
+        refreshes, on both paths alike."""
+        scalar = threshold_crossing_burst(tracker, batched=False)
+        batched = threshold_crossing_burst(tracker, batched=True)
+        assert scalar["flip_log"]
+        assert scalar["telemetry"]["actuator.refreshes"] > 0
+        assert scalar == batched
 
 
 def test_perf_testbed_machine_still_boots():

@@ -9,7 +9,10 @@ from repro.dram.disturbance import (
     VulnerableCell,
 )
 from repro.dram.geometry import DramGeometry
+from repro.dram.remap import FoldedRemap, IdentityRemap
 from repro.errors import ConfigError
+
+from .reference import reference_on_activate
 
 
 def geo() -> DramGeometry:
@@ -211,3 +214,76 @@ class TestActivation:
         expected = count * (0.5 ** (distance - 1))
         assert e.accumulated(0, 30 + distance, epoch=0) == pytest.approx(expected)
         assert e.accumulated(0, 30 - distance, epoch=0) == pytest.approx(expected)
+
+
+#: Rows per bank for the plan-walk property: small, so that bursts,
+#: seeded victims and the bank edges keep landing in one another's
+#: neighbourhoods.
+WALK_ROWS = 16
+
+
+def store(e):
+    """Every bank's accumulators and epoch tags (None = untouched)."""
+    return [None if values is None else (values.tolist(), tags.tolist())
+            for values, tags in zip(e._values, e._epochs)]
+
+
+@st.composite
+def activation_runs(draw):
+    """Engine parameters, a remap, accumulators seeded just under a
+    cell's threshold, and a run of bursts with rolling epochs."""
+    params = DisturbanceParams(
+        base_flip_threshold=draw(st.sampled_from([40.0, 150.0, 600.0])),
+        threshold_max_factor=draw(st.sampled_from([1.0, 2.0, 8.0])),
+        max_distance=draw(st.integers(1, 6)),
+        distance_decay=draw(st.sampled_from([0.5, 0.6, 1.0])),
+        row_vuln_probability=draw(st.sampled_from([0.25, 0.5, 1.0])),
+        max_vuln_cells_per_row=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 1 << 16)),
+    )
+    remap = draw(st.sampled_from([IdentityRemap, FoldedRemap]))(WALK_ROWS)
+    rows = st.one_of(
+        st.sampled_from([0, 1, WALK_ROWS - 2, WALK_ROWS - 1]),
+        st.integers(0, WALK_ROWS - 1))
+    banks = st.integers(0, 1)
+    # (bank, row, cell index, gap below that cell's threshold); a zero
+    # gap leaves the accumulator sitting exactly at the threshold.
+    seeds = draw(st.lists(st.tuples(
+        banks, rows, st.integers(0, 2),
+        st.sampled_from([0.0, 1e-9, 0.25, 1.0, 3.0])), max_size=6))
+    # (bank, aggressor row, count, epoch roll before the burst); small
+    # counts land a seeded accumulator exactly on its threshold.
+    counts = st.one_of(st.integers(1, 4), st.integers(1, 200))
+    bursts = draw(st.lists(st.tuples(
+        banks, rows, counts, st.integers(0, 1)),
+        min_size=1, max_size=12))
+    return params, remap, seeds, bursts
+
+
+class TestPlanWalk:
+    @given(activation_runs())
+    @settings(max_examples=200, deadline=None)
+    def test_on_activate_matches_reference(self, run):
+        """The plan walk against the specification it replaced
+        (``tests/dram/reference.py``): same flips, same accumulators and
+        epoch tags, same counters, burst after burst."""
+        params, remap, seeds, bursts = run
+        geometry = DramGeometry(num_banks=2, rows_per_bank=WALK_ROWS,
+                                row_bytes=8192)
+        walk = DisturbanceEngine(geometry, params, remap=remap)
+        ref = DisturbanceEngine(geometry, params, remap=remap)
+        for e in (walk, ref):
+            for bank, row, index, gap in seeds:
+                cells = e.vulnerable_cells(bank, row)
+                if cells:
+                    threshold = cells[min(index, len(cells) - 1)].threshold
+                    e.deposit(bank, row, threshold - gap, epoch=0, now_ns=0)
+        epoch = 0
+        for at, (bank, row, count, roll) in enumerate(bursts, start=1):
+            epoch += roll
+            assert (walk.on_activate(bank, row, count, epoch, at)
+                    == reference_on_activate(ref, bank, row, count,
+                                             epoch, at))
+            assert store(walk) == store(ref)
+        assert walk.total_deposits == ref.total_deposits
+        assert walk.total_flip_events == ref.total_flip_events

@@ -9,11 +9,14 @@ replays each program two ways on a strict-sanitized tiny machine:
 =========  =====================================================
 replay     what it exercises
 =========  =====================================================
-scalar     the reference semantics: ``on_activate`` -> ``deposit``
-           per activation
-batched    the closed-form periodic kernel and the generic
-           run-grouped batch kernel (``hammer_periodic`` /
-           ``hammer_kernel``)
+scalar     the reference semantics: ``neighbors_at`` -> ``deposit``
+           per activation (``reference_on_activate`` from
+           ``tests/dram/reference.py``, swapped in for the engine's
+           ``on_activate``)
+batched    the engine's three paths: the plan walk for one-item
+           streams (``on_activate``), the closed-form periodic
+           kernel and the generic run-grouped batch kernel
+           (``hammer_periodic`` / ``hammer_kernel``)
 =========  =====================================================
 
 The two legs share no accumulator code, and both must produce
@@ -40,9 +43,12 @@ Programs are plain op tuples so they print, compare and shrink cleanly:
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MethodType
 
 from repro.machine import Machine, MachineConfig
 from repro.rng import derive_rng
+
+from ..dram.reference import reference_on_activate
 
 #: Modes the differential covers: (label, batched_replay).
 MODES = (
@@ -188,6 +194,13 @@ def run_program(program, *, batched: bool, defense: str = "vanilla",
         fault_plan=fault_plan)
     machine = Machine(config)
     dram = machine.dram
+    if not batched:
+        # Every activation of the scalar leg runs the specification,
+        # not the plan walk that one-item batches share.  A bound
+        # method deep-copies onto the copied engine, so snapshots keep
+        # it.
+        dram.engine.on_activate = MethodType(reference_on_activate,
+                                             dram.engine)
     snap = None
     for op in program:
         kind = op[0]

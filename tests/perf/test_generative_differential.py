@@ -12,7 +12,7 @@ import pytest
 from repro.defenses import DEFENSES
 from repro.faults import FaultPlan, FaultSpec
 
-from repro.dram import DisturbanceEngine
+from repro.dram import DisturbanceEngine, DramModule
 
 from .generative import (
     check_seed,
@@ -118,13 +118,17 @@ class TestGenerativeDifferential:
     def test_batched_leg_reaches_every_kernel_path(self, monkeypatch):
         # The scalar leg is the reference; the claim is only as strong
         # as the batched paths it is compared against.  Count, over the
-        # plain programs, the closed-form periodic kernel and both
-        # branches of the generic kernel: the run fast path records its
-        # activations with one ``recent.extend`` per run, the per-item
-        # path with one ``recent.append`` per item.
-        hits = {"periodic": 0, "run": 0, "item": 0}
+        # plain programs, the plan walk one-item batches take, the
+        # closed-form periodic kernel and both branches of the generic
+        # kernel: the run fast path records its activations with one
+        # ``recent.extend`` per run, the per-item path with one
+        # ``recent.append`` per item.
+        hits = {"walk": 0, "periodic": 0, "run": 0, "item": 0}
+        batch = DramModule.hammer_batch
+        walk = DisturbanceEngine.on_activate
         periodic = DisturbanceEngine.hammer_periodic
         generic = DisturbanceEngine.hammer_kernel
+        in_batch = [False]
 
         class Recent:
             def __init__(self, inner):
@@ -138,6 +142,17 @@ class TestGenerativeDifferential:
                 hits["run"] += 1
                 self.inner.extend(entries)
 
+        def flagging_batch(dram, *args, **kwargs):
+            in_batch[0] = True
+            try:
+                return batch(dram, *args, **kwargs)
+            finally:
+                in_batch[0] = False
+
+        def counting_walk(engine, *args, **kwargs):
+            hits["walk"] += in_batch[0]
+            return walk(engine, *args, **kwargs)
+
         def counting_periodic(engine, *args, **kwargs):
             hits["periodic"] += 1
             return periodic(engine, *args, **kwargs)
@@ -146,6 +161,9 @@ class TestGenerativeDifferential:
             kwargs["recent"] = Recent(kwargs["recent"])
             return generic(engine, resolved, **kwargs)
 
+        monkeypatch.setattr(DramModule, "hammer_batch", flagging_batch)
+        monkeypatch.setattr(DisturbanceEngine, "on_activate",
+                            counting_walk)
         monkeypatch.setattr(DisturbanceEngine, "hammer_periodic",
                             counting_periodic)
         monkeypatch.setattr(DisturbanceEngine, "hammer_kernel",
