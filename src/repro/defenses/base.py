@@ -25,6 +25,7 @@ from typing import Callable, Dict, Iterator, Optional
 from ..core.profile import SoftTrrParams
 from ..core.softtrr import SoftTrr
 from ..kernel.kernel import Kernel
+from ..rng import derive_rng
 
 
 class Defense:
@@ -154,3 +155,34 @@ class SoftTrrDefense(Defense):
 
     def module_name(self) -> Optional[str]:
         return "softtrr"
+
+
+class TrackerDefense(Defense):
+    """A feed :class:`~repro.dram.feed.Tracker` as a defense.
+
+    Subclasses name a params dataclass and a tracker class.  The keyword
+    params are that dataclass's fields, less any the subclass ``pins``;
+    :meth:`install` subscribes one tracker to the machine's activation
+    feed.  A tracker whose params carry a ``seed`` draws from a
+    ``derive_rng("tracker", name, machine_seed, params.seed)`` stream,
+    passed to its constructor after the params.
+    """
+
+    #: Frozen dataclass the keyword params build.
+    params_class: type = object
+    #: :class:`~repro.dram.feed.Tracker` subclass install subscribes.
+    tracker_class: type = object
+    #: Params fields fixed by the defense, so not accepted as keywords.
+    pins: Mapping = {}
+
+    def __init__(self, **params) -> None:
+        self.params = self.params_class(**params, **self.pins)
+
+    def install(self, kernel: Kernel) -> None:
+        args = [self.params]
+        seed = getattr(self.params, "seed", None)
+        if seed is not None:
+            args.append(derive_rng("tracker", self.name, kernel.spec.seed,
+                                   seed))
+        kernel.dram.feed.subscribe(
+            self.tracker_class(*args, remap=kernel.dram.remap))

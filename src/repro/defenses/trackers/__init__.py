@@ -1,11 +1,12 @@
 """Pluggable activation-tracker defenses (the "zoo").
 
-Each module here pairs a :class:`~repro.dram.feed.Tracker` policy with a
-self-registering :class:`~repro.defenses.base.Defense` that subscribes
-it to the machine's :class:`~repro.dram.feed.ActivationFeed` at install
-time.  The trackers differ only in *policy* — observation (the feed)
-and actuation (the shared :class:`~repro.dram.feed.RefreshActuator`)
-are common infrastructure:
+Each module here pairs a :class:`~repro.dram.feed.Tracker` policy with
+a self-registering :class:`~repro.defenses.base.TrackerDefense` that
+subscribes it to the machine's :class:`~repro.dram.feed.ActivationFeed`
+at install time.  The trackers keep only their *policy*: the ``Tracker``
+base class owns the per-bank counter table, the Misra-Gries count step
+and the neighbour walk, and actuation goes through the shared
+:class:`~repro.dram.feed.RefreshActuator`:
 
 * :mod:`repro.defenses.trackers.chiptrr` — the in-DRAM Misra-Gries
   sampler as a first-class defense (enabled regardless of the machine
@@ -19,13 +20,14 @@ are common infrastructure:
   probabilistic insertion with random eviction, trading SRAM for a
   small miss probability.
 * :mod:`repro.defenses.trackers.dapper` — DAPPER (arXiv:2501.18857):
-  budget-capped mitigation for power-constrained parts; exceeds of the
-  per-epoch budget are suppressed (and counted).
+  the Misra-Gries tracker under a per-epoch mitigation budget for
+  power-constrained parts; crossings past the budget are suppressed
+  (and counted).
 
 All trackers share the feed's guarantees: bit-identical behaviour
-across scalar and batched execution, snapshot/restore replay,
-trace-on ≡ trace-off, and :func:`~repro.rng.derive_rng`-seeded
-randomness keyed by the machine seed.
+across scalar and batched execution, snapshot/restore replay and
+trace-on ≡ trace-off.  PARA and PTMP draw from
+:func:`~repro.rng.derive_rng` streams keyed by the machine seed.
 """
 
 from ...dram.feed import ActivationFeed, RefreshActuator, Tracker

@@ -13,29 +13,16 @@ is reproduced, not re-implemented.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ...dram.chiptrr import ChipTrr, TrrParams
-from ..base import Defense, register_defense
+from ..base import TrackerDefense, register_defense
 
 
 @register_defense
-class ChipTrrDefense(Defense):
+class ChipTrrDefense(TrackerDefense):
     """Deploy the DRAM model's TRR sampler via the activation feed."""
 
     name = "chiptrr"
     summary = "in-DRAM Misra-Gries sampler (TRRespass-bypassable)"
-
-    def __init__(self, tracker_slots: int = 2, trr_threshold: int = 4_000,
-                 refresh_distance: int = 6) -> None:
-        self.params = TrrParams(
-            enabled=True,
-            tracker_slots=tracker_slots,
-            trr_threshold=trr_threshold,
-            refresh_distance=refresh_distance,
-        )
-        self._tracker: Optional[ChipTrr] = None
-
-    def install(self, kernel) -> None:
-        self._tracker = ChipTrr(self.params, remap=kernel.dram.remap)
-        kernel.dram.feed.subscribe(self._tracker)
+    params_class = TrrParams
+    tracker_class = ChipTrr
+    pins = {"enabled": True}

@@ -5,10 +5,10 @@ refresh burns energy and blocks the bank.  DAPPER models the constraint
 the LPDDR vendors actually face: a Misra-Gries tracker paired with a
 hard cap on mitigations per auto-refresh epoch.  While the budget
 lasts, behaviour matches the Graphene-style tracker; once it is spent,
-further threshold crossings are *suppressed* — the counter resets (the
-engine saw the row) but no refresh goes out, and the suppression is
-counted so the comparative sweep can show exactly when the budget, not
-the tracker, is the weak link.
+further threshold crossings are *suppressed* — the counter still drops
+by the threshold (the engine saw the row) but no refresh goes out, and
+the suppression is counted so the comparative sweep can show exactly
+when the budget, not the tracker, is the weak link.
 
 The interesting regime for the zoo: many-sided patterns that stay under
 ChipTRR's radar are caught here (bigger table), but a wide attack that
@@ -18,11 +18,11 @@ ChipTRR's radar are caught here (bigger table), but a wide attack that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ...errors import ConfigError
-from ..base import Defense, register_defense
-from ...dram.feed import Tracker
+from ..base import TrackerDefense, register_defense
+from .misra_gries import MisraGriesTracker
 
 
 @dataclass(frozen=True)
@@ -50,81 +50,37 @@ class DapperParams:
             raise ConfigError("DAPPER refresh distance must be >= 1")
 
 
-class DapperTracker(Tracker):
+class DapperTracker(MisraGriesTracker):
     """Misra-Gries tracking with budget-capped actuation."""
 
     name = "dapper"
 
     def __init__(self, params: DapperParams, remap=None) -> None:
-        super().__init__()
-        self.params = params
-        self.remap = remap
-        # bank -> [epoch, {row: count}, budget_left]
-        self._tables: Dict[int, List] = {}
-        self.mitigations = 0
+        super().__init__(params, remap)
+        # bank -> mitigations left, refilled whenever its table is.
+        self._budget: Dict[int, int] = {}
         self.suppressed = 0
-        self.evictions = 0
 
-    def _state(self, bank: int, epoch: int) -> List:
-        state = self._tables.get(bank)
-        if state is None:
-            state = [epoch, {}, self.params.mitigation_budget]
-            self._tables[bank] = state
-        elif state[0] != epoch:
-            state[0] = epoch
-            state[1] = {}
-            state[2] = self.params.mitigation_budget
-        return state
+    def _refill(self, bank: int) -> None:
+        self._budget[bank] = self.params.mitigation_budget
 
-    def observe(self, bank: int, row: int, count: int, epoch: int,
-                now_ns: int) -> None:
-        if count <= 0:
-            return
-        state = self._state(bank, epoch)
-        table = state[1]
-        if row in table:
-            table[row] += count
-        elif len(table) < self.params.table_entries:
-            table[row] = count
+    def _mitigate(self, bank: int, row: int) -> None:
+        if self._budget[bank] > 0:
+            self._budget[bank] -= 1
+            super()._mitigate(bank, row)
         else:
-            self.evictions += 1
-            dead = []
-            for tracked, value in table.items():
-                value -= count
-                if value <= 0:
-                    dead.append(tracked)
-                else:
-                    table[tracked] = value
-            for tracked in dead:
-                del table[tracked]
-            return
-        while table[row] >= self.params.threshold:
-            table[row] -= self.params.threshold
-            if state[2] > 0:
-                state[2] -= 1
-                self._issue_refresh(bank, row)
-            else:
-                # Budget spent: the engine saw the crossing but the
-                # refresh never goes out.  The attacker wins this epoch.
-                self.suppressed += 1
-
-    def _issue_refresh(self, bank: int, row: int) -> None:
-        self.mitigations += 1
-        for distance in range(1, self.params.refresh_distance + 1):
-            if self.remap is not None:
-                for victim in self.remap.neighbors_at(row, distance):
-                    self.queue_refresh(bank, victim)
-            else:
-                self.queue_refresh(bank, row - distance)
-                self.queue_refresh(bank, row + distance)
-
-    def tracked_rows(self, bank: int, epoch: int) -> Dict[int, int]:
-        """Snapshot of the table for tests/diagnostics."""
-        return dict(self._state(bank, epoch)[1])
+            # Budget spent: the engine saw the crossing but the refresh
+            # never goes out.  The attacker wins this epoch.
+            self.suppressed += 1
 
     def budget_left(self, bank: int, epoch: int) -> int:
-        """Remaining mitigations this epoch (tests/diagnostics)."""
-        return self._state(bank, epoch)[2]
+        """Remaining mitigations this epoch (tests/diagnostics).
+
+        Like :meth:`tracked_rows`, it first rolls the bank's table, and
+        so its budget, to ``epoch``.
+        """
+        self._table(bank, epoch)
+        return self._budget[bank]
 
     def counters(self) -> Dict[str, int]:
         return {
@@ -134,31 +90,15 @@ class DapperTracker(Tracker):
         }
 
     def sram_bits(self) -> int:
-        counter_bits = max(2, self.params.threshold.bit_length())
         budget_bits = max(1, self.params.mitigation_budget.bit_length())
-        return self.params.table_entries * (16 + counter_bits) + budget_bits
+        return super().sram_bits() + budget_bits
 
 
 @register_defense
-class DapperDefense(Defense):
+class DapperDefense(TrackerDefense):
     """DAPPER as a deployable defense configuration."""
 
     name = "dapper"
     summary = "Misra-Gries tracking, budget-capped mitigation"
-
-    def __init__(self, table_entries: int = 8, threshold: int = 2_000,
-                 mitigation_budget: int = 4,
-                 refresh_distance: int = 2) -> None:
-        self.params = DapperParams(
-            table_entries=table_entries,
-            threshold=threshold,
-            mitigation_budget=mitigation_budget,
-            refresh_distance=refresh_distance,
-        )
-        self._tracker: Optional[DapperTracker] = None
-
-    def install(self, kernel) -> None:
-        self._tracker = DapperTracker(
-            self.params, remap=kernel.dram.remap
-        )
-        kernel.dram.feed.subscribe(self._tracker)
+    params_class = DapperParams
+    tracker_class = DapperTracker

@@ -16,10 +16,10 @@ accumulator in the DRAM model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ...errors import ConfigError
-from ..base import Defense, register_defense
+from ..base import TrackerDefense, register_defense
 from ...dram.feed import Tracker
 
 
@@ -50,67 +50,29 @@ class MisraGriesTracker(Tracker):
     name = "misra_gries"
 
     def __init__(self, params: MisraGriesParams, remap=None) -> None:
-        super().__init__()
+        super().__init__(remap)
         self.params = params
-        self.remap = remap
-        # bank -> [epoch, {row: count}]
-        self._tables: Dict[int, List] = {}
         self.mitigations = 0
-        self.evictions = 0
-
-    def _table(self, bank: int, epoch: int) -> Dict[int, int]:
-        state = self._tables.get(bank)
-        if state is None:
-            state = [epoch, {}]
-            self._tables[bank] = state
-        elif state[0] != epoch:
-            state[0] = epoch
-            state[1] = {}
-        return state[1]
 
     def observe(self, bank: int, row: int, count: int, epoch: int,
                 now_ns: int) -> None:
         if count <= 0:
             return
         table = self._table(bank, epoch)
-        if row in table:
-            table[row] += count
-        elif len(table) < self.params.table_entries:
-            table[row] = count
-        else:
-            # Misra-Gries spillover: decrement everybody by the arrival
-            # weight; rows that hit zero free their entry.
-            self.evictions += 1
-            dead = []
-            for tracked, value in table.items():
-                value -= count
-                if value <= 0:
-                    dead.append(tracked)
-                else:
-                    table[tracked] = value
-            for tracked in dead:
-                del table[tracked]
+        if not self._count(table, row, count, self.params.table_entries):
             return
         # Graphene mitigation: subtract the threshold (possibly several
         # times for a large batch) so sustained hammering is mitigated
         # at threshold cadence, not restarted from zero.
-        while table[row] >= self.params.threshold:
-            table[row] -= self.params.threshold
-            self._issue_refresh(bank, row)
+        threshold = self.params.threshold
+        while table[row] >= threshold:
+            table[row] -= threshold
+            self._mitigate(bank, row)
 
-    def _issue_refresh(self, bank: int, row: int) -> None:
+    def _mitigate(self, bank: int, row: int) -> None:
+        """Refresh ``row``'s neighbourhood for one threshold crossing."""
         self.mitigations += 1
-        for distance in range(1, self.params.refresh_distance + 1):
-            if self.remap is not None:
-                for victim in self.remap.neighbors_at(row, distance):
-                    self.queue_refresh(bank, victim)
-            else:
-                self.queue_refresh(bank, row - distance)
-                self.queue_refresh(bank, row + distance)
-
-    def tracked_rows(self, bank: int, epoch: int) -> Dict[int, int]:
-        """Snapshot of the table for tests/diagnostics."""
-        return dict(self._table(bank, epoch))
+        self.queue_neighbors(bank, row, self.params.refresh_distance)
 
     def counters(self) -> Dict[str, int]:
         return {
@@ -124,23 +86,10 @@ class MisraGriesTracker(Tracker):
 
 
 @register_defense
-class MisraGriesDefense(Defense):
+class MisraGriesDefense(TrackerDefense):
     """Graphene-style counting as a deployable defense configuration."""
 
     name = "misra_gries"
     summary = "Graphene-style Misra-Gries counters, subtract-on-mitigate"
-
-    def __init__(self, table_entries: int = 8, threshold: int = 2_000,
-                 refresh_distance: int = 2) -> None:
-        self.params = MisraGriesParams(
-            table_entries=table_entries,
-            threshold=threshold,
-            refresh_distance=refresh_distance,
-        )
-        self._tracker: Optional[MisraGriesTracker] = None
-
-    def install(self, kernel) -> None:
-        self._tracker = MisraGriesTracker(
-            self.params, remap=kernel.dram.remap
-        )
-        kernel.dram.feed.subscribe(self._tracker)
+    params_class = MisraGriesParams
+    tracker_class = MisraGriesTracker

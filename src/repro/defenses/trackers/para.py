@@ -18,11 +18,11 @@ draw sequence (the feed publishes identically in every mode).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ...errors import ConfigError
-from ...rng import Random, derive_rng
-from ..base import Defense, register_defense
+from ...rng import Random
+from ..base import TrackerDefense, register_defense
 from ...dram.feed import Tracker
 
 
@@ -50,10 +50,9 @@ class ParaTracker(Tracker):
     name = "para"
 
     def __init__(self, params: ParaParams, rng: Random, remap=None) -> None:
-        super().__init__()
+        super().__init__(remap)
         self.params = params
         self.rng = rng
-        self.remap = remap
         self.triggers = 0
 
     def observe(self, bank: int, row: int, count: int, epoch: int,
@@ -67,41 +66,17 @@ class ParaTracker(Tracker):
         if not hits:
             return
         self.triggers += hits
-        for distance in range(1, self.params.refresh_distance + 1):
-            if self.remap is not None:
-                for victim in self.remap.neighbors_at(row, distance):
-                    self.queue_refresh(bank, victim)
-            else:
-                self.queue_refresh(bank, row - distance)
-                self.queue_refresh(bank, row + distance)
+        self.queue_neighbors(bank, row, self.params.refresh_distance)
 
     def counters(self) -> Dict[str, int]:
         return {"triggers": self.triggers}
 
-    def sram_bits(self) -> int:
-        return 0
-
 
 @register_defense
-class ParaDefense(Defense):
+class ParaDefense(TrackerDefense):
     """PARA as a deployable defense configuration."""
 
     name = "para"
     summary = "probabilistic adjacent row activation (stateless)"
-
-    def __init__(self, probability: float = 0.001,
-                 refresh_distance: int = 1, seed: int = 0) -> None:
-        self.params = ParaParams(
-            probability=probability,
-            refresh_distance=refresh_distance,
-            seed=seed,
-        )
-        self._tracker: Optional[ParaTracker] = None
-
-    def install(self, kernel) -> None:
-        rng = derive_rng("tracker", self.name, kernel.spec.seed,
-                         self.params.seed)
-        self._tracker = ParaTracker(
-            self.params, rng, remap=kernel.dram.remap
-        )
-        kernel.dram.feed.subscribe(self._tracker)
+    params_class = ParaParams
+    tracker_class = ParaTracker

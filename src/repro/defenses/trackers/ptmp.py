@@ -17,11 +17,11 @@ threshold gets its neighbourhood refreshed and its counter reset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ...errors import ConfigError
-from ...rng import Random, derive_rng
-from ..base import Defense, register_defense
+from ...rng import Random
+from ..base import TrackerDefense, register_defense
 from ...dram.feed import Tracker
 
 
@@ -58,25 +58,12 @@ class PtmpTracker(Tracker):
     name = "ptmp"
 
     def __init__(self, params: PtmpParams, rng: Random, remap=None) -> None:
-        super().__init__()
+        super().__init__(remap)
         self.params = params
         self.rng = rng
-        self.remap = remap
-        # bank -> [epoch, {row: count}]
-        self._tables: Dict[int, List] = {}
         self.mitigations = 0
         self.insertions = 0
         self.rejected = 0
-
-    def _table(self, bank: int, epoch: int) -> Dict[int, int]:
-        state = self._tables.get(bank)
-        if state is None:
-            state = [epoch, {}]
-            self._tables[bank] = state
-        elif state[0] != epoch:
-            state[0] = epoch
-            state[1] = {}
-        return state[1]
 
     def observe(self, bank: int, row: int, count: int, epoch: int,
                 now_ns: int) -> None:
@@ -100,21 +87,8 @@ class PtmpTracker(Tracker):
         table[row] += count
         if table[row] >= self.params.threshold:
             table[row] = 0
-            self._issue_refresh(bank, row)
-
-    def _issue_refresh(self, bank: int, row: int) -> None:
-        self.mitigations += 1
-        for distance in range(1, self.params.refresh_distance + 1):
-            if self.remap is not None:
-                for victim in self.remap.neighbors_at(row, distance):
-                    self.queue_refresh(bank, victim)
-            else:
-                self.queue_refresh(bank, row - distance)
-                self.queue_refresh(bank, row + distance)
-
-    def tracked_rows(self, bank: int, epoch: int) -> Dict[int, int]:
-        """Snapshot of the table for tests/diagnostics."""
-        return dict(self._table(bank, epoch))
+            self.mitigations += 1
+            self.queue_neighbors(bank, row, self.params.refresh_distance)
 
     def counters(self) -> Dict[str, int]:
         return {
@@ -129,28 +103,10 @@ class PtmpTracker(Tracker):
 
 
 @register_defense
-class PtmpDefense(Defense):
+class PtmpDefense(TrackerDefense):
     """PTMP as a deployable defense configuration."""
 
     name = "ptmp"
     summary = "probabilistic insertion + random eviction tracker"
-
-    def __init__(self, table_entries: int = 4, threshold: int = 2_000,
-                 insert_probability: float = 1 / 16,
-                 refresh_distance: int = 2, seed: int = 0) -> None:
-        self.params = PtmpParams(
-            table_entries=table_entries,
-            threshold=threshold,
-            insert_probability=insert_probability,
-            refresh_distance=refresh_distance,
-            seed=seed,
-        )
-        self._tracker: Optional[PtmpTracker] = None
-
-    def install(self, kernel) -> None:
-        rng = derive_rng("tracker", self.name, kernel.spec.seed,
-                         self.params.seed)
-        self._tracker = PtmpTracker(
-            self.params, rng, remap=kernel.dram.remap
-        )
-        kernel.dram.feed.subscribe(self._tracker)
+    params_class = PtmpParams
+    tracker_class = PtmpTracker

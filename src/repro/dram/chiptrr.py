@@ -24,20 +24,17 @@ phenomenology exactly:
 Counters reset at each auto-refresh epoch (lazy, like the disturbance
 accumulators).
 
-Since the layered-tracker refactor ChipTRR is just one
-:class:`~repro.dram.feed.Tracker` riding the module's
-:class:`~repro.dram.feed.ActivationFeed`: :meth:`observe` updates the
-Misra-Gries summary and queues victim rows, which the feed actuates
-through the shared :class:`~repro.dram.feed.RefreshActuator` — at
-exactly the points in the activation stream the pre-refactor bespoke
-wiring healed them (the generative differential harness enforces
-bit-identity).
+ChipTRR is one :class:`~repro.dram.feed.Tracker` riding the module's
+:class:`~repro.dram.feed.ActivationFeed`: :meth:`ChipTrr.observe` runs
+the base class's Misra-Gries count step and queues the neighbourhood of
+a row that reaches the threshold, which the feed actuates through the
+shared :class:`~repro.dram.feed.RefreshActuator`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict
 
 from ..errors import ConfigError
 from .feed import Tracker
@@ -65,102 +62,30 @@ class TrrParams:
 class ChipTrr(Tracker):
     """Per-bank Misra-Gries ACT tracker issuing targeted refreshes.
 
-    As a feed subscriber the tracker only *queues* victims; the feed's
-    actuator performs the heals.  ``refresh_row`` is the legacy
-    direct-wiring escape hatch: tests that drive the tracker standalone
-    pass a callable and use :meth:`on_activate`, which drains onto it.
+    The TRR engine is silicon: it refreshes the rows *physically*
+    flanking the aggressor, through the module's row remap.  A row that
+    reaches the threshold has its counter zeroed.
     """
 
     name = "chiptrr"
 
-    def __init__(
-        self, params: TrrParams,
-        refresh_row: Optional[Callable[[int, int], None]] = None,
-        remap=None,
-    ) -> None:
-        super().__init__()
+    def __init__(self, params: TrrParams, remap=None) -> None:
+        super().__init__(remap)
         self.params = params
-        self._refresh_row = refresh_row
-        #: The TRR engine is silicon: it refreshes the rows *physically*
-        #: flanking the aggressor, translated through the module's
-        #: internal remapping when one exists.
-        self.remap = remap
-        # bank -> [epoch, {row: count}]
-        self._trackers: Dict[int, List] = {}
         self.targeted_refreshes = 0
-        self.evictions = 0
-
-    def _tracker(self, bank: int, epoch: int) -> Dict[int, int]:
-        state = self._trackers.get(bank)
-        if state is None:
-            state = [epoch, {}]
-            self._trackers[bank] = state
-        elif state[0] != epoch:
-            state[0] = epoch
-            state[1] = {}
-        return state[1]
 
     def observe(self, bank: int, row: int, count: int, epoch: int,
                 now_ns: int) -> None:
         """Feed ``count`` ACTs of (bank, row) through the tracker."""
-        if not self.params.enabled or count <= 0:
+        params = self.params
+        if not params.enabled or count <= 0:
             return
-        counters = self._tracker(bank, epoch)
-        if row in counters:
-            counters[row] += count
-        elif len(counters) < self.params.tracker_slots:
-            counters[row] = count
-        else:
-            # Misra-Gries eviction: an untracked arrival decrements every
-            # counter; rows that hit zero lose their slot.  ``count``
-            # arrivals decrement by ``count``.
-            self.evictions += 1
-            dead = []
-            for tracked, value in counters.items():
-                value -= count
-                if value <= 0:
-                    dead.append(tracked)
-                else:
-                    counters[tracked] = value
-            for tracked in dead:
-                del counters[tracked]
-            return
-        if counters[row] >= self.params.trr_threshold:
-            counters[row] = 0
-            self._issue_refresh(bank, row)
-
-    def on_activate(self, bank: int, row: int, count: int, epoch: int) -> None:
-        """Legacy direct-wiring entry: observe, then actuate locally.
-
-        Only meaningful when the tracker was constructed with a
-        ``refresh_row`` callable (standalone use in tests/diagnostics);
-        feed-subscribed trackers are driven through ``observe`` and
-        drained by the feed instead.
-        """
-        # Policy observation, not a metric mutation (RPR008's
-        # ``.observe`` heuristic collides with the Tracker verb).
-        self.observe(bank, row, count, epoch, 0)  # repro-lint: disable=RPR008
-        pending = self.drain_refreshes()
-        if self._refresh_row is not None:
-            for victim_bank, victim_row in pending:
-                self._refresh_row(victim_bank, victim_row)
-
-    def _issue_refresh(self, bank: int, row: int) -> None:
-        """Queue the suspected aggressor's neighbourhood for refresh."""
-        self.targeted_refreshes += 1
-        for distance in range(1, self.params.refresh_distance + 1):
-            if self.remap is not None:
-                for victim in self.remap.neighbors_at(row, distance):
-                    self.queue_refresh(bank, victim)
-            else:
-                self.queue_refresh(bank, row - distance)
-                self.queue_refresh(bank, row + distance)
-
-    def tracked_rows(self, bank: int, epoch: int) -> Dict[int, int]:
-        """Snapshot of the tracker for tests/diagnostics."""
-        if not self.params.enabled:
-            return {}
-        return dict(self._tracker(bank, epoch))
+        table = self._table(bank, epoch)
+        if (self._count(table, row, count, params.tracker_slots)
+                and table[row] >= params.trr_threshold):
+            table[row] = 0
+            self.targeted_refreshes += 1
+            self.queue_neighbors(bank, row, params.refresh_distance)
 
     # ------------------------------------------------------- telemetry
     def counters(self) -> Dict[str, int]:

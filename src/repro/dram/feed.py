@@ -10,14 +10,15 @@ architecture"):
 * **tracking policy** — :class:`Tracker` implementations (ChipTRR in
   :mod:`repro.dram.chiptrr`, the zoo in
   :mod:`repro.defenses.trackers`) that watch the feed and decide which
-  rows to refresh.  Trackers never touch ``DramModule`` or
+  rows to refresh.  The base class owns what the policies share: the
+  per-bank counter table, the Misra-Gries count step and the
+  neighbour walk.  Trackers never touch ``DramModule`` or
   ``BankState`` internals — the flow rule RPR013 enforces that the
   feed is their only window into the DRAM.
-* **actuation** — :class:`RefreshActuator`, the shared neighbour-refresh
-  engine.  ChipTRR, every zoo tracker and the module's own
-  ``refresh_row`` path (which SoftTRR's row refresher drives) all issue
-  refreshes through the same actuator, so refresh accounting has one
-  home.
+* **actuation** — :class:`RefreshActuator`, the shared refresh engine.
+  ChipTRR, every zoo tracker and the module's own ``refresh_row`` path
+  (which SoftTRR's row refresher drives) all issue refreshes through
+  the same actuator, so refresh accounting has one home.
 
 Determinism contract: ``publish`` runs trackers in subscription order
 and actuates each tracker's drained refreshes immediately, so a batched
@@ -29,16 +30,26 @@ tracker to that bar, bit for bit.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 __all__ = ["ActivationFeed", "RefreshActuator", "Tracker"]
 
 
 class Tracker:
-    """Interface for one tracking policy riding the activation feed.
+    """One tracking policy riding the activation feed, plus the parts
+    every policy shares.
 
-    Subclasses implement :meth:`observe` (update state; queue victim
-    rows with :meth:`queue_refresh`) and inherit the drain machinery.
+    Subclasses implement :meth:`observe` and keep only their policy in
+    it; the base owns the rest:
+
+    * a per-bank counter table (:meth:`_table`), emptied lazily when the
+      auto-refresh epoch changes, exactly like the disturbance
+      accumulators;
+    * the Misra-Gries count step (:meth:`_count`) over that table;
+    * :meth:`queue_neighbors`, the victim walk through the module's row
+      remap; and
+    * the drain machinery the feed actuates from.
+
     All randomness must come from :func:`repro.rng.derive_rng` streams
     held on the tracker (RPR010), and all state must deepcopy cleanly —
     ``Machine.snapshot`` copies trackers with the DRAM they watch.
@@ -47,8 +58,14 @@ class Tracker:
     #: Registry-style short name (also the telemetry namespace).
     name = "abstract"
 
-    def __init__(self) -> None:
+    def __init__(self, remap=None) -> None:
         self._pending: List[Tuple[int, int]] = []
+        #: Trackers refresh the rows *physically* flanking an aggressor,
+        #: translated through the module's row remap when one exists.
+        self.remap = remap
+        # bank -> [epoch, {row: count}]
+        self._tables: Dict[int, List] = {}
+        self.evictions = 0
 
     # ------------------------------------------------------ observation
     def observe(self, bank: int, row: int, count: int, epoch: int,
@@ -61,10 +78,69 @@ class Tracker:
         """
         raise NotImplementedError
 
+    # --------------------------------------------------- counter table
+    def _table(self, bank: int, epoch: int) -> Dict[int, int]:
+        """``bank``'s counter table, emptied when ``epoch`` moves on."""
+        state = self._tables.get(bank)
+        if state is None or state[0] != epoch:
+            state = self._tables[bank] = [epoch, {}]
+            self._refill(bank)
+        return state[1]
+
+    def _refill(self, bank: int) -> None:
+        """Hook: ``bank``'s table was just (re)created empty."""
+
+    def _count(self, table: Dict[int, int], row: int, count: int,
+               slots: int) -> bool:
+        """The Misra-Gries count step; whether ``row`` is now tracked.
+
+        A tracked row's counter grows by ``count``; an untracked row
+        takes a free slot.  With no slot free the arrival spills
+        instead: every counter drops by ``count``, rows that reach zero
+        lose their slot, and one eviction is counted.
+        """
+        if row in table:
+            table[row] += count
+        elif len(table) < slots:
+            table[row] = count
+        else:
+            self.evictions += 1
+            dead = []
+            for tracked, value in table.items():
+                value -= count
+                if value <= 0:
+                    dead.append(tracked)
+                else:
+                    table[tracked] = value
+            for tracked in dead:
+                del table[tracked]
+            return False
+        return True
+
+    def tracked_rows(self, bank: int, epoch: int) -> Dict[int, int]:
+        """Snapshot of ``bank``'s table for tests/diagnostics."""
+        return dict(self._table(bank, epoch))
+
     # -------------------------------------------------------- actuation
     def queue_refresh(self, bank: int, row: int) -> None:
         """Queue one victim row for refresh at the next drain."""
         self._pending.append((bank, row))
+
+    def queue_neighbors(self, bank: int, row: int, distance: int) -> None:
+        """Queue every physical neighbour of ``row`` out to ``distance``.
+
+        Nearest rows first; at each distance the physically lower row
+        comes first, as :meth:`~repro.dram.remap.RowRemap.neighbors_at`
+        orders them.
+        """
+        remap = self.remap
+        for step in range(1, distance + 1):
+            if remap is not None:
+                for victim in remap.neighbors_at(row, step):
+                    self.queue_refresh(bank, victim)
+            else:
+                self.queue_refresh(bank, row - step)
+                self.queue_refresh(bank, row + step)
 
     def drain_refreshes(self) -> List[Tuple[int, int]]:
         """Victim rows queued since the last drain (cleared on return)."""
@@ -90,19 +166,16 @@ class Tracker:
 
 
 class RefreshActuator:
-    """The shared neighbour-refresh engine (the actuation layer).
+    """The shared refresh engine (the actuation layer).
 
-    Wraps the DRAM's heal callback and its in-module row remapping:
-    :meth:`refresh_row` recharges one row, :meth:`refresh_neighbors`
-    walks the physical neighbourhood of an aggressor out to a given
-    blast radius — through the remap when one exists, the way silicon
-    TRR does.
+    Wraps the DRAM's heal callback: :meth:`refresh_row` recharges one
+    row and counts it.  Trackers walk their victims' neighbourhoods
+    themselves (:meth:`Tracker.queue_neighbors`); the feed hands every
+    queued row to this one method.
     """
 
-    def __init__(self, heal: Callable[[int, int], None],
-                 remap=None) -> None:
+    def __init__(self, heal: Callable[[int, int], None]) -> None:
         self._heal = heal
-        self.remap = remap
         #: Individual row refreshes issued through this actuator.
         self.refreshes = 0
 
@@ -110,18 +183,6 @@ class RefreshActuator:
         """Recharge one row (out-of-range rows are silently clipped)."""
         self.refreshes += 1
         self._heal(bank, row)
-
-    def refresh_neighbors(self, bank: int, row: int,
-                          max_distance: int) -> None:
-        """Refresh every physical neighbour within ``max_distance``."""
-        remap = self.remap
-        for distance in range(1, max_distance + 1):
-            if remap is not None:
-                for victim in remap.neighbors_at(row, distance):
-                    self.refresh_row(bank, victim)
-            else:
-                self.refresh_row(bank, row - distance)
-                self.refresh_row(bank, row + distance)
 
 
 class ActivationFeed:

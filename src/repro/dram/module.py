@@ -100,7 +100,7 @@ class DramModule:
         # (actuation).  The profile's ChipTRR subscribes like any other
         # tracker; zoo trackers join via ``feed.subscribe`` at defense
         # install time.
-        self.actuator = RefreshActuator(self._heal_row, remap=self.remap)
+        self.actuator = RefreshActuator(self._heal_row)
         self.feed = ActivationFeed(self.actuator)
         self.trr = ChipTrr(trr, remap=self.remap)
         if trr.enabled:

@@ -292,7 +292,18 @@ class FleetSpec:
         return cls(**payload)
 
     def validate_names(self) -> None:
-        """Check the scenarios axis against the runner's namespace."""
+        """Check the scenarios axis against the runner's namespace, and
+        build every named defenses-axis entry once."""
+        from ..machine import build_defense
+
+        for entry in self.defenses:
+            if entry["name"] is not None:
+                try:
+                    build_defense(entry["name"], entry["params"])
+                except ConfigError as exc:
+                    raise ConfigError(
+                        f"fleet spec 'defenses' entry {entry!r}: {exc}"
+                    ) from None
         if self.runner == "scenario":
             from ..scenarios.registry import scenario
 

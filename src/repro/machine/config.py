@@ -31,7 +31,9 @@ def build_defense(name: str, params: Optional[Mapping] = None):
 
     SoftTRR's parameters travel as a dict and are hydrated into
     :class:`~repro.core.profile.SoftTrrParams`; every other defense
-    factory takes its params as keyword arguments directly.
+    factory takes its params as keyword arguments directly.  An unknown
+    name raises :class:`ConfigError`, and so does a ``TypeError`` from
+    the params: an unknown key, or a value their checks cannot compare.
     """
     from ..defenses.base import DEFENSES
 
@@ -42,11 +44,15 @@ def build_defense(name: str, params: Optional[Mapping] = None):
         raise ConfigError(
             f"unknown defense {name!r}; known: {sorted(DEFENSES.keys())}"
         ) from None
-    if name == "softtrr":
-        from ..core.profile import SoftTrrParams
+    try:
+        if name == "softtrr":
+            from ..core.profile import SoftTrrParams
 
-        return factory(SoftTrrParams(**params))
-    return factory(**params)
+            return factory(SoftTrrParams(**params))
+        return factory(**params)
+    except TypeError as exc:
+        raise ConfigError(
+            f"defense {name!r} rejects params {params!r}: {exc}") from None
 
 
 @dataclass(frozen=True)

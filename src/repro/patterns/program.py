@@ -74,9 +74,7 @@ class AttackProgram:
     ``act_ns`` is the inter-ACT overhead beyond the conflict latency
     (user mode defaults to :data:`DEFAULT_EXTRA_NS`, matching the
     legacy hammer loop); ``use_batch=False`` runs the scalar
-    per-activation reference path instead of the batched backend;
-    ``dispatch_timers=False`` suppresses the per-step kernel timer
-    dispatch for raw-DRAM micro-benches.
+    per-activation reference path instead of the batched backend.
     """
 
     def __init__(
@@ -87,7 +85,6 @@ class AttackProgram:
         mode: str = "rows",
         act_ns: Optional[int] = None,
         use_batch: bool = True,
-        dispatch_timers: bool = True,
     ) -> None:
         if mode not in MODES:
             raise PatternError(
@@ -98,7 +95,6 @@ class AttackProgram:
         if self.act_ns < 0:
             raise PatternError(f"act_ns must be >= 0, got {self.act_ns}")
         self.use_batch = use_batch
-        self.dispatch_timers = dispatch_timers
         self.bindings = dict(bindings or {})
         self._plan: Optional[CompiledPlan] = None
         if isinstance(pattern_or_plan, CompiledPlan):
@@ -147,10 +143,9 @@ class AttackProgram:
                     f"program {self.name!r}: user mode needs a process "
                     "and an aggressor vaddr list")
             acts = _run_user(kernel, process, aggressors, plan,
-                             self.use_batch, self.dispatch_timers)
+                             self.use_batch)
         else:
-            acts = _run_rows(kernel, plan, self.use_batch,
-                             self.dispatch_timers)
+            acts = _run_rows(kernel, plan, self.use_batch)
         return ProgramOutcome(
             program=self.name,
             mode=self.mode,
@@ -161,8 +156,7 @@ class AttackProgram:
         )
 
 
-def _run_rows(kernel, plan: CompiledPlan, use_batch: bool,
-              dispatch_timers: bool) -> int:
+def _run_rows(kernel, plan: CompiledPlan, use_batch: bool) -> int:
     dram = kernel.dram
     geometry = dram.geometry
     mapping = dram.mapping
@@ -192,8 +186,7 @@ def _run_rows(kernel, plan: CompiledPlan, use_batch: bool,
             total += sum(count for _b, _r, count in step.acts)
         if step.wait_ns:
             clock.advance(step.wait_ns)
-        if dispatch_timers:
-            kernel.dispatch_timers()
+        kernel.dispatch_timers()
     return total
 
 
@@ -209,8 +202,7 @@ def _resolve_user_paddr(kernel, process, vaddr: int) -> int:
 
 
 def _run_user(kernel, process, aggressors: Sequence[int],
-              plan: CompiledPlan, use_batch: bool,
-              dispatch_timers: bool) -> int:
+              plan: CompiledPlan, use_batch: bool) -> int:
     if not aggressors:
         raise AttackError("no aggressors to hammer")
     for bank, index in plan.targets():
@@ -248,8 +240,7 @@ def _run_user(kernel, process, aggressors: Sequence[int],
             total += count
         if step.wait_ns:
             clock.advance(step.wait_ns)
-        if dispatch_timers:
-            kernel.dispatch_timers()
+        kernel.dispatch_timers()
     return total
 
 

@@ -5,9 +5,14 @@ thresholds, budgets) and installed (the defense subscribes them to the
 machine's activation feed and the shared actuator heals their victims).
 """
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.dram.chiptrr import ChipTrr, TrrParams
 from repro.dram.feed import ActivationFeed, RefreshActuator, Tracker
+from repro.dram.remap import FoldedRemap, IdentityRemap
 from repro.defenses import DEFENSES, register_defense
 from repro.defenses.base import Defense
 from repro.defenses.trackers.dapper import DapperParams, DapperTracker
@@ -18,8 +23,16 @@ from repro.defenses.trackers.misra_gries import (
 from repro.defenses.trackers.para import ParaParams, ParaTracker
 from repro.defenses.trackers.ptmp import PtmpParams, PtmpTracker
 from repro.errors import ConfigError
-from repro.machine import Machine
+from repro.machine import Machine, build_defense
 from repro.rng import derive_rng
+
+from .reference import (
+    ReferenceChipTrr,
+    ReferenceDapper,
+    ReferenceMisraGries,
+    ReferencePara,
+    ReferencePtmp,
+)
 
 
 class TestFeedPlumbing:
@@ -209,3 +222,112 @@ class TestInstalledDefenses:
     def test_register_rejects_abstract_name(self):
         with pytest.raises(ValueError):
             register_defense(Defense)
+
+    #: Each zoo defense's keyword params and their defaults: public
+    #: API that fleet specs and scenario params spell out.
+    KEYWORDS = {
+        "chiptrr": dict(tracker_slots=2, trr_threshold=4_000,
+                        refresh_distance=6),
+        "para": dict(probability=0.001, refresh_distance=1, seed=0),
+        "misra_gries": dict(table_entries=8, threshold=2_000,
+                            refresh_distance=2),
+        "ptmp": dict(table_entries=4, threshold=2_000,
+                     insert_probability=1 / 16, refresh_distance=2,
+                     seed=0),
+        "dapper": dict(table_entries=8, threshold=2_000,
+                       mitigation_budget=4, refresh_distance=2),
+    }
+
+    @pytest.mark.parametrize("name", ZOO)
+    def test_defense_keywords_and_defaults(self, name):
+        keywords = self.KEYWORDS[name]
+        params = dataclasses.asdict(DEFENSES[name]().params)
+        if name == "chiptrr":
+            assert params.pop("enabled") is True
+        assert params == keywords
+        # Every keyword is accepted and lands on the params ...
+        for key, default in keywords.items():
+            value = default * 2 if key != "seed" else 5
+            assert getattr(DEFENSES[name](**{key: value}).params,
+                           key) == value
+        # ... and nothing else is: no unknown key, no pinned field.
+        for key in ("typo", "enabled"):
+            with pytest.raises(ConfigError, match=repr(key)):
+                build_defense(name, {key: 1})
+
+
+_REMAPS = (None, IdentityRemap(16), FoldedRemap(16))
+
+#: One feed call: bank, row, ACT count, epoch.  Small counts recur
+#: often enough that a spill takes a counter to exactly zero; epochs
+#: come in any order, so tables (and DAPPER's budget) refill
+#: non-monotonically.
+_STREAM = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 15),
+                             st.integers(-2, 6) | st.integers(-2, 300),
+                             st.integers(0, 3)),
+                   max_size=40)
+
+_KNOBS = st.fixed_dictionaries({
+    "remap": st.sampled_from(_REMAPS),
+    "slots": st.integers(1, 4),
+    "threshold": st.integers(2, 50),
+    "distance": st.integers(1, 3),
+    "budget": st.integers(1, 3),
+    "probability": st.sampled_from([0.01, 0.1, 0.5, 1.0]),
+    "seed": st.integers(0, 3),
+})
+
+
+def _with_reference(kind, remap, slots, threshold, distance, budget,
+                    probability, seed):
+    """A production tracker and its reference copy, built alike."""
+    if kind == "chiptrr":
+        params = TrrParams(enabled=True, tracker_slots=slots,
+                           trr_threshold=threshold,
+                           refresh_distance=distance)
+        return (ChipTrr(params, remap=remap),
+                ReferenceChipTrr(params, remap))
+    if kind == "misra_gries":
+        params = MisraGriesParams(table_entries=slots, threshold=threshold,
+                                  refresh_distance=distance)
+        return (MisraGriesTracker(params, remap=remap),
+                ReferenceMisraGries(params, remap))
+    if kind == "dapper":
+        params = DapperParams(table_entries=slots, threshold=threshold,
+                              mitigation_budget=budget,
+                              refresh_distance=distance)
+        return (DapperTracker(params, remap=remap),
+                ReferenceDapper(params, remap))
+    if kind == "ptmp":
+        params = PtmpParams(table_entries=slots, threshold=threshold,
+                            insert_probability=probability,
+                            refresh_distance=distance)
+        return (PtmpTracker(params, derive_rng("ref", seed), remap=remap),
+                ReferencePtmp(params, derive_rng("ref", seed), remap))
+    params = ParaParams(probability=probability, refresh_distance=distance)
+    return (ParaTracker(params, derive_rng("ref", seed), remap=remap),
+            ReferencePara(params, derive_rng("ref", seed), remap))
+
+
+@pytest.mark.parametrize("kind", TestInstalledDefenses.ZOO)
+@settings(max_examples=200, deadline=None)
+@given(knobs=_KNOBS, stream=_STREAM)
+def test_tracker_matches_reference(kind, knobs, stream):
+    """Each tracker's policy on the shared core equals its standalone
+    copy, call by call."""
+    tracker, reference = _with_reference(kind, **knobs)
+    for bank, row, count, epoch in stream:
+        tracker.observe(bank, row, count, epoch, 0)
+        reference.observe(bank, row, count, epoch, 0)
+        assert tracker.drain_refreshes() == reference.drain_refreshes()
+        assert (list(tracker.counters().items())
+                == list(reference.counters().items()))
+        assert tracker.sram_bits() == reference.sram_bits()
+        if kind != "para":
+            assert (tracker.tracked_rows(bank, epoch)
+                    == reference.tracked_rows(bank, epoch))
+        if kind == "dapper":
+            assert (tracker.budget_left(bank, epoch)
+                    == reference.budget_left(bank, epoch))
+        if kind in ("para", "ptmp"):
+            assert tracker.rng.getstate() == reference.rng.getstate()

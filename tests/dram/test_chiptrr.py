@@ -7,23 +7,24 @@ from repro.errors import ConfigError
 
 
 class Recorder:
-    """Collects rows the TRR engine refreshes."""
+    """Drives a standalone tracker the way the activation feed does
+    (observe, then drain) and collects the rows it refreshes."""
 
-    def __init__(self):
+    def __init__(self, trr):
+        self.trr = trr
         self.refreshed = []
 
-    def __call__(self, bank, row):
-        self.refreshed.append((bank, row))
+    def activate(self, bank, row, count, epoch):
+        self.trr.observe(bank, row, count, epoch, 0)
+        self.refreshed.extend(self.trr.drain_refreshes())
 
 
 def make_trr(slots=2, threshold=100, distance=2):
-    rec = Recorder()
     trr = ChipTrr(
         TrrParams(enabled=True, tracker_slots=slots,
                   trr_threshold=threshold, refresh_distance=distance),
-        rec,
     )
-    return trr, rec
+    return trr, Recorder(trr)
 
 
 class TestParams:
@@ -42,17 +43,17 @@ class TestParams:
 
 class TestTracking:
     def test_disabled_does_nothing(self):
-        rec = Recorder()
-        trr = ChipTrr(TrrParams(enabled=False), rec)
+        trr = ChipTrr(TrrParams(enabled=False))
+        rec = Recorder(trr)
         for _ in range(1000):
-            trr.on_activate(0, 5, 1, epoch=0)
+            rec.activate(0, 5, 1, epoch=0)
         assert rec.refreshed == []
         assert trr.tracked_rows(0, 0) == {}
 
     def test_single_aggressor_triggers_refresh(self):
         trr, rec = make_trr(threshold=50, distance=2)
         for _ in range(50):
-            trr.on_activate(0, 10, 1, epoch=0)
+            rec.activate(0, 10, 1, epoch=0)
         assert (0, 9) in rec.refreshed
         assert (0, 11) in rec.refreshed
         assert (0, 8) in rec.refreshed
@@ -61,14 +62,14 @@ class TestTracking:
     def test_counter_resets_after_refresh(self):
         trr, rec = make_trr(threshold=50)
         for _ in range(50):
-            trr.on_activate(0, 10, 1, epoch=0)
+            rec.activate(0, 10, 1, epoch=0)
         assert trr.tracked_rows(0, 0)[10] == 0
 
     def test_double_sided_both_tracked(self):
         trr, rec = make_trr(slots=2, threshold=100)
         for _ in range(200):
-            trr.on_activate(0, 9, 1, epoch=0)
-            trr.on_activate(0, 11, 1, epoch=0)
+            rec.activate(0, 9, 1, epoch=0)
+            rec.activate(0, 11, 1, epoch=0)
         # Both aggressors reached the threshold at least once; the victim
         # row 10 was refreshed from both sides.
         assert rec.refreshed.count((0, 10)) >= 2
@@ -78,9 +79,9 @@ class TestTracking:
         """The TRRespass phenomenon: k > slots aggressors are invisible."""
         trr, rec = make_trr(slots=2, threshold=100)
         for _ in range(2000):
-            trr.on_activate(0, 8, 1, epoch=0)
-            trr.on_activate(0, 10, 1, epoch=0)
-            trr.on_activate(0, 12, 1, epoch=0)
+            rec.activate(0, 8, 1, epoch=0)
+            rec.activate(0, 10, 1, epoch=0)
+            rec.activate(0, 12, 1, epoch=0)
         assert rec.refreshed == []
         assert trr.targeted_refreshes == 0
         assert trr.evictions > 0
@@ -88,42 +89,42 @@ class TestTracking:
     def test_k_sided_caught_with_enough_slots(self):
         trr, rec = make_trr(slots=4, threshold=100)
         for _ in range(200):
-            trr.on_activate(0, 8, 1, epoch=0)
-            trr.on_activate(0, 10, 1, epoch=0)
-            trr.on_activate(0, 12, 1, epoch=0)
+            rec.activate(0, 8, 1, epoch=0)
+            rec.activate(0, 10, 1, epoch=0)
+            rec.activate(0, 12, 1, epoch=0)
         assert trr.targeted_refreshes > 0
 
     def test_epoch_rollover_clears_tracker(self):
         trr, rec = make_trr(slots=2, threshold=100)
         for _ in range(99):
-            trr.on_activate(0, 10, 1, epoch=0)
-        trr.on_activate(0, 10, 1, epoch=1)  # new refresh window
+            rec.activate(0, 10, 1, epoch=0)
+        rec.activate(0, 10, 1, epoch=1)  # new refresh window
         assert trr.targeted_refreshes == 0
         assert trr.tracked_rows(0, 1) == {10: 1}
 
     def test_banks_tracked_independently(self):
         trr, rec = make_trr(slots=1, threshold=100)
         for _ in range(99):
-            trr.on_activate(0, 10, 1, epoch=0)
-            trr.on_activate(1, 20, 1, epoch=0)
+            rec.activate(0, 10, 1, epoch=0)
+            rec.activate(1, 20, 1, epoch=0)
         assert trr.tracked_rows(0, 0) == {10: 99}
         assert trr.tracked_rows(1, 0) == {20: 99}
 
     def test_batched_counts(self):
         trr, rec = make_trr(slots=2, threshold=100)
-        trr.on_activate(0, 10, 100, epoch=0)
+        rec.activate(0, 10, 100, epoch=0)
         assert trr.targeted_refreshes == 1
 
     def test_misra_gries_eviction_removes_dead_rows(self):
         trr, rec = make_trr(slots=1, threshold=1000)
-        trr.on_activate(0, 10, 5, epoch=0)   # tracked: {10: 5}
-        trr.on_activate(0, 20, 5, epoch=0)   # evicts 10 entirely
+        rec.activate(0, 10, 5, epoch=0)   # tracked: {10: 5}
+        rec.activate(0, 20, 5, epoch=0)   # evicts 10 entirely
         assert trr.tracked_rows(0, 0) == {}
-        trr.on_activate(0, 20, 1, epoch=0)   # now 20 can take the slot
+        rec.activate(0, 20, 1, epoch=0)   # now 20 can take the slot
         assert trr.tracked_rows(0, 0) == {20: 1}
 
     def test_negative_or_zero_count_ignored(self):
         trr, rec = make_trr()
-        trr.on_activate(0, 10, 0, epoch=0)
-        trr.on_activate(0, 10, -5, epoch=0)
+        rec.activate(0, 10, 0, epoch=0)
+        rec.activate(0, 10, -5, epoch=0)
         assert trr.tracked_rows(0, 0) == {}

@@ -210,6 +210,17 @@ MALFORMED = {
     "defense-unknown-key": (
         {"defenses": [{"name": "softtrr", "param": {"count_limit": 2}}]},
         "defenses"),
+    "defense-unknown-name": ({"defenses": ["bogus"]}, "defenses"),
+    "defense-param-unknown-key": (
+        {"defenses": [{"name": "para", "params": {"probabilty": 0.1}}]},
+        "defenses"),
+    "defense-param-wrong-type": (
+        {"defenses": [{"name": "para", "params": {"probability": "x"}}]},
+        "defenses"),
+    "defense-param-out-of-range": (
+        {"defenses": [{"name": "dapper",
+                       "params": {"mitigation_budget": 0}}]},
+        "defenses"),
     "unknown-key": ({"seed": [1, 2]}, "seed"),
 }
 
