@@ -28,7 +28,11 @@ paper's design explicitly targets (Section III-A):
 All randomness (which rows have vulnerable cells, where, and how hard
 they are) is a pure function of ``(seed, bank, row)``, so every machine
 profile has a stable, reproducible flip map — the property templating
-and the security evaluation depend on.
+and the security evaluation depend on.  Being pure, the map is derived
+once per process: every engine of one ``(DisturbanceParams, row_bytes)``
+profile reads the same :class:`CellMap` (see :func:`shared_cell_map`),
+and :meth:`DisturbanceEngine.set_cells` is the one way to override a
+row, on a private copy.
 
 :class:`DisturbanceEngine` keeps the accumulators in two flat per-bank
 arrays indexed by row:
@@ -57,9 +61,10 @@ row once and replays whole cycles at C speed:
 * invulnerable non-aggressor rows take one fused add for the whole span
   (the sanctioned last-ULP relaxation — such rows can never flip);
 * vulnerable non-aggressor rows get the exact sequential float cumsum
-  of their per-cycle deposit pattern (``numpy.cumsum`` when available,
-  ``itertools.accumulate`` otherwise — both bit-identical to the scalar
-  ``+=`` walk) and per-cell crossings located by binary search;
+  of their per-cycle deposit pattern (``numpy.cumsum`` for spans of at
+  least ``_NUMPY_MIN`` adds, ``itertools.accumulate`` for shorter ones —
+  both bit-identical to the scalar ``+=`` walk) and per-cell crossings
+  located by binary search;
 * aggressor-self rows (healed mid-cycle by their own activation) are
   simulated exactly for two cycles, after which every later cycle is a
   bit-identical replica (the post-heal end value is independent of the
@@ -76,18 +81,16 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, repeat
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ..errors import ConfigError
 from ..rng import derive_rng
 from .geometry import DramGeometry
 from .remap import IdentityRemap, RowRemap
-
-try:  # pragma: no cover - exercised via both branches in CI matrices
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: Minimum tiled-add count before the numpy cumsum pays for itself.
 _NUMPY_MIN = 192
@@ -101,23 +104,23 @@ def _exact_cumsum(carry: float, adds: List[float], reps: int):
     ``i`` is the accumulator value after ``i`` deposits.
     """
     total = len(adds) * reps
-    if _np is not None and total >= _NUMPY_MIN:
-        arr = _np.empty(total + 1)
+    if total >= _NUMPY_MIN:
+        arr = np.empty(total + 1)
         arr[0] = carry
         if len(adds) == 1:
             arr[1:] = adds[0]
         else:
-            arr[1:] = _np.tile(_np.asarray(adds), reps)
-        _np.cumsum(arr, out=arr)
+            arr[1:] = np.tile(np.asarray(adds), reps)
+        np.cumsum(arr, out=arr)
         return arr
     return list(accumulate(adds * reps, initial=carry))
 
 
 def _first_reaching(cum, threshold: float) -> int:
     """Index of the first entry ``>= threshold`` (entries non-decreasing)."""
-    if _np is not None and not isinstance(cum, list):
-        return int(_np.searchsorted(cum, threshold, side="left"))
-    return bisect_left(cum, threshold)
+    if isinstance(cum, list):
+        return bisect_left(cum, threshold)
+    return int(np.searchsorted(cum, threshold, side="left"))
 
 
 def crosses(before: float, threshold: float, after: float) -> bool:
@@ -188,6 +191,11 @@ class DisturbanceParams:
             raise ConfigError("row_vuln_probability must be a probability")
         if self.max_vuln_cells_per_row < 1:
             raise ConfigError("need at least one cell per vulnerable row")
+        # The seed is stringified into the cell streams, so 1, True and
+        # 1.0 — equal and equally hashed — would give three flip maps.
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigError(
+                f"disturbance seed must be an int, got {self.seed!r}")
 
     def weight(self, distance: int) -> float:
         """Disturbance deposited per activation at ``distance`` rows away."""
@@ -196,14 +204,95 @@ class DisturbanceParams:
         return self.distance_decay ** (distance - 1)
 
 
+class CellMap:
+    """The vulnerable cells of one ``(DisturbanceParams, row_bytes)`` profile.
+
+    A row's cells are a pure function of the profile and ``(bank, row)``,
+    so they are derived on first query and memoised, along with the set
+    of rows that have any.  :func:`shared_cell_map` hands every engine of
+    a profile one instance, which only derivation ever writes;
+    :meth:`DisturbanceEngine.set_cells` swaps in a private copy before it
+    overrides a row.  A deep copy keeps a shared map by identity and
+    copies a private one, so a machine snapshot never copies the memo.
+    """
+
+    def __init__(self, params: DisturbanceParams, row_bytes: int,
+                 shared: bool = False) -> None:
+        self.params = params
+        self.row_bytes = row_bytes
+        self.shared = shared
+        #: (bank, row) -> the row's cells, sorted by threshold.
+        self.cells: Dict[Tuple[int, int], Tuple[VulnerableCell, ...]] = {}
+        #: Keys of memoised rows with at least one cell.
+        self.vulnerable: Set[Tuple[int, int]] = set()
+
+    def __deepcopy__(self, memo) -> "CellMap":
+        return self if self.shared else self.private_copy()
+
+    def private_copy(self) -> "CellMap":
+        """An unshared map holding this one's memo (cells are immutable)."""
+        copy = CellMap(self.params, self.row_bytes)
+        copy.cells = dict(self.cells)
+        copy.vulnerable = set(self.vulnerable)
+        return copy
+
+    def put(self, bank: int, row: int,
+            cells: Tuple[VulnerableCell, ...]) -> None:
+        """Set the cells of (bank, row) and its vulnerable-set entry."""
+        key = (bank, row)
+        self.cells[key] = cells
+        if cells:
+            self.vulnerable.add(key)
+        else:
+            self.vulnerable.discard(key)
+
+    def derive(self, bank: int, row: int) -> Tuple[VulnerableCell, ...]:
+        """Derive, memoise and return the cells of (bank, row)."""
+        params = self.params
+        rng = derive_rng("cells", params.seed, bank, row)
+        cells: List[VulnerableCell] = []
+        if rng.random() < params.row_vuln_probability:
+            count = rng.randint(1, params.max_vuln_cells_per_row)
+            row_bits_total = self.row_bytes * 8
+            for _ in range(count):
+                # Square the uniform draw so thresholds skew toward the
+                # base: most vulnerable rows have at least one "easy" cell,
+                # as the HC_first distributions in [26] show.
+                spread = (params.threshold_max_factor - 1.0) * rng.random() ** 2
+                cells.append(
+                    VulnerableCell(
+                        bit_offset=rng.randrange(row_bits_total),
+                        threshold=params.base_flip_threshold * (1.0 + spread),
+                        from_value=rng.randint(0, 1),
+                    )
+                )
+            cells.sort(key=lambda c: c.threshold)
+        result = tuple(cells)
+        self.put(bank, row, result)
+        return result
+
+
+@lru_cache(maxsize=32)
+def shared_cell_map(params: DisturbanceParams, row_bytes: int) -> CellMap:
+    """The process-wide :class:`CellMap` of one profile.
+
+    Cached per ``(params, row_bytes)`` *value*, like the address tables
+    of :func:`repro.dram.address._build_tables`: every engine of a
+    profile reads one memo, and nothing is built at import.  The bound
+    only stops test sweeps over random params from growing the cache;
+    an evicted map stays valid for the engines that hold it.
+    """
+    return CellMap(params, row_bytes, shared=True)
+
+
 class DisturbanceEngine:
     """The disturbance model over flat per-bank row arrays.
 
-    Owns the deterministic vulnerable-cell map, the cached per-aggressor
-    victim plans, the accumulator store and the two counters the
-    telemetry layer samples.  The engine is deliberately clock-free:
-    callers pass the current refresh epoch and timestamp so it can be
-    unit-tested in isolation.
+    Reads its profile's shared vulnerable-cell map, and owns the cached
+    per-aggressor victim plans, the accumulator store and the two
+    counters the telemetry layer samples.  The engine is deliberately
+    clock-free: callers pass the current refresh epoch and timestamp so
+    it can be unit-tested in isolation.
     """
 
     def __init__(self, geometry: DramGeometry, params: DisturbanceParams,
@@ -214,12 +303,10 @@ class DisturbanceEngine:
         #: adjacency, so victims of an activation are the logical rows
         #: whose physical positions flank the activated row.
         self.remap = remap or IdentityRemap(geometry.rows_per_bank)
-        # (bank, row) -> tuple of VulnerableCell (lazily generated, cached)
-        self._cells: Dict[Tuple[int, int], Tuple[VulnerableCell, ...]] = {}
-        # Keys of rows known to have at least one cell: a cheap set the
-        # batched paths probe instead of re-deriving cell tuples.
-        self._vulnerable: Set[Tuple[int, int]] = set()
-        # (bank, row) -> cached victim plan (see victim_plan()).
+        # The profile's shared cell map, until set_cells() makes it ours.
+        self._cell_map = shared_cell_map(params, geometry.row_bytes)
+        # (bank, row) -> cached victim plan (see victim_plan()).  Plans
+        # are per engine: they hang off this engine's remap.
         self._plans: Dict[
             Tuple[int, int],
             Tuple[Tuple[int, float, Tuple[VulnerableCell, ...]], ...],
@@ -235,42 +322,36 @@ class DisturbanceEngine:
     # --------------------------------------------------------- cell map
     def vulnerable_cells(self, bank: int, row: int) -> Tuple[VulnerableCell, ...]:
         """The (deterministic) vulnerable cells of a row."""
-        key = (bank, row)
-        cached = self._cells.get(key)
+        cell_map = self._cell_map
+        cached = cell_map.cells.get((bank, row))
         if cached is not None:
             return cached
-        rng = derive_rng("cells", self.params.seed, bank, row)
-        cells: List[VulnerableCell] = []
-        if rng.random() < self.params.row_vuln_probability:
-            count = rng.randint(1, self.params.max_vuln_cells_per_row)
-            row_bits_total = self.geometry.row_bytes * 8
-            for _ in range(count):
-                # Square the uniform draw so thresholds skew toward the
-                # base: most vulnerable rows have at least one "easy" cell,
-                # as the HC_first distributions in [26] show.
-                spread = (self.params.threshold_max_factor - 1.0) * rng.random() ** 2
-                cells.append(
-                    VulnerableCell(
-                        bit_offset=rng.randrange(row_bits_total),
-                        threshold=self.params.base_flip_threshold * (1.0 + spread),
-                        from_value=rng.randint(0, 1),
-                    )
-                )
-            cells.sort(key=lambda c: c.threshold)
-        result = tuple(cells)
-        self._cells[key] = result
-        if result:
-            self._vulnerable.add(key)
-        return result
+        return cell_map.derive(bank, row)
 
     def is_vulnerable(self, bank: int, row: int) -> bool:
         """Whether the row has any flippable cell."""
+        cell_map = self._cell_map
         key = (bank, row)
-        if key in self._vulnerable:
+        if key in cell_map.vulnerable:
             return True
-        if key in self._cells:
+        if key in cell_map.cells:
             return False
-        return bool(self.vulnerable_cells(bank, row))
+        return bool(cell_map.derive(bank, row))
+
+    def set_cells(self, bank: int, row: int,
+                  cells: Iterable[VulnerableCell]) -> None:
+        """Override the vulnerable cells of (bank, row) on this engine.
+
+        The one way to hand-build a row's cells.  The first call swaps
+        the profile's shared map for a private copy, so no other engine,
+        and no machine built later, sees the override.  Victim plans
+        embed cell tuples, so this engine's cached plans are dropped.
+        """
+        if self._cell_map.shared:
+            self._cell_map = self._cell_map.private_copy()
+        self._cell_map.put(
+            bank, row, tuple(sorted(cells, key=lambda c: c.threshold)))
+        self._plans.clear()
 
     def min_threshold(self, bank: int, row: int) -> Optional[float]:
         """Threshold of the row's easiest cell, or ``None``."""

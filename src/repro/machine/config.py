@@ -94,6 +94,9 @@ class MachineConfig:
             )
         if self.strict_sanitizers and not self.sanitize:
             raise ConfigError("strict_sanitizers requires sanitize=True")
+        if self.seed is not None and (
+                isinstance(self.seed, bool) or not isinstance(self.seed, int)):
+            raise ConfigError(f"machine seed must be an int, got {self.seed!r}")
         from ..trace.hub import LEVELS
 
         if self.trace not in LEVELS:

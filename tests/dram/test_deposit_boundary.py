@@ -33,12 +33,8 @@ def make_engine(vuln_probability=0.0):
 
 
 def inject_cells(engine, bank, row, cells):
-    """Install a hand-built cell map for one row (tests only)."""
-    key = (bank, row)
-    engine._cells[key] = tuple(cells)
-    if cells:
-        engine._vulnerable.add(key)
-    return key
+    """Install a hand-built cell map for one row of this engine only."""
+    engine.set_cells(bank, row, cells)
 
 
 def scalar_hammer(engine, aggressor, count, items, epoch, now_ns):
@@ -165,12 +161,12 @@ class TestDepositBatchBoundary:
 
     def test_batch_skips_scan_for_invulnerable_row(self):
         engine = make_engine()
-        key = inject_cells(engine, 0, 5, [])
+        inject_cells(engine, 0, 5, [])
         assert not engine.is_vulnerable(0, 5)
         assert batch_hammer(engine, 4, 2, 5, epoch=0, now_ns=0) == []
         assert engine.accumulated(0, 5, 0) == 10.0  # the fused add
         assert engine.total_deposits == 5 * len(engine.victim_plan(0, 4))
-        assert key not in engine._vulnerable
+        assert not engine.is_vulnerable(0, 5)
 
     def test_batch_out_of_range_row_is_ignored(self):
         engine = make_engine()
@@ -188,11 +184,7 @@ VICTIM = (0, 20)
 def module_with_cells(cells):
     """A tiny machine's DRAM with ``cells`` as the victim row's map."""
     dram = Machine(machine="tiny").dram
-    engine = dram.engine
-    engine._cells[VICTIM] = tuple(cells)
-    engine._vulnerable.discard(VICTIM)
-    if cells:
-        engine._vulnerable.add(VICTIM)
+    dram.engine.set_cells(*VICTIM, cells)
     return dram
 
 

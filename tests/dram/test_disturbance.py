@@ -1,18 +1,26 @@
 """Tests for the rowhammer disturbance fault model."""
 
+import copy
+from bisect import bisect_left
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dram.disturbance import (
+    _NUMPY_MIN,
     DisturbanceEngine,
     DisturbanceParams,
     VulnerableCell,
+    _exact_cumsum,
+    _first_reaching,
 )
 from repro.dram.geometry import DramGeometry
 from repro.dram.remap import FoldedRemap, IdentityRemap
 from repro.errors import ConfigError
+from repro.machine import Machine
 
-from .reference import reference_on_activate
+from .reference import reference_cells, reference_on_activate
 
 
 def geo() -> DramGeometry:
@@ -61,6 +69,13 @@ class TestParams:
         with pytest.raises(ConfigError):
             DisturbanceParams(**kwargs)
 
+    @pytest.mark.parametrize("seed", [True, 1.0, "1"])
+    def test_seed_must_be_an_int(self, seed):
+        # Each equals (or stringifies like) another seed yet would
+        # derive its own flip map, aliasing in the shared-map cache.
+        with pytest.raises(ConfigError, match="seed must be an int"):
+            DisturbanceParams(seed=seed)
+
 
 class TestCellMap:
     def test_deterministic(self):
@@ -104,6 +119,148 @@ class TestCellMap:
                 assert cell.threshold <= 2000.0
                 assert cell.from_value in (0, 1)
                 assert 0 <= cell.bit_offset < 8192 * 8
+
+    @given(
+        seed=st.integers(0, 5),
+        probability=st.floats(0.0, 1.0),
+        max_cells=st.integers(1, 4),
+        row_bytes=st.sampled_from([1024, 8192]),
+        queries=st.lists(st.tuples(
+            st.integers(0, 1),
+            st.sampled_from(["cells", "vulnerable", "min", "plan"]),
+            st.integers(0, 7), st.integers(0, 63)),
+            min_size=1, max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_shared_map_matches_reference(self, seed, probability,
+                                          max_cells, row_bytes, queries):
+        """Two engines of one profile, queried in any interleaving,
+        answer as the memo-free derivation in ``reference.py`` does."""
+        params = DisturbanceParams(row_vuln_probability=probability,
+                                   max_vuln_cells_per_row=max_cells,
+                                   seed=seed)
+        geometry = DramGeometry(num_banks=8, rows_per_bank=64,
+                                row_bytes=row_bytes)
+        engines = [DisturbanceEngine(geometry, params) for _ in range(2)]
+        assert engines[0]._cell_map is engines[1]._cell_map
+        for which, query, bank, row in queries:
+            e = engines[which]
+            expected = reference_cells(params, row_bytes, bank, row)
+            if query == "cells":
+                assert e.vulnerable_cells(bank, row) == expected
+            elif query == "vulnerable":
+                assert e.is_vulnerable(bank, row) == bool(expected)
+            elif query == "min":
+                assert e.min_threshold(bank, row) == (
+                    expected[0].threshold if expected else None)
+            else:
+                for victim, _weight, cells in e.victim_plan(bank, row):
+                    assert cells == reference_cells(params, row_bytes,
+                                                    bank, victim)
+
+
+def tiny_engine():
+    return Machine(machine="tiny").dram.engine
+
+
+def vulnerable_row(e, bank=0):
+    """The first row of ``bank`` with cells, two rows clear of the edge."""
+    return next(r for r in range(2, e.geometry.rows_per_bank - 2)
+                if e.is_vulnerable(bank, r))
+
+
+class TestSharedCellMap:
+    """One cell map per profile and process; set_cells stays private."""
+
+    PINNED = [VulnerableCell(bit_offset=9, threshold=7.0, from_value=1)]
+
+    def test_machines_of_one_profile_share_one_map(self):
+        first, second = tiny_engine(), tiny_engine()
+        assert first._cell_map is second._cell_map
+        assert first._cell_map.shared
+        other_seed = Machine(machine="tiny", seed=2).dram.engine
+        assert other_seed._cell_map is not first._cell_map
+        narrow = DramGeometry(num_banks=first.geometry.num_banks,
+                              rows_per_bank=first.geometry.rows_per_bank,
+                              row_bytes=first.geometry.row_bytes // 2)
+        other_width = DisturbanceEngine(narrow, first.params)
+        assert other_width._cell_map is not first._cell_map
+
+    def test_set_cells_leaves_other_engines_alone(self):
+        patched, twin = tiny_engine(), tiny_engine()
+        row = vulnerable_row(patched)
+        before = twin.vulnerable_cells(0, row)
+        shared = patched._cell_map
+        patched.set_cells(0, row, self.PINNED)
+        assert patched.vulnerable_cells(0, row) == tuple(self.PINNED)
+        assert patched._cell_map is not shared
+        assert not patched._cell_map.shared
+        assert twin.vulnerable_cells(0, row) == before
+        later = tiny_engine()
+        assert later._cell_map is shared
+        assert later.vulnerable_cells(0, row) == before
+        assert later.vulnerable_cells(0, row) == reference_cells(
+            later.params, later.geometry.row_bytes, 0, row)
+
+    def test_set_cells_sorts_by_threshold(self):
+        e = engine()
+        cells = [VulnerableCell(bit_offset=1, threshold=9.0, from_value=0),
+                 VulnerableCell(bit_offset=2, threshold=3.0, from_value=1)]
+        e.set_cells(1, 4, cells)
+        assert e.vulnerable_cells(1, 4) == (cells[1], cells[0])
+        assert e.min_threshold(1, 4) == 3.0
+
+    def test_empty_set_cells_clears_a_vulnerable_row(self):
+        e = tiny_engine()
+        row = vulnerable_row(e)
+        aggressor = row - 1
+        plan = e.victim_plan(0, aggressor)
+        assert any(victim == row and cells for victim, _w, cells in plan)
+        e.set_cells(0, row, [])
+        assert not e.is_vulnerable(0, row)
+        assert e.vulnerable_cells(0, row) == ()
+        assert e.min_threshold(0, row) is None
+        rebuilt = e.victim_plan(0, aggressor)
+        assert [v for v, _w, _c in rebuilt] == [v for v, _w, _c in plan]
+        assert all(cells == () for victim, _w, cells in rebuilt
+                   if victim == row)
+        # Nothing left to flip: hammering the flank far past the old
+        # threshold fires no cell of the cleared row.
+        flips = e.on_activate(0, aggressor, 10 ** 6, epoch=0, now_ns=0)
+        assert all(f.row != row for f in flips)
+        assert (0, row) not in e.vulnerable_accumulated(0)
+
+    def test_deepcopy_shares_a_shared_map_and_copies_a_private_one(self):
+        e = tiny_engine()
+        row = vulnerable_row(e)
+        assert copy.deepcopy(e)._cell_map is e._cell_map
+        e.set_cells(0, row, self.PINNED)
+        clone = copy.deepcopy(e)
+        assert clone._cell_map is not e._cell_map
+        assert clone.vulnerable_cells(0, row) == tuple(self.PINNED)
+        e.set_cells(0, row, [])
+        assert clone.vulnerable_cells(0, row) == tuple(self.PINNED)
+        assert clone.is_vulnerable(0, row)
+        clone.set_cells(0, row + 1, self.PINNED)
+        assert e.vulnerable_cells(0, row + 1) == reference_cells(
+            e.params, e.geometry.row_bytes, 0, row + 1)
+
+    def test_snapshot_before_set_cells_restores_the_old_cells(self):
+        machine = Machine(machine="tiny")
+        engine = machine.dram.engine
+        row = vulnerable_row(engine)
+        before = engine.vulnerable_cells(0, row)
+        assert before == reference_cells(engine.params,
+                                         engine.geometry.row_bytes, 0, row)
+        snap = machine.snapshot()
+        engine.set_cells(0, row, [])
+        assert not machine.dram.engine.is_vulnerable(0, row)
+        machine.restore(snap)
+        restored = machine.dram.engine
+        assert restored is not engine
+        assert restored.vulnerable_cells(0, row) == before
+        assert restored.is_vulnerable(0, row)
+        assert restored._cell_map is tiny_engine()._cell_map
 
 
 class TestAccumulation:
@@ -287,3 +444,26 @@ class TestPlanWalk:
             assert store(walk) == store(ref)
         assert walk.total_deposits == ref.total_deposits
         assert walk.total_flip_events == ref.total_flip_events
+
+
+class TestExactCumsum:
+    """The periodic kernel's cumsum: numpy from ``_NUMPY_MIN`` adds up,
+    a list below, and either one bit-identical to sequential ``+=``."""
+
+    @given(
+        carry=st.floats(0.0, 1e5),
+        adds=st.lists(st.floats(1e-6, 1e4), min_size=1, max_size=8),
+        span=st.integers(_NUMPY_MIN - 16, _NUMPY_MIN + 16),
+        probes=st.lists(st.floats(0.0, 3e6), max_size=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sequential_walk(self, carry, adds, span, probes):
+        reps = max(1, span // len(adds))
+        cum = _exact_cumsum(carry, adds, reps)
+        walk = list(accumulate(adds * reps, initial=carry))
+        assert len(cum) == len(walk)
+        assert [float(x).hex() for x in cum] == [x.hex() for x in walk]
+        assert isinstance(cum, list) == (len(adds) * reps < _NUMPY_MIN)
+        for threshold in probes + [walk[len(walk) // 2], walk[-1]]:
+            assert _first_reaching(cum, threshold) == bisect_left(
+                walk, threshold)

@@ -31,10 +31,7 @@ def make_engine():
 
 
 def inject_cells(engine, bank, row, cells):
-    key = (bank, row)
-    engine._cells[key] = tuple(cells)
-    if cells:
-        engine._vulnerable.add(key)
+    engine.set_cells(bank, row, cells)
 
 
 class TestEdgeRowActivation:

@@ -51,6 +51,13 @@ class TestMachineConfig:
         b = MachineConfig(machine="tiny", seed=8).build_spec()
         assert a.seed == 7 and b.seed == 8
 
+    @pytest.mark.parametrize("seed", [True, 1.0, "1"])
+    def test_seed_must_be_an_int(self, seed):
+        # derive_rng stringifies the seed, so each would give its own
+        # flip map while comparing equal to (or instead of) seed=1.
+        with pytest.raises(ConfigError, match="seed must be an int"):
+            MachineConfig(machine="tiny", seed=seed)
+
 
 class TestMachineFacade:
     def test_boot_and_properties_alias_kernel(self):
