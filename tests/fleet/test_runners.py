@@ -88,6 +88,24 @@ class TestWindowRunner:
         with pytest.raises(ConfigError, match="unknown window pattern"):
             run_window_cell("sideways")
 
+    def test_agrees_with_the_zoo_pattern_leg(self):
+        # At the default seed and budget a window cell hammers exactly
+        # what the zoo's pattern leg does; the zoo digests pin the
+        # latter, so this pins the former.
+        from repro.analysis.zoo import PATTERNS, ZOO_DEFENSES, run_zoo_cell
+
+        shared = ("victim", "victim_threshold", "aggressors",
+                  "acts_per_aggressor", "flip_events", "protected",
+                  "activations", "refreshes", "refresh_overhead")
+        mismatches = []
+        for defense in ZOO_DEFENSES:
+            for pattern in PATTERNS:
+                window = run_window_cell(pattern, defense)
+                zoo = run_zoo_cell(defense, pattern)
+                mismatches += [(defense, pattern, key) for key in shared
+                               if window[key] != zoo[key]]
+        assert mismatches == []
+
 
 class TestScenarioRunner:
     def test_materialise_applies_axis_overrides(self):
