@@ -24,12 +24,12 @@ show measurable erosion (otherwise the injection itself is dead).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
-from ..errors import AttackError, ConfigError
+from ..errors import ConfigError
 from ..faults import FAULT_SITES, SITE_MODES, FaultPlan, FaultSpec
 from ..scenarios.spec import ScenarioSpec
-from .zoo import build_machine
+from .zoo import SPRAY_KNOBS, build_machine, spray_leg
 
 __all__ = [
     "DEFAULT_INTENSITY",
@@ -50,10 +50,6 @@ HEALING_PARAMS = {
 
 #: Default per-opportunity fault probability for every site.
 DEFAULT_INTENSITY = 0.25
-
-#: Smoke-scale attack knobs (mirrors the ``smoke`` scenario group).
-_ATTACK_PARAMS = {"m": 1, "region_pages": 224, "template_rounds": 3_000,
-                  "hammer_ns": 4_000_000}
 
 
 def site_spec(site: str, seed: int = 0) -> FaultSpec:
@@ -93,13 +89,9 @@ def run_chaos_cell(
     Deterministic in all arguments (seeded injector streams, simulated
     clock); returns a JSON-stable payload dict.
     """
-    from ..attacks.memory_spray import MemorySprayAttack
-
     params = dict(defense_params or {})
     if healing:
         params.update(HEALING_PARAMS)
-    knobs = dict(_ATTACK_PARAMS)
-    knobs.update(attack_params or {})
     spec = site_spec(site, seed)
     # Report-mode sanitizers, never strict: a lost invlpg legitimately
     # leaves a stale TLB entry behind — that is the fault, not a model
@@ -107,7 +99,6 @@ def run_chaos_cell(
     machine = build_machine(
         "softtrr", params, machine_name,
         fault_plan=FaultPlan(specs=(spec,), seed=seed))
-    kernel = machine.kernel
     payload: Dict[str, object] = {
         "site": site,
         "mode": spec.mode,
@@ -115,39 +106,8 @@ def run_chaos_cell(
         "healing": healing,
         "seed": seed,
     }
-    try:
-        attack = MemorySprayAttack(
-            kernel, m=knobs["m"], region_pages=knobs["region_pages"],
-            template_rounds=knobs["template_rounds"])
-        attack.setup()
-        # Templating flips the attacker's own user pages before any of
-        # them is recycled into an L1PT; only flips after hammering
-        # starts can be protection failures.
-        hammer_start = kernel.clock.now_ns
-        outcome = attack.run(hammer_ns_per_victim=knobs["hammer_ns"])
-    except AttackError as exc:
-        payload.update({
-            "verdict": "blocked",
-            "detail": str(exc)[:60],
-            "l1pt_flip_events": 0,
-            "hammer_time_ns": 0,
-        })
-        targeted: List[int] = []
-    else:
-        targeted = sorted(outcome.targeted_pt_pages)
-        pt_frames = set(kernel.l1pt_frames()) | set(targeted)
-        flips = sum(
-            1
-            for ppn in sorted(pt_frames)
-            for flip in kernel.dram.flips_in_page(ppn)
-            if flip.at_ns >= hammer_start)
-        payload.update({
-            "verdict": "bypassed" if outcome.succeeded else "blocked",
-            "targeted_pt_pages": targeted,
-            "flipped_pt_pages": sorted(outcome.flipped_pt_pages),
-            "l1pt_flip_events": flips,
-            "hammer_time_ns": outcome.hammer_time_ns,
-        })
+    payload.update(spray_leg(machine, {**SPRAY_KNOBS,
+                                       **(attack_params or {})}))
     softtrr = machine.softtrr
     trr_params = softtrr.params
     site_counters = machine.telemetry.group(f"faults.{site}")
@@ -184,5 +144,5 @@ def run_chaos_scenario(spec: ScenarioSpec) -> dict:
         seed=params.get("seed", 11),
         machine_name=spec.machine,
         defense_params=spec.defense_params,
-        attack_params={k: params[k] for k in _ATTACK_PARAMS if k in params},
+        attack_params={k: params[k] for k in SPRAY_KNOBS if k in params},
     )

@@ -30,9 +30,9 @@ gates it (:mod:`repro.fleet.report`): vanilla must flip somewhere (the
 bench has teeth), every tracker must actuate somewhere (the feed is
 live) and at least one tracker must fully protect a cell vanilla loses.
 
-:func:`build_machine` (the sanitized cell machine) and
-:func:`cheapest_victim` are shared with the chaos, pattern and window
-cells.
+:func:`build_machine` (the sanitized cell machine), :func:`cheapest_victim`
+and the two legs (:func:`hammer_leg`, :func:`spray_leg`) are shared with
+the chaos, pattern and window cells and with ``repro-trace record``.
 """
 
 from __future__ import annotations
@@ -45,12 +45,16 @@ from ..scenarios.spec import ScenarioSpec
 
 __all__ = [
     "PATTERNS",
+    "SPRAY_KNOBS",
     "TINY_DEFENSE_PARAMS",
     "ZOO_DEFENSES",
     "build_machine",
     "cheapest_victim",
+    "hammer_leg",
+    "l1pt_flips_since",
     "run_zoo_cell",
     "run_zoo_scenario",
+    "spray_leg",
     "tracker_metrics",
     "zoo_specs",
 ]
@@ -90,9 +94,10 @@ _PATTERN_OFFSETS = {
 _MARGIN = max(abs(off) for offsets in _PATTERN_OFFSETS.values()
               for off in offsets)
 
-#: Smoke-scale memory-spray knobs (mirrors the chaos harness).
-_SPRAY_PARAMS = {"m": 1, "region_pages": 224, "template_rounds": 3_000,
-                 "hammer_ns": 4_000_000}
+#: Smoke-scale memory-spray knobs: the spray leg's defaults, and the
+#: registry's ``smoke`` and ``baselines`` attack params.
+SPRAY_KNOBS = {"m": 1, "region_pages": 224, "template_rounds": 3_000,
+               "hammer_ns": 4_000_000}
 
 #: Hammer rounds for the pattern leg (per-aggressor budget is split
 #: across rounds so aggressors interleave, as real many-sided does).
@@ -159,6 +164,79 @@ def tracker_metrics(machine: Machine) -> Dict[str, object]:
     }
 
 
+def l1pt_flips_since(kernel, extra_ppns, start_ns: int) -> int:
+    """FlipEvents at or after ``start_ns`` in the kernel's L1PT frames
+    plus ``extra_ppns`` (the frames an attack aimed at)."""
+    frames = set(kernel.l1pt_frames()) | set(extra_ppns)
+    return sum(
+        1
+        for ppn in sorted(frames)
+        for flip in kernel.dram.flips_in_page(ppn)
+        if flip.at_ns >= start_ns)
+
+
+def hammer_leg(machine: Machine, pattern: str,
+               rounds: int = _PATTERN_ROUNDS,
+               budget_factor: float = 1.5) -> Dict[str, object]:
+    """Hammer the cheapest vulnerable neighbourhood with ``pattern``:
+    ``budget_factor`` x the victim's flip threshold per aggressor, split
+    across ``rounds`` interleaved rounds."""
+    dram = machine.dram
+    bank, victim, threshold = cheapest_victim(machine)
+    offsets = _PATTERN_OFFSETS[pattern]
+    budget = int(budget_factor * threshold)
+    per_round = max(1, budget // max(1, rounds))
+    aggressors = [
+        dram.mapping.dram_to_phys(bank, victim + offset, 0)
+        for offset in offsets]
+    hammer_start = machine.clock.now_ns
+    for _ in range(rounds):
+        for paddr in aggressors:
+            dram.hammer(paddr, per_round)
+    flips = sum(1 for flip in dram.flip_log if flip.at_ns >= hammer_start)
+    return {
+        "victim": [bank, victim],
+        "victim_threshold": threshold,
+        "aggressors": len(offsets),
+        "acts_per_aggressor": per_round * rounds,
+        "flip_events": flips,
+        "protected": flips == 0,
+    }
+
+
+def spray_leg(machine: Machine,
+              knobs: Mapping = SPRAY_KNOBS) -> Dict[str, object]:
+    """The memory-spray attack on ``machine``, scored on its L1PTs: the
+    verdict, the flip count and the attack's outcome fields (``detail``
+    instead when the attack is blocked before hammering)."""
+    from ..attacks.memory_spray import MemorySprayAttack
+
+    kernel = machine.kernel
+    try:
+        attack = MemorySprayAttack(
+            kernel, m=knobs["m"], region_pages=knobs["region_pages"],
+            template_rounds=knobs["template_rounds"])
+        attack.setup()
+        # Templating flips the attacker's own user pages before any of
+        # them is recycled into an L1PT; only flips after hammering
+        # starts can be protection failures.
+        hammer_start = kernel.clock.now_ns
+        outcome = attack.run(hammer_ns_per_victim=knobs["hammer_ns"])
+    except AttackError as exc:
+        # A tracker that suppresses templating (no flips to template
+        # with) blocks the attack before it ever aims at a page table.
+        return {"verdict": "blocked", "detail": str(exc)[:60],
+                "l1pt_flip_events": 0, "hammer_time_ns": 0}
+    targeted = sorted(outcome.targeted_pt_pages)
+    return {
+        "verdict": "bypassed" if outcome.succeeded else "blocked",
+        "targeted_pt_pages": targeted,
+        "flipped_pt_pages": sorted(outcome.flipped_pt_pages),
+        "l1pt_flip_events": l1pt_flips_since(kernel, targeted, hammer_start),
+        "hammer_time_ns": outcome.hammer_time_ns,
+    }
+
+
 def run_zoo_cell(
     defense: str,
     pattern: str,
@@ -174,87 +252,26 @@ def run_zoo_cell(
     ``"spray"`` (memory-spray attack leg).  ``seed`` is recorded in
     the payload only: the machine keeps its profile's default seed.
     """
-    if pattern == "spray":
-        return _run_spray_cell(defense, seed, machine_name,
-                               defense_params, attack_params, fault_plan)
-    if pattern not in _PATTERN_OFFSETS:
+    if pattern != "spray" and pattern not in _PATTERN_OFFSETS:
         raise ConfigError(
             f"unknown zoo pattern {pattern!r}; known: "
             f"{PATTERNS + ('spray',)}")
     machine = build_machine(defense, defense_params, machine_name,
                             fault_plan=fault_plan)
-    dram = machine.dram
-    bank, victim, threshold = cheapest_victim(machine)
-    offsets = _PATTERN_OFFSETS[pattern]
-    budget = int(1.5 * threshold)
-    per_round = max(1, budget // _PATTERN_ROUNDS)
-    aggressors = [
-        dram.mapping.dram_to_phys(bank, victim + offset, 0)
-        for offset in offsets]
-    hammer_start = machine.clock.now_ns
-    for _ in range(_PATTERN_ROUNDS):
-        for paddr in aggressors:
-            dram.hammer(paddr, per_round)
-    flips = sum(1 for flip in dram.flip_log if flip.at_ns >= hammer_start)
     payload: Dict[str, object] = {
         "defense": defense,
         "pattern": pattern,
         "seed": seed,
-        "victim": [bank, victim],
-        "victim_threshold": threshold,
-        "aggressors": len(offsets),
-        "acts_per_aggressor": per_round * _PATTERN_ROUNDS,
-        "flip_events": flips,
-        "protected": flips == 0,
     }
-    payload.update(tracker_metrics(machine))
-    return payload
-
-
-def _run_spray_cell(defense: str, seed: int, machine_name: str,
-                    defense_params: Optional[Mapping],
-                    attack_params: Optional[Mapping],
-                    fault_plan: Optional[Mapping]) -> dict:
-    from ..attacks.memory_spray import MemorySprayAttack
-
-    knobs = dict(_SPRAY_PARAMS)
-    knobs.update(attack_params or {})
-    machine = build_machine(defense, defense_params, machine_name,
-                            fault_plan=fault_plan)
-    kernel = machine.kernel
-    payload: Dict[str, object] = {
-        "defense": defense,
-        "pattern": "spray",
-        "seed": seed,
-    }
-    try:
-        attack = MemorySprayAttack(
-            kernel, m=knobs["m"], region_pages=knobs["region_pages"],
-            template_rounds=knobs["template_rounds"])
-        attack.setup()
-        hammer_start = kernel.clock.now_ns
-        outcome = attack.run(hammer_ns_per_victim=knobs["hammer_ns"])
-    except AttackError as exc:
-        # A tracker that suppresses templating (no flips to template
-        # with) blocks the attack before it ever aims at a page table.
-        payload.update({
-            "verdict": "blocked",
-            "detail": str(exc)[:60],
-            "l1pt_flip_events": 0,
-            "protected": True,
-        })
+    if pattern == "spray":
+        leg = spray_leg(machine, {**SPRAY_KNOBS, **(attack_params or {})})
+        payload.update({key: leg[key] for key in
+                        ("verdict", "detail", "l1pt_flip_events")
+                        if key in leg})
+        payload["protected"] = (leg["verdict"] == "blocked"
+                                and leg["l1pt_flip_events"] == 0)
     else:
-        pt_frames = set(kernel.l1pt_frames()) | set(outcome.targeted_pt_pages)
-        flips = sum(
-            1
-            for ppn in sorted(pt_frames)
-            for flip in kernel.dram.flips_in_page(ppn)
-            if flip.at_ns >= hammer_start)
-        payload.update({
-            "verdict": "bypassed" if outcome.succeeded else "blocked",
-            "l1pt_flip_events": flips,
-            "protected": not outcome.succeeded and flips == 0,
-        })
+        payload.update(hammer_leg(machine, pattern))
     payload.update(tracker_metrics(machine))
     return payload
 
@@ -268,7 +285,7 @@ def run_zoo_scenario(spec: ScenarioSpec) -> dict:
         seed=params.get("seed", 11),
         machine_name=spec.machine,
         defense_params=spec.defense_params,
-        attack_params={k: params[k] for k in _SPRAY_PARAMS if k in params},
+        attack_params={k: params[k] for k in SPRAY_KNOBS if k in params},
         fault_plan=params.get("fault_plan"),
     )
 

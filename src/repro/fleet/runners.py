@@ -110,8 +110,7 @@ def run_window_cell(
     protection story (flips, refreshes, windows covered, erosion under
     an active fault plan) plus the raw span histograms.
     """
-    from ..analysis.zoo import (
-        _PATTERN_OFFSETS, build_machine, cheapest_victim)
+    from ..analysis.zoo import build_machine, hammer_leg, tracker_metrics
 
     if pattern not in WINDOW_PATTERNS:
         raise ConfigError(
@@ -120,47 +119,29 @@ def run_window_cell(
     defense = defense or "vanilla"
     machine = build_machine(defense, defense_params, machine_name, seed,
                             fault_plan, trace="spans")
-    dram = machine.dram
-    bank, victim, threshold = cheapest_victim(machine)
-    offsets = _PATTERN_OFFSETS[pattern]
-    budget = int(budget_factor * threshold)
-    per_round = max(1, budget // max(1, rounds))
-    aggressors = [
-        dram.mapping.dram_to_phys(bank, victim + offset, 0)
-        for offset in offsets]
-    hammer_start = machine.clock.now_ns
-    for _ in range(rounds):
-        for paddr in aggressors:
-            dram.hammer(paddr, per_round)
-    hammer_ns = machine.clock.now_ns - hammer_start
-    flips = sum(1 for flip in dram.flip_log if flip.at_ns >= hammer_start)
-    window_ns = _DEFAULT_WINDOW_NS
-    softtrr = getattr(machine, "softtrr", None)
-    if softtrr is not None:
-        window_ns = softtrr.params.protection_window_ns
-    activations = dram.total_activations
-    refreshes = dram.actuator.refreshes
     payload: Dict[str, object] = {
         "kind": "window",
         "pattern": pattern,
         "defense": defense,
         "seed": seed,
-        "victim": [bank, victim],
-        "victim_threshold": threshold,
-        "aggressors": len(offsets),
-        "acts_per_aggressor": per_round * rounds,
-        "flip_events": flips,
-        "protected": flips == 0,
-        "activations": activations,
-        "refreshes": refreshes,
-        "refresh_overhead": (refreshes / activations
-                             if activations else 0.0),
+    }
+    hammer_start = machine.clock.now_ns
+    payload.update(hammer_leg(machine, pattern, rounds, budget_factor))
+    hammer_ns = machine.clock.now_ns - hammer_start
+    window_ns = _DEFAULT_WINDOW_NS
+    softtrr = getattr(machine, "softtrr", None)
+    if softtrr is not None:
+        window_ns = softtrr.params.protection_window_ns
+    metrics = tracker_metrics(machine)
+    payload.update({key: metrics[key] for key in
+                    ("activations", "refreshes", "refresh_overhead")})
+    payload.update({
         "window_ns": window_ns,
         "windows": hammer_ns // window_ns,
         "hammer_ns": hammer_ns,
         "erosion_ns": _window_erosion_ns(machine, fault_plan, softtrr),
         "span_histograms": machine.telemetry.span_histograms(),
-    }
+    })
     return payload
 
 

@@ -183,7 +183,7 @@ def _run_rows_cell(pat, defense, defense_params, machine_name, seed,
 
 def _run_pt_cell(pat, defense, defense_params, machine_name, seed,
                  bindings, budget_factor, region_pages, fault_plan) -> dict:
-    from ..analysis.zoo import build_machine, tracker_metrics
+    from ..analysis.zoo import build_machine, l1pt_flips_since, tracker_metrics
     from ..attacks.hammer import HammerKit
     from ..attacks.placement import (
         free_user_frame,
@@ -261,12 +261,7 @@ def _run_pt_cell(pat, defense, defense_params, machine_name, seed,
         kernel.clock.advance(window - into)
     hammer_start = kernel.clock.now_ns
     outcome = kit.run(program, aggressor_vaddrs)
-    pt_frames = set(kernel.l1pt_frames()) | {victim_ppn}
-    flips = sum(
-        1
-        for ppn in sorted(pt_frames)
-        for flip in kernel.dram.flips_in_page(ppn)
-        if flip.at_ns >= hammer_start)
+    flips = l1pt_flips_since(kernel, (victim_ppn,), hammer_start)
     payload = _base_payload(pat, plan, defense, "pt", seed)
     payload.update({
         "victim": [bank, victim_row],

@@ -39,9 +39,9 @@ from .spec import ScenarioSpec
 
 __all__ = ["SCENARIOS", "scenario", "scenario_group", "list_groups"]
 
-#: SoftTRR/ANVIL timing scaled to the tiny machine's weaker DRAM (the
-#: baselines matrix, the smoke spray and the chaos cells).
-_TINY_SOFTTRR = {"timer_inr_ns": 50_000}
+#: ANVIL timing scaled to the tiny machine's weaker DRAM.  SoftTRR's and
+#: the smoke spray knobs come from :mod:`repro.analysis.zoo`, imported in
+#: the builders: a module-level import would cycle back here.
 _TINY_ANVIL = {"interval_ns": 50_000, "miss_threshold": 300,
                "row_threshold": 3}
 
@@ -77,6 +77,8 @@ def _table2() -> List[ScenarioSpec]:
 
 
 def _baselines() -> List[ScenarioSpec]:
+    from ..analysis.zoo import SPRAY_KNOBS, TINY_DEFENSE_PARAMS
+
     #: (defense, defense_params, attack, extra params)
     grid = (
         ("vanilla", {}, "memory_spray", {}),
@@ -96,15 +98,12 @@ def _baselines() -> List[ScenarioSpec]:
         ("alis", {}, "memory_spray", {}),
         # Fit inside ALIS's bounded DMA partition.
         ("alis", {}, "cattmew", {"region_pages": 96}),
-        ("softtrr", _TINY_SOFTTRR, "memory_spray", {}),
-        ("softtrr", _TINY_SOFTTRR, "cattmew", {}),
-        ("softtrr", _TINY_SOFTTRR, "pthammer_spray", {}),
+        ("softtrr", TINY_DEFENSE_PARAMS["softtrr"], "memory_spray", {}),
+        ("softtrr", TINY_DEFENSE_PARAMS["softtrr"], "cattmew", {}),
+        ("softtrr", TINY_DEFENSE_PARAMS["softtrr"], "pthammer_spray", {}),
     )
     out = []
     for defense, defense_params, attack, extra in grid:
-        params = {"m": 1, "region_pages": 224, "template_rounds": 3_000,
-                  "hammer_ns": 4_000_000}
-        params.update(extra)
         out.append(ScenarioSpec(
             name=f"baselines-{defense}-{attack}",
             kind="attack",
@@ -114,7 +113,7 @@ def _baselines() -> List[ScenarioSpec]:
             defense=defense,
             defense_params=defense_params,
             attack=attack,
-            params=params,
+            params={**SPRAY_KNOBS, **extra},
         ))
     return out
 
@@ -200,8 +199,8 @@ def _anatomy() -> List[ScenarioSpec]:
 
 
 def _smoke() -> List[ScenarioSpec]:
-    attack_params = {"m": 1, "region_pages": 224, "template_rounds": 3_000,
-                     "hammer_ns": 4_000_000}
+    from ..analysis.zoo import SPRAY_KNOBS, TINY_DEFENSE_PARAMS
+
     return [
         ScenarioSpec(
             name="smoke-spray-vanilla",
@@ -210,7 +209,7 @@ def _smoke() -> List[ScenarioSpec]:
             title="Smoke: memory spray corrupts the vanilla tiny machine",
             machine="tiny",
             attack="memory_spray",
-            params=attack_params,
+            params=SPRAY_KNOBS,
         ),
         ScenarioSpec(
             name="smoke-spray-softtrr",
@@ -219,9 +218,9 @@ def _smoke() -> List[ScenarioSpec]:
             title="Smoke: SoftTRR stops the same spray",
             machine="tiny",
             defense="softtrr",
-            defense_params=_TINY_SOFTTRR,
+            defense_params=TINY_DEFENSE_PARAMS["softtrr"],
             attack="memory_spray",
-            params=attack_params,
+            params=SPRAY_KNOBS,
         ),
         ScenarioSpec(
             name="smoke-overhead-exchange2",
@@ -254,6 +253,7 @@ def _smoke() -> List[ScenarioSpec]:
 
 
 def _chaos() -> List[ScenarioSpec]:
+    from ..analysis.zoo import TINY_DEFENSE_PARAMS
     from ..faults import FAULT_SITES
 
     out = []
@@ -268,7 +268,7 @@ def _chaos() -> List[ScenarioSpec]:
                        f"({'healing on' if healing else 'healing off'})"),
                 machine="tiny",
                 defense="softtrr",
-                defense_params=_TINY_SOFTTRR,
+                defense_params=TINY_DEFENSE_PARAMS["softtrr"],
                 params={"site": site, "healing": healing},
             ))
     return out

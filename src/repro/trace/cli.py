@@ -21,6 +21,8 @@ import sys
 from typing import Dict, List, Optional
 
 from .. import cli_common
+from ..analysis.zoo import TINY_DEFENSE_PARAMS, spray_leg
+from ..core.profile import SoftTrrParams
 from ..errors import ReproError
 from .events import DEFAULT_CAPACITY
 from .export import (
@@ -34,15 +36,10 @@ from .hub import LEVELS
 
 __all__ = ["main", "record_smoke"]
 
-#: Smoke-scale attack knobs (mirrors the ``smoke`` scenario group and
-#: the chaos harness).
-_ATTACK_PARAMS = {"m": 1, "region_pages": 224, "template_rounds": 3_000,
-                  "hammer_ns": 4_000_000}
-
-#: SoftTRR timing scaled to the tiny machine; with ``count_limit=2``
-#: the protection window equals one timer interval.
-_TINY_SOFTTRR = {"timer_inr_ns": 50_000}
-_DEFAULT_WINDOW_NS = 50_000
+#: The protection window of the recorded machine: with ``count_limit=2``
+#: it equals one tiny-machine timer interval.
+_DEFAULT_WINDOW_NS = SoftTrrParams(
+    **TINY_DEFENSE_PARAMS["softtrr"]).protection_window_ns
 
 
 def record_smoke(seed: int = 11, level: str = "spans",
@@ -53,25 +50,19 @@ def record_smoke(seed: int = 11, level: str = "spans",
     clock with seeded RNG streams, so two records with the same seed
     produce byte-identical JSONL.
     """
-    from ..attacks.memory_spray import MemorySprayAttack
     from ..machine import Machine, MachineConfig
 
     machine = Machine(MachineConfig(
         machine="tiny",
         defense="softtrr",
-        defense_params=_TINY_SOFTTRR,
+        defense_params=TINY_DEFENSE_PARAMS["softtrr"],
         sanitize=True,
         strict_sanitizers=False,
         seed=seed,
         trace=level,
         trace_capacity=capacity,
     ))
-    attack = MemorySprayAttack(
-        machine.kernel, m=_ATTACK_PARAMS["m"],
-        region_pages=_ATTACK_PARAMS["region_pages"],
-        template_rounds=_ATTACK_PARAMS["template_rounds"])
-    attack.setup()
-    attack.run(hammer_ns_per_victim=_ATTACK_PARAMS["hammer_ns"])
+    spray_leg(machine)
     return machine
 
 
