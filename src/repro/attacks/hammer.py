@@ -123,12 +123,6 @@ class HammerKit:
         return [victim_row - 1, victim_row + 1]
 
     @staticmethod
-    def single_sided_rows(victim_row: int, spare_row: int) -> List[int]:
-        """One true aggressor + one same-bank row to defeat the row
-        buffer (the 'two random rows' of [41])."""
-        return [victim_row - 1, spare_row]
-
-    @staticmethod
     def one_location_rows(victim_row: int) -> List[int]:
         """A single aggressor; only effective under closed-page policy."""
         return [victim_row - 1]

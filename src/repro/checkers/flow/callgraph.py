@@ -226,9 +226,6 @@ class Program:
             for info in self.table.modules.values()
         }
 
-    def module_count(self) -> int:
-        return len(self.table.modules)
-
     def graph_dict(self) -> Dict[str, object]:
         """JSON-ready dump of the resolved call graph (``--graph``)."""
         edges = {

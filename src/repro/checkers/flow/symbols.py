@@ -67,10 +67,6 @@ class FunctionInfo:
     #: Enclosing class qname for methods, ``None`` for plain functions.
     cls: Optional[str] = None
 
-    @property
-    def is_method(self) -> bool:
-        return self.cls is not None
-
 
 @dataclass
 class ClassInfo:

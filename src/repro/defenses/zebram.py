@@ -77,10 +77,6 @@ class StripedPolicy(FramePolicy):
         self._allocated.add(ppn)
         return ppn
 
-    def is_safe_frame(self, ppn: int) -> bool:
-        """Whether a frame belongs to the safe (even-row) stripe."""
-        return ppn in self._free_set or ppn in self._allocated
-
 
 @register_defense
 class ZebramDefense(Defense):

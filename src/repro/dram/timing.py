@@ -54,11 +54,6 @@ class DramTimings:
         """End-to-end latency of a row-buffer hit."""
         return self.t_cas_ns + self.ctrl_overhead_ns
 
-    @property
-    def max_activations_per_window(self) -> int:
-        """Upper bound on ACTs one bank can absorb per refresh window."""
-        return self.refresh_window_ns // self.conflict_latency_ns
-
     def refresh_epoch(self, now_ns: int) -> int:
         """The auto-refresh epoch containing ``now_ns``.
 

@@ -144,10 +144,6 @@ class Kernel:
         self.hooks.notify(HOOK_FREE_PAGES, base_ppn, order, use)
         self.frame_policy.free(base_ppn, use, order)
 
-    def frame_paddr(self, ppn: int) -> int:
-        """Physical byte address of a frame."""
-        return ppn << 12
-
     # =========================================================== direct map
     def kvaddr_of(self, paddr: int) -> int:
         """Kernel virtual address of a physical address (direct map)."""

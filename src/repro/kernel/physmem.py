@@ -115,11 +115,3 @@ class FrameTable:
     def use_of(self, base_ppn: int) -> Optional[FrameUse]:
         """Use of a live allocation base, or None."""
         return self._use.get(base_ppn)
-
-    def frames_with_use(self, use: FrameUse) -> list:
-        """Base PPNs of all live allocations of a given use."""
-        return [ppn for ppn, u in self._use.items() if u is use]
-
-    def live_count(self) -> int:
-        """Number of live allocations."""
-        return len(self._use)

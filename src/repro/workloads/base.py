@@ -90,11 +90,6 @@ class WorkloadResult:
     #: Kernel accountant snapshot delta (per-category ns).
     accounting: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def runtime_ms(self) -> float:
-        """Runtime in milliseconds."""
-        return self.runtime_ns / NS_PER_MS
-
 
 class SliceWorkload:
     """Runs one :class:`WorkloadProfile` against a kernel."""
