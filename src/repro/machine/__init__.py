@@ -7,7 +7,7 @@ RPR006's business.  See :mod:`repro.machine.machine` for the facade and
 :mod:`repro.machine.config` for the declarative config.
 """
 
-from .config import MachineConfig, build_defense
+from .config import MachineConfig, build_defense, check_machine
 from .machine import Machine, MachineSnapshot
 
 __all__ = [
@@ -15,4 +15,5 @@ __all__ = [
     "MachineConfig",
     "MachineSnapshot",
     "build_defense",
+    "check_machine",
 ]

@@ -23,7 +23,17 @@ from typing import Mapping, Optional
 from ..config import MACHINES, MachineSpec, machine as machine_spec
 from ..errors import ConfigError
 
-__all__ = ["MachineConfig", "build_defense"]
+__all__ = ["MachineConfig", "build_defense", "check_machine"]
+
+
+def check_machine(name) -> None:
+    """ConfigError unless ``name`` is a machine profile key: one of
+    :data:`repro.config.MACHINES`, or ``"tiny"``."""
+    if not isinstance(name, str) or (name not in MACHINES
+                                     and name != "tiny"):
+        raise ConfigError(
+            f"unknown machine {name!r}; known: "
+            f"{sorted(MACHINES) + ['tiny']}")
 
 
 def build_defense(name: str, params: Optional[Mapping] = None):
@@ -87,11 +97,7 @@ class MachineConfig:
     trace_capacity: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.machine not in MACHINES and self.machine != "tiny":
-            raise ConfigError(
-                f"unknown machine {self.machine!r}; known: "
-                f"{sorted(MACHINES) + ['tiny']}"
-            )
+        check_machine(self.machine)
         if self.strict_sanitizers and not self.sanitize:
             raise ConfigError("strict_sanitizers requires sanitize=True")
         if self.seed is not None and (

@@ -196,7 +196,9 @@ def fuzz_specs(defenses: Sequence[str] = FUZZ_DEFENSES,
     """The campaign grid: every point vs every defense, plus the
     vanilla page-table probes (non-vacuity evidence for SoftTRR)."""
     from ..defenses import DEFENSES
+    from ..machine import check_machine
 
+    check_machine(machine_name)
     for defense in defenses:
         if defense not in DEFENSES:
             raise ConfigError(

@@ -115,6 +115,22 @@ def test_fuzz_specs_grid_shape():
     assert len(specs) == 2 * 3
     with pytest.raises(ConfigError, match="unknown defense"):
         fuzz_specs(defenses=("vanilla", "rowclone"), count=1)
+    with pytest.raises(ConfigError, match="unknown machine 'bogus'"):
+        fuzz_specs(count=1, machine_name="bogus")
+
+
+def test_unknown_machine_exits_2_before_any_cell_runs(tmp_path, capsys):
+    # Once every cell failed on the bad profile, the CLI wrote their
+    # error report and exited 0 (1 under --check, on gate failures).
+    from repro.cli_common import EXIT_USAGE
+    from repro.patterns.cli import main
+
+    out = tmp_path / "r.json"
+    code = main(["--points", "2", "--machine", "bogus", "--defenses",
+                 "vanilla", "softtrr", "--out", str(out), "--check"])
+    assert code == EXIT_USAGE
+    assert "unknown machine 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -------------------------------------------------------------- summary
