@@ -18,9 +18,9 @@ Axis semantics per cell runner:
   assembly).  Chaos scenarios fix SoftTRR and their own fault plan, so
   they reject a defenses or fault-plans axis.
 * ``"window"`` — the scenarios axis holds hammer pattern names
-  (``one_sided``/``double_sided``/``many_sided``/``spray``); each cell
-  is a protection-window bench on a fresh machine (flips, refresh
-  overhead, windows covered, span histograms).
+  (``one_sided``/``double_sided``/``many_sided``); each cell is a
+  protection-window bench on a fresh machine (flips, refresh overhead,
+  windows covered, span histograms).
 * ``"synthetic"`` — any names; cells are hash-derived payloads used by
   the fleet's own tests and CI smoke (poison/flaky/hang injection via
   ``runner_params``).
@@ -53,6 +53,14 @@ __all__ = [
 #: Cell runners the fleet supervisor knows how to drive
 #: (implementations live in :mod:`repro.fleet.runners`).
 CELL_RUNNERS = ("scenario", "window", "synthetic", "fuzz")
+
+#: The ``runner_params`` keys each runner reads.
+RUNNER_PARAMS = {
+    "scenario": (),
+    "window": ("machine", "rounds", "budget_factor"),
+    "synthetic": ("poison", "flaky", "hang", "hang_s", "sleep_ms"),
+    "fuzz": ("fuzz_seed", "max_sides", "target", "machine"),
+}
 
 
 def _canonical(payload) -> str:
@@ -292,10 +300,12 @@ class FleetSpec:
         return cls(**payload)
 
     def validate_names(self) -> None:
-        """Check the scenarios axis against the runner's namespace, and
-        build every named defenses-axis entry once."""
+        """Check the scenarios axis against the runner's namespace and
+        ``runner_params`` against what the runner reads, and build every
+        named defenses-axis entry once."""
         from ..machine import build_defense
 
+        self._validate_runner_params()
         for entry in self.defenses:
             if entry["name"] is not None:
                 try:
@@ -329,6 +339,32 @@ class FleetSpec:
 
             for name in self.scenarios:
                 fuzz_point_index(name)  # raises ConfigError on bad names
+
+    def _validate_runner_params(self) -> None:
+        from ..machine import check_machine
+        from ..patterns.scenario import PATTERN_TARGETS
+
+        where = f"fleet spec 'runner_params' of the {self.runner!r} runner"
+        params = self.runner_params
+        _check_object(where, params, RUNNER_PARAMS[self.runner])
+        if "machine" in params:
+            try:
+                check_machine(params["machine"])
+            except ConfigError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+        rules = {
+            "rounds": (lambda v: _is_int(v) and v >= 1, "an int >= 1"),
+            "max_sides": (lambda v: _is_int(v) and v >= 1, "an int >= 1"),
+            "budget_factor": (lambda v: _is_number(v) and v > 0,
+                              "a number > 0"),
+            "fuzz_seed": (_is_int, "an int"),
+            "target": (lambda v: v in PATTERN_TARGETS,
+                       f"one of {PATTERN_TARGETS}"),
+        }
+        for key, (valid, rule) in rules.items():
+            if key in params and not valid(params[key]):
+                raise ConfigError(
+                    f"{where}: {key!r} must be {rule}, not {params[key]!r}")
 
     def expand(self) -> List[FleetCell]:
         """The deterministic, stably-ordered cell list."""

@@ -177,10 +177,13 @@ def test_synthetic_boundaries_mirror_duration_buckets():
 
 
 _DROP = {"site": "timers", "mode": "drop", "probability": 0.1}
+_WINDOW = {"scenarios": ["one_sided"], "runner": "window"}
+_FUZZ = {"scenarios": ["point-0"], "runner": "fuzz"}
 
-#: Spec JSON that once crashed ``repro-fleet run`` with a traceback or
-#: was silently misread: fields laid over a valid synthetic spec, and
-#: the field the ConfigError must name.
+#: Spec JSON that once crashed ``repro-fleet run`` with a traceback,
+#: was silently misread, or quarantined every cell while the run exited
+#: 0: fields laid over a valid synthetic spec, and the field the
+#: ConfigError must name.
 MALFORMED = {
     "seeds-string": ({"seeds": "abc"}, "seeds"),
     "seeds-float": ({"seeds": [1.5]}, "seeds"),
@@ -222,6 +225,36 @@ MALFORMED = {
                        "params": {"mitigation_budget": 0}}]},
         "defenses"),
     "unknown-key": ({"seed": [1, 2]}, "seed"),
+    "runner-params-typo": (
+        {**_WINDOW, "runner_params": {"machnie": "optiplex_390"}},
+        "runner_params"),
+    "runner-params-unknown-machine": (
+        {**_WINDOW, "runner_params": {"machine": "bogus"}}, "runner_params"),
+    "runner-params-rounds-zero": (
+        {**_WINDOW, "runner_params": {"rounds": 0}}, "runner_params"),
+    "runner-params-rounds-bool": (
+        {**_WINDOW, "runner_params": {"rounds": True}}, "runner_params"),
+    "runner-params-budget-negative": (
+        {**_WINDOW, "runner_params": {"budget_factor": -1.5}},
+        "runner_params"),
+    "runner-params-budget-string": (
+        {**_WINDOW, "runner_params": {"budget_factor": "1.5"}},
+        "runner_params"),
+    "runner-params-max-sides-zero": (
+        {**_FUZZ, "runner_params": {"max_sides": 0}}, "runner_params"),
+    "runner-params-fuzz-seed-float": (
+        {**_FUZZ, "runner_params": {"fuzz_seed": 1.5}}, "runner_params"),
+    "runner-params-unknown-target": (
+        {**_FUZZ, "runner_params": {"target": "dram"}}, "runner_params"),
+    "runner-params-fuzz-unknown-machine": (
+        {**_FUZZ, "runner_params": {"machine": "bogus"}}, "runner_params"),
+    "runner-params-fuzz-window-key": (
+        {**_FUZZ, "runner_params": {"rounds": 5}}, "runner_params"),
+    "runner-params-scenario": (
+        {"scenarios": ["smoke-spray-vanilla"], "runner": "scenario",
+         "runner_params": {"machine": "tiny"}}, "runner_params"),
+    "runner-params-synthetic-typo": (
+        {"runner_params": {"posion": ["synth-000"]}}, "runner_params"),
 }
 
 
