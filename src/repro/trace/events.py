@@ -51,10 +51,22 @@ class TraceEvent:
 
     @classmethod
     def from_dict(cls, raw: Dict[str, object]) -> "TraceEvent":
-        """Inverse of :meth:`as_dict` (JSONL import)."""
-        return cls(ns=int(raw["ns"]), site=str(raw["site"]),
-                   kind=str(raw.get("kind", "event")),
-                   payload=dict(raw.get("payload", {})))
+        """Inverse of :meth:`as_dict` (JSONL import); a malformed record
+        raises ConfigError naming the bad field."""
+        if not isinstance(raw, dict):
+            raise ConfigError(
+                f"a trace event must be an object, not {type(raw).__name__}")
+        ns, site = raw.get("ns"), raw.get("site")
+        kind, payload = raw.get("kind", "event"), raw.get("payload", {})
+        for key, value, expected in (("ns", ns, int), ("site", site, str),
+                                     ("kind", kind, str),
+                                     ("payload", payload, dict)):
+            # bool is an int subclass, but never a timestamp.
+            if not isinstance(value, expected) or isinstance(value, bool):
+                raise ConfigError(
+                    f"trace event {key!r} must be a {expected.__name__}, "
+                    f"not {value!r}")
+        return cls(ns=ns, site=site, kind=kind, payload=dict(payload))
 
 
 class TraceBuffer:

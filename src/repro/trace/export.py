@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
+from ..errors import ConfigError
 from .events import TraceEvent
 
 __all__ = [
@@ -49,13 +50,18 @@ def write_jsonl(events: List[TraceEvent], path: str) -> int:
 
 
 def read_jsonl(path: str) -> List[TraceEvent]:
-    """Inverse of :func:`write_jsonl` (blank lines ignored)."""
+    """Inverse of :func:`write_jsonl` (blank lines ignored); a line that
+    is not a trace event raises ConfigError naming the file and line."""
     events: List[TraceEvent] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 events.append(TraceEvent.from_dict(json.loads(line)))
+            except (ConfigError, ValueError) as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return events
 
 

@@ -86,6 +86,21 @@ class TestCliRoundtrip:
         assert main(["report", "/nonexistent/trace.jsonl"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ['{"bad": 1}', "[1, 2]"])
+    @pytest.mark.parametrize("command", ["report", "export"])
+    def test_malformed_line_is_a_usage_error(self, tmp_path, capsys,
+                                             line, command):
+        # Such lines once escaped as KeyError/TypeError tracebacks with
+        # exit 1, the code a failed --check uses.
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text('{"ns": 1, "site": "timer.fire"}\n' + line + "\n")
+        argv = [command, str(trace)]
+        if command == "export":
+            argv += ["--out", str(tmp_path / "out.json")]
+        assert main(argv) == 2
+        assert f"{trace}:2:" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
     def test_chrome_instants_carry_global_scope(self):
         from repro.trace import TraceEvent
 
