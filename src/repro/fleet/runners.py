@@ -125,6 +125,8 @@ def run_window_cell(
         "defense": defense,
         "seed": seed,
     }
+    # Picking the victim reads only the cell map, so the clock moves
+    # only while the leg hammers.
     hammer_start = machine.clock.now_ns
     payload.update(hammer_leg(machine, pattern, rounds, budget_factor))
     hammer_ns = machine.clock.now_ns - hammer_start
