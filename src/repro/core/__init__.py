@@ -2,10 +2,10 @@
 
 The module mirrors the paper's Figure 1 decomposition:
 
-* :mod:`repro.core.rbtree` / :mod:`repro.core.ringbuf` — the kernel-style
-  data structures of Table I (three red-black trees + ``pte_ringbuf``).
-* :mod:`repro.core.structures` — the node payloads (``bank_struct`` etc.)
-  and their slab-backed memory accounting.
+* :mod:`repro.core.structures` / :mod:`repro.core.ringbuf` — the data
+  structures of Table I: three key-ordered, slab-charged maps standing
+  in for the kernel's red-black trees (:class:`SlabMap`), their node
+  payloads (``bank_struct`` etc.), and ``pte_ringbuf``.
 * :mod:`repro.core.profile` — the offline profile of Section IV-E
   (``threshold = tRC x #ACT`` -> ``timer_inr`` / ``count_limit``).
 * :mod:`repro.core.collector` — the Page Table Collector.
@@ -16,9 +16,8 @@ The module mirrors the paper's Figure 1 decomposition:
   (:class:`~repro.core.softtrr.SoftTrr`).
 """
 
-from .rbtree import RbTree
 from .ringbuf import PteRingBuffer, PteRef
-from .structures import BankStruct, PtRowEntry, SoftTrrStructures
+from .structures import BankStruct, PtRowEntry, SlabMap, SoftTrrStructures
 from .profile import OfflineProfile, SoftTrrParams
 from .collector import PageTableCollector
 from .tracer import AdjacentPageTracer, PresentBitTracer
@@ -26,11 +25,11 @@ from .refresher import RowRefresher
 from .softtrr import SoftTrr
 
 __all__ = [
-    "RbTree",
     "PteRingBuffer",
     "PteRef",
     "BankStruct",
     "PtRowEntry",
+    "SlabMap",
     "SoftTrrStructures",
     "OfflineProfile",
     "SoftTrrParams",

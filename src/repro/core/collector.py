@@ -37,8 +37,6 @@ class PageTableCollector:
         self.mapping = kernel.dram.mapping
         #: (bank, row) -> PPNs of L1PT pages with cells in that row.
         self._pts_at: Dict[Tuple[int, int], Set[int]] = {}
-        #: pt ppn -> its (bank, row) list (cached; mapping is static).
-        self._pt_rows: Dict[int, List[Tuple[int, int]]] = {}
         #: adjacency refcounts: adj ppn -> number of contributing PTs.
         self._adj_refs: Dict[int, int] = {}
         #: pt ppn -> adjacent ppns it contributed.
@@ -172,7 +170,6 @@ class PageTableCollector:
         if ppn in self.structs.pt_rbtree:
             return False
         rows = self.mapping.page_rows(ppn)
-        self._pt_rows[ppn] = rows
         self.structs.pt_rbtree.insert(ppn, (rows, level))
         self.ever_protected.add(ppn)
         for bank, row in rows:
@@ -280,8 +277,7 @@ class PageTableCollector:
                 self._remove_adjacent_page(ppn)
 
     def _remove_pt(self, pt_ppn: int) -> None:
-        self.structs.pt_rbtree.delete(pt_ppn)
-        rows = self._pt_rows.pop(pt_ppn, [])
+        rows, _level = self.structs.pt_rbtree.pop(pt_ppn, ([], 1))
         for bank, row in rows:
             self.structs.remove_pt_location(row, bank)
             members = self._pts_at.get((bank, row))

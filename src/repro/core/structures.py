@@ -1,6 +1,7 @@
 """SoftTRR's bookkeeping structures (Table I) with slab accounting.
 
-Three red-black trees and their node payloads:
+Three key-ordered maps (the paper's red-black trees) and their node
+payloads:
 
 * ``pt_rbtree``   — key: PPN of an L1PT page.
 * ``adj_rbtree``  — key: PPN of a page adjacent to an L1PT page (a
@@ -13,21 +14,80 @@ Three red-black trees and their node payloads:
 Every node allocation goes through a :class:`~repro.kernel.slab.SlabCache`
 so the Fig. 4 memory-consumption curves fall out of real allocator
 state.  Node sizes are realistic for the kernel structs they model.
+
+The paper reuses the kernel's red-black tree; :class:`SlabMap` keeps
+what the simulation can observe of it (ascending key order, one slab
+node per live key) on a dict.  SoftTRR is charged flat per-operation
+costs, so the tree's shape never reaches a simulated quantity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..kernel.slab import SlabCache
-from .rbtree import RbTree
 
 #: Realistic sizes of the kernel structs (rb_node + payload).
 PT_NODE_BYTES = 48
 ADJ_NODE_BYTES = 48
 PT_ROW_NODE_BYTES = 64
 BANK_STRUCT_BYTES = 24
+
+
+class SlabMap:
+    """An int-keyed map that iterates in ascending key order and
+    charges one slab node per live key through ``on_alloc``/``on_free``.
+    """
+
+    __slots__ = ("_values", "_handles", "_on_alloc", "_on_free")
+
+    def __init__(self, on_alloc: Callable[[], Any],
+                 on_free: Callable[[Any], None]) -> None:
+        self._values: Dict[int, Any] = {}
+        self._handles: Dict[int, Any] = {}
+        self._on_alloc = on_alloc
+        self._on_free = on_free
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __contains__(self, key: int) -> bool:
+        return key in self._values
+
+    def get(self, key: int, default: Any = None) -> Any:
+        """Value stored under ``key``, or ``default``."""
+        return self._values.get(key, default)
+
+    def keys(self) -> List[int]:
+        """The live keys, ascending (a fresh list)."""
+        return sorted(self._values)
+
+    def items(self) -> List[Tuple[int, Any]]:
+        """``(key, value)`` pairs, ascending by key (a fresh list)."""
+        return sorted(self._values.items())
+
+    def insert(self, key: int, value: Any) -> bool:
+        """Insert or update; returns True if a new node was allocated."""
+        fresh = key not in self._values
+        self._values[key] = value
+        if fresh:
+            self._handles[key] = self._on_alloc()
+        return fresh
+
+    def delete(self, key: int) -> bool:
+        """Remove ``key`` and free its node; returns whether it existed."""
+        if key not in self._values:
+            return False
+        del self._values[key]
+        self._on_free(self._handles.pop(key))
+        return True
+
+    def pop(self, key: int, default: Any = None) -> Any:
+        """Remove ``key`` and return its value (or ``default``)."""
+        value = self._values.get(key, default)
+        self.delete(key)
+        return value
 
 
 @dataclass
@@ -65,7 +125,7 @@ class PtRowEntry:
 
 
 class SoftTrrStructures:
-    """The three trees plus their slab caches, as one unit.
+    """The three Table I maps plus their slab caches, as one unit.
 
     ``remap`` is the module's in-DRAM row remapping, consumed as offline
     domain knowledge (Section III-A): adjacency queries translate
@@ -79,12 +139,10 @@ class SoftTrrStructures:
         self.adj_slab = SlabCache("softtrr_adj_node", ADJ_NODE_BYTES)
         self.row_slab = SlabCache("softtrr_row_node", PT_ROW_NODE_BYTES)
         self.bank_slab = SlabCache("softtrr_bank_struct", BANK_STRUCT_BYTES)
-        self.pt_rbtree = RbTree(on_alloc=self.pt_slab.alloc,
-                                on_free=self.pt_slab.free)
-        self.adj_rbtree = RbTree(on_alloc=self.adj_slab.alloc,
-                                 on_free=self.adj_slab.free)
-        self.pt_row_rbtree = RbTree(on_alloc=self.row_slab.alloc,
-                                    on_free=self.row_slab.free)
+        self.pt_rbtree = SlabMap(self.pt_slab.alloc, self.pt_slab.free)
+        self.adj_rbtree = SlabMap(self.adj_slab.alloc, self.adj_slab.free)
+        self.pt_row_rbtree = SlabMap(self.row_slab.alloc,
+                                     self.row_slab.free)
         #: bank-struct slab handles keyed by (row, bank).
         self._bank_handles: Dict[Tuple[int, int], int] = {}
 
@@ -154,7 +212,7 @@ class SoftTrrStructures:
 
     # ------------------------------------------------------------ memory
     def memory_bytes(self) -> int:
-        """Slab footprint of the three trees (page-granular, like
+        """Slab footprint of the three maps (page-granular, like
         /proc/slabinfo; the ring buffer is counted by its owner)."""
         return (
             self.pt_slab.bytes_held()

@@ -54,9 +54,9 @@ class TestSubpackageFacades:
     def test_core_facade(self):
         from repro.core import (
             AdjacentPageTracer, PageTableCollector, PresentBitTracer,
-            PteRingBuffer, RbTree, RowRefresher, SoftTrr,
+            PteRingBuffer, RowRefresher, SlabMap, SoftTrr,
         )
-        assert RbTree and PteRingBuffer and SoftTrr
+        assert SlabMap and PteRingBuffer and SoftTrr
         assert PageTableCollector and AdjacentPageTracer
         assert PresentBitTracer and RowRefresher
 
