@@ -180,20 +180,22 @@ def hammer_leg(machine: Machine, pattern: str,
                budget_factor: float = 1.5) -> Dict[str, object]:
     """Hammer the cheapest vulnerable neighbourhood with ``pattern``:
     ``budget_factor`` x the victim's flip threshold per aggressor, split
-    across ``rounds`` interleaved rounds."""
-    dram = machine.dram
+    across ``rounds`` interleaved rounds of a rows-mode
+    :class:`~repro.patterns.program.AttackProgram`, which dispatches
+    kernel timers after every round."""
+    from ..patterns.compile import compile_pattern
+    from ..patterns.program import AttackProgram, sided_pattern
+
     bank, victim, threshold = cheapest_victim(machine)
     offsets = _PATTERN_OFFSETS[pattern]
     budget = int(budget_factor * threshold)
     per_round = max(1, budget // max(1, rounds))
-    aggressors = [
-        dram.mapping.dram_to_phys(bank, victim + offset, 0)
-        for offset in offsets]
-    hammer_start = machine.clock.now_ns
-    for _ in range(rounds):
-        for paddr in aggressors:
-            dram.hammer(paddr, per_round)
-    flips = sum(1 for flip in dram.flip_log if flip.at_ns >= hammer_start)
+    plan = compile_pattern(
+        sided_pattern(len(offsets), offsets),
+        {"victim": 0, "rounds": rounds, "acts": per_round},
+    ).remap_targets({(0, off): (bank, victim + off) for off in offsets})
+    flips = AttackProgram(plan, mode="rows").run(
+        machine.kernel).flip_events
     return {
         "victim": [bank, victim],
         "victim_threshold": threshold,

@@ -84,6 +84,16 @@ class TestWindowRunner:
         assert softtrr["window_ns"] < vanilla["window_ns"]
         assert softtrr["windows"] > vanilla["windows"]
 
+    def test_dropped_softtrr_ticks_erode_the_window(self):
+        # The hammer leg dispatches kernel timers every round, so
+        # SoftTRR ticks during the bench and a dropped tick is lost
+        # protection time.
+        plan = {"specs": [{"site": "timers", "mode": "drop",
+                           "probability": 1.0}], "seed": 1}
+        cell = run_window_cell("double_sided", "softtrr", seed=3,
+                               fault_plan=plan)
+        assert cell["erosion_ns"] > 0
+
     def test_unknown_pattern(self):
         with pytest.raises(ConfigError, match="unknown window pattern"):
             run_window_cell("sideways")
