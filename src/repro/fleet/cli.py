@@ -114,8 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
         status,
         help_text="exit non-zero unless every cell is accounted for "
                   "(completed or quarantined) and every gate of the "
-                  "fleet's scenario groups (zoo, chaos) passes — the CI "
-                  "gate")
+                  "fleet's groups passes (all_cells_ok in every "
+                  "non-synthetic fleet, plus the zoo and chaos gates) "
+                  "— the CI gate")
 
     report = sub.add_parser(
         "report", help="build the aggregate report (canonical JSON)")
@@ -262,7 +263,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _print_group(group: str, digest: Mapping) -> None:
-    """One gated scenario group: its gates, then its summary table."""
+    """One fleet group: its gates, then its summary table."""
     gates = digest["gates"]
     print(f"group {group}: {sum(gates.values())}/{len(gates)} gates pass")
     for gate, passed in gates.items():

@@ -346,29 +346,33 @@ GROUP_GATES = {"chaos": summarise_chaos, "zoo": summarise_zoo}
 
 def group_gates(manifest: Mapping, records: Mapping[str, dict]
                 ) -> Dict[str, dict]:
-    """Every gated scenario group's digest over its member cells.
+    """Every fleet group's digest over its member cells.
 
-    The group's own gates see only its ok records, so each group also
-    gets an ``all_cells_ok`` gate: a member cell that was quarantined
-    or has no record yet fails the group instead of dropping out of
-    its gates.  Only the ``scenario`` runner names registry scenarios,
-    so fleets of the other runners have no groups and no gates.
+    Scenario cells group by registry group (a :data:`GROUP_GATES`
+    group adds its own gates and table); window and fuzz cells form one
+    group named after the runner.  Each group's gates see only its ok
+    records, so each group also gets an ``all_cells_ok`` gate: a member
+    cell that was quarantined or has no record yet fails the group
+    instead of dropping out of its gates.  Synthetic fleets have no
+    groups: a quarantined synthetic cell is an injected poison cell,
+    accounted for by design.
     """
-    if manifest["spec"]["runner"] != "scenario":
+    runner = manifest["spec"]["runner"]
+    if runner == "synthetic":
         return {}
     from ..scenarios.registry import scenario
 
     members: Dict[str, List[Optional[Mapping]]] = {}
     for cell in manifest["cells"]:
-        group = scenario(cell["scenario"]).group
-        if group in GROUP_GATES:
-            members.setdefault(group, []).append(
-                records.get(cell["cell_id"]))
+        group = (scenario(cell["scenario"]).group if runner == "scenario"
+                 else runner)
+        members.setdefault(group, []).append(records.get(cell["cell_id"]))
     digests: Dict[str, dict] = {}
     for group, member_records in sorted(members.items()):
         ok = [record for record in member_records
               if record is not None and record.get("status") == "ok"]
-        digest = GROUP_GATES[group](ok)
+        digest = (GROUP_GATES[group](ok) if group in GROUP_GATES
+                  else {"gates": {}, "summary": {}})
         digest["gates"] = {"all_cells_ok": len(ok) == len(member_records),
                            **digest["gates"]}
         digests[group] = digest

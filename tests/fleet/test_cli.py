@@ -166,7 +166,7 @@ def test_group_flag_pulls_registered_scenarios(tmp_path, capsys):
 
 
 class TestGroupGates:
-    """``status --check`` also enforces the gates of scenario groups."""
+    """``status --check`` also enforces the gates of fleet groups."""
 
     @staticmethod
     def _run_zoo_pair(tmp_path, capsys):
@@ -204,20 +204,41 @@ class TestGroupGates:
         assert ("zoo gate vanilla_flips_somewhere failed"
                 in capsys.readouterr().err)
 
+    @staticmethod
+    def _quarantine(record):
+        record.update(status="quarantined", error={
+            "type": "KernelPanic", "message": "injected"})
+        del record["payload"]
+
     def test_a_quarantined_member_fails_its_group(self, tmp_path, capsys):
         out = self._run_zoo_pair(tmp_path, capsys)
-
-        def quarantine(record):
-            record.update(status="quarantined", error={
-                "type": "KernelPanic", "message": "injected"})
-            del record["payload"]
-
         # Every cell is accounted for, so only the group gate can fail
         # the check for the crashed cell.
-        self._rewrite_vanilla_record(out, quarantine)
+        self._rewrite_vanilla_record(out, self._quarantine)
         assert main(["status", out, "--check"]) == EXIT_CHECK_FAILED
         err = capsys.readouterr().err
         assert "zoo gate all_cells_ok failed" in err
+        assert "not yet accounted for" not in err
+
+    @pytest.mark.parametrize("group, run_args", [
+        ("window", ("--runner", "window", "--scenarios", "one_sided",
+                    "--defenses", "vanilla")),
+        ("fuzz", ("--runner", "fuzz", "--scenarios", "point-0",
+                  "--defenses", "vanilla")),
+        ("smoke", ("--scenarios", "smoke-spray-vanilla")),
+    ], ids=["window", "fuzz", "ungated-scenario-group"])
+    def test_every_non_synthetic_fleet_fails_on_a_quarantined_cell(
+            self, tmp_path, capsys, group, run_args):
+        out = str(tmp_path / "fleet")
+        assert main(["run", "--out", out, *run_args, "--shards", "1",
+                     "--json"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["status", out, "--check"]) == EXIT_OK
+        assert f"group {group}: 1/1 gates pass" in capsys.readouterr().out
+        self._rewrite_vanilla_record(out, self._quarantine)
+        assert main(["status", out, "--check"]) == EXIT_CHECK_FAILED
+        err = capsys.readouterr().err
+        assert f"{group} gate all_cells_ok failed" in err
         assert "not yet accounted for" not in err
 
     def test_synthetic_fleet_has_no_gates(self, tmp_path, capsys):
