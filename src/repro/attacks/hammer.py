@@ -1,4 +1,5 @@
-"""User-level hammer primitives (Section II-B's four patterns).
+"""User-level hammering: :class:`HammerKit`, the user-mode
+:class:`~repro.patterns.AttackProgram` binding.
 
 A hammer loop is, architecturally, ``clflush`` + load per aggressor per
 iteration, fast enough that each load is a row activation.  Running
@@ -24,7 +25,7 @@ arithmetic that puts the minimum time-to-first-flip just above 1 ms.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import Sequence, Union
 
 from ..errors import AttackError
 from ..kernel.process import Process
@@ -115,22 +116,3 @@ class HammerKit:
             self.run(program, vaddrs)
             rounds += batch
         return rounds
-
-    # ------------------------------------------------------- row patterns
-    @staticmethod
-    def double_sided_rows(victim_row: int) -> List[int]:
-        """Aggressor rows for the classic double-sided pattern."""
-        return [victim_row - 1, victim_row + 1]
-
-    @staticmethod
-    def one_location_rows(victim_row: int) -> List[int]:
-        """A single aggressor; only effective under closed-page policy."""
-        return [victim_row - 1]
-
-    @staticmethod
-    def many_sided_rows(first_victim_row: int, sides: int) -> List[int]:
-        """The TRRespass assembly: ``sides`` aggressors separated by one
-        row (victims in between)."""
-        if sides < 3:
-            raise AttackError("many-sided means at least 3 aggressors")
-        return [first_victim_row - 1 + 2 * i for i in range(sides)]

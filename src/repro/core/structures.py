@@ -119,10 +119,6 @@ class PtRowEntry:
             self.banks[bank_index] = entry
         return entry
 
-    def total_pt_count(self) -> int:
-        """Sum of pt_count across banks (0 means the node can die)."""
-        return sum(b.pt_count for b in self.banks.values())
-
 
 class SoftTrrStructures:
     """The three Table I maps plus their slab caches, as one unit.

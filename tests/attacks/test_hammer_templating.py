@@ -67,13 +67,6 @@ class TestHammerKit:
         kit.run_for([base], 1_000_000)
         assert kernel.clock.now_ns - t0 >= 1_000_000
 
-    def test_row_patterns(self):
-        assert HammerKit.double_sided_rows(10) == [9, 11]
-        assert HammerKit.one_location_rows(10) == [9]
-        assert HammerKit.many_sided_rows(10, 3) == [9, 11, 13]
-        with pytest.raises(AttackError):
-            HammerKit.many_sided_rows(10, 2)
-
 
 class TestTemplating:
     def test_finds_vulnerable_pages(self):

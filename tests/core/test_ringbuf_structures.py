@@ -102,7 +102,6 @@ class TestStructures:
         s.add_pt_location(10, 3)
         entry = s.pt_row_rbtree.get(10)
         assert set(entry.banks) == {2, 3}
-        assert entry.total_pt_count() == 2
         s.remove_pt_location(10, 2)
         assert set(s.pt_row_rbtree.get(10).banks) == {3}
 
