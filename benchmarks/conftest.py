@@ -3,7 +3,7 @@
 Every bench regenerates one of the paper's tables or figures, prints it
 to the terminal (bypassing capture) and archives it under ``results/``.
 The paper-table benches run and render a :mod:`repro.scenarios` group —
-the same cells ``repro-sweep --group`` runs.  Scale defaults to
+the same cells ``repro-fleet run --group`` runs.  Scale defaults to
 laptop-friendly values; ``REPRO_FULL=1`` lays :data:`FULL_PARAMS` over
 those groups' specs and picks the ``full`` side of :func:`scale` in the
 benches that build their own grids (more victims, longer workloads, 60

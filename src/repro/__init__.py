@@ -25,7 +25,7 @@ Machines are assembled through :mod:`repro.machine` (one declarative
 config, a typed ``machine.telemetry`` facade over every per-layer
 counter, deterministic snapshot/restore), and every
 paper experiment is a named scenario in :mod:`repro.scenarios`, runnable
-serially or in parallel via ``repro-sweep``.
+in-process via ``run_sweep`` or as a fleet via ``repro-fleet run --group``.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured comparison of every table and figure.

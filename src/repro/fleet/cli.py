@@ -1,6 +1,9 @@
-"""``repro-fleet``: run/resume/status/report for fleet sweeps.
+"""``repro-fleet``: list/run/resume/status/report for fleet sweeps.
 
 Examples::
+
+    # every registered scenario group and its scenarios
+    repro-fleet list
 
     # 3 patterns x 7 defenses x 25 seeds = 525 window cells
     repro-fleet run --out results/fleet \\
@@ -51,6 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    sub.add_parser(
+        "list", help="list the registered scenario groups and scenarios")
+
     run = sub.add_parser(
         "run", help="expand a fleet spec and run every cell")
     run.add_argument(
@@ -59,8 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "nothing when --spec is given")
     run.add_argument(
         "--scenarios", nargs="*", default=[],
-        help="scenarios axis (registered scenario names, window "
-             "patterns, or synthetic cell names — per --runner)")
+        help="scenarios axis (registered scenario names as printed by "
+             "list, window patterns, or synthetic cell names — per "
+             "--runner)")
     run.add_argument(
         "--group", action="append", default=[],
         help="add every scenario of a registered group (repeatable; "
@@ -209,6 +216,16 @@ def _print_summary(summary: Mapping, result_dir: str,
               f"{summary['timeouts']} timeouts -> {result_dir}")
 
 
+def _cmd_list(args: argparse.Namespace) -> int:
+    from ..scenarios.registry import list_groups, scenario_group
+
+    for group in list_groups():
+        print(f"{group}:")
+        for spec in scenario_group(group):
+            print(f"  {spec.name:34s} [{spec.kind}] {spec.title}")
+    return cli_common.EXIT_OK
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if not args.out:
         print("repro-fleet run: --out RESULT_DIR is required",
@@ -293,6 +310,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 _COMMANDS = {
+    "list": _cmd_list,
     "run": _cmd_run,
     "resume": _cmd_resume,
     "status": _cmd_status,

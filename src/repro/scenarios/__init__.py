@@ -3,7 +3,8 @@
 Names every paper scenario (Tables II–V, Figures 4–5, extra benches) as
 declarative :class:`ScenarioSpec` data on top of :mod:`repro.machine`,
 and runs any subset serially or across multiprocessing workers with
-byte-identical merged output (the ``repro-sweep`` CLI).
+byte-identical merged output.  ``repro-fleet run --group`` runs a group
+as a checkpointed fleet and ``repro-fleet list`` prints the registry.
 """
 
 from .registry import SCENARIOS, list_groups, scenario, scenario_group

@@ -2,8 +2,9 @@
 
 Every cell of Tables II–V, Figures 4–5 and the extra benches is named
 here as data — machine + defense + attack/workload + knobs — so any
-subset can be handed to :func:`repro.scenarios.runner.run_sweep` (or the
-``repro-sweep`` CLI) and fanned across workers.  Groups:
+subset can be handed to :func:`repro.scenarios.runner.run_sweep` or run
+as a ``repro-fleet run --group`` fleet (``repro-fleet list`` prints
+them).  Groups:
 
 ``table2``     Section V security grid: each paper machine runs its
                attack on the vanilla system and under SoftTRR.
@@ -308,7 +309,7 @@ def scenario(name: str) -> ScenarioSpec:
     except KeyError:
         raise ConfigError(
             f"unknown scenario {name!r}; see list_groups() or "
-            "`repro-sweep --list`") from None
+            "`repro-fleet list`") from None
 
 
 def scenario_group(group: str) -> List[ScenarioSpec]:

@@ -7,6 +7,13 @@ import pytest
 from repro.cli_common import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE
 from repro.fleet import ResultDir
 from repro.fleet.cli import main
+from repro.scenarios import (
+    SCENARIOS,
+    list_groups,
+    results_to_json,
+    run_sweep,
+    scenario_group,
+)
 
 
 def _run_tiny(tmp_path, capsys, extra=()):
@@ -87,6 +94,22 @@ class TestRun:
         assert code == EXIT_USAGE
         assert "unknown fault site" in capsys.readouterr().err
 
+    def test_unknown_scenario_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "f"
+        code = main(["run", "--scenarios", "table9-nope",
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "unknown scenario" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_jobs_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "f"
+        code = main(["run", "--group", "smoke", "--jobs", "0",
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_existing_result_dir_is_an_error(self, tmp_path, capsys):
         out, _ = _run_tiny(tmp_path, capsys)
         code = main(["run", "--out", out, "--runner", "synthetic",
@@ -163,6 +186,29 @@ def test_group_flag_pulls_registered_scenarios(tmp_path, capsys):
     assert code == EXIT_OK
     summary = json.loads(capsys.readouterr().out.strip())
     assert summary["ok"] == summary["cells"] >= 2
+    # Each payload is the in-process sweep's, plus the kind/defense
+    # keys the fleet adds where the scenario's payload lacks them.
+    sweep = {result["name"]: result["payload"] for result in json.loads(
+        results_to_json(run_sweep(scenario_group("smoke"))))}
+    records = ResultDir(out).load_records().values()
+    assert sorted(record["scenario"] for record in records) \
+        == sorted(sweep)
+    for record in records:
+        expected = sweep[record["scenario"]]
+        assert {key: value for key, value in record["payload"].items()
+                if key in expected or key not in ("kind", "defense")} \
+            == expected
+
+
+def test_list_names_every_group_and_scenario(capsys):
+    assert main(["list"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[:-1] for line in lines if not line.startswith(" ")] \
+        == list_groups()
+    assert [line.split()[0] for line in lines if line.startswith(" ")] \
+        == [spec.name for group in list_groups()
+            for spec in scenario_group(group)]
+    assert len(lines) == len(list_groups()) + len(SCENARIOS)
 
 
 class TestGroupGates:

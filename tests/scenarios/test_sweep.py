@@ -1,8 +1,6 @@
-"""Sweep execution: parallel == serial, byte for byte; CLI behaviour."""
+"""Sweep execution: parallel == serial, byte for byte."""
 
 import json
-
-import pytest
 
 from repro.scenarios import (
     ScenarioSpec,
@@ -10,9 +8,7 @@ from repro.scenarios import (
     run_scenario,
     run_scenario_guarded,
     run_sweep,
-    scenario_group,
 )
-from repro.scenarios.cli import main
 
 SMOKE = ["smoke-spray-vanilla", "smoke-spray-softtrr",
          "smoke-overhead-exchange2", "smoke-stress-clone", "smoke-lamp-d1"]
@@ -88,35 +84,3 @@ class TestGuardedSweep:
         serial = results_to_json(run_sweep(mixed, workers=1))
         parallel = results_to_json(run_sweep(mixed, workers=2))
         assert serial == parallel
-
-
-class TestCli:
-    def test_list_exits_zero_and_names_groups(self, capsys):
-        assert main(["--list"]) == 0
-        out = capsys.readouterr().out
-        for group in ("table2:", "baselines:", "smoke:"):
-            assert group in out
-
-    def test_nothing_to_run_is_an_error(self, capsys):
-        assert main([]) == 2
-        assert "nothing to run" in capsys.readouterr().err
-
-    def test_unknown_scenario_is_an_error(self, capsys):
-        assert main(["table9-nope"]) == 2
-        assert "unknown scenario" in capsys.readouterr().err
-
-    def test_bad_worker_count_is_an_error(self, capsys):
-        assert main(["smoke-stress-clone", "--jobs", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err
-
-    def test_runs_named_scenarios_to_stdout(self, capsys):
-        assert main(["smoke-stress-clone"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload[0]["name"] == "smoke-stress-clone"
-
-    def test_output_file_matches_stdout_bytes(self, tmp_path, capsys):
-        assert main(["smoke-stress-clone"]) == 0
-        stdout_text = capsys.readouterr().out
-        target = tmp_path / "sweep.json"
-        assert main(["smoke-stress-clone", "--out", str(target)]) == 0
-        assert target.read_text() == stdout_text

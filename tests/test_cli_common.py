@@ -56,12 +56,12 @@ class TestAtomicWriteJson:
 class TestCanonicalSpellings:
     def test_retired_aliases_exit_2(self, tmp_path, capsys):
         """``--workers``/``--output`` are gone: only ``--jobs``/``--out``."""
-        from repro.scenarios.cli import main
+        from repro.patterns.cli import main
 
         for argv in (["--workers", "1"],
-                     ["--output", str(tmp_path / "sweep.json")]):
+                     ["--output", str(tmp_path / "fuzz.json")]):
             with pytest.raises(SystemExit) as exc:
-                main(["smoke-stress-clone"] + argv)
+                main(["--points", "1", "--defenses", "vanilla"] + argv)
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
@@ -88,8 +88,7 @@ class TestWritersGoThroughTheHelper:
         assert [os.path.basename(p) for p in calls] == [
             "t.jsonl", "t.chrome.json"]
 
-    def test_sweep_cli_out_is_atomic(self, tmp_path, monkeypatch,
-                                     capsys):
+    def test_fuzz_cli_out_is_atomic(self, tmp_path, monkeypatch, capsys):
         calls = []
         import repro.cli_common as cli_common
         real = cli_common.atomic_write_text
@@ -97,10 +96,10 @@ class TestWritersGoThroughTheHelper:
             cli_common, "atomic_write_text",
             lambda path, text, **kw: calls.append(path) or
             real(path, text, **kw))
-        from repro.scenarios.cli import main
+        from repro.patterns.cli import main
 
-        target = tmp_path / "sweep.json"
-        assert main(["smoke-stress-clone", "--out", str(target)]) == 0
+        target = tmp_path / "fuzz.json"
+        assert main(["--points", "1", "--defenses", "vanilla",
+                     "--out", str(target)]) == 0
         assert calls == [str(target)]
-        assert json.loads(target.read_text())[0]["name"] \
-            == "smoke-stress-clone"
+        assert json.loads(target.read_text())["points"] == 1
