@@ -34,6 +34,7 @@ from typing import Dict, List, Mapping, Optional
 from ..errors import ConfigError
 
 __all__ = [
+    "WINDOW_FAULT_SITES",
     "WINDOW_PATTERNS",
     "fuzz_point_index",
     "materialise_scenario",
@@ -43,6 +44,12 @@ __all__ = [
 
 #: Patterns the ``window`` runner accepts on the scenarios axis.
 WINDOW_PATTERNS = ("one_sided", "double_sided", "many_sided")
+
+#: Fault sites a ``window`` cell exercises.  Its rows-mode hammer leg
+#: dispatches kernel timers every round but never touches the MMU, a
+#: hook or SoftTRR's ``RowRefresher``, so a plan on any other site
+#: would return the unfaulted payload.
+WINDOW_FAULT_SITES = ("timers",)
 
 #: Fallback protection-window length when the cell's defense is not
 #: SoftTRR (the paper's 1 ms refresh deadline).

@@ -327,13 +327,20 @@ class FleetSpec:
                             f"chaos scenario {name!r} runs SoftTRR under "
                             f"its own fault plan; drop the {axis} axis")
         elif self.runner == "window":
-            from .runners import WINDOW_PATTERNS
+            from .runners import WINDOW_FAULT_SITES, WINDOW_PATTERNS
 
             for name in self.scenarios:
                 if name not in WINDOW_PATTERNS:
                     raise ConfigError(
                         f"unknown window pattern {name!r}; known: "
                         f"{WINDOW_PATTERNS}")
+            for plan in filter(None, self.fault_plans):
+                for fault in plan["specs"]:
+                    if fault["site"] not in WINDOW_FAULT_SITES:
+                        raise ConfigError(
+                            f"fleet spec 'fault_plans': window cells never "
+                            f"exercise fault site {fault['site']!r}; they "
+                            f"accept only {WINDOW_FAULT_SITES}")
         elif self.runner == "fuzz":
             from .runners import fuzz_point_index
 

@@ -240,6 +240,23 @@ MALFORMED = {
     "runner-params-budget-string": (
         {**_WINDOW, "runner_params": {"budget_factor": "1.5"}},
         "runner_params"),
+    "window-fault-site-hooks": (
+        {**_WINDOW, "fault_plans": [[{"site": "hooks", "mode": "drop",
+                                      "probability": 1.0}]]},
+        "fault_plans"),
+    "window-fault-site-mmu": (
+        {**_WINDOW, "fault_plans": [[{"site": "mmu", "mode": "swallow",
+                                      "probability": 1.0}]]},
+        "fault_plans"),
+    "window-fault-site-tlb": (
+        {**_WINDOW, "fault_plans": [[{"site": "tlb", "mode": "lost_invlpg",
+                                      "probability": 1.0}]]},
+        "fault_plans"),
+    "window-fault-site-refresher": (
+        {**_WINDOW, "fault_plans": [[{"site": "refresher",
+                                      "mode": "fail_refresh",
+                                      "probability": 1.0}]]},
+        "fault_plans"),
     "runner-params-max-sides-zero": (
         {**_FUZZ, "runner_params": {"max_sides": 0}}, "runner_params"),
     "runner-params-fuzz-seed-float": (
