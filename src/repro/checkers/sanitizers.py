@@ -23,8 +23,9 @@ every timer tick, the invariants SoftTRR's security argument rests on:
   every loaded module.  Also usable as a pure static check on config
   dicts (:func:`check_window_config`) with no kernel at all.
 
-Sanitizers are opt-in — ``MachineSpec(sanitize=True)`` installs them at
-boot, or wrap a phase in ``with sanitized(kernel):`` — and accumulate
+Sanitizers are opt-in — ``install_sanitizers(kernel)`` arms them for
+the kernel's lifetime (``Machine(sanitize=True)`` does so at assembly),
+or wrap a phase in ``with sanitized(kernel):`` — and accumulate
 :class:`~repro.checkers.report.Violation` records into a
 :class:`~repro.checkers.report.SanitizerReport`.  ``strict=True`` turns
 the first violation into a :class:`SanitizerViolationError` instead.

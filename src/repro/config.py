@@ -89,10 +89,6 @@ class MachineSpec:
     #: In-DRAM row remapping kind ("identity" or "folded").
     remap_kind: str = "identity"
     seed: int = 1
-    #: Install the runtime invariant sanitizers (:mod:`repro.checkers`)
-    #: at boot.  Off by default so benchmarks stay fast; tests flip it
-    #: (or use ``with sanitized(kernel):``) to get invariant checking.
-    sanitize: bool = False
 
     def __post_init__(self) -> None:
         if self.mapping_kind not in ("linear", "interleaved"):

@@ -110,19 +110,15 @@ class Kernel:
         self.demand_pages = 0
         self.forks = 0
         self.segfaults = 0
-        #: Runtime invariant sanitizers (:mod:`repro.checkers`), when
-        #: enabled via ``MachineSpec(sanitize=True)`` or installed later
-        #: with ``install_sanitizers`` / ``with sanitized(kernel):``.
+        #: Runtime invariant sanitizers (:mod:`repro.checkers`), once
+        #: installed with ``install_sanitizers`` / ``with
+        #: sanitized(kernel):``.
         self.sanitizers = None
         #: Trace hub (:mod:`repro.trace`), or None when tracing is off.
         #: Lives on the kernel so a machine deepcopy carries exactly one
         #: hub and every component's ``trace`` reference follows it.
         self.trace_hub = None
         self.trace = None
-        if spec.sanitize:
-            from ..checkers.sanitizers import install_sanitizers
-
-            install_sanitizers(self)
 
     # =============================================================== frames
     def alloc_frame(self, use: FrameUse, order: int = 0) -> int:

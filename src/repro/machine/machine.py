@@ -124,16 +124,10 @@ class Machine:
 
             TraceHub.build(
                 self.kernel.clock, trace, trace_capacity).attach(self.kernel)
-        # ``MachineSpec(sanitize=True)`` already installed (non-strict)
-        # sanitizers inside Kernel.__init__; honour a strictness request
-        # on that manager rather than double-installing.
-        if self.kernel.sanitizers is None:
-            if sanitize or strict:
-                from ..checkers.sanitizers import install_sanitizers
+        if sanitize or strict:
+            from ..checkers.sanitizers import install_sanitizers
 
-                install_sanitizers(self.kernel, strict=strict)
-        elif strict:
-            self.kernel.sanitizers.strict = True
+            install_sanitizers(self.kernel, strict=strict)
         defense.install(self.kernel)
         # The fault injector installs LAST so its wrappers sit outermost
         # (raw -> sanitizer -> injector): a suppressed event never reaches

@@ -7,8 +7,6 @@ row, TLB seeded with a stale armed translation, unsafe window params)
 and the report must name the offending PPN / PTE paddr / row.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.checkers.report import SanitizerReport, Violation
@@ -121,12 +119,6 @@ class TestInstall:
                  kernel.mmu.invlpg, kernel.dispatch_timers)
         assert after == before
         assert kernel.sanitizers is None
-
-    def test_boot_time_install_via_spec(self):
-        spec = dataclasses.replace(tiny_machine(), sanitize=True)
-        kernel = Kernel(spec)
-        assert kernel.sanitizers is not None
-        assert kernel.sanitizers.installed
 
     def test_checkpoints_ride_on_timer_ticks(self):
         kernel, proc, base, softtrr = build()

@@ -7,11 +7,10 @@ process, bank ≠ 0, out-of-range aggressor index, no aggressors — is a
 loud error.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.attacks.hammer import HammerKit
+from repro.checkers import install_sanitizers
 from repro.config import tiny_machine
 from repro.errors import AttackError, PatternError
 from repro.kernel.kernel import Kernel
@@ -20,8 +19,8 @@ from repro.patterns import AttackProgram, compile_pattern, round_robin
 
 
 def make_kit(n_pages=4, use_batch=True):
-    kernel = Kernel(dataclasses.replace(tiny_machine(seed=7),
-                                        sanitize=True))
+    kernel = Kernel(tiny_machine(seed=7))
+    install_sanitizers(kernel, strict=True)
     process = kernel.create_process("attacker")
     base = kernel.mmap(process, n_pages * PAGE, name="aggressors")
     vaddrs = [base + i * PAGE for i in range(n_pages)]

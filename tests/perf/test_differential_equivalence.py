@@ -8,8 +8,9 @@ identical* to the scalar code it replaces: identical DRAM bytes,
 identical ``FlipEvent`` streams (including timestamps), identical
 simulated nanoseconds, and identical counters in every layer the
 evaluation reads.  These tests run each scenario twice on freshly built
-machines — scalar and batched — under ``MachineSpec(sanitize=True)``
-(PR 1's strict runtime invariants) and compare a full fingerprint.
+machines — scalar and batched — with strict runtime sanitizers
+installed (``install_sanitizers(kernel, strict=True)``), so the first
+invariant violation raises, and compare a full fingerprint.
 
 The one sanctioned relaxation: raw accumulator floats of rows with *no*
 vulnerable cells may differ in the last ULPs (fused ``weight * count``
@@ -23,6 +24,7 @@ import dataclasses
 import pytest
 
 from repro.attacks.hammer import HammerKit
+from repro.checkers import install_sanitizers
 from repro.config import machine, tiny_machine
 from repro.core.profile import SoftTrrParams
 from repro.core.softtrr import SoftTrr
@@ -34,9 +36,11 @@ from repro.rng import derive_rng
 from repro.workloads.base import SliceWorkload, WorkloadProfile
 
 
-def strict(spec):
-    """The spec with PR 1's runtime sanitizers armed."""
-    return dataclasses.replace(spec, sanitize=True)
+def strict_kernel(spec):
+    """A kernel on ``spec`` whose first sanitizer violation raises."""
+    kernel = Kernel(spec)
+    install_sanitizers(kernel, strict=True)
+    return kernel
 
 
 def dram_fingerprint(dram):
@@ -107,8 +111,8 @@ def _scalar_hammer(dram, items, extra_ns=0):
 def test_hammer_batch_random_streams(name, seed):
     """Seeded streams mixing runs, singles and counts, per machine."""
     rng = derive_rng("diff-hammer", name, seed)
-    scalar_dram = Kernel(strict(machine(name))).dram
-    batched_dram = Kernel(strict(machine(name))).dram
+    scalar_dram = strict_kernel(machine(name)).dram
+    batched_dram = strict_kernel(machine(name)).dram
     items = []
     for _ in range(120):
         bank = rng.randrange(scalar_dram.geometry.num_banks)
@@ -124,8 +128,8 @@ def test_hammer_batch_random_streams(name, seed):
 
 def test_hammer_batch_with_chiptrr_interleaving():
     """ChipTRR's mid-batch refreshes force the per-item replay."""
-    scalar_dram = Kernel(strict(tiny_machine(seed=7, trr=True))).dram
-    batched_dram = Kernel(strict(tiny_machine(seed=7, trr=True))).dram
+    scalar_dram = strict_kernel(tiny_machine(seed=7, trr=True)).dram
+    batched_dram = strict_kernel(tiny_machine(seed=7, trr=True)).dram
     left = scalar_dram.mapping.dram_to_phys(0, 29, 0)
     right = scalar_dram.mapping.dram_to_phys(0, 31, 0)
     items = [(left, 1), (right, 1)] * 2000
@@ -138,8 +142,8 @@ def test_hammer_batch_with_chiptrr_interleaving():
 def test_hammer_batch_epoch_rollover_mid_run():
     """A long run straddling the refresh-window boundary: the batch
     must reproduce the scalar path's lazy heal discard exactly."""
-    scalar_dram = Kernel(strict(machine("thinkpad_x230"))).dram
-    batched_dram = Kernel(strict(machine("thinkpad_x230"))).dram
+    scalar_dram = strict_kernel(machine("thinkpad_x230")).dram
+    batched_dram = strict_kernel(machine("thinkpad_x230")).dram
     window = scalar_dram.timings.refresh_window_ns
     for dram in (scalar_dram, batched_dram):
         dram.clock.advance(window - 150_000)
@@ -162,8 +166,8 @@ def _vulnerable_victim(dram):
 
 def test_hammer_batch_identical_flip_stream():
     """A stream that *does* flip: byte-identical events and bytes."""
-    scalar_dram = Kernel(strict(tiny_machine(seed=7))).dram
-    batched_dram = Kernel(strict(tiny_machine(seed=7))).dram
+    scalar_dram = strict_kernel(tiny_machine(seed=7)).dram
+    batched_dram = strict_kernel(tiny_machine(seed=7)).dram
     _victim, aggressor = _vulnerable_victim(scalar_dram)
     items = [(aggressor, 1)] * 20_000  # tiny threshold max is 16 K units
     _scalar_hammer(scalar_dram, items)
@@ -190,7 +194,7 @@ def _pattern_vaddrs(kit, base, pattern):
 
 
 def _kit_scenario(spec, pattern, use_batch, iterations, softtrr):
-    kernel = Kernel(spec)
+    kernel = strict_kernel(spec)
     if softtrr:
         kernel.load_module("softtrr", SoftTrr(SoftTrrParams()))
     process = kernel.create_process("attacker")
@@ -208,7 +212,7 @@ def _kit_scenario(spec, pattern, use_batch, iterations, softtrr):
 ])
 def test_kit_patterns_batched_equals_scalar(pattern):
     """Each Section II-B pattern, SoftTRR-protected, strict sanitizers."""
-    spec = strict(machine("thinkpad_x230"))
+    spec = machine("thinkpad_x230")
     scalar = _kit_scenario(spec, pattern, use_batch=False,
                            iterations=1500, softtrr=True)
     batched = _kit_scenario(spec, pattern, use_batch=True,
@@ -219,7 +223,7 @@ def test_kit_patterns_batched_equals_scalar(pattern):
 def test_kit_one_location_closed_page():
     """One-location hammering only works under closed-page policy —
     the batched burst must match there too."""
-    spec = dataclasses.replace(strict(machine("thinkpad_x230")),
+    spec = dataclasses.replace(machine("thinkpad_x230"),
                                row_policy=RowBufferPolicy.CLOSED_PAGE)
     scalar = _kit_scenario(spec, "one_location", use_batch=False,
                            iterations=1200, softtrr=False)
@@ -233,7 +237,7 @@ def test_kit_one_location_closed_page():
 # --------------------------------------------------------------------------
 
 def _access_run_scenario(batched):
-    kernel = Kernel(strict(machine("thinkpad_x230")))
+    kernel = strict_kernel(machine("thinkpad_x230"))
     kernel.load_module("softtrr", SoftTrr(SoftTrrParams()))
     process = kernel.create_process("app")
     base = kernel.mmap(process, 4 * PAGE, name="ws")
@@ -268,7 +272,7 @@ def _workload_scenario(use_batch, softtrr):
         cold_pool_pages=32, cold_touches=2, write_fraction=0.4,
         churn_prob=0.2, fork_every_slices=10, syscalls_per_slice=2,
         hot_touch_repeat=4)
-    kernel = Kernel(strict(machine("thinkpad_x230")))
+    kernel = strict_kernel(machine("thinkpad_x230"))
     if softtrr:
         kernel.load_module("softtrr", SoftTrr(SoftTrrParams()))
     result = SliceWorkload(kernel, profile, seed=99,
@@ -292,7 +296,7 @@ def test_full_softtrr_run_equivalence():
     """End to end: SoftTRR-protected machine, timers ticking, hammer
     pressure plus workload traffic; identical SoftTrrStats."""
     def scenario(use_batch):
-        kernel = Kernel(strict(machine("thinkpad_x230")))
+        kernel = strict_kernel(machine("thinkpad_x230"))
         kernel.load_module("softtrr", SoftTrr(SoftTrrParams()))
         attacker = kernel.create_process("attacker")
         base = kernel.mmap(attacker, 8 * PAGE, name="aggressors")
