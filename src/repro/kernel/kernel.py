@@ -192,27 +192,11 @@ class Kernel:
         Fires the ``__pte_alloc`` hook when a *new* L1PT page is created,
         which is how SoftTRR's collector sees dynamic page-table births.
         """
-        mm = process.mm
-        table = mm.pml4_ppn
-        for level in (4, 3):
-            index = bits.level_index(vaddr, level)
-            entry = self.mmu.pt_ops.read_entry(table, index)
-            if not bits.is_present(entry):
-                child = self.alloc_frame(FrameUse.PAGE_TABLE)
-                mm.upper_table_pages.append(child)
-                mm.table_levels[child] = level - 1
-                self.mmu.write_pte(
-                    table, index, bits.make_pte(child, USER_PTE_FLAGS))
-                if level - 1 == 2:
-                    self.hooks.notify(HOOK_PMD_ALLOC, process, child)
-                table = child
-            else:
-                table = bits.pte_ppn(entry)
-        index = bits.level_index(vaddr, 2)
+        table, index = self._l2_slot_of(process, vaddr)
         entry = self.mmu.pt_ops.read_entry(table, index)
         if not bits.is_present(entry):
             l1 = self.alloc_frame(FrameUse.PAGE_TABLE)
-            mm.pte_page_population[l1] = 0
+            process.mm.pte_page_population[l1] = 0
             self.mmu.write_pte(
                 table, index, bits.make_pte(l1, USER_PTE_FLAGS))
             self.accountant.charge("pte_alloc_hook", self.cost.collector_hook_ns)
@@ -706,7 +690,7 @@ class Kernel:
                                        & ~(bits.PTE_PSE | bits.PTE_RSVD_TRACE))
                 continue
             for page in vma.pages():
-                walk = self._fork_read_leaf(mm, page)
+                walk = self.software_walk(mm, page)
                 if walk is None:
                     continue
                 entry = walk[3]
@@ -717,24 +701,6 @@ class Kernel:
                 self.map_page(child, page, new_ppn,
                               bits.pte_flags(entry) & ~bits.PTE_RSVD_TRACE)
         return child
-
-    def _fork_read_leaf(self, mm: MmStruct, vaddr: int):
-        """Read a leaf for fork, *including* non-present non-zero leaves."""
-        table = mm.pml4_ppn
-        for level in (4, 3, 2):
-            index = bits.level_index(vaddr, level)
-            entry = self.mmu.pt_ops.read_entry(table, index)
-            if not bits.is_present(entry):
-                return None
-            table = bits.pte_ppn(entry)
-        index = bits.level_index(vaddr, 1)
-        entry = self.mmu.pt_ops.read_entry(table, index)
-        if entry == 0:
-            return None
-        return (
-            bits.pte_ppn(entry), 1,
-            self.mmu.pt_ops.entry_paddr(table, index), entry,
-        )
 
     @staticmethod
     def _fork_check_leaf(entry: int, vaddr: int) -> None:
