@@ -47,6 +47,13 @@ class TestRun:
         assert code == EXIT_USAGE
         assert "nothing to run" in capsys.readouterr().err
 
+    def test_nothing_to_run_is_an_error(self, tmp_path, capsys):
+        # The default scenario runner with no --scenarios/--group.
+        out = tmp_path / "f"
+        assert main(["run", "--out", str(out)]) == EXIT_USAGE
+        assert "nothing to run" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_from_spec_file(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({
