@@ -93,9 +93,9 @@ def run_chaos_cell(
     if healing:
         params.update(HEALING_PARAMS)
     spec = site_spec(site, seed)
-    # Report-mode sanitizers, never strict: a lost invlpg legitimately
-    # leaves a stale TLB entry behind — that is the fault, not a model
-    # bug.
+    # The plan makes build_machine arm report-mode sanitizers, never
+    # strict: a lost invlpg legitimately leaves a stale TLB entry
+    # behind — that is the fault, not a model bug.
     machine = build_machine(
         "softtrr", params, machine_name,
         fault_plan=FaultPlan(specs=(spec,), seed=seed))

@@ -30,7 +30,8 @@ gates it (:mod:`repro.fleet.report`): vanilla must flip somewhere (the
 bench has teeth), every tracker must actuate somewhere (the feed is
 live) and at least one tracker must fully protect a cell vanilla loses.
 
-:func:`build_machine` (the sanitized cell machine), :func:`cheapest_victim`
+:func:`build_machine` (the sanitized cell machine: strict sanitizers
+unless a fault plan is installed), :func:`cheapest_victim`
 and the two legs (:func:`hammer_leg`, :func:`spray_leg`) are shared with
 the chaos, pattern and window cells and with ``repro-trace record``.
 """
@@ -40,6 +41,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import AttackError, ConfigError
+from ..faults import FaultPlan
 from ..machine import Machine, MachineConfig
 from ..scenarios.spec import ScenarioSpec
 
@@ -108,21 +110,27 @@ def build_machine(defense: str, defense_params: Optional[Mapping] = None,
                   machine_name: str = "tiny", seed: Optional[int] = None,
                   fault_plan: Optional[Mapping] = None,
                   trace: str = "off") -> Machine:
-    """A machine under report-mode sanitizers, with the defense scaled
-    to the tiny machine (:data:`TINY_DEFENSE_PARAMS`, then
-    ``defense_params``) when ``machine_name`` is ``"tiny"``."""
+    """A cell machine under sanitizers, with the defense scaled to the
+    tiny machine (:data:`TINY_DEFENSE_PARAMS`, then ``defense_params``)
+    when ``machine_name`` is ``"tiny"``.
+
+    The sanitizers are strict, so a broken invariant fails the cell,
+    unless a non-empty ``fault_plan`` is installed: a fault breaks
+    invariants by design (a lost invlpg leaves a stale TLB entry), so
+    a faulted cell runs them in report mode for the caller to count.
+    """
     params: Dict[str, object] = dict(
         TINY_DEFENSE_PARAMS.get(defense, {}) if machine_name == "tiny"
         else {})
     params.update(defense_params or {})
+    plan = None if fault_plan is None else FaultPlan.coerce(fault_plan)
     return Machine(MachineConfig(
         machine=machine_name,
         defense=defense,
         defense_params=params,
-        sanitize=True,
-        strict_sanitizers=False,
+        sanitizers="report" if plan else "strict",
         seed=seed,
-        fault_plan=fault_plan,
+        fault_plan=plan,
         trace=trace,
     ))
 

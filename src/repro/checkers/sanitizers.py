@@ -24,8 +24,9 @@ every timer tick, the invariants SoftTRR's security argument rests on:
   dicts (:func:`check_window_config`) with no kernel at all.
 
 Sanitizers are opt-in — ``install_sanitizers(kernel)`` arms them for
-the kernel's lifetime (``Machine(sanitize=True)`` does so at assembly),
-or wrap a phase in ``with sanitized(kernel):`` — and accumulate
+the kernel's lifetime (``Machine(sanitizers="report")`` or
+``"strict"`` does so at assembly), or wrap a phase in
+``with sanitized(kernel):`` — and accumulate
 :class:`~repro.checkers.report.Violation` records into a
 :class:`~repro.checkers.report.SanitizerReport`.  ``strict=True`` turns
 the first violation into a :class:`SanitizerViolationError` instead.

@@ -1,8 +1,8 @@
 """Declarative machine assembly configuration.
 
 A :class:`MachineConfig` names everything needed to build one evaluation
-machine — the hardware profile, the defense riding on it, whether the
-runtime sanitizers are installed, and the execution path — as plain data.
+machine — the hardware profile, the defense riding on it, the runtime
+sanitizer mode, the fault plan and the trace level — as plain data.
 It is picklable (scenario sweeps ship configs to worker processes) and
 every field has a deterministic default, so two processes building the
 same config produce bit-identical machines.
@@ -17,7 +17,7 @@ list of records (:mod:`repro.scenarios`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from ..config import MACHINES, MachineSpec, machine as machine_spec
@@ -65,24 +65,31 @@ def build_defense(name: str, params: Optional[Mapping] = None):
             f"defense {name!r} rejects params {params!r}: {exc}") from None
 
 
+#: Sanitizer modes (:mod:`repro.checkers.sanitizers`): ``"off"``
+#: installs none, ``"report"`` collects violations into the manager's
+#: report, ``"strict"`` raises at the first one.
+SANITIZER_MODES = ("off", "report", "strict")
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """Everything needed to assemble one machine, as plain data.
 
+    This is the one place a machine's assembly knobs are set and
+    checked: a malformed value raises :class:`ConfigError` naming its
+    field (a defense its factory rejects, at build; a malformed fault
+    plan raises :class:`~repro.errors.FaultError`).
     ``machine`` is a :data:`repro.config.MACHINES` key; ``defense`` a
     :data:`repro.defenses.base.DEFENSES` key with ``defense_params``
     passed to its factory (for ``"softtrr"`` they hydrate a
-    :class:`SoftTrrParams`).  ``sanitize``/``strict_sanitizers`` install
-    the runtime invariant sanitizers at boot; ``batch=False`` runs
-    workloads through the machine on the scalar reference path.
+    :class:`SoftTrrParams`).  ``sanitizers`` is one of
+    :data:`SANITIZER_MODES`.
     """
 
     machine: str = "perf_testbed"
     defense: str = "vanilla"
     defense_params: Mapping = field(default_factory=dict)
-    sanitize: bool = False
-    strict_sanitizers: bool = False
-    batch: bool = True
+    sanitizers: str = "off"
     #: Override the machine profile's seed (None = profile default).
     seed: Optional[int] = None
     #: Deterministic fault plan installed at assembly (``repro.faults``).
@@ -98,8 +105,14 @@ class MachineConfig:
 
     def __post_init__(self) -> None:
         check_machine(self.machine)
-        if self.strict_sanitizers and not self.sanitize:
-            raise ConfigError("strict_sanitizers requires sanitize=True")
+        if not isinstance(self.defense_params, Mapping):
+            raise ConfigError(
+                f"defense_params must be a mapping, got "
+                f"{self.defense_params!r}")
+        if self.sanitizers not in SANITIZER_MODES:
+            raise ConfigError(
+                f"unknown sanitizers mode {self.sanitizers!r}; known: "
+                f"{SANITIZER_MODES}")
         if self.seed is not None and (
                 isinstance(self.seed, bool) or not isinstance(self.seed, int)):
             raise ConfigError(f"machine seed must be an int, got {self.seed!r}")
@@ -108,8 +121,11 @@ class MachineConfig:
         if self.trace not in LEVELS:
             raise ConfigError(
                 f"unknown trace level {self.trace!r}; known: {LEVELS}")
-        if self.trace_capacity is not None and self.trace_capacity < 1:
-            raise ConfigError("trace_capacity must be positive")
+        capacity = self.trace_capacity
+        if capacity is not None and (isinstance(capacity, bool) or not
+                                     isinstance(capacity, int) or capacity < 1):
+            raise ConfigError(
+                f"trace_capacity must be a positive int, got {capacity!r}")
         # Normalise to a plain dict so configs pickle/compare cleanly.
         object.__setattr__(self, "defense_params", dict(self.defense_params))
         if self.fault_plan is not None:
@@ -120,24 +136,9 @@ class MachineConfig:
 
     def build_spec(self) -> MachineSpec:
         """The machine profile this config names (seed applied)."""
+        kwargs = {} if self.seed is None else {"seed": self.seed}
         if self.machine == "tiny":
             from ..config import tiny_machine
 
-            factory = tiny_machine
-        else:
-            factory = None
-        kwargs = {} if self.seed is None else {"seed": self.seed}
-        return (factory(**kwargs) if factory is not None
-                else machine_spec(self.machine, **kwargs))
-
-    def build_defense(self):
-        """Fresh defense instance for this config."""
-        return build_defense(self.defense, self.defense_params)
-
-    def replace(self, **overrides) -> "MachineConfig":
-        """A copy with ``overrides`` applied (dataclasses.replace)."""
-        return replace(self, **overrides)
-
-    def label(self) -> str:
-        """Short human-readable tag, e.g. ``perf_testbed+softtrr``."""
-        return f"{self.machine}+{self.defense}"
+            return tiny_machine(**kwargs)
+        return machine_spec(self.machine, **kwargs)

@@ -4,8 +4,8 @@ Everything that used to be hand-wired at every entry point — ``Kernel(
 perf_testbed())`` + ``load_module(...)`` + ad-hoc sanitizer installs +
 per-layer counter spelunking — lives here.  A :class:`Machine` owns the
 full simulated stack (clock, DRAM, MMU, kernel, defense, sanitizers,
-execution path), is built from a declarative :class:`MachineConfig`, and
-offers:
+fault injector, trace hub), is built from a declarative
+:class:`MachineConfig`, and offers:
 
 * :attr:`telemetry` — every per-layer statistic (TLB, CPU cache, DRAM
   banks, disturbance engine, in-DRAM TRR, feed trackers, kernel,
@@ -24,11 +24,12 @@ machines.
 from __future__ import annotations
 
 import copy
-from typing import Dict, Optional
+from dataclasses import replace
+from typing import Optional
 
 from ..config import MachineSpec
 from ..kernel.kernel import Kernel
-from .config import MachineConfig
+from .config import MachineConfig, build_defense
 
 __all__ = ["Machine", "MachineSnapshot"]
 
@@ -65,80 +66,63 @@ class Machine:
         if config is None:
             config = MachineConfig(**overrides)
         elif overrides:
-            config = config.replace(**overrides)
+            config = replace(config, **overrides)
         self.config = config
-        self.batch = config.batch
-        self._assemble(
-            config.build_spec(),
-            config.build_defense(),
-            sanitize=config.sanitize,
-            strict=config.strict_sanitizers,
-            fault_plan=config.fault_plan,
-            trace=config.trace,
-            trace_capacity=config.trace_capacity,
-        )
+        self._assemble(config.build_spec(),
+                       build_defense(config.defense, config.defense_params),
+                       config)
 
     @classmethod
-    def from_parts(
-        cls,
-        spec: MachineSpec,
-        defense=None,
-        *,
-        sanitize: bool = False,
-        strict_sanitizers: bool = False,
-        batch: bool = True,
-        fault_plan=None,
-        trace: str = "off",
-        trace_capacity: Optional[int] = None,
-    ) -> "Machine":
+    def from_parts(cls, spec: MachineSpec, defense=None) -> "Machine":
         """Assemble from already-built spec/defense objects.
 
         This is the escape hatch for callers that need a bespoke
         :class:`MachineSpec` (custom disturbance params, test
-        geometries) that no registry name describes.  ``config`` is
-        ``None`` on the result.
+        geometries) that no registry name describes.  Every knob keeps
+        its :class:`MachineConfig` default (no sanitizers, trace or
+        fault plan), and ``config`` is ``None`` on the result.
         """
         self = cls.__new__(cls)
         self.config = None
-        self.batch = batch
         if defense is None:
             from ..defenses.base import NoDefense
 
             defense = NoDefense()
-        self._assemble(
-            spec, defense, sanitize=sanitize, strict=strict_sanitizers,
-            fault_plan=fault_plan, trace=trace, trace_capacity=trace_capacity)
+        self._assemble(spec, defense, MachineConfig())
         return self
 
-    def _assemble(self, spec: MachineSpec, defense, *, sanitize: bool,
-                  strict: bool, fault_plan=None, trace: str = "off",
-                  trace_capacity: Optional[int] = None) -> None:
+    def _assemble(self, spec: MachineSpec, defense,
+                  config: MachineConfig) -> None:
+        """Build the stack around ``spec`` and ``defense``; of the
+        checked ``config`` only the sanitizer, trace and fault-plan
+        fields are read."""
         self.spec = spec
         self.defense = defense
         self.kernel = Kernel(
             spec, frame_policy_factory=defense.frame_policy_factory())
         # The trace hub attaches before the defense installs so module
         # load (initial collection, warm-up ticks) is observable too.
-        if trace != "off":
+        if config.trace != "off":
             from ..trace.hub import TraceHub
 
-            TraceHub.build(
-                self.kernel.clock, trace, trace_capacity).attach(self.kernel)
-        if sanitize or strict:
+            TraceHub.build(self.kernel.clock, config.trace,
+                           config.trace_capacity).attach(self.kernel)
+        if config.sanitizers != "off":
             from ..checkers.sanitizers import install_sanitizers
 
-            install_sanitizers(self.kernel, strict=strict)
+            install_sanitizers(self.kernel,
+                               strict=config.sanitizers == "strict")
         defense.install(self.kernel)
         # The fault injector installs LAST so its wrappers sit outermost
         # (raw -> sanitizer -> injector): a suppressed event never reaches
         # the sanitizer underneath, which observes the machine the fault
         # produced rather than the fault machinery itself.
         self.fault_injector = None
-        if fault_plan is not None and fault_plan:
-            from ..faults import FaultInjector, FaultPlan
+        if config.fault_plan:
+            from ..faults import FaultInjector
 
-            plan = FaultPlan.coerce(fault_plan)
-            self.fault_injector = FaultInjector(self.kernel, plan).install()
+            self.fault_injector = FaultInjector(
+                self.kernel, config.fault_plan).install()
 
     # ======================================================== conveniences
     @property
@@ -188,15 +172,12 @@ class Machine:
         return module
 
     def run_workload(self, profile, seed: int = 1234):
-        """Run a :class:`WorkloadProfile` on this machine's kernel.
-
-        The machine's ``batch`` setting (from its config) picks the
-        batched path or the scalar reference path.
-        """
+        """Run a :class:`WorkloadProfile` on this machine's kernel, on
+        the batched path (the scalar reference path is
+        ``SliceWorkload(..., use_batch=False)``)."""
         from ..workloads.base import SliceWorkload
 
-        return SliceWorkload(
-            self.kernel, profile, seed=seed, use_batch=self.batch).run()
+        return SliceWorkload(self.kernel, profile, seed=seed).run()
 
     # =========================================================== telemetry
     @property

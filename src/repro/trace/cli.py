@@ -44,7 +44,8 @@ _DEFAULT_WINDOW_NS = SoftTrrParams(
 
 def record_smoke(seed: int = 11, level: str = "spans",
                  capacity: int = DEFAULT_CAPACITY):
-    """Run the smoke scenario with tracing on; returns the Machine.
+    """Run the smoke scenario with tracing on, under strict sanitizers;
+    returns the Machine.
 
     Deterministic in its arguments: the attack runs on the simulated
     clock with seeded RNG streams, so two records with the same seed
@@ -56,8 +57,7 @@ def record_smoke(seed: int = 11, level: str = "spans",
         machine="tiny",
         defense="softtrr",
         defense_params=TINY_DEFENSE_PARAMS["softtrr"],
-        sanitize=True,
-        strict_sanitizers=False,
+        sanitizers="strict",
         seed=seed,
         trace=level,
         trace_capacity=capacity,

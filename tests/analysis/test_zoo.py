@@ -5,11 +5,13 @@ import pytest
 from repro.analysis.zoo import (
     PATTERNS,
     ZOO_DEFENSES,
+    build_machine,
     run_zoo_cell,
     zoo_specs,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SanitizerViolationError
 from repro.fleet.report import GROUP_GATES, summarise_zoo
+from repro.mmu.tlb import Tlb
 from repro.scenarios.registry import scenario_group
 from repro.scenarios.runner import run_sweep
 from repro.scenarios.spec import results_to_json
@@ -118,3 +120,23 @@ class TestLiveCells:
         serial = run_sweep(specs, workers=1)
         parallel = run_sweep(specs, workers=2)
         assert results_to_json(serial) == results_to_json(parallel)
+
+
+class TestCellSanitizers:
+    """Unfaulted cells run strict sanitizers; faulted cells report."""
+
+    def test_unfaulted_cell_fails_on_a_violation(self, monkeypatch):
+        # A buggy flush keeps the translation of a freshly armed PTE
+        # cached, so the spray leg breaks the TLB invariant.
+        monkeypatch.setattr(Tlb, "invlpg", lambda self, vaddr: None)
+        with pytest.raises(SanitizerViolationError, match="invlpg"):
+            run_zoo_cell("softtrr", "spray")
+
+    def test_only_a_non_empty_fault_plan_keeps_report_mode(self):
+        drop = {"specs": [{"site": "timers", "mode": "drop",
+                           "probability": 0.5}]}
+        assert build_machine("vanilla").sanitizers.strict is True
+        assert build_machine(
+            "vanilla", fault_plan={"specs": []}).sanitizers.strict is True
+        assert build_machine(
+            "vanilla", fault_plan=drop).sanitizers.strict is False

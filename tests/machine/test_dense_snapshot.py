@@ -15,7 +15,7 @@ from repro.machine import Machine
 
 
 def _machine():
-    return Machine(machine="tiny", sanitize=True, strict_sanitizers=True)
+    return Machine(machine="tiny", sanitizers="strict")
 
 
 def _victim_and_aggressors(machine):

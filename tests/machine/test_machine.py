@@ -15,14 +15,23 @@ class TestMachineConfig:
         with pytest.raises(ConfigError, match="unknown machine"):
             MachineConfig(machine="pdp11")
 
-    def test_strict_requires_sanitize(self):
-        with pytest.raises(ConfigError, match="strict_sanitizers"):
-            MachineConfig(machine="tiny", strict_sanitizers=True)
+    @pytest.mark.parametrize("field, value", [
+        ("sanitizers", "bogus"),
+        ("sanitizers", True),
+        ("sanitizers", ""),
+        ("trace_capacity", "5"),
+        ("trace_capacity", True),
+        ("trace_capacity", 2.5),
+        ("defense_params", [1]),
+    ])
+    def test_knobs_raise_typed_errors(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            MachineConfig(machine="tiny", **{field: value})
 
     def test_unknown_defense_rejected_at_build(self):
         config = MachineConfig(machine="tiny", defense="prayer")
         with pytest.raises(ConfigError, match="unknown defense"):
-            config.build_defense()
+            Machine(config)
 
     def test_defense_params_normalised_to_dict(self):
         class View(dict):
@@ -39,12 +48,6 @@ class TestMachineConfig:
         assert type(machine.dram.engine) is DisturbanceEngine
         with pytest.raises(TypeError):
             Machine(machine="tiny", dense=True)
-
-    def test_replace_and_label(self):
-        config = MachineConfig(machine="tiny")
-        swapped = config.replace(defense="softtrr")
-        assert config.defense == "vanilla"
-        assert swapped.label() == "tiny+softtrr"
 
     def test_seed_override_flows_into_spec(self):
         a = MachineConfig(machine="tiny", seed=7).build_spec()
@@ -67,7 +70,7 @@ class TestMachineFacade:
         assert m.mmu is m.kernel.mmu
         assert m.softtrr is None
         assert m.module("softtrr") is None
-        assert m.config.label() == "tiny+vanilla"
+        assert (m.config.machine, m.config.defense) == ("tiny", "vanilla")
 
     def test_keyword_overrides_compose_with_config(self):
         base = MachineConfig(machine="tiny")
@@ -92,18 +95,26 @@ class TestMachineFacade:
 
     def test_sanitizer_knobs(self):
         assert Machine(machine="tiny").sanitizers is None
-        relaxed = Machine(machine="tiny", sanitize=True)
-        assert relaxed.sanitizers is not None
-        assert relaxed.sanitizers.strict is False
-        strict = Machine(machine="tiny", sanitize=True,
-                         strict_sanitizers=True)
+        assert Machine(machine="tiny", sanitizers="off").sanitizers is None
+        report = Machine(machine="tiny", sanitizers="report")
+        assert report.sanitizers is not None
+        assert report.sanitizers.strict is False
+        strict = Machine(machine="tiny", sanitizers="strict")
         assert strict.sanitizers.strict is True
 
     def test_from_parts_takes_prebuilt_spec(self):
-        m = Machine.from_parts(tiny_machine(), sanitize=True)
+        m = Machine.from_parts(tiny_machine())
         assert m.config is None
         assert m.spec.name == "tiny-test-machine"
-        assert m.sanitizers is not None
+        assert m.sanitizers is None
+        assert m.fault_injector is None
+
+    def test_from_parts_takes_no_knobs(self):
+        # MachineConfig is the one place knobs are set and checked.
+        for knob in ({"sanitizers": "strict"},
+                     {"trace": "events", "trace_capacity": 0}):
+            with pytest.raises(TypeError):
+                Machine.from_parts(tiny_machine(), **knob)
 
     def test_run_workload_deterministic_across_machines(self):
         first = Machine(machine="tiny").run_workload(SHORT, seed=99)

@@ -14,6 +14,7 @@ from repro.defenses import DEFENSES
 from repro.faults import FaultPlan, FaultSpec
 from repro.kernel.vma import PAGE
 from repro.machine import Machine
+from repro.workloads.base import SliceWorkload
 from repro.workloads.spec import SPEC_PROFILES
 
 SHORT = SPEC_PROFILES["exchange2_s"].replace(duration_ms=4)
@@ -80,9 +81,15 @@ def _observables(machine):
             machine.telemetry.as_flat_dict())
 
 
+def _run_workload(machine, batch, seed):
+    """``SHORT`` on the batched or the scalar reference path."""
+    return SliceWorkload(machine.kernel, SHORT, seed=seed,
+                         use_batch=batch).run()
+
+
 class TestSnapshotRestore:
     def test_restore_replays_identical_flip_stream(self):
-        m = Machine(machine="tiny", sanitize=True, strict_sanitizers=True)
+        m = Machine(machine="tiny", sanitizers="strict")
         aggr = _aggressor_paddr(m)
         snap = m.snapshot()
         first = _hammer_replay(m, aggr)
@@ -92,7 +99,7 @@ class TestSnapshotRestore:
         assert first == second
 
     def test_snapshot_is_reusable_across_restores(self):
-        m = Machine(machine="tiny", sanitize=True, strict_sanitizers=True)
+        m = Machine(machine="tiny", sanitizers="strict")
         aggr = _aggressor_paddr(m)
         snap = m.snapshot()
         runs = []
@@ -110,7 +117,7 @@ class TestSnapshotRestore:
         assert m.clock.now_ns == baseline
 
     def test_restore_reinstalls_strict_sanitizers(self):
-        m = Machine(machine="tiny", sanitize=True, strict_sanitizers=True)
+        m = Machine(machine="tiny", sanitizers="strict")
         snap = m.snapshot()
         m.run_workload(SHORT, seed=5)
         m.restore(snap)
@@ -123,12 +130,12 @@ class TestSnapshotRestore:
     def test_workload_replay_matches_under_both_exec_paths(self, batch):
         m = Machine(machine="tiny", defense="softtrr",
                     defense_params={"timer_inr_ns": 50_000},
-                    sanitize=True, strict_sanitizers=True, batch=batch)
+                    sanitizers="strict")
         snap = m.snapshot()
-        first = m.run_workload(SHORT, seed=11)
+        first = _run_workload(m, batch, seed=11)
         first_obs = _observables(m)
         m.restore(snap)
-        second = m.run_workload(SHORT, seed=11)
+        second = _run_workload(m, batch, seed=11)
         assert (first.runtime_ns, first.slices) == (
             second.runtime_ns, second.slices)
         assert first_obs == _observables(m)
@@ -152,7 +159,7 @@ class TestSnapshotPerDefense:
     def test_restore_replays_identically(self, defense):
         m = Machine(machine="tiny", defense=defense,
                     defense_params=DEFENSE_PARAMS.get(defense, {}),
-                    sanitize=True, strict_sanitizers=True)
+                    sanitizers="strict")
         aggr = _aggressor_paddr(m)
         snap = m.snapshot()
         first = _hammer_replay(m, aggr)
@@ -188,30 +195,29 @@ class TestSnapshotPerDefense:
 class TestSnapshotWithFaultPlan:
     """Snapshot/restore replays an active fault stream bit-identically."""
 
-    def _machine(self, batch):
+    def _machine(self):
         return Machine(machine="tiny", defense="softtrr",
-                       defense_params=HEALING, sanitize=True,
-                       strict_sanitizers=False, batch=batch,
+                       defense_params=HEALING, sanitizers="report",
                        fault_plan=CHAOS_PLAN)
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_fault_stream_replays_identically(self, batch):
-        m = self._machine(batch)
+        m = self._machine()
         snap = m.snapshot()
-        m.run_workload(SHORT, seed=11)
+        _run_workload(m, batch, seed=11)
         first = _observables(m)
         # The run must have actually drawn from the fault streams,
         # otherwise this test proves nothing.
         assert any(value > 0 for key, value in first[2].items()
                    if key.startswith("faults.") and key.endswith(".injected"))
         m.restore(snap)
-        m.run_workload(SHORT, seed=11)
+        _run_workload(m, batch, seed=11)
         assert first == _observables(m)
 
     def test_restore_reinstalls_the_injector(self):
-        m = self._machine(batch=False)
+        m = self._machine()
         snap = m.snapshot()
-        m.run_workload(SHORT, seed=11)
+        _run_workload(m, False, seed=11)
         m.restore(snap)
         assert m.fault_injector is not None
         assert m.fault_injector.installed
@@ -223,7 +229,7 @@ class TestSnapshotWithFaultPlan:
             if key.startswith("faults."))
 
     def test_snapshot_is_reusable_with_faults_active(self):
-        m = self._machine(batch=False)
+        m = self._machine()
         aggr = _aggressor_paddr(m)
         snap = m.snapshot()
         runs = []

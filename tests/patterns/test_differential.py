@@ -26,7 +26,7 @@ def build(defense="vanilla", defense_params=None):
     params.update(defense_params or {})
     return Machine(MachineConfig(
         machine="tiny", defense=defense, defense_params=params,
-        sanitize=True, strict_sanitizers=True, seed=SEED))
+        sanitizers="strict", seed=SEED))
 
 
 def bank0_victim(machine, margin):

@@ -188,8 +188,7 @@ def run_program(program, *, batched: bool, defense: str = "vanilla",
                 fault_plan=None):
     """Execute ``program`` on a fresh machine; return its fingerprint."""
     config = MachineConfig(
-        machine="tiny", batch=batched,
-        sanitize=True, strict_sanitizers=True, defense=defense,
+        machine="tiny", sanitizers="strict", defense=defense,
         defense_params=DEFENSE_PARAMS.get(defense, {}),
         fault_plan=fault_plan)
     machine = Machine(config)

@@ -14,6 +14,7 @@ import pytest
 from repro.faults import FaultPlan, FaultSpec
 from repro.kernel.vma import PAGE
 from repro.machine import Machine, MachineConfig
+from repro.workloads.base import SliceWorkload
 from repro.workloads.spec import SPEC_PROFILES
 
 SHORT = SPEC_PROFILES["exchange2_s"].replace(duration_ms=4)
@@ -48,9 +49,9 @@ def _aggressor_paddr(machine):
     return dram.mapping.dram_to_phys(0, best[0] - 1, 0)
 
 
-def _drive(machine):
+def _drive(machine, batch=True):
     """A fixed mixed load: workload slices + hammer bursts + a tick."""
-    machine.run_workload(SHORT, seed=11)
+    SliceWorkload(machine.kernel, SHORT, seed=11, use_batch=batch).run()
     aggr = _aggressor_paddr(machine)
     for _ in range(40):
         machine.dram.hammer(aggr, 1_000)
@@ -63,9 +64,9 @@ def _observables(machine):
             machine.telemetry.as_flat_dict())
 
 
-def _run(trace, **overrides):
+def _run(trace, batch=True, **overrides):
     machine = Machine(_config(trace, **overrides))
-    _drive(machine)
+    _drive(machine, batch)
     return _observables(machine)
 
 
@@ -79,13 +80,13 @@ class TestTraceOffEquivalence:
         assert _run("spans", batch=batch) == _run("off", batch=batch)
 
     def test_matches_under_strict_sanitizers(self):
-        on = _run("spans", sanitize=True, strict_sanitizers=True)
-        off = _run("off", sanitize=True, strict_sanitizers=True)
+        on = _run("spans", sanitizers="strict")
+        off = _run("off", sanitizers="strict")
         assert on == off
 
     def test_matches_with_active_fault_plan(self):
-        on = _run("spans", sanitize=True, fault_plan=CHAOS_PLAN)
-        off = _run("off", sanitize=True, fault_plan=CHAOS_PLAN)
+        on = _run("spans", sanitizers="report", fault_plan=CHAOS_PLAN)
+        off = _run("off", sanitizers="report", fault_plan=CHAOS_PLAN)
         # The comparison must actually cover drawn fault streams.
         assert any(value > 0 for key, value in on[2].items()
                    if key.startswith("faults.") and key.endswith(".injected"))

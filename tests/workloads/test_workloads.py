@@ -48,11 +48,11 @@ class TestHotTouchRepeat:
             WorkloadProfile(name="p", hot_touch_repeat=0)
 
 
-def test_batched_path_is_the_default():
+def test_batched_path_is_the_default(monkeypatch):
     # The scalar reference path is only ever an explicit opt-out (the
-    # differential suites pass use_batch=False / batch=False).
+    # differential suites pass use_batch=False).
     from repro.attacks.hammer import HammerKit
-    from repro.machine import Machine, MachineConfig
+    from repro.machine import Machine
     from repro.patterns import AttackProgram, round_robin
 
     kernel = Kernel(tiny_machine())
@@ -60,8 +60,11 @@ def test_batched_path_is_the_default():
     assert SliceWorkload(kernel, SMALL).use_batch is True
     assert AttackProgram(round_robin(2, 10)).use_batch is True
     assert HammerKit(kernel, process).use_batch is True
-    assert MachineConfig().batch is True
-    assert Machine.from_parts(tiny_machine()).batch is True
+    paths = []
+    monkeypatch.setattr(SliceWorkload, "run",
+                        lambda self: paths.append(self.use_batch))
+    Machine.from_parts(tiny_machine()).run_workload(SMALL)
+    assert paths == [True]
 
 
 class TestSliceEngine:
