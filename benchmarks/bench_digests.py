@@ -2,7 +2,9 @@
 
 Writes ``results/digests.json``: one sha256 per scenario-registry group
 over its canonical sweep JSON, ``results_to_json(run_sweep(group))``,
-plus one over the ``repro-fuzz --smoke`` report.  The rounded
+one over the ``repro-fuzz --smoke`` report and one, ``window/smoke``,
+over the window-cell payloads of the two window fleets the CI
+fleet-smoke job runs (:data:`WINDOW_SPECS`).  The rounded
 ``results/*.txt`` tables can hide a payload change; these digests
 cannot, so the ``git diff -- results/`` that follows the paper-table
 benches turns any change to a simulated output into a failure until
@@ -18,6 +20,9 @@ import pytest
 from conftest import FULL
 
 from repro.analysis.tables import save_result
+from repro.faults import SITE_MODES
+from repro.fleet.runners import run_fleet_cell
+from repro.fleet.spec import FleetSpec
 from repro.patterns import cli as fuzz_cli
 from repro.scenarios import (
     list_groups,
@@ -27,8 +32,29 @@ from repro.scenarios import (
 )
 
 
+#: The window fleets of CI's fleet-smoke job: the 18-cell unfaulted
+#: grid and the 8-cell ``--fault-sites timers`` grid (an unfaulted
+#: point plus the CLI's single-site plan at probability 0.1).
+WINDOW_SPECS = (
+    FleetSpec(scenarios=("one_sided", "double_sided", "many_sided"),
+              seeds=(1, 2), defenses=("vanilla", "chiptrr", "softtrr"),
+              runner="window"),
+    FleetSpec(scenarios=("double_sided", "many_sided"), seeds=(1, 2),
+              defenses=("softtrr",), runner="window",
+              fault_plans=(None, {"specs": [{
+                  "site": "timers", "mode": SITE_MODES["timers"][0],
+                  "probability": 0.1}], "seed": 0})),
+)
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def window_payloads() -> list:
+    """Every :data:`WINDOW_SPECS` cell's payload, in expansion order."""
+    return [run_fleet_cell(cell.to_dict(), spec.runner, spec.runner_params)
+            for spec in WINDOW_SPECS for cell in spec.expand()]
 
 
 @pytest.mark.skipif(FULL, reason="digests pin the default scale")
@@ -42,6 +68,8 @@ def test_output_digests(tmp_path, capsys):
     assert fuzz_cli.main(
         ["--smoke", "--jobs", "1", "--out", str(fuzz_path)]) == 0
     manifest["fuzz/smoke"] = _sha256(fuzz_path.read_bytes())
+    manifest["window/smoke"] = _sha256(json.dumps(
+        window_payloads(), sort_keys=True, separators=(",", ":")).encode())
     save_result("digests.json", json.dumps(manifest, sort_keys=True,
                                            indent=2))
     with capsys.disabled():
