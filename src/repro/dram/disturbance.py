@@ -46,12 +46,12 @@ refresh epoch; a deposit into a stale-tagged row first rolls the tag and
 zeroes the value; :meth:`~DisturbanceEngine.heal` zeroes the value but
 never touches the tag, so a healed row still reads 0 in every epoch.
 
-Three paths write the store: the plan walk (:meth:`on_activate`, one
-pass over the cached :meth:`victim_plan`; scalar activations and
-one-item :meth:`~repro.dram.module.DramModule.hammer_batch` streams),
-:meth:`hammer_kernel` for longer streams and :meth:`hammer_periodic`,
-the closed-form kernel for the periodic streams hammer loops emit.
-The reference they are proven bit-identical to — per distance
+Two paths write the store: the plan walk (:meth:`on_activate`, one
+pass over the cached :meth:`victim_plan`; scalar activations and every
+:meth:`~repro.dram.module.DramModule.hammer_batch` stream the periodic
+kernel does not take, item by item) and :meth:`hammer_periodic`, the
+closed-form kernel for the periodic streams hammer loops emit.
+The reference both are proven bit-identical to — per distance
 ``remap.neighbors_at``, then :meth:`deposit` per victim — lives in
 ``tests/dram/reference.py``; ``tests/dram/test_disturbance.py`` and
 ``tests/perf/test_generative_differential.py`` compare against it.
@@ -59,7 +59,8 @@ Per refresh-epoch segment the periodic kernel classifies each victim
 row once and replays whole cycles at C speed:
 
 * invulnerable non-aggressor rows take one fused add for the whole span
-  (the sanctioned last-ULP relaxation — such rows can never flip);
+  (the sanctioned last-ULP relaxation — such rows can never flip; this
+  kernel is the only place it is taken);
 * vulnerable non-aggressor rows get the exact sequential float cumsum
   of their per-cycle deposit pattern (``numpy.cumsum`` for spans of at
   least ``_NUMPY_MIN`` adds, ``itertools.accumulate`` for shorter ones —
@@ -82,7 +83,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -365,8 +366,8 @@ class DisturbanceEngine:
         exact order :meth:`on_activate` deposits into them.
 
         Each entry is ``(victim_row, weight, cells)``.  The plan is a
-        pure function of the geometry/remap/seed, so it is cached; all
-        three activation paths iterate it instead of re-walking
+        pure function of the geometry/remap/seed, so it is cached; both
+        activation paths iterate it instead of re-walking
         ``neighbors_at`` per activation.
         """
         key = (bank, row)
@@ -395,10 +396,10 @@ class DisturbanceEngine:
 
         This is the plan walk, the engine's first path: one pass over
         the cached :meth:`victim_plan` with :meth:`deposit`'s arithmetic
-        inlined.  Scalar activations and one-item
-        :meth:`~repro.dram.module.DramModule.hammer_batch` streams take
-        it; longer streams take :meth:`hammer_kernel` or
-        :meth:`hammer_periodic`.  The specification it is held to —
+        inlined.  Scalar activations take it, and so does every item of
+        a :meth:`~repro.dram.module.DramModule.hammer_batch` stream that
+        :meth:`hammer_periodic` does not take.  The specification it is
+        held to —
         ``remap.neighbors_at`` per distance, then :meth:`deposit` per
         victim — lives in ``tests/dram/reference.py``.
         """
@@ -517,221 +518,24 @@ class DisturbanceEngine:
                     result[(bank, row)] = value
         return result
 
-    # ---------------------------------------------------- batched kernel
-    def hammer_kernel(self, resolved, *, epoch: int, now_ns: int,
-                      per_act_ns: int, window: int, origin: str,
-                      trr_on, recent):
-        """Accumulator core of :meth:`DramModule.hammer_batch`.
-
-        ``resolved`` is a list of ``((bank, row), count)`` pairs with
-        positive counts; the module sends it every stream of two or
-        more items that :meth:`hammer_periodic` does not take.  Returns
-        ``(flips, acts, now_end, bank_totals, bank_last)`` and updates
-        the deposit/flip counters; the module applies the flips,
-        advances the clock and updates bank state.
-        The speed comes from aggregating per-(bank, row) work:
-
-        * victims that can actually flip — and every aggressor row, and
-          every victim when a tracker rides the activation feed (its
-          mid-batch refreshes interleave with deposits) — are replayed
-          deposit-by-deposit, preserving flip ordering via per-cell
-          threshold crossings;
-        * the remaining victims are invulnerable bookkeeping-only rows:
-          their accumulators take one fused ``weight * total_count`` add
-          per aggressor at the end of the batch (the sanctioned
-          last-ULP relaxation, see DESIGN.md), and pending sums are
-          dropped at refresh-epoch rollovers exactly as the scalar
-          path's lazy heal discards them.
-        """
-        trr_enabled = trr_on is not None
-        aggressors = {key for key, _ in resolved}
-        now = now_ns
-        boundary = (epoch + 1) * window
-
-        plans = {}
-        for key in aggressors:
-            bank, row = key
-            values, epochs = self._bank_arrays(bank)
-            exact = []   # (victim, weight, cells, first_threshold)
-            summed = []  # (victim, weight)
-            for victim, weight, cells in self.victim_plan(bank, row):
-                if cells or (bank, victim) in aggressors or trr_enabled:
-                    # Resolve the slot's epoch up front, as the first
-                    # scalar deposit of the batch would.
-                    if epochs[victim] != epoch:
-                        epochs[victim] = epoch
-                        values[victim] = 0.0
-                    first = cells[0].threshold if cells else 0.0
-                    exact.append((victim, weight, cells, first))
-                else:
-                    summed.append((victim, weight))
-            plans[key] = [values, epochs, exact, summed, 0,
-                          len(exact) + len(summed)]
-
-        flips: List[FlipEvent] = []
-        deposits = 0
-        acts = 0
-        bank_totals: Dict[int, int] = {}
-        bank_last: Dict[int, int] = {}
-        recent_append = recent.append
-        recent_extend = recent.extend
-        infinity = float("inf")
-        i = 0
-        n_items = len(resolved)
-        while i < n_items:
-            item = resolved[i]
-            key, count = item
-            step = count * per_act_ns
-            j = i + 1
-            if not trr_enabled and step > 0:
-                # Runs of identical items (the hammer-loop shape) replay
-                # through tight per-victim accumulator loops below.
-                while j < n_items and resolved[j] == item:
-                    j += 1
-            bank, row = key
-            plan = plans[key]
-            values, epochs = plan[0], plan[1]
-            if j == i + 1:
-                # Single item (or ChipTRR interleaving): per-item replay.
-                if now >= boundary:
-                    epoch = now // window
-                    boundary = (epoch + 1) * window
-                    for p in plans.values():
-                        # The scalar path's lazy heal would discard these
-                        # old-epoch sums at the victims' next touch.
-                        p[4] = 0
-                values[row] = 0.0  # own heal (tag untouched)
-                for victim, weight, cells, first in plan[2]:
-                    if epochs[victim] != epoch:
-                        epochs[victim] = epoch
-                        before = 0.0
-                    else:
-                        before = values[victim]
-                    after = before + weight * count
-                    values[victim] = after
-                    if cells and after >= first:
-                        for cell in cells:
-                            if before < cell.threshold <= after:
-                                flips.append(FlipEvent(
-                                    bank=bank,
-                                    row=victim,
-                                    bit_offset=cell.bit_offset,
-                                    from_value=cell.from_value,
-                                    at_ns=now,
-                                ))
-                plan[4] += count
-                deposits += plan[5]
-                if trr_enabled:
-                    trr_on(bank, row, count, epoch, now)
-                recent_append((bank, row, origin))
-                acts += count
-                now += step
-                bank_totals[bank] = bank_totals.get(bank, 0) + count
-                bank_last[bank] = row
-                i = j
-                continue
-            # Run fast path: r identical activations of one aggressor in
-            # a row.  No other aggressor activates inside the run, so no
-            # heal interleaves: each victim accumulator takes the same
-            # sequential adds as the scalar loop (walked in a tight loop
-            # per victim), the aggressor's own per-item heal collapses to
-            # one idempotent heal, and cell-less victims — invulnerable
-            # rows — take the sanctioned fused add.  Flips are re-sorted
-            # into scalar (item-major, victim-minor) order by their
-            # strictly increasing timestamps.
-            remaining = j - i
-            values[row] = 0.0
-            exact = plan[2]
-            per_run_deposits = plan[5]
-            while remaining:
-                if now >= boundary:
-                    epoch = now // window
-                    boundary = (epoch + 1) * window
-                    for p in plans.values():
-                        p[4] = 0
-                # Items whose pre-item rollover check stays quiet: those
-                # with now + k*step < boundary.
-                r = (boundary - now + step - 1) // step
-                if r > remaining:
-                    r = remaining
-                run_flips = []
-                for e_idx, (victim, weight, cells, first) in (
-                        enumerate(exact)):
-                    if epochs[victim] != epoch:
-                        epochs[victim] = epoch
-                        value = 0.0
-                    else:
-                        value = values[victim]
-                    add = weight * count
-                    if not cells:
-                        values[victim] = value + add * r
-                        continue
-                    at = now
-                    for _ in range(r):
-                        before = value
-                        value += add
-                        if value >= first:
-                            for cell in cells:
-                                if before < cell.threshold <= value:
-                                    run_flips.append((at, e_idx, FlipEvent(
-                                        bank=bank,
-                                        row=victim,
-                                        bit_offset=cell.bit_offset,
-                                        from_value=cell.from_value,
-                                        at_ns=at,
-                                    )))
-                            # Cells at or below the accumulator can never
-                            # re-fire this epoch; track the next one up.
-                            first = infinity
-                            for cell in cells:
-                                if cell.threshold > value:
-                                    first = cell.threshold
-                                    break
-                        at += step
-                    values[victim] = value
-                if run_flips:
-                    run_flips.sort(key=lambda rf: (rf[0], rf[1]))
-                    flips.extend(rf[2] for rf in run_flips)
-                plan[4] += count * r
-                deposits += per_run_deposits * r
-                recent_extend(repeat((bank, row, origin), r))
-                acts += count * r
-                now += r * step
-                remaining -= r
-            bank_totals[bank] = bank_totals.get(bank, 0) + count * (j - i)
-            bank_last[bank] = row
-            i = j
-
-        # Fused accumulator flush for the invulnerable summed victims.
-        for plan in plans.values():
-            pending = plan[4]
-            if not pending:
-                continue
-            values, epochs = plan[0], plan[1]
-            for victim, weight in plan[3]:
-                if epochs[victim] != epoch:
-                    epochs[victim] = epoch
-                    values[victim] = weight * pending
-                else:
-                    values[victim] += weight * pending
-
-        self.total_deposits += deposits
-        self.total_flip_events += len(flips)
-        return flips, acts, now, bank_totals, bank_last
-
     # --------------------------------------------------- periodic kernel
-    def hammer_periodic(self, cycle, n_items: int, *, epoch: int,
-                        now_ns: int, per_act_ns: int, window: int,
-                        origin: str, recent):
+    def hammer_periodic(self, cycle, n_items: int, *, now_ns: int,
+                        per_act_ns: int, window: int, origin: str,
+                        recent):
         """Closed-form replay of a periodic aggressor stream.
 
         ``cycle`` is the resolved period — ``((bank, row), count)`` with
         every count positive — and the full stream is ``cycle`` repeated
-        to ``n_items`` items (the last repetition may be partial).
-        Requires ``per_act_ns > 0`` and no ChipTRR (the module gates
-        this).  Returns the same ``(flips, acts, now_end, bank_totals,
-        bank_last)`` tuple as :meth:`hammer_kernel` and is observably
-        identical to it.
+        to ``n_items`` items (the last repetition may be partial).  Each
+        item deposits at its own start time, ``now_ns`` plus
+        ``per_act_ns`` per earlier ACT, in the refresh epoch
+        ``start // window``.  Requires ``per_act_ns > 0`` and no tracker
+        on the activation feed (the module gates this).  Appends the
+        stream's ``(bank, row, origin)`` entries to ``recent`` and
+        returns ``(flips, acts, now_end, bank_totals, bank_last)``.
+        Every flip, counter and vulnerable row's accumulator is
+        bit-identical to one :meth:`on_activate` per item; invulnerable
+        rows take the fused add.
         """
         p = len(cycle)
         prefix = [0] * (p + 1)

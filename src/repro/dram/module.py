@@ -212,30 +212,19 @@ class DramModule:
         ``at_ns``), identical TRR/bank/engine counters and identical
         simulated time, as enforced by the differential equivalence
         suite and the generative harness.  The module owns resolution
-        and the epilogue; one of the engine's three paths does the
+        and the epilogue; one of the engine's two paths does the
         deposits:
 
-        * a stream that resolves to a single item (the user-mode hybrid
-          hammer's burst) takes the plan walk (``engine.on_activate``,
-          the scalar path's own code) plus one ``feed.publish``;
-        * any longer stream takes the generic kernel
-          (``engine.hammer_kernel``), which replays
-          deposit-by-deposit any victim that can actually flip — and
-          every aggressor row, and every victim when a tracker rides
-          the activation feed (its mid-batch refreshes interleave with
-          deposits) — while
-          invulnerable bookkeeping-only rows take one fused
-          ``weight * total_count`` add per aggressor at the end of the
-          batch (the sanctioned last-ULP relaxation, see DESIGN.md),
-          with pending sums dropped at refresh-epoch rollovers exactly
-          as the scalar path's lazy heal discards them;
         * when the raw item stream is periodic (the shape every hammer
           loop emits) and no tracker rides the feed, the closed-form
           periodic kernel (``engine.hammer_periodic``) replays whole
           aggressor cycles per refresh-epoch segment instead of per
-          item.
+          item;
+        * every other stream replays item by item through the plan walk
+          (``engine.on_activate``, the scalar path's own code), plus one
+          ``feed.publish`` per item when a tracker rides the feed.
 
-        The specification all three are held to, ``neighbors_at`` per
+        The specification both are held to, ``neighbors_at`` per
         distance then ``deposit`` per victim, lives in
         ``tests/dram/reference.py``; the generative harness's scalar leg
         runs it.
@@ -287,32 +276,30 @@ class DramModule:
         span_start = (trace.span_begin("dram.hammer_batch")
                       if trace is not None else 0)
         start_ns = self.clock.now_ns
-        epoch = timings.refresh_epoch(start_ns)
         deposits_before = engine.total_deposits
 
         if cycle is not None:
             flips, acts, now_end, bank_totals, bank_last = (
                 engine.hammer_periodic(
-                    cycle, n_items,
-                    epoch=epoch, now_ns=start_ns, per_act_ns=per_act_ns,
+                    cycle, n_items, now_ns=start_ns, per_act_ns=per_act_ns,
                     window=window, origin=origin,
                     recent=self.recent_activations))
-        elif len(resolved) == 1:
-            (bank, row), acts = resolved[0]
-            flips = engine.on_activate(bank, row, acts, epoch, start_ns)
-            if feed_active:
-                feed.publish(bank, row, acts, epoch, start_ns)
-            self.recent_activations.append((bank, row, origin))
-            now_end = start_ns + acts * per_act_ns
-            bank_totals, bank_last = {bank: acts}, {bank: row}
         else:
-            flips, acts, now_end, bank_totals, bank_last = (
-                engine.hammer_kernel(
-                    resolved,
-                    epoch=epoch, now_ns=start_ns, per_act_ns=per_act_ns,
-                    window=window, origin=origin,
-                    trr_on=feed.publish if feed_active else None,
-                    recent=self.recent_activations))
+            flips = []
+            acts = 0
+            now_end = start_ns
+            bank_totals, bank_last = {}, {}
+            recent_append = self.recent_activations.append
+            for (bank, row), count in resolved:
+                epoch = now_end // window
+                flips += engine.on_activate(bank, row, count, epoch, now_end)
+                if feed_active:
+                    feed.publish(bank, row, count, epoch, now_end)
+                recent_append((bank, row, origin))
+                acts += count
+                now_end += count * per_act_ns
+                bank_totals[bank] = bank_totals.get(bank, 0) + count
+                bank_last[bank] = row
 
         self._apply_flips(flips)
         self.total_activations += acts

@@ -1,12 +1,13 @@
 """Reference semantics of the disturbance engine, kept as test oracles.
 
 :meth:`DisturbanceEngine.on_activate` walks the engine's cached victim
-plan with the deposit arithmetic inlined, and one-item
-``DramModule.hammer_batch`` streams share that walk.  This module keeps
-the specification it replaced: heal the activated row, then for each
-distance ``remap.neighbors_at`` and one :meth:`DisturbanceEngine.deposit`
-per victim.  It shares no accumulator code with the engine's three
-paths (plan walk, ``hammer_kernel``, ``hammer_periodic``); the property
+plan with the deposit arithmetic inlined, and every
+``DramModule.hammer_batch`` stream the periodic kernel does not take
+shares that walk, item by item.  This module keeps the specification
+it replaced: heal the activated row, then for each distance
+``remap.neighbors_at`` and one :meth:`DisturbanceEngine.deposit` per
+victim.  It shares no accumulator code with the engine's two paths
+(plan walk, ``hammer_periodic``); the property
 in ``tests/dram/test_disturbance.py`` and the scalar leg of the
 generative harness (``tests/perf/generative.py``) compare them to it.
 

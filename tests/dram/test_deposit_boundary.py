@@ -8,7 +8,7 @@ never re-fires while the accumulator sits at or above the threshold —
 double-fires cells (every deposit past the threshold would flip again)
 or delays every flip by one deposit, so the exact semantics are pinned
 down to the boundary values, for the scalar :meth:`deposit` and for the
-batched kernels behind :meth:`DramModule.hammer_batch`, which must
+periodic kernel behind :meth:`DramModule.hammer_batch`, which must
 agree bit for bit.
 """
 
@@ -47,13 +47,19 @@ def scalar_hammer(engine, aggressor, count, items, epoch, now_ns):
     return flips
 
 
+#: A refresh window long enough that no stream here crosses an epoch.
+WINDOW = 1 << 40
+
+
 def batch_hammer(engine, aggressor, count, items, epoch, now_ns):
-    """The same stream through the batched kernel that
-    :meth:`DramModule.hammer_batch` drives."""
-    flips, *_ = engine.hammer_kernel(
-        [((0, aggressor), count)] * items, epoch=epoch, now_ns=now_ns,
-        per_act_ns=1, window=1 << 40, origin="data", trr_on=None,
-        recent=[])
+    """The same stream through the periodic kernel that
+    :meth:`DramModule.hammer_batch` drives, as a one-item cycle.  The
+    kernel derives each item's epoch from its time, so ``now_ns`` must
+    lie in ``epoch``."""
+    assert now_ns // WINDOW == epoch
+    flips, *_ = engine.hammer_periodic(
+        [((0, aggressor), count)], items, now_ns=now_ns, per_act_ns=1,
+        window=WINDOW, origin="data", recent=[])
     return flips
 
 
@@ -192,7 +198,7 @@ def stale_streams(dram, stale_acts):
     """Deposit ``stale_acts`` units into the victim in epoch 0, roll
     the clock into epoch 1 — the victim's tag is now stale — and return
     one 80-ACT double-sided stream in two shapes: periodic (the
-    closed-form kernel) and one burst per aggressor (the generic one)."""
+    closed-form kernel) and one burst per aggressor (the plan walk)."""
     bank, row = VICTIM
     left, right = (dram.mapping.dram_to_phys(bank, row + d, 0)
                    for d in (-1, 1))
@@ -211,7 +217,7 @@ class TestStaleEpochBucket:
     """Vulnerability is a static property of the cell map, never of the
     accumulator's current epoch tag.
 
-    Regression guard for the batched kernels' fused add: a shortcut
+    Regression guard for the periodic kernel's fused add: a shortcut
     keyed on the *accumulator's* epoch (e.g. "bucket is from another
     epoch, so fuse") would silently skip the crossing scan for a
     vulnerable victim whose bucket still carries a stale tag — dropping
@@ -251,8 +257,9 @@ class TestStaleEpochBucket:
         for shape in ("periodic", "bursts"):
             dram = module_with_cells([])
             dram.hammer_batch(stale_streams(dram, 7)[shape])
-            # The fused add landed in the new epoch; the stale sum is
-            # gone and nothing flipped.
+            # The new epoch's deposits (the periodic kernel's fused add,
+            # the plan walk's sequential adds) landed in epoch 1; the
+            # stale sum is gone and nothing flipped.
             assert dram.engine.accumulated(*VICTIM, 1) == 80.0
             assert dram.engine.accumulated(*VICTIM, 0) == 0.0
             assert victim_flips(dram) == []

@@ -119,20 +119,23 @@ class TestEdgeRowEpochRollover:
     @pytest.mark.parametrize("row", EDGE_ROWS)
     def test_batch_deposit_at_edge_matches_scalar(self, row):
         # Five 3-ACT activations of the edge row's only neighbour, one
-        # on_activate each vs the batched kernel behind hammer_batch.
+        # on_activate each vs the periodic kernel behind hammer_batch,
+        # all in epoch 2 of a 2**40 ns refresh window.
         reference = make_engine()
         batched = make_engine()
         cells = [VulnerableCell(bit_offset=2, threshold=9.0, from_value=1)]
         for engine in (reference, batched):
             inject_cells(engine, 0, row, cells)
         aggressor = 1 if row == 0 else LAST - 1
+        window = 1 << 40
+        start = 2 * window + 11
         scalar_flips = []
         for i in range(5):
             scalar_flips.extend(
-                reference.on_activate(0, aggressor, 3, 2, 11 + 3 * i))
-        batched_flips, *_ = batched.hammer_kernel(
-            [((0, aggressor), 3)] * 5, epoch=2, now_ns=11, per_act_ns=1,
-            window=1 << 40, origin="data", trr_on=None, recent=[])
+                reference.on_activate(0, aggressor, 3, 2, start + 3 * i))
+        batched_flips, *_ = batched.hammer_periodic(
+            [((0, aggressor), 3)], 5, now_ns=start, per_act_ns=1,
+            window=window, origin="data", recent=[])
         assert batched_flips == scalar_flips
         assert len(batched_flips) == 1  # 9.0 reached on the 3rd ACT
         assert (reference.accumulated(0, row, 2)

@@ -13,10 +13,10 @@ scalar     the reference semantics: ``neighbors_at`` -> ``deposit``
            per activation (``reference_on_activate`` from
            ``tests/dram/reference.py``, swapped in for the engine's
            ``on_activate``)
-batched    the engine's three paths: the plan walk for one-item
-           streams (``on_activate``), the closed-form periodic
-           kernel and the generic run-grouped batch kernel
-           (``hammer_periodic`` / ``hammer_kernel``)
+batched    the engine's two paths: the plan walk, item by item,
+           for every stream the periodic kernel does not take
+           (``on_activate``), and the closed-form periodic kernel
+           (``hammer_periodic``)
 =========  =====================================================
 
 The two legs share no accumulator code, and both must produce

@@ -118,56 +118,39 @@ class TestGenerativeDifferential:
     def test_batched_leg_reaches_every_kernel_path(self, monkeypatch):
         # The scalar leg is the reference; the claim is only as strong
         # as the batched paths it is compared against.  Count, over the
-        # plain programs, the plan walk one-item batches take, the
-        # closed-form periodic kernel and both branches of the generic
-        # kernel: the run fast path records its activations with one
-        # ``recent.extend`` per run, the per-item path with one
-        # ``recent.append`` per item.
-        hits = {"walk": 0, "periodic": 0, "run": 0, "item": 0}
+        # plain programs, the plan walk under one-item batches, the plan
+        # walk under multi-item batches (every item of a stream the
+        # periodic kernel does not take) and the closed-form periodic
+        # kernel.
+        hits = {"walk_one": 0, "walk_multi": 0, "periodic": 0}
         batch = DramModule.hammer_batch
         walk = DisturbanceEngine.on_activate
         periodic = DisturbanceEngine.hammer_periodic
-        generic = DisturbanceEngine.hammer_kernel
-        in_batch = [False]
+        batch_items = [0]  # positive-count items of the open batch
 
-        class Recent:
-            def __init__(self, inner):
-                self.inner = inner
-
-            def append(self, entry):
-                hits["item"] += 1
-                self.inner.append(entry)
-
-            def extend(self, entries):
-                hits["run"] += 1
-                self.inner.extend(entries)
-
-        def flagging_batch(dram, *args, **kwargs):
-            in_batch[0] = True
+        def flagging_batch(dram, items, *args, **kwargs):
+            batch_items[0] = sum(1 for _paddr, count in items if count > 0)
             try:
-                return batch(dram, *args, **kwargs)
+                return batch(dram, items, *args, **kwargs)
             finally:
-                in_batch[0] = False
+                batch_items[0] = 0
 
         def counting_walk(engine, *args, **kwargs):
-            hits["walk"] += in_batch[0]
+            if batch_items[0] == 1:
+                hits["walk_one"] += 1
+            elif batch_items[0] > 1:
+                hits["walk_multi"] += 1
             return walk(engine, *args, **kwargs)
 
         def counting_periodic(engine, *args, **kwargs):
             hits["periodic"] += 1
             return periodic(engine, *args, **kwargs)
 
-        def counting_generic(engine, resolved, **kwargs):
-            kwargs["recent"] = Recent(kwargs["recent"])
-            return generic(engine, resolved, **kwargs)
-
         monkeypatch.setattr(DramModule, "hammer_batch", flagging_batch)
         monkeypatch.setattr(DisturbanceEngine, "on_activate",
                             counting_walk)
         monkeypatch.setattr(DisturbanceEngine, "hammer_periodic",
                             counting_periodic)
-        monkeypatch.setattr(DisturbanceEngine, "hammer_kernel",
-                            counting_generic)
         for seed in PLAIN_SEEDS:
             run_program(generate_program(seed), batched=True)
             if all(hits.values()):
