@@ -32,7 +32,20 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
-__all__ = ["ActivationFeed", "RefreshActuator", "Tracker"]
+from ..errors import ConfigError
+
+__all__ = ["ActivationFeed", "RefreshActuator", "Tracker", "check_int_knobs"]
+
+
+def check_int_knobs(params, *names: str) -> None:
+    """Raise a :class:`ConfigError` naming the first of the tracker
+    params' fields ``names`` whose value is not an int (a bool is not
+    one), before any range check compares it."""
+    for name in names:
+        value = getattr(params, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{type(params).__name__}.{name} must be an "
+                              f"int, got {value!r}")
 
 
 class Tracker:

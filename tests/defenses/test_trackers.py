@@ -238,6 +238,19 @@ class TestInstalledDefenses:
                        mitigation_budget=4, refresh_distance=2),
     }
 
+    #: Every integer knob of those params, as (defense, keyword).
+    INT_KNOBS = [(name, key) for name, keywords in KEYWORDS.items()
+                 for key, default in keywords.items()
+                 if isinstance(default, int)]
+
+    @pytest.mark.parametrize("value", [True, 2.5, "3"])
+    @pytest.mark.parametrize("name, key", INT_KNOBS)
+    def test_int_knobs_raise_typed_errors(self, name, key, value):
+        # A bool or non-int knob must fail at build time, naming the
+        # field, not build a fractional table or crash mid-run.
+        with pytest.raises(ConfigError, match=rf"\.{key} must be an int"):
+            build_defense(name, {key: value})
+
     @pytest.mark.parametrize("name", ZOO)
     def test_defense_keywords_and_defaults(self, name):
         keywords = self.KEYWORDS[name]
