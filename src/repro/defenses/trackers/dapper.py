@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ...errors import ConfigError
-from ...dram.feed import check_int_knobs
 from ..base import TrackerDefense, register_defense
+from ...dram.feed import check_int_knobs
 from .misra_gries import MisraGriesTracker
 
 

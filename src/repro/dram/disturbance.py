@@ -399,9 +399,8 @@ class DisturbanceEngine:
         inlined.  Scalar activations take it, and so does every item of
         a :meth:`~repro.dram.module.DramModule.hammer_batch` stream that
         :meth:`hammer_periodic` does not take.  The specification it is
-        held to —
-        ``remap.neighbors_at`` per distance, then :meth:`deposit` per
-        victim — lives in ``tests/dram/reference.py``.
+        held to — ``remap.neighbors_at`` per distance, then
+        :meth:`deposit` per victim — lives in ``tests/dram/reference.py``.
         """
         if count <= 0:
             return []

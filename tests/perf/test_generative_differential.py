@@ -2,8 +2,8 @@
 
 260 seeded random hammer programs (see :mod:`tests.perf.generative`)
 replayed under strict sanitizers through the scalar per-ACT path and
-the batched kernels, plus per-defense and fault-plan bands, a check
-that the batched leg really reaches every batched kernel path, and
+the batched paths, plus per-defense and fault-plan bands, a check
+that the batched leg really reaches every batched path, and
 unit coverage for the shrinker itself.
 """
 
