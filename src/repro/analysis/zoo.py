@@ -16,11 +16,12 @@ one sweep can score them all on three axes at once:
 
 Two legs per defense:
 
-* **pattern** — direct 1-sided / 2-sided / 8-sided hammering of the
-  cheapest vulnerable neighbourhood, budgeted at 1.5x the victim's flip
-  threshold per aggressor.  The 8-sided column is ChipTRR's TRRespass
-  blind spot (more aggressors than tracker slots) and DAPPER's budget
-  cliff (more crossings than the per-epoch mitigation budget).
+* **pattern** — direct 1-sided / 2-sided / 8-sided hammering of one
+  victim, the cheapest vulnerable cell four rows from either bank edge,
+  at the pattern cells' budget (:mod:`repro.patterns.scenario`).  The
+  8-sided column is ChipTRR's TRRespass blind spot (more aggressors
+  than tracker slots) and DAPPER's budget cliff (more crossings than
+  the per-epoch mitigation budget).
 * **spray** — the smoke-scale memory-spray attack (page-table centric,
   SoftTRR's home turf, mirroring the chaos harness minus the faults).
 
@@ -31,9 +32,11 @@ bench has teeth), every tracker must actuate somewhere (the feed is
 live) and at least one tracker must fully protect a cell vanilla loses.
 
 :func:`build_machine` (the sanitized cell machine: strict sanitizers
-unless a fault plan is installed), :func:`cheapest_victim`
-and the two legs (:func:`hammer_leg`, :func:`spray_leg`) are shared with
-the chaos, pattern and window cells and with ``repro-trace record``.
+unless a fault plan is installed) and the legs are shared with the
+chaos, pattern and window cells and with ``repro-trace record``.
+:func:`rows_leg` is the one victim-relative rows hammer leg: zoo and
+window cells aim it through :func:`hammer_leg`, pattern ``rows`` cells
+directly.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ __all__ = [
     "cheapest_victim",
     "hammer_leg",
     "l1pt_flips_since",
+    "rows_leg",
     "run_zoo_cell",
     "run_zoo_scenario",
     "spray_leg",
@@ -100,10 +104,6 @@ _MARGIN = max(abs(off) for offsets in _PATTERN_OFFSETS.values()
 #: registry's ``smoke`` and ``baselines`` attack params.
 SPRAY_KNOBS = {"m": 1, "region_pages": 224, "template_rounds": 3_000,
                "hammer_ns": 4_000_000}
-
-#: Hammer rounds for the pattern leg (per-aggressor budget is split
-#: across rounds so aggressors interleave, as real many-sided does).
-_PATTERN_ROUNDS = 50
 
 
 def build_machine(defense: str, defense_params: Optional[Mapping] = None,
@@ -183,35 +183,48 @@ def l1pt_flips_since(kernel, extra_ppns, start_ns: int) -> int:
         if flip.at_ns >= start_ns)
 
 
-def hammer_leg(machine: Machine, pattern: str,
-               rounds: int = _PATTERN_ROUNDS,
-               budget_factor: float = 1.5) -> Dict[str, object]:
-    """Hammer the cheapest vulnerable neighbourhood with ``pattern``:
-    ``budget_factor`` x the victim's flip threshold per aggressor, split
-    across ``rounds`` interleaved rounds of a rows-mode
-    :class:`~repro.patterns.program.AttackProgram`, which dispatches
-    kernel timers after every round."""
-    from ..patterns.compile import compile_pattern
-    from ..patterns.program import AttackProgram, sided_pattern
+def hammer_leg(machine: Machine, pattern: str) -> Dict[str, object]:
+    """Hammer with zoo ``pattern`` through :func:`rows_leg` at margin
+    :data:`_MARGIN`, so the three zoo patterns share one victim."""
+    from ..patterns.fuzz import _render
+    from ..patterns.parser import parse_pattern
 
-    bank, victim, threshold = cheapest_victim(machine)
     offsets = _PATTERN_OFFSETS[pattern]
-    budget = int(budget_factor * threshold)
-    per_round = max(1, budget // max(1, rounds))
-    plan = compile_pattern(
-        sided_pattern(len(offsets), offsets),
-        {"victim": 0, "rounds": rounds, "acts": per_round},
-    ).remap_targets({(0, off): (bank, victim + off) for off in offsets})
-    flips = AttackProgram(plan, mode="rows").run(
-        machine.kernel).flip_events
+    # ``acts`` stays unbound, so the leg fills it from the budget.
+    pat = parse_pattern(_render(f"sided_{len(offsets)}", offsets, 0))
+    (bank, victim, threshold), plan, outcome = rows_leg(
+        machine, pat, offsets, _MARGIN)
+    flips = outcome.flip_events
     return {
         "victim": [bank, victim],
         "victim_threshold": threshold,
         "aggressors": len(offsets),
-        "acts_per_aggressor": per_round * rounds,
+        "acts_per_aggressor": plan.total_acts // len(offsets),
         "flip_events": flips,
         "protected": flips == 0,
     }
+
+
+def rows_leg(machine: Machine, pat, offsets: Sequence[int], margin: int,
+             bindings: Optional[Mapping] = None):
+    """Aim victim-relative ``pat`` (act rows ``offsets`` at victim 0)
+    at the cheapest vulnerable cell ``margin`` rows from either bank
+    edge, fill unbound ``rounds``/``acts`` from the budget
+    (:mod:`repro.patterns.scenario`) and run it as one rows-mode
+    :class:`~repro.patterns.program.AttackProgram`, which dispatches
+    kernel timers after every round.  Returns ``((bank, row,
+    threshold), plan, outcome)``."""
+    from ..patterns.compile import compile_pattern
+    from ..patterns.program import AttackProgram
+    from ..patterns.scenario import _budget_bindings
+
+    bank, victim, threshold = cheapest_victim(machine, margin)
+    final = _budget_bindings(pat, {**(bindings or {}), "victim": 0},
+                             threshold)
+    plan = compile_pattern(pat, final).remap_targets(
+        {(0, off): (bank, victim + off) for off in offsets})
+    outcome = AttackProgram(plan, mode="rows").run(machine.kernel)
+    return (bank, victim, threshold), plan, outcome
 
 
 def spray_leg(machine: Machine,

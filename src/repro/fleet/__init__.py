@@ -12,12 +12,7 @@ from its manifest with a byte-identical aggregate report (the
 
 from .checkpoint import MANIFEST_NAME, REPORT_NAME, ResultDir
 from .report import build_report, fleet_status, render_report
-from .runners import (
-    WINDOW_PATTERNS,
-    materialise_scenario,
-    run_fleet_cell,
-    run_window_cell,
-)
+from .runners import materialise_scenario, run_fleet_cell, run_window_cell
 from .spec import (
     CELL_RUNNERS,
     FleetCell,
@@ -36,7 +31,6 @@ __all__ = [
     "MANIFEST_NAME",
     "REPORT_NAME",
     "ResultDir",
-    "WINDOW_PATTERNS",
     "build_report",
     "cell_id_of",
     "expand_cells",

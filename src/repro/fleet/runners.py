@@ -35,15 +35,11 @@ from ..errors import ConfigError
 
 __all__ = [
     "WINDOW_FAULT_SITES",
-    "WINDOW_PATTERNS",
     "fuzz_point_index",
     "materialise_scenario",
     "run_fleet_cell",
     "run_window_cell",
 ]
-
-#: Patterns the ``window`` runner accepts on the scenarios axis.
-WINDOW_PATTERNS = ("one_sided", "double_sided", "many_sided")
 
 #: Fault sites a ``window`` cell exercises.  Its rows-mode hammer leg
 #: dispatches kernel timers every round but never touches the MMU, a
@@ -106,23 +102,21 @@ def run_window_cell(
     seed: Optional[int] = None,
     fault_plan: Optional[Mapping] = None,
     machine_name: str = "tiny",
-    rounds: int = 50,
-    budget_factor: float = 1.5,
 ) -> dict:
     """One protection-window bench cell; deterministic in all args.
 
     Builds a sanitized machine with spans-level tracing, hammers the
-    cheapest vulnerable neighbourhood with ``pattern`` at
-    ``budget_factor`` x the victim's flip threshold, and reports the
+    cheapest vulnerable neighbourhood with the zoo's ``pattern`` leg
+    (:func:`~repro.analysis.zoo.hammer_leg`), and reports the
     protection story (flips, refreshes, windows covered, erosion under
     an active fault plan) plus the raw span histograms.
     """
-    from ..analysis.zoo import build_machine, hammer_leg, tracker_metrics
+    from ..analysis.zoo import (PATTERNS, build_machine, hammer_leg,
+                                tracker_metrics)
 
-    if pattern not in WINDOW_PATTERNS:
+    if pattern not in PATTERNS:
         raise ConfigError(
-            f"unknown window pattern {pattern!r}; known: "
-            f"{WINDOW_PATTERNS}")
+            f"unknown window pattern {pattern!r}; known: {PATTERNS}")
     defense = defense or "vanilla"
     machine = build_machine(defense, defense_params, machine_name, seed,
                             fault_plan, trace="spans")
@@ -135,7 +129,7 @@ def run_window_cell(
     # Picking the victim reads only the cell map, so the clock moves
     # only while the leg hammers.
     hammer_start = machine.clock.now_ns
-    payload.update(hammer_leg(machine, pattern, rounds, budget_factor))
+    payload.update(hammer_leg(machine, pattern))
     hammer_ns = machine.clock.now_ns - hammer_start
     window_ns = _DEFAULT_WINDOW_NS
     softtrr = getattr(machine, "softtrr", None)
@@ -182,8 +176,6 @@ def _run_window_cell(cell: Mapping, runner_params: Mapping,
         seed=cell.get("seed"),
         fault_plan=cell.get("fault_plan"),
         machine_name=runner_params.get("machine", "tiny"),
-        rounds=runner_params.get("rounds", 50),
-        budget_factor=runner_params.get("budget_factor", 1.5),
     )
 
 

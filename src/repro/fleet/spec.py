@@ -57,7 +57,7 @@ CELL_RUNNERS = ("scenario", "window", "synthetic", "fuzz")
 #: The ``runner_params`` keys each runner reads.
 RUNNER_PARAMS = {
     "scenario": (),
-    "window": ("machine", "rounds", "budget_factor"),
+    "window": ("machine",),
     "synthetic": ("poison", "flaky", "hang", "hang_s", "sleep_ms"),
     "fuzz": ("fuzz_seed", "max_sides", "target", "machine"),
 }
@@ -327,13 +327,14 @@ class FleetSpec:
                             f"chaos scenario {name!r} runs SoftTRR under "
                             f"its own fault plan; drop the {axis} axis")
         elif self.runner == "window":
-            from .runners import WINDOW_FAULT_SITES, WINDOW_PATTERNS
+            from ..analysis.zoo import PATTERNS
+            from .runners import WINDOW_FAULT_SITES
 
             for name in self.scenarios:
-                if name not in WINDOW_PATTERNS:
+                if name not in PATTERNS:
                     raise ConfigError(
                         f"unknown window pattern {name!r}; known: "
-                        f"{WINDOW_PATTERNS}")
+                        f"{PATTERNS}")
             for plan in filter(None, self.fault_plans):
                 for fault in plan["specs"]:
                     if fault["site"] not in WINDOW_FAULT_SITES:
@@ -360,10 +361,7 @@ class FleetSpec:
             except ConfigError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
         rules = {
-            "rounds": (lambda v: _is_int(v) and v >= 1, "an int >= 1"),
             "max_sides": (lambda v: _is_int(v) and v >= 1, "an int >= 1"),
-            "budget_factor": (lambda v: _is_number(v) and v > 0,
-                              "a number > 0"),
             "fuzz_seed": (_is_int, "an int"),
             "target": (lambda v: v in PATTERN_TARGETS,
                        f"one of {PATTERN_TARGETS}"),

@@ -18,9 +18,13 @@ Victim-relative authoring convention: a pattern with an unbound
 ``victim`` parameter is compiled at ``victim = 0`` so its act rows
 become *offsets*; the cell picks the cheapest vulnerable row the
 pattern fits around and remaps the plan onto it.  Unbound ``rounds`` /
-``acts`` parameters are budget-filled exactly like the zoo: the
-per-aggressor activation budget is ``budget_factor`` x the victim's
-flip threshold, split across :data:`DEFAULT_ROUNDS` interleaved rounds.
+``acts`` parameters are budget-filled: the per-aggressor activation
+budget is :data:`DEFAULT_BUDGET_FACTOR` x the victim's flip threshold,
+split across :data:`DEFAULT_ROUNDS` interleaved rounds — the one budget
+policy, also the zoo's and window cells'.  A ``"rows"`` cell hammers
+through the zoo's :func:`~repro.analysis.zoo.rows_leg` with its widest
+offset as the bank-edge margin; a ``"pt"`` cell claims the spray leg's
+region.  Neither target has a budget or region knob.
 """
 
 from __future__ import annotations
@@ -41,14 +45,11 @@ __all__ = [
     "run_pattern_scenario",
 ]
 
-#: Interleaving rounds the budget is split across (zoo parity).
+#: Interleaving rounds the budget is split across.
 DEFAULT_ROUNDS = 50
 
 #: Per-aggressor budget as a multiple of the victim's flip threshold.
 DEFAULT_BUDGET_FACTOR = 1.5
-
-#: Attacker region for the ``"pt"`` leg (zoo spray-leg scale).
-DEFAULT_REGION_PAGES = 224
 
 #: Targets a pattern cell can aim at.
 PATTERN_TARGETS = ("rows", "pt")
@@ -87,21 +88,18 @@ def _probe_offsets(pat: Pattern, bindings: Mapping) -> List[int]:
     return offsets
 
 
-def _budget_bindings(pat: Pattern, bindings: Mapping, threshold: float,
-                     budget_factor: float) -> Dict[str, int]:
+def _budget_bindings(pat: Pattern, bindings: Mapping,
+                     threshold: float) -> Dict[str, int]:
     """Fill unbound, default-less ``rounds``/``acts`` from the budget."""
     out = dict(bindings)
-    specs = {spec.name: spec for spec in pat.params}
-    budget = max(1, int(budget_factor * threshold))
-    if ("rounds" in specs and "rounds" not in out
-            and specs["rounds"].default is None):
+    defaults = {spec.name: spec.default for spec in pat.params}
+    unbound = {name for name, default in defaults.items()
+               if default is None and name not in out}
+    if "rounds" in unbound:
         out["rounds"] = DEFAULT_ROUNDS
-    rounds = out.get(
-        "rounds",
-        specs["rounds"].default if "rounds" in specs else DEFAULT_ROUNDS)
-    rounds = rounds or DEFAULT_ROUNDS
-    if ("acts" in specs and "acts" not in out
-            and specs["acts"].default is None):
+    rounds = out.get("rounds", defaults.get("rounds")) or DEFAULT_ROUNDS
+    if "acts" in unbound:
+        budget = max(1, int(DEFAULT_BUDGET_FACTOR * threshold))
         out["acts"] = max(1, budget // max(1, rounds))
     return out
 
@@ -114,8 +112,6 @@ def run_pattern_cell(
     machine_name: str = "tiny",
     defense_params: Optional[Mapping] = None,
     bindings: Optional[Mapping] = None,
-    budget_factor: float = DEFAULT_BUDGET_FACTOR,
-    region_pages: int = DEFAULT_REGION_PAGES,
     fault_plan: Optional[Mapping] = None,
 ) -> dict:
     """Compile ``source`` and run it against ``defense``; deterministic
@@ -124,11 +120,10 @@ def run_pattern_cell(
     bindings = dict(bindings or {})
     if target == "rows":
         return _run_rows_cell(pat, defense, defense_params, machine_name,
-                              seed, bindings, budget_factor, fault_plan)
+                              seed, bindings, fault_plan)
     if target == "pt":
         return _run_pt_cell(pat, defense, defense_params, machine_name,
-                            seed, bindings, budget_factor, region_pages,
-                            fault_plan)
+                            seed, bindings, fault_plan)
     raise ConfigError(
         f"unknown pattern target {target!r}; known: {PATTERN_TARGETS}")
 
@@ -147,26 +142,21 @@ def _base_payload(pat: Pattern, plan: CompiledPlan, defense: str,
 
 
 def _run_rows_cell(pat, defense, defense_params, machine_name, seed,
-                   bindings, budget_factor, fault_plan) -> dict:
-    from ..analysis.zoo import build_machine, cheapest_victim, tracker_metrics
+                   bindings, fault_plan) -> dict:
+    from ..analysis.zoo import build_machine, rows_leg, tracker_metrics
 
     machine = build_machine(defense, defense_params, machine_name, seed,
                             fault_plan)
-    relative = "victim" in pat.param_names() and "victim" not in bindings
-    if relative:
+    if "victim" in pat.param_names() and "victim" not in bindings:
         offsets = _probe_offsets(pat, bindings)
-        margin = max(abs(off) for off in offsets)
-        bank, victim, threshold = cheapest_victim(machine, margin)
-        final = _budget_bindings(pat, {**bindings, "victim": 0},
-                                 threshold, budget_factor)
-        plan = compile_pattern(pat, final).remap_targets(
-            {(0, off): (bank, victim + off) for off in offsets})
+        (bank, victim, threshold), plan, outcome = rows_leg(
+            machine, pat, offsets, max(abs(off) for off in offsets),
+            bindings)
     else:
         bank = victim = threshold = None
         offsets = []
         plan = compile_pattern(pat, bindings)
-    program = AttackProgram(plan, mode="rows")
-    outcome = program.run(machine.kernel)
+        outcome = AttackProgram(plan, mode="rows").run(machine.kernel)
     payload = _base_payload(pat, plan, defense, "rows", seed)
     payload.update({
         "victim": None if victim is None else [bank, victim],
@@ -182,8 +172,9 @@ def _run_rows_cell(pat, defense, defense_params, machine_name, seed,
 
 
 def _run_pt_cell(pat, defense, defense_params, machine_name, seed,
-                 bindings, budget_factor, region_pages, fault_plan) -> dict:
-    from ..analysis.zoo import build_machine, l1pt_flips_since, tracker_metrics
+                 bindings, fault_plan) -> dict:
+    from ..analysis.zoo import (SPRAY_KNOBS, build_machine,
+                                l1pt_flips_since, tracker_metrics)
     from ..attacks.hammer import HammerKit
     from ..attacks.placement import (
         free_user_frame,
@@ -205,7 +196,7 @@ def _run_pt_cell(pat, defense, defense_params, machine_name, seed,
     attacker = kernel.create_process("pattern-attacker")
     kit = HammerKit(kernel, attacker)
     templater = FlipTemplater(kernel, attacker, kit)
-    ownership = templater.claim_region(region_pages)
+    ownership = templater.claim_region(SPRAY_KNOBS["region_pages"])
     rows_per_bank = machine.dram.geometry.rows_per_bank
     page_bits = PAGE * 8
     best = None
@@ -232,8 +223,8 @@ def _run_pt_cell(pat, defense, defense_params, machine_name, seed,
     if best is None:
         raise AttackError(
             "pattern pt cell: the claimed region owns no vulnerable "
-            "neighbourhood wide enough for the pattern; enlarge "
-            "region_pages or narrow the offsets")
+            "neighbourhood wide enough for the pattern; narrow its "
+            "offsets")
     bank, victim_row, (victim_vaddr, victim_ppn), threshold = best
     aggressor_vaddrs = [
         ownership[(bank, victim_row + off)][0][0] for off in offsets]
@@ -245,8 +236,7 @@ def _run_pt_cell(pat, defense, defense_params, machine_name, seed,
     slice_vaddr = spray_l1pts(kernel, attacker, 1)[0]
     free_user_frame(kernel, attacker, victim_vaddr)
     place_l1pt_at(kernel, attacker, slice_vaddr, victim_ppn)
-    final = _budget_bindings(pat, {**bindings, "victim": 0},
-                             threshold, budget_factor)
+    final = _budget_bindings(pat, {**bindings, "victim": 0}, threshold)
     # In user mode the row operand indexes the aggressor vaddr list.
     plan = compile_pattern(pat, final).remap_targets(
         {(0, off): (0, i) for i, off in enumerate(offsets)})
@@ -290,8 +280,6 @@ def run_pattern_scenario(spec) -> dict:
         machine_name=spec.machine,
         defense_params=spec.defense_params,
         bindings=params.get("bindings"),
-        budget_factor=params.get("budget_factor", DEFAULT_BUDGET_FACTOR),
-        region_pages=params.get("region_pages", DEFAULT_REGION_PAGES),
         fault_plan=params.get("fault_plan"),
     )
 

@@ -117,6 +117,30 @@ class TestWindowRunner:
         assert mismatches == []
 
 
+class TestRowsLeg:
+    def test_pattern_rows_cell_agrees_with_the_zoo_pattern_leg(self):
+        # A pattern cell of the zoo's many_sided offsets takes its
+        # widest offset (the zoo's margin) as the bank-edge margin, so
+        # through the one rows leg it hammers the zoo's victim with the
+        # zoo's budget; the zoo digests pin the zoo cell.
+        from repro.analysis.zoo import (ZOO_DEFENSES, _PATTERN_OFFSETS,
+                                        run_zoo_cell)
+        from repro.patterns.fuzz import _render
+        from repro.patterns.scenario import run_pattern_cell
+
+        source = _render("many_sided", _PATTERN_OFFSETS["many_sided"], 0)
+        shared = ("victim", "victim_threshold", "aggressors",
+                  "flip_events", "protected", "activations", "refreshes",
+                  "refresh_overhead", "sram_bits", "tracker_counters")
+        mismatches = []
+        for defense in ZOO_DEFENSES:
+            pattern = run_pattern_cell(source, defense, target="rows")
+            zoo = run_zoo_cell(defense, "many_sided")
+            mismatches += [(defense, key) for key in shared
+                           if pattern[key] != zoo[key]]
+        assert mismatches == []
+
+
 class TestScenarioRunner:
     def test_materialise_applies_axis_overrides(self):
         from repro.scenarios.registry import scenario

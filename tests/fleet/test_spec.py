@@ -240,6 +240,12 @@ MALFORMED = {
     "runner-params-budget-string": (
         {**_WINDOW, "runner_params": {"budget_factor": "1.5"}},
         "runner_params"),
+    # The window budget is fixed (patterns.scenario), not a knob.
+    "runner-params-rounds-well-typed": (
+        {**_WINDOW, "runner_params": {"rounds": 50}}, "runner_params"),
+    "runner-params-budget-well-typed": (
+        {**_WINDOW, "runner_params": {"budget_factor": 1.5}},
+        "runner_params"),
     "window-fault-site-hooks": (
         {**_WINDOW, "fault_plans": [[{"site": "hooks", "mode": "drop",
                                       "probability": 1.0}]]},

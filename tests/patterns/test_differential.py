@@ -103,22 +103,23 @@ def test_dsl_double_sided_matches_legacy_attack_stream():
     """Acceptance bar: the DSL-authored double-sided pattern reproduces
     the legacy zoo double-sided loop's FlipEvent stream bit-identically
     on the same machine seed."""
-    from repro.analysis.zoo import _PATTERN_ROUNDS, cheapest_victim
+    from repro.analysis.zoo import cheapest_victim
+    from repro.patterns.scenario import DEFAULT_ROUNDS
 
     legacy = build()
     bank, victim, threshold = cheapest_victim(legacy)
-    per_round = max(1, int(1.5 * threshold) // _PATTERN_ROUNDS)
+    per_round = max(1, int(1.5 * threshold) // DEFAULT_ROUNDS)
     dram = legacy.dram
     aggressors = [dram.mapping.dram_to_phys(bank, victim + off, 0)
                   for off in (-1, 1)]
-    for _ in range(_PATTERN_ROUNDS):
+    for _ in range(DEFAULT_ROUNDS):
         for paddr in aggressors:
             dram.hammer(paddr, per_round)
 
     authored = build()
     plan = compile_pattern(
         sided_pattern(2),
-        {"victim": 0, "rounds": _PATTERN_ROUNDS, "acts": per_round},
+        {"victim": 0, "rounds": DEFAULT_ROUNDS, "acts": per_round},
     ).remap_targets({(0, off): (bank, victim + off) for off in (-1, 1)})
     AttackProgram(plan, mode="rows").run(authored.kernel)
 
