@@ -22,7 +22,7 @@ from typing import Dict
 
 from ...errors import ConfigError
 from ..base import TrackerDefense, register_defense
-from ...dram.feed import check_int_knobs
+from ...dram.feed import check_knobs
 from .misra_gries import MisraGriesTracker
 
 
@@ -41,8 +41,8 @@ class DapperParams:
     refresh_distance: int = 2
 
     def __post_init__(self) -> None:
-        check_int_knobs(self, "table_entries", "threshold",
-                        "mitigation_budget", "refresh_distance")
+        check_knobs(self, "table_entries", "threshold",
+                    "mitigation_budget", "refresh_distance")
         if self.table_entries < 1:
             raise ConfigError("DAPPER table needs at least one entry")
         if self.threshold < 2:

@@ -20,7 +20,7 @@ from typing import Dict
 
 from ...errors import ConfigError
 from ..base import TrackerDefense, register_defense
-from ...dram.feed import Tracker, check_int_knobs
+from ...dram.feed import Tracker, check_knobs
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ class MisraGriesParams:
     refresh_distance: int = 2
 
     def __post_init__(self) -> None:
-        check_int_knobs(self, "table_entries", "threshold",
-                        "refresh_distance")
+        check_knobs(self, "table_entries", "threshold",
+                    "refresh_distance")
         if self.table_entries < 1:
             raise ConfigError("Misra-Gries table needs at least one entry")
         if self.threshold < 2:

@@ -23,7 +23,7 @@ from typing import Dict
 from ...errors import ConfigError
 from ...rng import Random
 from ..base import TrackerDefense, register_defense
-from ...dram.feed import Tracker, check_int_knobs
+from ...dram.feed import Tracker, check_knobs
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class ParaParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_int_knobs(self, "refresh_distance", "seed")
+        check_knobs(self, "probability", "refresh_distance", "seed")
         if not 0.0 < self.probability <= 1.0:
             raise ConfigError("PARA probability must be in (0, 1]")
         if self.refresh_distance < 1:

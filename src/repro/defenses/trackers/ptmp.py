@@ -22,7 +22,7 @@ from typing import Dict
 from ...errors import ConfigError
 from ...rng import Random
 from ..base import TrackerDefense, register_defense
-from ...dram.feed import Tracker, check_int_knobs
+from ...dram.feed import Tracker, check_knobs
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class PtmpParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_int_knobs(self, "table_entries", "threshold",
-                        "refresh_distance", "seed")
+        check_knobs(self, "table_entries", "threshold",
+                    "insert_probability", "refresh_distance", "seed")
         if self.table_entries < 1:
             raise ConfigError("PTMP table needs at least one entry")
         if self.threshold < 2:

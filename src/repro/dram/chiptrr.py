@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..errors import ConfigError
-from .feed import Tracker, check_int_knobs
+from .feed import Tracker, check_knobs
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,8 @@ class TrrParams:
 
     def __post_init__(self) -> None:
         if self.enabled:
-            check_int_knobs(self, "tracker_slots", "trr_threshold",
-                            "refresh_distance")
+            check_knobs(self, "tracker_slots", "trr_threshold",
+                        "refresh_distance")
             if self.tracker_slots < 1:
                 raise ConfigError("TRR tracker needs at least one slot")
             if self.trr_threshold < 2:

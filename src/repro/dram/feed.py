@@ -30,22 +30,27 @@ tracker to that bar, bit for bit.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple, get_type_hints
 
 from ..errors import ConfigError
 
-__all__ = ["ActivationFeed", "RefreshActuator", "Tracker", "check_int_knobs"]
+__all__ = ["ActivationFeed", "RefreshActuator", "Tracker", "check_knobs"]
 
 
-def check_int_knobs(params, *names: str) -> None:
+def check_knobs(params, *names: str) -> None:
     """Raise a :class:`ConfigError` naming the first of the tracker
-    params' fields ``names`` whose value is not an int (a bool is not
-    one), before any range check compares it."""
+    params' fields ``names`` whose value does not fit its declared type
+    (a bool fits neither; an int fits ``float``), before any range
+    check compares it."""
+    declared = get_type_hints(type(params))
     for name in names:
         value = getattr(params, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{type(params).__name__}.{name} must be an "
-                              f"int, got {value!r}")
+        number = declared[name] is float
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float) if number else int):
+            raise ConfigError(
+                f"{type(params).__name__}.{name} must be "
+                f"{'a number' if number else 'an int'}, got {value!r}")
 
 
 class Tracker:

@@ -251,6 +251,16 @@ class TestInstalledDefenses:
         with pytest.raises(ConfigError, match=rf"\.{key} must be an int"):
             build_defense(name, {key: value})
 
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    @pytest.mark.parametrize("name, key", [("para", "probability"),
+                                           ("ptmp", "insert_probability")])
+    def test_float_knobs_raise_typed_errors(self, name, key, value):
+        # True passes the (0, 1] range check as 1.0; the type check must
+        # name the field first.  An int such as 1 stays a valid float.
+        with pytest.raises(ConfigError, match=rf"\.{key} must be a number"):
+            build_defense(name, {key: value})
+        assert getattr(build_defense(name, {key: 1}).params, key) == 1
+
     @pytest.mark.parametrize("name", ZOO)
     def test_defense_keywords_and_defaults(self, name):
         keywords = self.KEYWORDS[name]
