@@ -42,7 +42,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.profile import DEFAULT_ACT_TO_FIRST_FLIP
+from ..core.profile import DEFAULT_ACT_TO_FIRST_FLIP, check_window
 from ..errors import SanitizerViolationError
 from ..kernel.physmem import FrameUse
 from ..mmu import bits
@@ -54,29 +54,6 @@ PAGE = 1 << bits.PAGE_SHIFT
 # ====================================================================
 # WindowChecker: static half (usable with no kernel at all)
 # ====================================================================
-def check_window(
-    timer_inr_ns: int,
-    count_limit: int,
-    t_rc_ns: int,
-    act_to_first_flip: int = DEFAULT_ACT_TO_FIRST_FLIP,
-) -> Optional[str]:
-    """The protection-window inequality; returns a message if violated.
-
-    ``timer_inr × (count_limit − 1)`` is the longest a row can be
-    hammered without the refresher intervening; it must not exceed
-    ``tRC × #ACT``, the shortest time to a first flip (Section IV-E).
-    """
-    window = timer_inr_ns * (count_limit - 1)
-    threshold = t_rc_ns * act_to_first_flip
-    if window > threshold:
-        return (
-            f"protection window {window} ns (timer_inr {timer_inr_ns} ns x "
-            f"(count_limit {count_limit} - 1)) exceeds the DRAM "
-            f"time-to-first-flip {threshold} ns"
-        )
-    return None
-
-
 def check_window_config(config: Dict[str, int]) -> Optional[str]:
     """Static window check on a plain config dict.
 

@@ -18,6 +18,7 @@ characteristics measured offline:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 from ..clock import NS_PER_MS
 from ..dram.timing import DramTimings
@@ -26,6 +27,29 @@ from .ringbuf import DEFAULT_CAPACITY
 
 #: Activation count to first flip the profile assumes (Section IV-E).
 DEFAULT_ACT_TO_FIRST_FLIP = 20_000
+
+
+def check_window(
+    timer_inr_ns: int,
+    count_limit: int,
+    t_rc_ns: int,
+    act_to_first_flip: int = DEFAULT_ACT_TO_FIRST_FLIP,
+) -> Optional[str]:
+    """The protection-window inequality; returns a message if violated.
+
+    ``timer_inr × (count_limit − 1)`` is the longest a row can be
+    hammered without the refresher intervening; it must not exceed
+    ``tRC × #ACT``, the shortest time to a first flip (Section IV-E).
+    """
+    window = timer_inr_ns * (count_limit - 1)
+    threshold = t_rc_ns * act_to_first_flip
+    if window > threshold:
+        return (
+            f"protection window {window} ns (timer_inr {timer_inr_ns} ns x "
+            f"(count_limit {count_limit} - 1)) exceeds the DRAM "
+            f"time-to-first-flip {threshold} ns"
+        )
+    return None
 
 
 @dataclass(frozen=True)
@@ -115,20 +139,22 @@ class OfflineProfile:
         timer_ms = max(1, threshold // NS_PER_MS)
         timer_inr = min(timer_ms, threshold) * NS_PER_MS \
             if threshold >= NS_PER_MS else threshold
+        # With count_limit = 2 the window is timer_inr itself, which
+        # this clamp keeps within the threshold.
         timer_inr = min(timer_inr, threshold)
-        count_limit = 2
-        if timer_inr * (count_limit - 1) > threshold:
-            raise ConfigError(
-                "cannot satisfy the safety equation with integral parameters"
-            )
         return SoftTrrParams(
             max_distance=max_distance,
             timer_inr_ns=int(timer_inr),
-            count_limit=count_limit,
+            count_limit=2,
             ringbuf_capacity=ringbuf_capacity,
         )
+
+    def check(self, params: SoftTrrParams) -> Optional[str]:
+        """:func:`check_window` for ``params`` on this DRAM."""
+        return check_window(params.timer_inr_ns, params.count_limit,
+                            self.timings.t_rc_ns, self.act_to_first_flip)
 
     def is_safe(self, params: SoftTrrParams) -> bool:
         """Whether a configuration keeps the unprotected window below
         the time-to-first-flip."""
-        return params.protection_window_ns <= self.threshold_ns()
+        return self.check(params) is None

@@ -115,13 +115,9 @@ class SoftTrr:
         if self.loaded:
             raise SoftTrrError("SoftTRR already loaded")
         self.kernel = kernel
-        profile = OfflineProfile(kernel.dram.timings)
-        if not self.force_unsafe and not profile.is_safe(self.params):
-            raise SoftTrrError(
-                f"unsafe configuration: protection window "
-                f"{self.params.protection_window_ns} ns exceeds the DRAM "
-                f"time-to-first-flip {profile.threshold_ns()} ns"
-            )
+        unsafe = OfflineProfile(kernel.dram.timings).check(self.params)
+        if unsafe is not None and not self.force_unsafe:
+            raise SoftTrrError(f"unsafe configuration: {unsafe}")
         remap = self.assume_remap if self.assume_remap is not None \
             else kernel.dram.remap
         self.structs = SoftTrrStructures(remap=remap)
