@@ -12,9 +12,11 @@ property the defenses and the DRAM physics observe:
   page faults exactly as on real hardware (the tracer only cares about
   the *first* access per timer interval anyway; Section IV-C);
 * the rest of the batch is issued as forced row activations on the DRAM
-  module with the same per-iteration time cost, keeping the in-DRAM TRR
-  tracker's view interleaved at realistic granularity (batches must stay
-  small: the Misra-Gries tracker sees them as consecutive ACTs);
+  module (one :meth:`~repro.dram.module.DramModule.hammer_batch` burst
+  per aggressor run) with the same per-iteration time cost, keeping the
+  in-DRAM TRR tracker's view interleaved at realistic granularity
+  (batches must stay small: the Misra-Gries tracker sees them as
+  consecutive ACTs);
 * kernel timers are dispatched at every batch boundary, so SoftTRR's
   1 ms tick interleaves with the hammering at ~8 µs granularity.
 
@@ -45,22 +47,18 @@ class HammerKit:
     """Hammering primitives bound to one (kernel, process) pair.
 
     The loop bodies now live in :class:`repro.patterns.AttackProgram`;
-    the kit is the *binding* — kernel, process, per-ACT overhead and
-    the batch pin — plus :meth:`run`/:meth:`run_for`, which execute any
-    pattern under that binding.  The classic round-robin hammer loop is
+    the kit is the *binding* — kernel, process and per-ACT overhead —
+    plus :meth:`run`/:meth:`run_for`, which execute any pattern under
+    that binding.  The classic round-robin hammer loop is
     ``kit.run(round_robin(len(vaddrs), iterations, DEFAULT_BATCH, 0),
     vaddrs)``; :meth:`run_for` repeats it for a simulated duration.
     """
 
     def __init__(self, kernel, process: Process,
-                 extra_ns: int = DEFAULT_EXTRA_NS,
-                 use_batch: bool = True) -> None:
+                 extra_ns: int = DEFAULT_EXTRA_NS) -> None:
         self.kernel = kernel
         self.process = process
         self.extra_ns = extra_ns
-        #: False pins the scalar per-activation path (differential
-        #: tests run both).
-        self.use_batch = use_batch
         self.total_activations = 0
 
     # ------------------------------------------------------------ helpers
@@ -72,10 +70,9 @@ class HammerKit:
     def program(self, pattern: Union[Pattern, CompiledPlan, str],
                 bindings=None) -> AttackProgram:
         """A user-mode :class:`AttackProgram` under this kit's binding
-        (``extra_ns`` and batch pin); it compiles once however often it
-        runs."""
+        (``extra_ns``); it compiles once however often it runs."""
         return AttackProgram(pattern, bindings, mode="user",
-                             act_ns=self.extra_ns, use_batch=self.use_batch)
+                             act_ns=self.extra_ns)
 
     def run(self, program: Union[AttackProgram, Pattern, CompiledPlan, str],
             aggressors: Sequence[int],
@@ -84,9 +81,8 @@ class HammerKit:
 
         ``program`` may be an :class:`AttackProgram` (its mode must be
         ``"user"``), a :class:`Pattern`, a :class:`CompiledPlan` or DSL
-        source text; the latter three inherit the kit's ``extra_ns`` and
-        batch pin.  ``aggressors`` are the vaddrs the plan's row
-        operands index.
+        source text; the latter three inherit the kit's ``extra_ns``.
+        ``aggressors`` are the vaddrs the plan's row operands index.
         """
         if not isinstance(program, AttackProgram):
             program = self.program(program, bindings)

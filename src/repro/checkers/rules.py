@@ -71,12 +71,11 @@ class WallClockRule(LintRule):
     rule_id = "RPR001"
     description = "no wall-clock (time.time/perf_counter) outside clock.py"
     interests = (ast.Import, ast.ImportFrom, ast.Attribute)
-    # repro/bench/ measures *host* throughput of the simulator itself
-    # (activations per wall-second); repro/fleet/ supervises worker
-    # processes in host time (per-cell timeouts, retry backoff, test
-    # pacing) and keeps wall clocks out of its records by contract.
-    # Both places wall time is the mechanism, not a contaminant.
-    allowed_paths = ("repro/clock.py", "repro/bench/", "repro/fleet/")
+    # repro/fleet/ supervises worker processes in host time (per-cell
+    # timeouts, retry backoff, test pacing) and keeps wall clocks out
+    # of its records by contract: there wall time is the mechanism,
+    # not a contaminant.
+    allowed_paths = ("repro/clock.py", "repro/fleet/")
 
     def check_node(self, node: ast.AST, ctx: LintContext) -> Iterable[Finding]:
         if isinstance(node, ast.Import):

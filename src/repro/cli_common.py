@@ -1,7 +1,7 @@
 """Shared argparse conventions for the ``repro-*`` command-line tools.
 
-The campaign CLIs (``repro-fleet``, ``repro-fuzz``, ``repro-perfbench``,
-``repro-trace``) spell each shared knob one way.
+The campaign CLIs (``repro-fleet``, ``repro-fuzz``, ``repro-trace``)
+spell each shared knob one way.
 This module pins those flags and the exit codes.
 
 Canonical flags (each CLI opts in to the subset it needs):

@@ -46,82 +46,30 @@ refresh epoch; a deposit into a stale-tagged row first rolls the tag and
 zeroes the value; :meth:`~DisturbanceEngine.heal` zeroes the value but
 never touches the tag, so a healed row still reads 0 in every epoch.
 
-Two paths write the store: the plan walk (:meth:`on_activate`, one
-pass over the cached :meth:`victim_plan`; scalar activations and every
-:meth:`~repro.dram.module.DramModule.hammer_batch` stream the periodic
-kernel does not take, item by item) and :meth:`hammer_periodic`, the
-closed-form kernel for the periodic streams hammer loops emit.
-The reference both are proven bit-identical to — per distance
+One path writes the store: the plan walk (:meth:`on_activate`, one
+pass over the cached :meth:`victim_plan` with :meth:`deposit`'s
+arithmetic inlined).  Scalar activations take it, and so does every
+item of a :meth:`~repro.dram.module.DramModule.hammer_batch` stream.
+The reference it is proven bit-identical to — per distance
 ``remap.neighbors_at``, then :meth:`deposit` per victim — lives in
 ``tests/dram/reference.py``; ``tests/dram/test_disturbance.py`` and
 ``tests/perf/test_generative_differential.py`` compare against it.
-Per refresh-epoch segment the periodic kernel classifies each victim
-row once and replays whole cycles at C speed:
-
-* invulnerable non-aggressor rows take one fused add for the whole span
-  (the sanctioned last-ULP relaxation — such rows can never flip; this
-  kernel is the only place it is taken);
-* vulnerable non-aggressor rows get the exact sequential float cumsum
-  of their per-cycle deposit pattern (``numpy.cumsum`` for spans of at
-  least ``_NUMPY_MIN`` adds, ``itertools.accumulate`` for shorter ones —
-  both bit-identical to the scalar ``+=`` walk) and per-cell crossings
-  located by binary search;
-* aggressor-self rows (healed mid-cycle by their own activation) are
-  simulated exactly for two cycles, after which every later cycle is a
-  bit-identical replica (the post-heal end value is independent of the
-  cycle's carry-in), so its flips are replicated instead of recomputed;
-* cycle fragments at segment edges are replayed item-by-item.
-
-Every flip keeps the scalar stream's exact ``(item, plan-entry, cell)``
-order and its exact integer timestamp, recomputed per flip from the
-item's global index — never incrementally accumulated.
+Every accumulator takes exact sequential float arithmetic, so the
+fingerprint those suites compare, :meth:`accumulated_rows`, covers
+every row.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Set, Tuple
-
-import numpy as np
 
 from ..errors import ConfigError
 from ..rng import derive_rng
 from .geometry import DramGeometry
 from .remap import IdentityRemap, RowRemap
-
-#: Minimum tiled-add count before the numpy cumsum pays for itself.
-_NUMPY_MIN = 192
-
-
-def _exact_cumsum(carry: float, adds: List[float], reps: int):
-    """``[carry, carry+a0, carry+a0+a1, ...]`` over ``adds`` tiled
-    ``reps`` times — bit-identical to a sequential float ``+=`` walk.
-
-    Returns any indexable supporting ``bisect_left``-style search; entry
-    ``i`` is the accumulator value after ``i`` deposits.
-    """
-    total = len(adds) * reps
-    if total >= _NUMPY_MIN:
-        arr = np.empty(total + 1)
-        arr[0] = carry
-        if len(adds) == 1:
-            arr[1:] = adds[0]
-        else:
-            arr[1:] = np.tile(np.asarray(adds), reps)
-        np.cumsum(arr, out=arr)
-        return arr
-    return list(accumulate(adds * reps, initial=carry))
-
-
-def _first_reaching(cum, threshold: float) -> int:
-    """Index of the first entry ``>= threshold`` (entries non-decreasing)."""
-    if isinstance(cum, list):
-        return bisect_left(cum, threshold)
-    return int(np.searchsorted(cum, threshold, side="left"))
 
 
 def crosses(before: float, threshold: float, after: float) -> bool:
@@ -366,9 +314,9 @@ class DisturbanceEngine:
         exact order :meth:`on_activate` deposits into them.
 
         Each entry is ``(victim_row, weight, cells)``.  The plan is a
-        pure function of the geometry/remap/seed, so it is cached; both
-        activation paths iterate it instead of re-walking
-        ``neighbors_at`` per activation.
+        pure function of the geometry/remap/seed, so it is cached; the
+        plan walk iterates it instead of re-walking ``neighbors_at`` per
+        activation.
         """
         key = (bank, row)
         plan = self._plans.get(key)
@@ -394,13 +342,13 @@ class DisturbanceEngine:
         disturbs every victim within ``max_distance`` rows on both sides.
         Returns all flips produced anywhere.
 
-        This is the plan walk, the engine's first path: one pass over
-        the cached :meth:`victim_plan` with :meth:`deposit`'s arithmetic
-        inlined.  Scalar activations take it, and so does every item of
-        a :meth:`~repro.dram.module.DramModule.hammer_batch` stream that
-        :meth:`hammer_periodic` does not take.  The specification it is
-        held to — ``remap.neighbors_at`` per distance, then
-        :meth:`deposit` per victim — lives in ``tests/dram/reference.py``.
+        This is the plan walk, the engine's one write path: one pass
+        over the cached :meth:`victim_plan` with :meth:`deposit`'s
+        arithmetic inlined.  Scalar activations take it, and so does
+        every item of a :meth:`~repro.dram.module.DramModule.hammer_batch`
+        stream.  The specification it is held to — ``remap.neighbors_at``
+        per distance, then :meth:`deposit` per victim — lives in
+        ``tests/dram/reference.py``.
         """
         if count <= 0:
             return []
@@ -443,7 +391,12 @@ class DisturbanceEngine:
     def deposit(
         self, bank: int, row: int, units: float, epoch: int, now_ns: int
     ) -> List[FlipEvent]:
-        """Add ``units`` of disturbance to (bank, row); return new flips."""
+        """Add ``units`` of disturbance to (bank, row); return new flips.
+
+        The primitive of the reference oracle in
+        ``tests/dram/reference.py``; :meth:`on_activate` inlines its
+        arithmetic.
+        """
         if units <= 0:
             return []
         if row < 0 or row >= self.geometry.rows_per_bank:
@@ -498,291 +451,15 @@ class DisturbanceEngine:
             return 0.0
         return values[row]
 
-    def vulnerable_accumulated(self, epoch: int) -> Dict[Tuple[int, int], float]:
-        """Nonzero ``epoch`` accumulators of rows that can actually flip.
-
-        The canonical scalar-vs-batched fingerprint: accumulators of
-        rows with no vulnerable cells are subject to the fused-add ULP
-        relaxation, so equivalence is asserted over vulnerable rows only
-        (they always take exact sequential float arithmetic).
-        """
+    def accumulated_rows(self, epoch: int) -> Dict[Tuple[int, int], float]:
+        """Every nonzero ``epoch`` accumulator, keyed by ``(bank, row)``:
+        the accumulator fingerprint the differential suites compare."""
         result: Dict[Tuple[int, int], float] = {}
         for bank, values in enumerate(self._values):
             if values is None:
                 continue
             epochs = self._epochs[bank]
             for row, value in enumerate(values):
-                if (value != 0.0 and epochs[row] == epoch
-                        and self.is_vulnerable(bank, row)):
+                if value != 0.0 and epochs[row] == epoch:
                     result[(bank, row)] = value
         return result
-
-    # --------------------------------------------------- periodic kernel
-    def hammer_periodic(self, cycle, n_items: int, *, now_ns: int,
-                        per_act_ns: int, window: int, origin: str,
-                        recent):
-        """Closed-form replay of a periodic aggressor stream.
-
-        ``cycle`` is the resolved period — ``((bank, row), count)`` with
-        every count positive — and the full stream is ``cycle`` repeated
-        to ``n_items`` items (the last repetition may be partial).  Each
-        item deposits at its own start time, ``now_ns`` plus
-        ``per_act_ns`` per earlier ACT, in the refresh epoch
-        ``start // window``.  Requires ``per_act_ns > 0`` and no tracker
-        on the activation feed (the module gates this).  Appends the
-        stream's ``(bank, row, origin)`` entries to ``recent`` and
-        returns ``(flips, acts, now_end, bank_totals, bank_last)``.
-        Every flip, counter and vulnerable row's accumulator is
-        bit-identical to one :meth:`on_activate` per item; invulnerable
-        rows take the fused add.
-        """
-        p = len(cycle)
-        prefix = [0] * (p + 1)
-        for s, (_key, count) in enumerate(cycle):
-            prefix[s + 1] = prefix[s] + count
-        cycle_acts = prefix[p]
-
-        # Per-victim schedules: (bank, vrow) -> (adds, heal_positions)
-        # where adds is [(pos, e_idx, add_units, cells)] in deposit order.
-        sched: Dict[Tuple[int, int], Tuple[list, list]] = {}
-        plan_sizes = []
-        for s, ((bank, row), count) in enumerate(cycle):
-            self._bank_arrays(bank)
-            rec = sched.get((bank, row))
-            if rec is None:
-                rec = sched[(bank, row)] = ([], [])
-            rec[1].append(s)
-            plan = self.victim_plan(bank, row)
-            plan_sizes.append(len(plan))
-            for e_idx, (victim, weight, cells) in enumerate(plan):
-                vkey = (bank, victim)
-                vrec = sched.get(vkey)
-                if vrec is None:
-                    vrec = sched[vkey] = ([], [])
-                vrec[0].append((s, e_idx, weight * count, cells))
-
-        full_cycles, rem = divmod(n_items, p)
-        total_acts = full_cycles * cycle_acts + prefix[rem]
-
-        def item_time(j: int) -> int:
-            q, s = divmod(j, p)
-            return now_ns + (q * cycle_acts + prefix[s]) * per_act_ns
-
-        # keyed flips: (item_index, e_idx, cell_idx, FlipEvent)
-        out: list = []
-        j = 0
-        while j < n_items:
-            seg_epoch = item_time(j) // window
-            boundary = (seg_epoch + 1) * window
-            if item_time(n_items - 1) < boundary:
-                j_end = n_items
-            else:
-                lo, hi = j + 1, n_items - 1
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if item_time(mid) >= boundary:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                j_end = lo
-            self._periodic_segment(cycle, sched, j, j_end, seg_epoch,
-                                   now_ns, per_act_ns, prefix,
-                                   cycle_acts, out)
-            j = j_end
-
-        out.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
-        flips = [rec[3] for rec in out]
-
-        # Deposit count is a pure function of the stream shape: one
-        # deposit per victim-plan entry per item, epochs and flips aside.
-        cycle_deposits = sum(plan_sizes)
-        self.total_deposits += (full_cycles * cycle_deposits
-                                + sum(plan_sizes[:rem]))
-        self.total_flip_events += len(flips)
-
-        bank_totals: Dict[int, int] = {}
-        for s, ((bank, _row), count) in enumerate(cycle):
-            per_cycle = full_cycles + (1 if s < rem else 0)
-            if per_cycle:
-                bank_totals[bank] = (bank_totals.get(bank, 0)
-                                     + count * per_cycle)
-        bank_last: Dict[int, int] = {}
-        for back in range(1, min(p, n_items) + 1):
-            bank, row = cycle[(n_items - back) % p][0]
-            if bank not in bank_last:
-                bank_last[bank] = row
-
-        tail = min(n_items, getattr(recent, "maxlen", None) or n_items)
-        tuples = [(bank, row, origin) for (bank, row), _count in cycle]
-        recent.extend(tuples[j % p] for j in range(n_items - tail, n_items))
-
-        now_end = now_ns + total_acts * per_act_ns
-        return flips, total_acts, now_end, bank_totals, bank_last
-
-    def _periodic_segment(self, cycle, sched, j_start: int, j_end: int,
-                          epoch: int, now_ns: int, per_act_ns: int,
-                          prefix, cycle_acts: int, out: list) -> None:
-        """Replay items ``[j_start, j_end)`` — all in ``epoch``."""
-        p = len(cycle)
-        head_end = -(-j_start // p) * p  # first whole-cycle start
-        if head_end > j_end:
-            head_end = j_end
-        span_cycles = (j_end - head_end) // p
-        if span_cycles < 2:
-            # Too short to amortise: plain per-item replay.
-            self._replay_items(cycle, j_start, j_end, epoch, now_ns,
-                               per_act_ns, prefix, cycle_acts, out)
-            return
-        tail_start = head_end + span_cycles * p
-        self._replay_items(cycle, j_start, head_end, epoch, now_ns,
-                           per_act_ns, prefix, cycle_acts, out)
-        self._replay_span(cycle, sched, head_end // p, span_cycles, epoch,
-                          now_ns, per_act_ns, prefix, cycle_acts, out)
-        self._replay_items(cycle, tail_start, j_end, epoch, now_ns,
-                           per_act_ns, prefix, cycle_acts, out)
-
-    def _replay_items(self, cycle, j_start: int, j_end: int, epoch: int,
-                      now_ns: int, per_act_ns: int, prefix,
-                      cycle_acts: int, out: list) -> None:
-        """Exact item-by-item replay (cycle fragments at segment edges)."""
-        p = len(cycle)
-        for j in range(j_start, j_end):
-            q, s = divmod(j, p)
-            (bank, row), count = cycle[s]
-            values, epochs = self._bank_arrays(bank)
-            values[row] = 0.0  # own heal
-            at = now_ns + (q * cycle_acts + prefix[s]) * per_act_ns
-            for e_idx, (victim, weight, cells) in enumerate(
-                    self.victim_plan(bank, row)):
-                if epochs[victim] != epoch:
-                    epochs[victim] = epoch
-                    before = 0.0
-                else:
-                    before = values[victim]
-                after = before + weight * count
-                values[victim] = after
-                if cells and after >= cells[0].threshold:
-                    for c_idx, cell in enumerate(cells):
-                        if before < cell.threshold <= after:
-                            out.append((j, e_idx, c_idx, FlipEvent(
-                                bank=bank,
-                                row=victim,
-                                bit_offset=cell.bit_offset,
-                                from_value=cell.from_value,
-                                at_ns=at,
-                            )))
-
-    def _replay_span(self, cycle, sched, first_cycle: int, reps: int,
-                     epoch: int, now_ns: int, per_act_ns: int, prefix,
-                     cycle_acts: int, out: list) -> None:
-        """Vectorized replay of ``reps`` whole cycles in one epoch."""
-        p = len(cycle)
-        for (bank, vrow), (adds, heals) in sched.items():
-            values, epochs = self._bank_arrays(bank)
-            if heals:
-                if not adds:
-                    # Heal-only row: idempotent zero, tag untouched.
-                    values[vrow] = 0.0
-                    continue
-                self._replay_cyclic(bank, vrow, adds, heals, first_cycle,
-                                    reps, epoch, now_ns, per_act_ns,
-                                    prefix, cycle_acts, p, out)
-                continue
-            if epochs[vrow] != epoch:
-                epochs[vrow] = epoch
-                carry = 0.0
-            else:
-                carry = values[vrow]
-            cells = adds[0][3]
-            if not cells:
-                # Invulnerable victim: fused add (sanctioned relaxation).
-                values[vrow] = carry + sum(a for _s, _e, a, _c in adds) * reps
-                continue
-            # Vulnerable victim, no mid-cycle heal: the accumulator is a
-            # strict cumsum of the tiled per-cycle deposit pattern.
-            k = len(adds)
-            cum = _exact_cumsum(carry, [a for _s, _e, a, _c in adds], reps)
-            end_value = cum[len(cum) - 1]
-            for c_idx, cell in enumerate(cells):
-                threshold = cell.threshold
-                if not carry < threshold <= end_value:
-                    continue
-                idx = _first_reaching(cum, threshold) - 1  # deposit index
-                m, r = divmod(idx, k)
-                s, e_idx = adds[r][0], adds[r][1]
-                cyc = first_cycle + m
-                out.append((cyc * p + s, e_idx, c_idx, FlipEvent(
-                    bank=bank,
-                    row=vrow,
-                    bit_offset=cell.bit_offset,
-                    from_value=cell.from_value,
-                    at_ns=now_ns + (cyc * cycle_acts + prefix[s])
-                    * per_act_ns,
-                )))
-            values[vrow] = float(end_value)
-
-    def _replay_cyclic(self, bank: int, vrow: int, adds, heals,
-                       first_cycle: int, reps: int, epoch: int,
-                       now_ns: int, per_act_ns: int, prefix,
-                       cycle_acts: int, p: int, out: list) -> None:
-        """Aggressor-self victim: healed by its own activation(s) each
-        cycle, possibly fed by other aggressors.
-
-        The cycle's end value is the post-heal tail sum — independent of
-        its carry-in — so after simulating cycles 1 and 2 exactly, every
-        later cycle is a bit-identical replica of cycle 2 and only its
-        flips (if any) need re-emitting at shifted items/timestamps.
-        """
-        values, epochs = self._bank_arrays(bank)
-        # Per-cycle op list: heals (before that item's deposits) merged
-        # with adds in scalar order.
-        ops = sorted(
-            [(s, -1, 0.0, None) for s in heals] + list(adds),
-            key=lambda op: (op[0], op[1]))
-        if epochs[vrow] != epoch:
-            epochs[vrow] = epoch
-            value = 0.0
-        else:
-            value = values[vrow]
-
-        def run_cycle(value: float):
-            fired = []  # (pos, e_idx, c_idx, cell)
-            for s, e_idx, add, cells in ops:
-                if e_idx < 0:
-                    value = 0.0
-                    continue
-                before = value
-                value += add
-                if cells and value >= cells[0].threshold:
-                    for c_idx, cell in enumerate(cells):
-                        if before < cell.threshold <= value:
-                            fired.append((s, e_idx, c_idx, cell))
-            return value, fired
-
-        def emit(cyc: int, fired) -> None:
-            for s, e_idx, c_idx, cell in fired:
-                out.append((cyc * p + s, e_idx, c_idx, FlipEvent(
-                    bank=bank,
-                    row=vrow,
-                    bit_offset=cell.bit_offset,
-                    from_value=cell.from_value,
-                    at_ns=now_ns + (cyc * cycle_acts + prefix[s])
-                    * per_act_ns,
-                )))
-
-        value, fired = run_cycle(value)
-        emit(first_cycle, fired)
-        if reps >= 2:
-            steady = value
-            value, fired = run_cycle(value)
-            emit(first_cycle + 1, fired)
-            if value == steady:
-                # Replicate: identical carry-in -> identical cycle.
-                if fired:
-                    for m in range(2, reps):
-                        emit(first_cycle + m, fired)
-            else:  # pragma: no cover - defensive; heals pin the end value
-                for m in range(2, reps):
-                    value, fired = run_cycle(value)
-                    emit(first_cycle + m, fired)
-        values[vrow] = value

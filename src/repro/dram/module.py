@@ -44,31 +44,6 @@ _PAGE_MASK = PAGE_BYTES - 1
 _ZERO_PAGE = bytes(PAGE_BYTES)
 
 
-def _detect_period(items) -> Optional[int]:
-    """Smallest period ``p <= 64`` such that ``items`` repeats its first
-    ``p`` entries (the last repetition may be partial) — else ``None``.
-
-    Runs on the *raw* ``(paddr, count)`` items before any paddr
-    resolution: hammer kits build their streams by list multiplication,
-    so the repeated tuples are the *same objects* and both the candidate
-    probe and the whole-stream shift-compare run at C speed on identity
-    checks inside ``list.__eq__``.
-    """
-    n = len(items)
-    first = items[0]
-    candidates = []
-    limit = min(64, n - 1)
-    for k in range(1, limit + 1):
-        if items[k] == first:
-            candidates.append(k)
-            if len(candidates) == 3:
-                break
-    for p in candidates:
-        if items[p:] == items[:-p]:
-            return p
-    return None
-
-
 class DramModule:
     """A simulated DRAM module with rowhammer physics."""
 
@@ -193,113 +168,69 @@ class DramModule:
         self.clock.advance(latency)
         return latency
 
-    def hammer_batch(
-        self,
-        items,
-        origin: str = "data",
-        extra_ns: int = 0,
-    ) -> None:
-        """Replay a sequence of :meth:`hammer` calls in one batched pass.
+    def hammer_batch(self, items, extra_ns: int = 0) -> None:
+        """Replay a sequence of :meth:`hammer` calls in one pass.
 
         ``items`` is a sequence of ``(paddr, count)`` pairs.  The batch
         is *semantically identical* to the scalar loop ::
 
             for paddr, count in items:
-                self.hammer(paddr, count, origin=origin)
+                self.hammer(paddr, count)
                 self.clock.advance(count * extra_ns)
 
         — identical DRAM bytes, identical ``FlipEvent`` stream (including
         ``at_ns``), identical TRR/bank/engine counters and identical
         simulated time, as enforced by the differential equivalence
-        suite and the generative harness.  The module owns resolution
-        and the epilogue; one of the engine's two paths does the
-        deposits:
-
-        * when the raw item stream is periodic (the shape every hammer
-          loop emits) and no tracker rides the feed, the closed-form
-          periodic kernel (``engine.hammer_periodic``) replays whole
-          aggressor cycles per refresh-epoch segment instead of per
-          item;
-        * every other stream replays item by item through the plan walk
-          (``engine.on_activate``, the scalar path's own code), plus one
-          ``feed.publish`` per item when a tracker rides the feed.
-
-        The specification both are held to, ``neighbors_at`` per
-        distance then ``deposit`` per victim, lives in
-        ``tests/dram/reference.py``; the generative harness's scalar leg
-        runs it.
+        suite and the generative harness.  It resolves every paddr once,
+        runs the plan walk (``engine.on_activate``, the scalar path's
+        own code) per item, plus one ``feed.publish`` per item when a
+        tracker rides the feed, then settles flips, bank state and the
+        clock once.  The specification the plan walk is held to,
+        ``neighbors_at`` per distance then ``deposit`` per victim, lives
+        in ``tests/dram/reference.py``; the generative harness's scalar
+        leg runs it.
         """
-        if not isinstance(items, list):
-            items = list(items)
-        if not items:
+        paddr_cache: Dict[int, Tuple[int, int]] = {}
+        resolved = []  # ((bank, row), count) with count > 0
+        for paddr, count in items:
+            if count <= 0:
+                continue
+            key = paddr_cache.get(paddr)
+            if key is None:
+                dram = self.mapping.phys_to_dram(paddr)
+                key = (dram.bank, dram.row)
+                paddr_cache[paddr] = key
+            resolved.append((key, count))
+        if not resolved:
             return
-        timings = self.timings
-        window = timings.refresh_window_ns
-        per_act_ns = timings.conflict_latency_ns + extra_ns
+
+        window = self.timings.refresh_window_ns
+        per_act_ns = self.timings.conflict_latency_ns + extra_ns
         engine = self.engine
         feed = self.feed
         feed_active = feed.active
-        paddr_cache: Dict[int, Tuple[int, int]] = {}
-
-        # Periodic fast path: detected on the raw items (cheap identity
-        # compares), so only the cycle's paddrs need resolving and no
-        # per-item Python loop runs at all.
-        cycle = None
-        n_items = len(items)
-        if not feed_active and per_act_ns > 0 and n_items >= 8:
-            p = _detect_period(items)
-            if p is not None and all(c > 0 for _paddr, c in items[:p]):
-                cycle = []
-                for paddr, count in items[:p]:
-                    key = paddr_cache.get(paddr)
-                    if key is None:
-                        dram = self.mapping.phys_to_dram(paddr)
-                        key = (dram.bank, dram.row)
-                        paddr_cache[paddr] = key
-                    cycle.append((key, count))
-
-        if cycle is None:
-            resolved = []  # ((bank, row), count) with count > 0
-            for paddr, count in items:
-                if count <= 0:
-                    continue
-                key = paddr_cache.get(paddr)
-                if key is None:
-                    dram = self.mapping.phys_to_dram(paddr)
-                    key = (dram.bank, dram.row)
-                    paddr_cache[paddr] = key
-                resolved.append((key, count))
-            if not resolved:
-                return
-
         trace = self.trace
         span_start = (trace.span_begin("dram.hammer_batch")
                       if trace is not None else 0)
         start_ns = self.clock.now_ns
         deposits_before = engine.total_deposits
 
-        if cycle is not None:
-            flips, acts, now_end, bank_totals, bank_last = (
-                engine.hammer_periodic(
-                    cycle, n_items, now_ns=start_ns, per_act_ns=per_act_ns,
-                    window=window, origin=origin,
-                    recent=self.recent_activations))
-        else:
-            flips = []
-            acts = 0
-            now_end = start_ns
-            bank_totals, bank_last = {}, {}
-            recent_append = self.recent_activations.append
-            for (bank, row), count in resolved:
-                epoch = now_end // window
-                flips += engine.on_activate(bank, row, count, epoch, now_end)
-                if feed_active:
-                    feed.publish(bank, row, count, epoch, now_end)
-                recent_append((bank, row, origin))
-                acts += count
-                now_end += count * per_act_ns
-                bank_totals[bank] = bank_totals.get(bank, 0) + count
-                bank_last[bank] = row
+        flips = []
+        acts = 0
+        now_end = start_ns
+        bank_totals: Dict[int, int] = {}
+        bank_last: Dict[int, int] = {}
+        recent_append = self.recent_activations.append
+        for (bank, row), count in resolved:
+            epoch = now_end // window
+            flips += engine.on_activate(bank, row, count, epoch, now_end)
+            if feed_active:
+                feed.publish(bank, row, count, epoch, now_end)
+            recent_append((bank, row, "data"))
+            acts += count
+            now_end += count * per_act_ns
+            bank_totals[bank] = bank_totals.get(bank, 0) + count
+            bank_last[bank] = row
 
         self._apply_flips(flips)
         self.total_activations += acts
@@ -308,7 +239,7 @@ class DramModule:
             self._banks[bank].activate_run(bank_last[bank], total, open_page)
         self.clock.advance(now_end - start_ns)
         if trace is not None:
-            trace.emit("dram.activate", count=acts, origin=origin, batched=1)
+            trace.emit("dram.activate", count=acts, origin="data", batched=1)
             trace.emit("dram.deposit",
                        count=engine.total_deposits - deposits_before)
             trace.span_end("dram.hammer_batch", span_start)

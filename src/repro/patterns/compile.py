@@ -15,8 +15,8 @@ sequence of :class:`PlanStep` records the executors replay verbatim:
 * **chunk** — split the run list into steps at every ``wait``/``sync``
   barrier.  Step boundaries are part of the *meaning* of a plan (the
   executor dispatches kernel timers at each one), so they are fixed
-  here, deterministically, never by the execution backend — scalar and
-  batched replay see identical boundaries by construction.
+  here, deterministically, never by the executor — a scalar replay of
+  the plan sees identical boundaries by construction.
 
 Everything in this module is pure plain-data transformation: no clock,
 no RNG, no machine (flow rule RPR014 keeps it that way).
@@ -65,10 +65,9 @@ class CompiledPlan:
     """A fully resolved pattern, ready for any execution backend.
 
     ``act_ns`` is the per-activation overhead beyond the DRAM conflict
-    latency (the inter-ACT timing axis): the batched backend forwards it
-    as ``hammer_batch(..., extra_ns=act_ns)``, the scalar backend
-    advances the clock by ``count * act_ns`` per run — identical
-    simulated time either way.
+    latency (the inter-ACT timing axis): the executor forwards it as
+    ``hammer_batch(..., extra_ns=act_ns)``, which costs the same
+    simulated time as advancing the clock by ``count * act_ns`` per run.
     """
 
     name: str

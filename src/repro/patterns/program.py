@@ -4,17 +4,17 @@ pattern → compiled plan → execute on a machine.  Two execution modes
 share one plan format:
 
 * ``mode="rows"`` — ``act`` targets are absolute ``(bank, row)`` DRAM
-  coordinates, replayed as forced row activations
-  (:meth:`DramModule.hammer_batch` batched, or scalar
-  :meth:`DramModule.hammer` + clock advance — differentially equal by
-  the DRAM batching contract).  This is the view in-DRAM trackers
+  coordinates, replayed as forced row activations, one
+  :meth:`DramModule.hammer_batch` per plan step (equal to a scalar
+  :meth:`DramModule.hammer` + clock advance loop by the DRAM batching
+  contract).  This is the view in-DRAM trackers
   (ChipTRR, the zoo) see through the activation feed; SoftTRR is blind
   to it by design (no MMU access, no armed-PTE fault).
 * ``mode="user"`` — ``act`` rows index an aggressor *vaddr* list; each
   run goes clflush + ``kernel.user_read`` (the architecturally visible
-  access that takes SoftTRR's RSVD fault) followed by a batched burst
-  for the run's remainder — the hybrid loop described in
-  :mod:`repro.attacks.hammer`.
+  access that takes SoftTRR's RSVD fault) followed by a one-item
+  :meth:`DramModule.hammer_batch` burst for the run's remainder — the
+  hybrid loop described in :mod:`repro.attacks.hammer`.
 
 Kernel timers are dispatched at every plan-step boundary in both modes,
 so SoftTRR's tick interleaves with hammering at authored granularity.
@@ -73,8 +73,7 @@ class AttackProgram:
 
     ``act_ns`` is the inter-ACT overhead beyond the conflict latency
     (user mode defaults to :data:`DEFAULT_EXTRA_NS`, matching the
-    legacy hammer loop); ``use_batch=False`` runs the scalar
-    per-activation reference path instead of the batched backend.
+    legacy hammer loop).
     """
 
     def __init__(
@@ -84,7 +83,6 @@ class AttackProgram:
         *,
         mode: str = "rows",
         act_ns: Optional[int] = None,
-        use_batch: bool = True,
     ) -> None:
         if mode not in MODES:
             raise PatternError(
@@ -94,7 +92,6 @@ class AttackProgram:
             if act_ns is None else act_ns
         if self.act_ns < 0:
             raise PatternError(f"act_ns must be >= 0, got {self.act_ns}")
-        self.use_batch = use_batch
         self.bindings = dict(bindings or {})
         self._plan: Optional[CompiledPlan] = None
         if isinstance(pattern_or_plan, CompiledPlan):
@@ -142,10 +139,9 @@ class AttackProgram:
                 raise AttackError(
                     f"program {self.name!r}: user mode needs a process "
                     "and an aggressor vaddr list")
-            acts = _run_user(kernel, process, aggressors, plan,
-                             self.use_batch)
+            acts = _run_user(kernel, process, aggressors, plan)
         else:
-            acts = _run_rows(kernel, plan, self.use_batch)
+            acts = _run_rows(kernel, plan)
         return ProgramOutcome(
             program=self.name,
             mode=self.mode,
@@ -156,7 +152,7 @@ class AttackProgram:
         )
 
 
-def _run_rows(kernel, plan: CompiledPlan, use_batch: bool) -> int:
+def _run_rows(kernel, plan: CompiledPlan) -> int:
     dram = kernel.dram
     geometry = dram.geometry
     mapping = dram.mapping
@@ -174,15 +170,10 @@ def _run_rows(kernel, plan: CompiledPlan, use_batch: bool) -> int:
     total = 0
     for step in plan.steps:
         if step.acts:
-            if use_batch:
-                dram.hammer_batch(
-                    [(paddrs[(bank, row)], count)
-                     for bank, row, count in step.acts],
-                    extra_ns=act_ns)
-            else:
-                for bank, row, count in step.acts:
-                    dram.hammer(paddrs[(bank, row)], count)
-                    clock.advance(count * act_ns)
+            dram.hammer_batch(
+                [(paddrs[(bank, row)], count)
+                 for bank, row, count in step.acts],
+                extra_ns=act_ns)
             total += sum(count for _b, _r, count in step.acts)
         if step.wait_ns:
             clock.advance(step.wait_ns)
@@ -202,7 +193,7 @@ def _resolve_user_paddr(kernel, process, vaddr: int) -> int:
 
 
 def _run_user(kernel, process, aggressors: Sequence[int],
-              plan: CompiledPlan, use_batch: bool) -> int:
+              plan: CompiledPlan) -> int:
     if not aggressors:
         raise AttackError("no aggressors to hammer")
     for bank, index in plan.targets():
@@ -230,13 +221,8 @@ def _run_user(kernel, process, aggressors: Sequence[int],
             mmu.clflush(paddr)
             kernel.user_read(process, vaddr, 8)
             if count > 1:
-                # The rest of the run: same physics, batched.
-                if use_batch:
-                    dram.hammer_batch(
-                        [(paddr, count - 1)], extra_ns=extra_ns)
-                else:
-                    dram.hammer(paddr, count - 1)
-                    clock.advance((count - 1) * extra_ns)
+                # The rest of the run: same physics, one burst.
+                dram.hammer_batch([(paddr, count - 1)], extra_ns=extra_ns)
             total += count
         if step.wait_ns:
             clock.advance(step.wait_ns)

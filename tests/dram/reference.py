@@ -2,14 +2,14 @@
 
 :meth:`DisturbanceEngine.on_activate` walks the engine's cached victim
 plan with the deposit arithmetic inlined, and every
-``DramModule.hammer_batch`` stream the periodic kernel does not take
-shares that walk, item by item.  This module keeps the specification
-it replaced: heal the activated row, then for each distance
-``remap.neighbors_at`` and one :meth:`DisturbanceEngine.deposit` per
-victim.  It shares no accumulator code with the engine's two paths
-(plan walk, ``hammer_periodic``); the property
-in ``tests/dram/test_disturbance.py`` and the scalar leg of the
-generative harness (``tests/perf/generative.py``) compare them to it.
+``DramModule.hammer_batch`` stream shares that walk, item by item.
+This module keeps the specification it replaced: heal the activated
+row, then for each distance ``remap.neighbors_at`` and one
+:meth:`DisturbanceEngine.deposit` per victim.  It shares no
+accumulator code with the engine's one write path, the plan walk; the
+property in ``tests/dram/test_disturbance.py`` and the scalar leg of
+the generative harness (``tests/perf/generative.py``) compare it to
+the walk.
 
 It also keeps the cell derivation as a memo-free function of the
 profile.  Engines read cells through one shared ``CellMap`` per profile

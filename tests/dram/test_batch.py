@@ -79,15 +79,14 @@ class TestHammerOriginAccounting:
         assert list(dram.recent_activations) == [(1, 12, "walk")]
 
     def test_hammer_batch_one_sample_per_item(self):
-        """Each batch item is one hammer call: one PMU sample each,
-        regardless of its count or of run-grouping."""
+        """Each batch item is one data-origin hammer call: one PMU
+        sample each, regardless of its count or of run-grouping."""
         dram = build_dram()
         a = dram.mapping.dram_to_phys(0, 30, 0)
         b = dram.mapping.dram_to_phys(0, 33, 0)
-        dram.hammer_batch([(a, 5)] * 3 + [(b, 1)] + [(a, 2)],
-                          origin="walk")
+        dram.hammer_batch([(a, 5)] * 3 + [(b, 1)] + [(a, 2)])
         assert list(dram.recent_activations) == [
-            (0, 30, "walk")] * 3 + [(0, 33, "walk"), (0, 30, "walk")]
+            (0, 30, "data")] * 3 + [(0, 33, "data"), (0, 30, "data")]
 
     def test_transact_line_honours_walk_origin_flag(self):
         dram = build_dram()

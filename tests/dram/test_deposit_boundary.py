@@ -7,11 +7,14 @@ never re-fires while the accumulator sits at or above the threshold —
 ``before == threshold`` is not a crossing.  An off-by-one here either
 double-fires cells (every deposit past the threshold would flip again)
 or delays every flip by one deposit, so the exact semantics are pinned
-down to the boundary values, for the scalar :meth:`deposit` and for the
-periodic kernel behind :meth:`DramModule.hammer_batch`, which must
-agree bit for bit.
+down to the boundary values, for the scalar :meth:`deposit` and for a
+multi-item :meth:`DramModule.hammer_batch` stream (the plan walk, item
+by item), which must agree bit for bit.
 """
 
+from repro.clock import SimClock
+from repro.dram.address import linear_mapping
+from repro.dram.chiptrr import TrrParams
 from repro.dram.disturbance import (
     DisturbanceEngine,
     DisturbanceParams,
@@ -19,17 +22,33 @@ from repro.dram.disturbance import (
     crosses,
 )
 from repro.dram.geometry import DramGeometry
+from repro.dram.module import DramModule
+from repro.dram.timing import DDR3_TIMINGS
 from repro.machine import Machine
 
+GEOMETRY = DramGeometry(num_banks=4, rows_per_bank=64, row_bytes=4096)
 
-def make_engine(vuln_probability=0.0):
-    geometry = DramGeometry(num_banks=4, rows_per_bank=64, row_bytes=4096)
-    params = DisturbanceParams(
+#: Simulated ns per ACT of a ``hammer_batch`` stream with no extra_ns.
+ACT_NS = DDR3_TIMINGS.conflict_latency_ns
+
+
+def make_params(vuln_probability=0.0):
+    return DisturbanceParams(
         base_flip_threshold=1000.0,
         row_vuln_probability=vuln_probability,
         seed=3,
     )
-    return DisturbanceEngine(geometry, params)
+
+
+def make_engine(vuln_probability=0.0):
+    return DisturbanceEngine(GEOMETRY, make_params(vuln_probability))
+
+
+def make_module():
+    """A DRAM module with :func:`make_engine`'s geometry and profile."""
+    return DramModule(mapping=linear_mapping(GEOMETRY),
+                      timings=DDR3_TIMINGS, disturbance=make_params(),
+                      trr=TrrParams(), clock=SimClock())
 
 
 def inject_cells(engine, bank, row, cells):
@@ -39,28 +58,24 @@ def inject_cells(engine, bank, row, cells):
 
 def scalar_hammer(engine, aggressor, count, items, epoch, now_ns):
     """``items`` activations of ``count`` ACTs of (0, aggressor), one
-    :meth:`on_activate` each, 1 ns per ACT."""
+    :meth:`on_activate` each, ``ACT_NS`` per ACT."""
     flips = []
     for i in range(items):
         flips.extend(engine.on_activate(
-            0, aggressor, count, epoch, now_ns + i * count))
+            0, aggressor, count, epoch, now_ns + i * count * ACT_NS))
     return flips
 
 
-#: A refresh window long enough that no stream here crosses an epoch.
-WINDOW = 1 << 40
-
-
-def batch_hammer(engine, aggressor, count, items, epoch, now_ns):
-    """The same stream through the periodic kernel that
-    :meth:`DramModule.hammer_batch` drives, as a one-item cycle.  The
-    kernel derives each item's epoch from its time, so ``now_ns`` must
-    lie in ``epoch``."""
-    assert now_ns // WINDOW == epoch
-    flips, *_ = engine.hammer_periodic(
-        [((0, aggressor), count)], items, now_ns=now_ns, per_act_ns=1,
-        window=WINDOW, origin="data", recent=[])
-    return flips
+def batch_hammer(dram, aggressor, count, items):
+    """The same stream as one multi-item :meth:`DramModule.hammer_batch`
+    from the module's current time (all in refresh epoch 0 here);
+    returns the flips it produced."""
+    assert dram._epoch() == 0
+    before = len(dram.flip_log)
+    paddr = dram.mapping.dram_to_phys(0, aggressor, 0)
+    dram.hammer_batch([(paddr, count)] * items)
+    assert dram._epoch() == 0
+    return dram.flip_log[before:]
 
 
 class TestCrossesPredicate:
@@ -144,40 +159,44 @@ class TestDepositBatchBoundary:
 
     def test_batch_matches_scalar_deposits_on_vulnerable_row(self):
         scalar = make_engine()
-        batched = make_engine()
+        batched = make_module()
         cells = [VulnerableCell(bit_offset=0, threshold=10.0, from_value=0)]
         inject_cells(scalar, 0, 5, cells)
-        inject_cells(batched, 0, 5, cells)
+        inject_cells(batched.engine, 0, 5, cells)
+        batched.clock.advance(42)
         scalar_flips = scalar_hammer(scalar, 4, 3, 7, 0, 42)
-        batched_flips = batch_hammer(batched, 4, 3, 7, 0, 42)
+        batched_flips = batch_hammer(batched, 4, 3, 7)
         assert scalar_flips == batched_flips
         assert len(batched_flips) == 1  # fired on the 12.0 crossing
-        assert batched_flips[0].at_ns == 42 + 3 * 3
-        assert scalar.accumulated(0, 5, 0) == batched.accumulated(0, 5, 0)
-        assert scalar.total_deposits == batched.total_deposits
+        assert batched_flips[0].at_ns == 42 + 3 * 3 * ACT_NS
+        assert (scalar.accumulated(0, 5, 0)
+                == batched.engine.accumulated(0, 5, 0))
+        assert scalar.total_deposits == batched.engine.total_deposits
 
     def test_batch_fires_exactly_at_threshold(self):
-        engine = make_engine()
-        inject_cells(engine, 0, 5, [
+        dram = make_module()
+        inject_cells(dram.engine, 0, 5, [
             VulnerableCell(bit_offset=0, threshold=10.0, from_value=0)])
-        flips = batch_hammer(engine, 4, 5, 2, epoch=0, now_ns=0)
+        flips = batch_hammer(dram, 4, 5, 2)
         assert len(flips) == 1  # 5.0 + 5.0 reaches 10.0 exactly
-        assert flips[0].at_ns == 5
-        assert batch_hammer(engine, 4, 5, 2, epoch=0, now_ns=10) == []
+        assert flips[0].at_ns == 5 * ACT_NS
+        assert batch_hammer(dram, 4, 5, 2) == []
 
     def test_batch_skips_scan_for_invulnerable_row(self):
-        engine = make_engine()
+        dram = make_module()
+        engine = dram.engine
         inject_cells(engine, 0, 5, [])
         assert not engine.is_vulnerable(0, 5)
-        assert batch_hammer(engine, 4, 2, 5, epoch=0, now_ns=0) == []
-        assert engine.accumulated(0, 5, 0) == 10.0  # the fused add
+        assert batch_hammer(dram, 4, 2, 5) == []
+        assert engine.accumulated(0, 5, 0) == 10.0  # five sequential adds
         assert engine.total_deposits == 5 * len(engine.victim_plan(0, 4))
         assert not engine.is_vulnerable(0, 5)
 
     def test_batch_out_of_range_row_is_ignored(self):
-        engine = make_engine()
+        dram = make_module()
+        engine = dram.engine
         for edge in (0, 63):
-            assert batch_hammer(engine, edge, 1, 3, 0, 0) == []
+            assert batch_hammer(dram, edge, 1, 3) == []
         # Only the six in-bank neighbours of each edge row take deposits.
         assert engine.total_deposits == 2 * 3 * 6
         assert engine.accumulated(0, -1, 0) == 0.0
@@ -197,8 +216,8 @@ def module_with_cells(cells):
 def stale_streams(dram, stale_acts):
     """Deposit ``stale_acts`` units into the victim in epoch 0, roll
     the clock into epoch 1 — the victim's tag is now stale — and return
-    one 80-ACT double-sided stream in two shapes: periodic (the
-    closed-form kernel) and one burst per aggressor (the plan walk)."""
+    one 80-ACT double-sided stream in two shapes: periodic (single ACTs
+    alternating between the aggressors) and one burst per aggressor."""
     bank, row = VICTIM
     left, right = (dram.mapping.dram_to_phys(bank, row + d, 0)
                    for d in (-1, 1))
@@ -217,11 +236,11 @@ class TestStaleEpochBucket:
     """Vulnerability is a static property of the cell map, never of the
     accumulator's current epoch tag.
 
-    Regression guard for the periodic kernel's fused add: a shortcut
-    keyed on the *accumulator's* epoch (e.g. "bucket is from another
-    epoch, so fuse") would silently skip the crossing scan for a
-    vulnerable victim whose bucket still carries a stale tag — dropping
-    flips the scalar path produces.  Pinned on the live path:
+    Regression guard for any batching shortcut: one keyed on the
+    *accumulator's* epoch (e.g. "bucket is from another epoch, so skip
+    the scan") would silently skip the crossing scan for a vulnerable
+    victim whose bucket still carries a stale tag — dropping flips the
+    scalar path produces.  Pinned on the live path:
     :meth:`DramModule.hammer_batch` against the scalar ``hammer`` loop.
     """
 
@@ -257,9 +276,8 @@ class TestStaleEpochBucket:
         for shape in ("periodic", "bursts"):
             dram = module_with_cells([])
             dram.hammer_batch(stale_streams(dram, 7)[shape])
-            # The new epoch's deposits (the periodic kernel's fused add,
-            # the plan walk's sequential adds) landed in epoch 1; the
-            # stale sum is gone and nothing flipped.
+            # The new epoch's 80 sequential adds landed in epoch 1;
+            # the stale sum is gone and nothing flipped.
             assert dram.engine.accumulated(*VICTIM, 1) == 80.0
             assert dram.engine.accumulated(*VICTIM, 0) == 0.0
             assert victim_flips(dram) == []

@@ -4,7 +4,7 @@ Row 0 and row ``rows_per_bank - 1`` are where the victim neighbourhood
 is clipped (no rows beyond the bank edge) and where an off-by-one in
 the engine's flat per-bank indexing would read or write a neighbouring
 bank's slab.  Both are exercised directly at the engine level and
-through :meth:`DramModule.hammer_batch` on a real machine.
+through :meth:`DramModule.hammer_batch` on a DRAM module.
 """
 
 import pytest
@@ -16,6 +16,8 @@ from repro.dram.disturbance import (
 )
 from repro.dram.geometry import DramGeometry
 from repro.machine import Machine
+
+from .test_deposit_boundary import make_module
 
 ROWS = 64
 LAST = ROWS - 1
@@ -49,7 +51,11 @@ class TestEdgeRowActivation:
         for distance in range(1, distance_max + 1):
             outside = row - distance if row == 0 else row + distance
             assert engine.accumulated(0, outside, 0) == 0.0
-        assert engine.vulnerable_accumulated(0) == {}
+        # The store holds exactly the six inward rows, in bank 0 only.
+        assert engine.accumulated_rows(0) == {
+            (0, row + distance if row == 0 else row - distance):
+                engine.params.weight(distance) * 3
+            for distance in range(1, distance_max + 1)}
 
     @pytest.mark.parametrize("row", EDGE_ROWS)
     def test_own_row_heal_at_the_edge(self, row):
@@ -119,27 +125,31 @@ class TestEdgeRowEpochRollover:
     @pytest.mark.parametrize("row", EDGE_ROWS)
     def test_batch_deposit_at_edge_matches_scalar(self, row):
         # Five 3-ACT activations of the edge row's only neighbour, one
-        # on_activate each vs the periodic kernel behind hammer_batch,
-        # all in epoch 2 of a 2**40 ns refresh window.
+        # on_activate each vs one five-item hammer_batch, all in
+        # refresh epoch 2.
         reference = make_engine()
-        batched = make_engine()
+        dram = make_module()
+        batched = dram.engine
         cells = [VulnerableCell(bit_offset=2, threshold=9.0, from_value=1)]
         for engine in (reference, batched):
             inject_cells(engine, 0, row, cells)
         aggressor = 1 if row == 0 else LAST - 1
-        window = 1 << 40
-        start = 2 * window + 11
+        per_act = dram.timings.conflict_latency_ns
+        start = 2 * dram.timings.refresh_window_ns + 11
+        dram.clock.advance(start)
         scalar_flips = []
         for i in range(5):
-            scalar_flips.extend(
-                reference.on_activate(0, aggressor, 3, 2, start + 3 * i))
-        batched_flips, *_ = batched.hammer_periodic(
-            [((0, aggressor), 3)], 5, now_ns=start, per_act_ns=1,
-            window=window, origin="data", recent=[])
+            scalar_flips.extend(reference.on_activate(
+                0, aggressor, 3, 2, start + 3 * i * per_act))
+        dram.hammer_batch(
+            [(dram.mapping.dram_to_phys(0, aggressor, 0), 3)] * 5)
+        batched_flips = dram.flip_log
+        assert dram._epoch() == 2
         assert batched_flips == scalar_flips
         assert len(batched_flips) == 1  # 9.0 reached on the 3rd ACT
         assert (reference.accumulated(0, row, 2)
                 == batched.accumulated(0, row, 2))
+        assert reference.accumulated_rows(2) == batched.accumulated_rows(2)
 
 
 def replay(dram, items, *, extra_ns, batched):
@@ -157,7 +167,7 @@ class TestModuleEdgeHammer:
 
     @pytest.mark.parametrize("row", [0, None])  # None = last row
     def test_one_location_at_the_edge_is_core_invariant(self, row):
-        # The periodic kernel and the scalar per-ACT path must agree.
+        # The batched stream and the scalar per-ACT path must agree.
         results = {}
         for batched in (True, False):
             m = Machine(machine="tiny")
@@ -171,12 +181,12 @@ class TestModuleEdgeHammer:
                 tuple(dram.flip_log), m.clock.now_ns,
                 dram.total_activations,
                 dram.engine.total_deposits,
-                dram.engine.vulnerable_accumulated(dram._epoch()))
+                dram.engine.accumulated_rows(dram._epoch()))
         assert results[True] == results[False]
 
     def test_double_sided_pinning_both_edges(self):
-        # Aggressors at both bank edges at once: the periodic kernel
-        # sees two clipped neighbourhoods in one cycle.
+        # Aggressors at both bank edges at once: the batch alternates
+        # between two clipped neighbourhoods.
         results = {}
         for batched in (True, False):
             m = Machine(machine="tiny")

@@ -36,7 +36,7 @@ def _victim_and_aggressors(machine):
 def _observables(machine):
     dram = machine.dram
     return (tuple(dram.flip_log), machine.clock.now_ns,
-            dram.engine.vulnerable_accumulated(dram._epoch()),
+            dram.engine.accumulated_rows(dram._epoch()),
             machine.telemetry.as_flat_dict())
 
 

@@ -1,11 +1,11 @@
 """Differential suite: compiled-pattern execution ≡ scalar replay.
 
-The compile pipeline fixes step boundaries; execution only chooses a
-backend.  So a compiled plan run through :class:`AttackProgram` —
-batched or scalar — must be
-bit-identical to a hand-written scalar replay of the same plan:
-identical FlipEvents, counters, simulated nanoseconds and telemetry,
-under strict sanitizers.  Plus: the DSL double-sided pattern reproduces
+The compile pipeline fixes step boundaries; execution replays them.
+So a compiled plan run through :class:`AttackProgram` (one
+``hammer_batch`` per step) must be bit-identical to a hand-written
+scalar replay of the same plan: identical FlipEvents, counters,
+simulated nanoseconds and telemetry, under strict sanitizers and under
+the feed trackers.  Plus: the DSL double-sided pattern reproduces
 the legacy zoo double-sided loop's FlipEvent stream, and a mid-pattern
 snapshot/restore replays the remaining steps identically.
 """
@@ -72,31 +72,30 @@ def scalar_replay(kernel, plan):
         kernel.dispatch_timers()
 
 
-def test_compiled_equals_handwritten_scalar():
-    reference = build()
+def scalar_and_program_prints(defense="vanilla"):
+    """The scalar replay's fingerprint and the program's, each on a
+    fresh machine of ``defense``."""
+    reference = build(defense=defense)
     plan = double_sided_plan(reference)
     scalar_replay(reference.kernel, plan)
-    want = fingerprint(reference)
+    machine = build(defense=defense)
+    AttackProgram(plan, mode="rows").run(machine.kernel)
+    return fingerprint(reference), fingerprint(machine)
+
+
+def test_compiled_equals_handwritten_scalar():
+    want, got = scalar_and_program_prints()
     assert want["flip_log"], "the reference replay must actually flip"
-    for use_batch in (False, True):
-        machine = build()
-        AttackProgram(plan, mode="rows",
-                      use_batch=use_batch).run(machine.kernel)
-        assert fingerprint(machine) == want, f"use_batch={use_batch}"
+    assert got == want
 
 
 @pytest.mark.parametrize("defense", ["chiptrr", "misra_gries"])
 def test_batched_equals_scalar_under_feed_trackers(defense):
     """Tracker state (and its refresh actuations) must not depend on
-    the execution backend either."""
-    prints = {}
-    for use_batch in (False, True):
-        machine = build(defense=defense)
-        plan = double_sided_plan(machine)
-        AttackProgram(plan, mode="rows",
-                      use_batch=use_batch).run(machine.kernel)
-        prints[use_batch] = fingerprint(machine)
-    assert prints[False] == prints[True]
+    batching either."""
+    want, got = scalar_and_program_prints(defense)
+    assert want["telemetry"]["actuator.refreshes"] > 0
+    assert got == want
 
 
 def test_dsl_double_sided_matches_legacy_attack_stream():

@@ -18,7 +18,7 @@ from repro.kernel.vma import PAGE
 from repro.patterns import AttackProgram, compile_pattern, round_robin
 
 
-def make_kit(n_pages=4, use_batch=True):
+def make_kit(n_pages=4):
     kernel = Kernel(tiny_machine(seed=7))
     install_sanitizers(kernel, strict=True)
     process = kernel.create_process("attacker")
@@ -26,7 +26,7 @@ def make_kit(n_pages=4, use_batch=True):
     vaddrs = [base + i * PAGE for i in range(n_pages)]
     for vaddr in vaddrs:
         kernel.user_write(process, vaddr, b"A")
-    return kernel, process, HammerKit(kernel, process, use_batch=use_batch), vaddrs
+    return kernel, process, HammerKit(kernel, process), vaddrs
 
 
 def fingerprint(kernel, kit):

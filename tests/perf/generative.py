@@ -13,14 +13,12 @@ scalar     the reference semantics: ``neighbors_at`` -> ``deposit``
            per activation (``reference_on_activate`` from
            ``tests/dram/reference.py``, swapped in for the engine's
            ``on_activate``)
-batched    the engine's two paths: the plan walk, item by item,
-           for every stream the periodic kernel does not take
-           (``on_activate``), and the closed-form periodic kernel
-           (``hammer_periodic``)
+batched    the engine's one write path: ``DramModule.hammer_batch``
+           runs the plan walk (``on_activate``) item by item
 =========  =====================================================
 
 The two legs share no accumulator code, and both must produce
-bit-identical FlipEvent streams, DRAM bytes,
+bit-identical FlipEvent streams, DRAM bytes, every nonzero accumulator,
 counters, simulated nanoseconds and ``telemetry.as_flat_dict()``.  On a
 mismatch the failure is shrunk (ddmin over the op list, then per-batch
 item halving) to a minimal reproducing program printed with its seed.
@@ -245,7 +243,7 @@ def fingerprint(machine):
         "banks": tuple((bank.open_row, bank.activations, bank.hits)
                        for bank in dram._banks),
         "recent_activations": tuple(dram.recent_activations),
-        "vulnerable_acc": engine.vulnerable_accumulated(dram._epoch()),
+        "accumulators": engine.accumulated_rows(dram._epoch()),
         "telemetry": machine.telemetry.as_flat_dict(),
     }
 

@@ -1,22 +1,18 @@
 """Differential equivalence: the batched execution layer is invisible.
 
-Every fast path introduced for performance — ``DramModule.hammer_batch``
-/ ``write_run``, ``Mmu.access_run``,
-``Kernel.user_access_run``, the workload engine's replayed hot-page
-touches and :class:`HammerKit`'s batched burst — must be *semantically
-identical* to the scalar code it replaces: identical DRAM bytes,
-identical ``FlipEvent`` streams (including timestamps), identical
-simulated nanoseconds, and identical counters in every layer the
+Every batched entry point — ``DramModule.hammer_batch`` /
+``write_run``, ``Mmu.access_run``, ``Kernel.user_access_run``, the
+workload engine's replayed hot-page touches and :class:`HammerKit`'s
+one-item bursts — must be *semantically identical* to the scalar code
+it stands for: identical DRAM bytes, identical ``FlipEvent`` streams
+(including timestamps), identical simulated nanoseconds, every nonzero
+accumulator bit for bit, and identical counters in every layer the
 evaluation reads.  These tests run each scenario twice on freshly built
 machines — scalar and batched — with strict runtime sanitizers
 installed (``install_sanitizers(kernel, strict=True)``), so the first
-invariant violation raises, and compare a full fingerprint.
-
-The one sanctioned relaxation: raw accumulator floats of rows with *no*
-vulnerable cells may differ in the last ULPs (fused ``weight * count``
-add vs sequential adds) — such rows can never flip, so the fingerprint
-compares accumulated disturbance for vulnerable rows only (see
-DESIGN.md's batching-invariant section).
+invariant violation raises, and compare a full fingerprint.  The kit
+cases compare :class:`HammerKit` with a scalar replay of its plan
+written here.
 """
 
 import dataclasses
@@ -46,9 +42,6 @@ def strict_kernel(spec):
 def dram_fingerprint(dram):
     """Every DRAM-level observable the equivalence claim covers."""
     engine = dram.engine
-    # The canonical fingerprint: nonzero current-epoch accumulators of
-    # vulnerable rows, identical across scalar/batched/periodic replay.
-    vulnerable_acc = engine.vulnerable_accumulated(dram._epoch())
     return {
         "frames": {ppn: bytes(data) for ppn, data in dram._frames.items()},
         "flip_log": list(dram.flip_log),
@@ -63,7 +56,7 @@ def dram_fingerprint(dram):
                   for bank in dram._banks],
         "recent_activations": list(dram.recent_activations),
         "chiptrr": (dram.trr.targeted_refreshes, dram.trr.evictions),
-        "vulnerable_acc": vulnerable_acc,
+        "accumulators": engine.accumulated_rows(dram._epoch()),
     }
 
 
@@ -127,7 +120,8 @@ def test_hammer_batch_random_streams(name, seed):
 
 
 def test_hammer_batch_with_chiptrr_interleaving():
-    """ChipTRR's mid-batch refreshes force the per-item replay."""
+    """ChipTRR's mid-batch refreshes land between the same items as in
+    the scalar loop."""
     scalar_dram = strict_kernel(tiny_machine(seed=7, trr=True)).dram
     batched_dram = strict_kernel(tiny_machine(seed=7, trr=True)).dram
     left = scalar_dram.mapping.dram_to_phys(0, 29, 0)
@@ -181,7 +175,7 @@ def test_hammer_batch_identical_flip_stream():
 # Kit level: the four hammer patterns of Section II-B
 # --------------------------------------------------------------------------
 
-def _pattern_vaddrs(kit, base, pattern):
+def _pattern_vaddrs(base, pattern):
     if pattern == "double_sided":
         return [base + PAGE, base + 3 * PAGE]
     if pattern == "single_sided":
@@ -193,7 +187,36 @@ def _pattern_vaddrs(kit, base, pattern):
     raise AssertionError(pattern)
 
 
-def _kit_scenario(spec, pattern, use_batch, iterations, softtrr):
+def _scalar_user_replay(kit, program, vaddrs):
+    """A literal re-execution of a user-mode plan's documented
+    semantics: per run, clflush + one architectural read, then the rest
+    of the run as one scalar ``hammer`` + clock advance; kernel timers
+    at every step boundary."""
+    kernel, process = kit.kernel, kit.process
+    plan = program.plan()
+    paddrs = [kit.paddr_of(vaddr) for vaddr in vaddrs]
+    for step in plan.steps:
+        for _bank, index, count in step.acts:
+            kernel.mmu.clflush(paddrs[index])
+            kernel.user_read(process, vaddrs[index], 8)
+            if count > 1:
+                kernel.dram.hammer(paddrs[index], count - 1)
+                kernel.clock.advance((count - 1) * plan.act_ns)
+        if step.wait_ns:
+            kernel.clock.advance(step.wait_ns)
+        kernel.dispatch_timers()
+
+
+def _kit_run(kit, pattern, vaddrs, scalar):
+    """``kit.run`` of ``pattern``, or the scalar replay of its plan."""
+    program = kit.program(pattern)
+    if scalar:
+        _scalar_user_replay(kit, program, vaddrs)
+    else:
+        kit.run(program, vaddrs)
+
+
+def _kit_scenario(spec, pattern, scalar, iterations, softtrr):
     kernel = strict_kernel(spec)
     if softtrr:
         kernel.load_module("softtrr", SoftTrr(SoftTrrParams()))
@@ -201,9 +224,9 @@ def _kit_scenario(spec, pattern, use_batch, iterations, softtrr):
     base = kernel.mmap(process, 8 * PAGE, name="aggressors")
     for i in range(8):
         kernel.user_write(process, base + i * PAGE, b"A")
-    kit = HammerKit(kernel, process, use_batch=use_batch)
-    vaddrs = _pattern_vaddrs(kit, base, pattern)
-    kit.run(round_robin(len(vaddrs), iterations), vaddrs)
+    vaddrs = _pattern_vaddrs(base, pattern)
+    _kit_run(HammerKit(kernel, process),
+             round_robin(len(vaddrs), iterations), vaddrs, scalar)
     return kernel_fingerprint(kernel)
 
 
@@ -213,21 +236,21 @@ def _kit_scenario(spec, pattern, use_batch, iterations, softtrr):
 def test_kit_patterns_batched_equals_scalar(pattern):
     """Each Section II-B pattern, SoftTRR-protected, strict sanitizers."""
     spec = machine("thinkpad_x230")
-    scalar = _kit_scenario(spec, pattern, use_batch=False,
+    scalar = _kit_scenario(spec, pattern, scalar=True,
                            iterations=1500, softtrr=True)
-    batched = _kit_scenario(spec, pattern, use_batch=True,
+    batched = _kit_scenario(spec, pattern, scalar=False,
                             iterations=1500, softtrr=True)
     assert_same(scalar, batched)
 
 
 def test_kit_one_location_closed_page():
     """One-location hammering only works under closed-page policy —
-    the batched burst must match there too."""
+    the kit's bursts must match the scalar replay there too."""
     spec = dataclasses.replace(machine("thinkpad_x230"),
                                row_policy=RowBufferPolicy.CLOSED_PAGE)
-    scalar = _kit_scenario(spec, "one_location", use_batch=False,
+    scalar = _kit_scenario(spec, "one_location", scalar=True,
                            iterations=1200, softtrr=False)
-    batched = _kit_scenario(spec, "one_location", use_batch=True,
+    batched = _kit_scenario(spec, "one_location", scalar=False,
                             iterations=1200, softtrr=False)
     assert_same(scalar, batched)
 
@@ -295,22 +318,23 @@ def test_workload_slices_batched_equals_scalar():
 def test_full_softtrr_run_equivalence():
     """End to end: SoftTRR-protected machine, timers ticking, hammer
     pressure plus workload traffic; identical SoftTrrStats."""
-    def scenario(use_batch):
+    def scenario(scalar):
         kernel = strict_kernel(machine("thinkpad_x230"))
         kernel.load_module("softtrr", SoftTrr(SoftTrrParams()))
         attacker = kernel.create_process("attacker")
         base = kernel.mmap(attacker, 8 * PAGE, name="aggressors")
         for i in range(8):
             kernel.user_write(attacker, base + i * PAGE, b"A")
-        kit = HammerKit(kernel, attacker, use_batch=use_batch)
-        kit.run(round_robin(2, 1000), [base + PAGE, base + 3 * PAGE])
+        kit = HammerKit(kernel, attacker)
+        vaddrs = [base + PAGE, base + 3 * PAGE]
+        _kit_run(kit, round_robin(2, 1000), vaddrs, scalar)
         profile = WorkloadProfile(
             name="diff-mix", duration_ms=10, hot_pages=4,
             cold_pool_pages=16, cold_touches=2, hot_touch_repeat=3)
-        SliceWorkload(kernel, profile, seed=5, use_batch=use_batch).run()
-        kit.run(round_robin(2, 1000), [base + PAGE, base + 3 * PAGE])
+        SliceWorkload(kernel, profile, seed=5, use_batch=not scalar).run()
+        _kit_run(kit, round_robin(2, 1000), vaddrs, scalar)
         fingerprint = kernel_fingerprint(kernel)
         assert "softtrr_stats" in fingerprint
         return fingerprint
 
-    assert_same(scenario(use_batch=False), scenario(use_batch=True))
+    assert_same(scenario(scalar=True), scenario(scalar=False))

@@ -1,10 +1,10 @@
 """Generative differential: scalar == batched, bit for bit.
 
 260 seeded random hammer programs (see :mod:`tests.perf.generative`)
-replayed under strict sanitizers through the scalar per-ACT path and
-the batched paths, plus per-defense and fault-plan bands, a check
-that the batched leg really reaches every batched path, and
-unit coverage for the shrinker itself.
+replayed under strict sanitizers through the reference per-ACT path
+and the engine's plan walk, plus per-defense and fault-plan bands, a
+check that the batched leg really runs the plan walk under one-item
+and multi-item batches, and unit coverage for the shrinker itself.
 """
 
 import pytest
@@ -117,15 +117,13 @@ class TestGenerativeDifferential:
 
     def test_batched_leg_reaches_every_kernel_path(self, monkeypatch):
         # The scalar leg is the reference; the claim is only as strong
-        # as the batched paths it is compared against.  Count, over the
-        # plain programs, the plan walk under one-item batches, the plan
-        # walk under multi-item batches (every item of a stream the
-        # periodic kernel does not take) and the closed-form periodic
-        # kernel.
-        hits = {"walk_one": 0, "walk_multi": 0, "periodic": 0}
+        # as the batched shapes it is compared against.  Count, over the
+        # plain programs, the plan walk under one-item batches (the
+        # user-mode burst shape) and under multi-item batches (the
+        # rows-mode step shape).
+        hits = {"walk_one": 0, "walk_multi": 0}
         batch = DramModule.hammer_batch
         walk = DisturbanceEngine.on_activate
-        periodic = DisturbanceEngine.hammer_periodic
         batch_items = [0]  # positive-count items of the open batch
 
         def flagging_batch(dram, items, *args, **kwargs):
@@ -142,15 +140,9 @@ class TestGenerativeDifferential:
                 hits["walk_multi"] += 1
             return walk(engine, *args, **kwargs)
 
-        def counting_periodic(engine, *args, **kwargs):
-            hits["periodic"] += 1
-            return periodic(engine, *args, **kwargs)
-
         monkeypatch.setattr(DramModule, "hammer_batch", flagging_batch)
         monkeypatch.setattr(DisturbanceEngine, "on_activate",
                             counting_walk)
-        monkeypatch.setattr(DisturbanceEngine, "hammer_periodic",
-                            counting_periodic)
         for seed in PLAIN_SEEDS:
             run_program(generate_program(seed), batched=True)
             if all(hits.values()):

@@ -51,15 +51,10 @@ class TestHotTouchRepeat:
 def test_batched_path_is_the_default(monkeypatch):
     # The scalar reference path is only ever an explicit opt-out (the
     # differential suites pass use_batch=False).
-    from repro.attacks.hammer import HammerKit
     from repro.machine import Machine
-    from repro.patterns import AttackProgram, round_robin
 
     kernel = Kernel(tiny_machine())
-    process = kernel.create_process("p")
     assert SliceWorkload(kernel, SMALL).use_batch is True
-    assert AttackProgram(round_robin(2, 10)).use_batch is True
-    assert HammerKit(kernel, process).use_batch is True
     paths = []
     monkeypatch.setattr(SliceWorkload, "run",
                         lambda self: paths.append(self.use_batch))
