@@ -14,8 +14,9 @@ Line-oriented, whitespace-friendly, ``#`` comments::
 Statements: ``act BANK, ROW[, COUNT]`` / ``wait NS`` / ``sync`` /
 ``repeat N`` … ``end``.  Operands are integer expressions over the
 declared parameters (``+ - *`` with the usual precedence, parentheses
-allowed).  ``ScenarioSpec.pattern`` carries exactly this text, so a
-scenario cell can ship an attack program inline as plain data.
+allowed, at most :data:`MAX_EXPR_DEPTH` levels deep).
+``ScenarioSpec.pattern`` carries exactly this text, so a scenario cell
+can ship an attack program inline as plain data.
 
 The parser is pure (flow rule RPR014): text in, :class:`Pattern` out,
 with :class:`~repro.errors.PatternError` carrying the offending line
@@ -41,7 +42,7 @@ from .lang import (
     Wait,
 )
 
-__all__ = ["parse_pattern", "parse_patterns"]
+__all__ = ["MAX_EXPR_DEPTH", "parse_pattern", "parse_patterns"]
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([+\-*(),]))")
 
@@ -49,13 +50,25 @@ _HEADER = re.compile(
     r"^pattern\s+([A-Za-z_][A-Za-z_0-9]*)\s*\((.*)\)\s*$")
 
 
+#: Deepest allowed operand expression: operator levels of the parsed
+#: tree, and parenthesis nesting.  Registry patterns nest one level;
+#: the cap keeps malformed source from overflowing the recursive
+#: parser or :func:`~repro.patterns.compile.eval_expr`.
+MAX_EXPR_DEPTH = 64
+
+
 class _ExprParser:
-    """Recursive-descent parser for the integer expression grammar."""
+    """Recursive-descent parser for the integer expression grammar.
+
+    Each rule returns ``(expr, depth)``, ``depth`` being the operator
+    levels of the tree, so a too-deep operand fails as it is built.
+    """
 
     def __init__(self, text: str, line_no: int) -> None:
         self.tokens = self._tokenise(text, line_no)
         self.pos = 0
         self.line_no = line_no
+        self.open_parens = 0
 
     @staticmethod
     def _tokenise(text: str, line_no: int) -> List[str]:
@@ -85,45 +98,65 @@ class _ExprParser:
         return token
 
     def parse(self) -> Expr:
-        expr = self.additive()
+        expr, _depth = self.additive()
         if self.peek() is not None:
             raise PatternError(
                 f"line {self.line_no}: trailing tokens after expression "
                 f"({' '.join(self.tokens[self.pos:])!r})")
         return expr
 
-    def additive(self) -> Expr:
+    def too_deep(self) -> PatternError:
+        return PatternError(
+            f"line {self.line_no}: expression nested deeper than "
+            f"{MAX_EXPR_DEPTH} levels")
+
+    def binop(self, op: str, left: Tuple[Expr, int],
+              right: Tuple[Expr, int]) -> Tuple[Expr, int]:
+        depth = max(left[1], right[1]) + 1
+        if depth > MAX_EXPR_DEPTH:
+            raise self.too_deep()
+        return BinOp(op, left[0], right[0]), depth
+
+    def additive(self) -> Tuple[Expr, int]:
         expr = self.multiplicative()
         while self.peek() in ("+", "-"):
             op = self.take()
-            expr = BinOp(op, expr, self.multiplicative())
+            expr = self.binop(op, expr, self.multiplicative())
         return expr
 
-    def multiplicative(self) -> Expr:
+    def multiplicative(self) -> Tuple[Expr, int]:
         expr = self.unary()
         while self.peek() == "*":
             self.take()
-            expr = BinOp("*", expr, self.unary())
+            expr = self.binop("*", expr, self.unary())
         return expr
 
-    def unary(self) -> Expr:
-        if self.peek() == "-":
+    def unary(self) -> Tuple[Expr, int]:
+        signs = 0
+        while self.peek() == "-":
             self.take()
-            return BinOp("-", Const(0), self.unary())
-        return self.atom()
+            signs += 1
+        expr = self.atom()
+        for _ in range(signs):
+            expr = self.binop("-", (Const(0), 0), expr)
+        return expr
 
-    def atom(self) -> Expr:
+    def atom(self) -> Tuple[Expr, int]:
         token = self.take()
         if token == "(":
+            self.open_parens += 1
+            if self.open_parens > MAX_EXPR_DEPTH:
+                raise self.too_deep()
             expr = self.additive()
             if self.take() != ")":
                 raise PatternError(
                     f"line {self.line_no}: unbalanced parentheses")
+            self.open_parens -= 1
             return expr
         if token.isdigit():
-            return Const(int(token))
+            return Const(int(token)), 0
         if token.isidentifier():
-            return Param(token)
+            return Param(token), 0
         raise PatternError(
             f"line {self.line_no}: unexpected token {token!r}")
 

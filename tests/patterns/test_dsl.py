@@ -116,6 +116,25 @@ class TestParser:
         with pytest.raises(PatternError, match="line 3"):
             parse_pattern("pattern p()\n  act 0, 1\n  act 0\nend\n")
 
+    @pytest.mark.parametrize("row", [
+        "(" * 2_000 + "1" + ")" * 2_000,
+        "-" * 3_000 + "1",
+        "+".join(["1"] * 5_000),
+    ], ids=["nested-parentheses", "unary-minus-chain", "sum-chain"])
+    def test_deep_expressions_raise_typed_errors(self, row):
+        # Each shape once overflowed the recursive parser or eval_expr
+        # with a bare RecursionError.
+        source = f"pattern p()\n  sync\n  act 0, {row}, 1\nend\n"
+        with pytest.raises(PatternError, match="line 3: expression "
+                           "nested deeper than 64 levels"):
+            compile_pattern(parse_pattern(source))
+
+    def test_expressions_up_to_the_depth_cap_compile(self):
+        row = "(" * 64 + "+".join(["1"] * 65) + ")" * 64
+        plan = compile_pattern(parse_pattern(
+            f"pattern p()\n  act 0, {row}, 1\nend\n"))
+        assert plan.steps == (PlanStep(((0, 65, 1),)),)
+
 
 class TestResolver:
     def test_bindings_override_defaults(self):
