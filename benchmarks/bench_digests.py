@@ -2,9 +2,12 @@
 
 Writes ``results/digests.json``: one sha256 per scenario-registry group
 over its canonical sweep JSON, ``results_to_json(run_sweep(group))``,
-one over the ``repro-fuzz --smoke`` report and one, ``window/smoke``,
+one over the ``repro-fuzz --smoke`` report, one, ``window/smoke``,
 over the window-cell payloads of the two window fleets the CI
-fleet-smoke job runs (:data:`WINDOW_SPECS`).  The rounded
+fleet-smoke job runs (:data:`WINDOW_SPECS`), and one, ``trace/record``,
+over the JSONL trace ``repro-trace record`` writes at its defaults
+(:func:`~repro.trace.cli.record_smoke`: seed 11, ``spans`` level, the
+tiny machine's memory spray under SoftTRR).  The rounded
 ``results/*.txt`` tables can hide a payload change; these digests
 cannot, so the ``git diff -- results/`` that follows the paper-table
 benches turns any change to a simulated output into a failure until
@@ -30,6 +33,8 @@ from repro.scenarios import (
     run_sweep,
     scenario_group,
 )
+from repro.trace.cli import record_smoke
+from repro.trace.export import write_jsonl
 
 
 #: The window fleets of CI's fleet-smoke job: the 18-cell unfaulted
@@ -70,6 +75,9 @@ def test_output_digests(tmp_path, capsys):
     manifest["fuzz/smoke"] = _sha256(fuzz_path.read_bytes())
     manifest["window/smoke"] = _sha256(json.dumps(
         window_payloads(), sort_keys=True, separators=(",", ":")).encode())
+    trace_path = tmp_path / "trace.jsonl"
+    write_jsonl(record_smoke().telemetry.events(), str(trace_path))
+    manifest["trace/record"] = _sha256(trace_path.read_bytes())
     save_result("digests.json", json.dumps(manifest, sort_keys=True,
                                            indent=2))
     with capsys.disabled():

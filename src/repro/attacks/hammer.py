@@ -13,7 +13,8 @@ property the defenses and the DRAM physics observe:
   the *first* access per timer interval anyway; Section IV-C);
 * the rest of the batch is issued as forced row activations on the DRAM
   module (one :meth:`~repro.dram.module.DramModule.hammer_batch` burst
-  per aggressor run) with the same per-iteration time cost, keeping the
+  per aggressor run, in the aggressor's ``(bank, row)``, resolved once
+  per program) with the same per-iteration time cost, keeping the
   in-DRAM TRR tracker's view interleaved at realistic granularity
   (batches must stay small: the Misra-Gries tracker sees them as
   consecutive ACTs);

@@ -73,10 +73,10 @@ class BankState:
     def activate_run(self, row: int, count: int, open_page: bool) -> None:
         """Record ``count`` forced activations ending on ``row``.
 
-        Replay primitive for the batched hammer path: the batch epilogue
-        credits each bank its total activation count and leaves the row
-        buffer holding the bank's last-hammered row (open-page) or
-        precharged (closed-page) — exactly the state ``count`` scalar
+        Replay primitive for the batched hammer path, called once per
+        run in stream order: the bank is credited with every activation
+        and its row buffer holds the last-hammered row (open-page) or is
+        precharged (closed-page) — exactly the state the scalar
         :meth:`~repro.dram.module.DramModule.hammer` calls leave behind.
         """
         if count <= 0:

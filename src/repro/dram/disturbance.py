@@ -348,13 +348,22 @@ class DisturbanceEngine:
         every item of a :meth:`~repro.dram.module.DramModule.hammer_batch`
         stream.  The specification it is held to — ``remap.neighbors_at``
         per distance, then :meth:`deposit` per victim — lives in
-        ``tests/dram/reference.py``.
+        ``tests/dram/reference.py``.  The plan and the bank's arrays
+        are read from their caches, built on first use, and the
+        activated row is healed in place with :meth:`heal`'s bounds.
         """
         if count <= 0:
             return []
-        self.heal(bank, row)
-        plan = self.victim_plan(bank, row)
-        values, epochs = self._bank_arrays(bank)
+        plan = self._plans.get((bank, row))
+        if plan is None:
+            plan = self.victim_plan(bank, row)
+        values = self._values[bank]
+        if values is None:
+            values, epochs = self._bank_arrays(bank)
+        else:
+            epochs = self._epochs[bank]
+            if bank >= 0 and 0 <= row < len(values):
+                values[row] = 0.0
         flips: List[FlipEvent] = []
         for victim, weight, cells in plan:
             if epochs[victim] != epoch:

@@ -27,7 +27,7 @@ Two access planes are provided:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..clock import SimClock
 from ..errors import DramError
@@ -146,62 +146,68 @@ class DramModule:
 
     def _transact_line(self, paddr: int) -> int:
         """One line-sized memory transaction; returns its latency in ns."""
-        dram = self.mapping.phys_to_dram(paddr)
-        bank_state = self._banks[dram.bank]
-        activated = bank_state.access(dram.row, self.row_policy)
-        if activated:
+        bank, row, _col = self.mapping.phys_to_dram(paddr)
+        if self._banks[bank].access(row, self.row_policy):
             latency = self.timings.conflict_latency_ns
-            epoch = self._epoch()
-            self._apply_flips(
-                self.engine.on_activate(dram.bank, dram.row, 1, epoch, self.clock.now_ns)
-            )
+            now_ns = self.clock.now_ns
+            epoch = now_ns // self.timings.refresh_window_ns
+            flips = self.engine.on_activate(bank, row, 1, epoch, now_ns)
+            if flips:
+                self._apply_flips(flips)
             feed = self.feed
             if feed.active:
-                feed.publish(dram.bank, dram.row, 1, epoch,
-                             self.clock.now_ns)
+                feed.publish(bank, row, 1, epoch, now_ns)
             self.total_activations += 1
             self.recent_activations.append(
-                (dram.bank, dram.row,
-                 "walk" if self.walk_origin else "data"))
+                (bank, row, "walk" if self.walk_origin else "data"))
         else:
             latency = self.timings.hit_latency_ns
         self.clock.advance(latency)
         return latency
 
     def hammer_batch(self, items, extra_ns: int = 0) -> None:
-        """Replay a sequence of :meth:`hammer` calls in one pass.
+        """Replay a stream of forced activation runs in one pass.
 
-        ``items`` is a sequence of ``(paddr, count)`` pairs.  The batch
-        is *semantically identical* to the scalar loop ::
+        ``items`` is a sequence (read twice: checked, then replayed) of
+        ``(bank, row, count)`` triples, the
+        :attr:`~repro.patterns.compile.PlanStep.acts` format; items with
+        ``count <= 0`` are skipped.  The batch is *semantically
+        identical* to the scalar loop ::
 
-            for paddr, count in items:
-                self.hammer(paddr, count)
+            for bank, row, count in items:
+                self.hammer(self.mapping.dram_to_phys(bank, row), count)
                 self.clock.advance(count * extra_ns)
 
         — identical DRAM bytes, identical ``FlipEvent`` stream (including
         ``at_ns``), identical TRR/bank/engine counters and identical
         simulated time, as enforced by the differential equivalence
-        suite and the generative harness.  It resolves every paddr once,
-        runs the plan walk (``engine.on_activate``, the scalar path's
-        own code) per item, plus one ``feed.publish`` per item when a
-        tracker rides the feed, then settles flips, bank state and the
+        suite and the generative harness.  It runs the plan walk
+        (``engine.on_activate``, the scalar path's own code) per item,
+        plus one ``feed.publish`` per item when a tracker rides the
+        feed, credits each item to its bank, then settles flips and the
         clock once.  The specification the plan walk is held to,
         ``neighbors_at`` per distance then ``deposit`` per victim, lives
         in ``tests/dram/reference.py``; the generative harness's scalar
         leg runs it.
+
+        The whole stream is checked before anything moves: a negative
+        ``extra_ns`` or a ``(bank, row)`` outside the geometry raises
+        :class:`~repro.errors.DramError`.
         """
-        paddr_cache: Dict[int, Tuple[int, int]] = {}
-        resolved = []  # ((bank, row), count) with count > 0
-        for paddr, count in items:
-            if count <= 0:
-                continue
-            key = paddr_cache.get(paddr)
-            if key is None:
-                dram = self.mapping.phys_to_dram(paddr)
-                key = (dram.bank, dram.row)
-                paddr_cache[paddr] = key
-            resolved.append((key, count))
-        if not resolved:
+        if extra_ns < 0:
+            raise DramError(f"hammer_batch extra_ns must be >= 0, "
+                            f"got {extra_ns}")
+        banks = self.geometry.num_banks
+        rows = self.geometry.rows_per_bank
+        live = False
+        for bank, row, count in items:
+            if not (0 <= bank < banks and 0 <= row < rows):
+                raise DramError(
+                    f"hammer_batch item (bank={bank}, row={row}) outside "
+                    f"the {banks}x{rows} geometry")
+            if count > 0:
+                live = True
+        if not live:
             return
 
         window = self.timings.refresh_window_ns
@@ -217,27 +223,26 @@ class DramModule:
 
         flips = []
         acts = 0
-        now_end = start_ns
-        bank_totals: Dict[int, int] = {}
-        bank_last: Dict[int, int] = {}
-        recent_append = self.recent_activations.append
-        for (bank, row), count in resolved:
-            epoch = now_end // window
-            flips += engine.on_activate(bank, row, count, epoch, now_end)
-            if feed_active:
-                feed.publish(bank, row, count, epoch, now_end)
-            recent_append((bank, row, "data"))
-            acts += count
-            now_end += count * per_act_ns
-            bank_totals[bank] = bank_totals.get(bank, 0) + count
-            bank_last[bank] = row
-
-        self._apply_flips(flips)
-        self.total_activations += acts
+        now_ns = start_ns
+        bank_states = self._banks
         open_page = self.row_policy is RowBufferPolicy.OPEN_PAGE
-        for bank, total in bank_totals.items():
-            self._banks[bank].activate_run(bank_last[bank], total, open_page)
-        self.clock.advance(now_end - start_ns)
+        recent_append = self.recent_activations.append
+        for bank, row, count in items:
+            if count <= 0:
+                continue
+            epoch = now_ns // window
+            flips += engine.on_activate(bank, row, count, epoch, now_ns)
+            if feed_active:
+                feed.publish(bank, row, count, epoch, now_ns)
+            recent_append((bank, row, "data"))
+            bank_states[bank].activate_run(row, count, open_page)
+            acts += count
+            now_ns += count * per_act_ns
+
+        if flips:
+            self._apply_flips(flips)
+        self.total_activations += acts
+        self.clock.advance(now_ns - start_ns)
         if trace is not None:
             trace.emit("dram.activate", count=acts, origin="data", batched=1)
             trace.emit("dram.deposit",
@@ -300,9 +305,10 @@ class DramModule:
         bank_state.open_row = dram.row if self.row_policy is RowBufferPolicy.OPEN_PAGE else None
         epoch = self._epoch()
         deposits_before = self.engine.total_deposits
-        self._apply_flips(
-            self.engine.on_activate(dram.bank, dram.row, count, epoch, self.clock.now_ns)
-        )
+        flips = self.engine.on_activate(dram.bank, dram.row, count, epoch,
+                                        self.clock.now_ns)
+        if flips:
+            self._apply_flips(flips)
         if trace is not None:
             trace.emit("dram.deposit",
                        count=self.engine.total_deposits - deposits_before)
@@ -316,8 +322,16 @@ class DramModule:
 
     # ----------------------------------------------------- architectural
     def read(self, paddr: int, size: int) -> bytes:
-        """Architectural read: activates rows, costs time, sees flips."""
+        """Architectural read: activates rows, costs time, sees flips.
+
+        A read inside one line (every cache miss) is one transaction.
+        """
         self.reads += 1
+        offset = paddr & (LINE_BYTES - 1)
+        if offset + size <= LINE_BYTES:
+            self._check_span(paddr, size)
+            self._transact_line(paddr - offset)
+            return bytes(self._load(paddr, size))
         out = bytearray()
         for line_paddr, offset, chunk in self._lines(paddr, size):
             self._transact_line(line_paddr)

@@ -76,8 +76,22 @@ class CpuCache:
         """Architectural load through the cache.
 
         Cached lines cost ``hit_ns`` each; missing lines go to DRAM
-        (activating rows) and are filled.
+        (activating rows) and are filled.  A load inside one line (every
+        hammer-loop touch) is one lookup and at most one DRAM read.
         """
+        line = paddr & ~(LINE_BYTES - 1)
+        if paddr + size <= line + LINE_BYTES:
+            if size <= 0:
+                return b""
+            if line in self._lines:
+                self.hits += 1
+                self._touch(line)
+                self.clock.advance(self.hit_ns)
+                return dram.raw_read(paddr, size)
+            self.misses += 1
+            data = dram.read(paddr, size)
+            self._insert(line)
+            return data
         out = bytearray()
         cursor = paddr
         end = paddr + size

@@ -76,42 +76,40 @@ class Mmu:
         pid: Optional[int] = None,
     ) -> Translation:
         """Translate one virtual address, using the TLB when possible."""
-        cached = self.tlb.lookup(vaddr)
-        if cached is not None:
-            self._check_cached_permissions(
-                vaddr, cached, is_write=is_write, is_user=is_user,
-                is_fetch=is_fetch, pid=pid,
-            )
-            if cached.leaf_level == 2:
-                ppn = cached.ppn + bits.level_index(vaddr, 1)
-            else:
-                ppn = cached.ppn
-            return Translation(
-                ppn=ppn, base_ppn=cached.ppn, flags=cached.flags,
-                leaf_level=cached.leaf_level, pte_paddr=cached.pte_paddr,
-            )
-        translation = self.walker.walk(
-            cr3_ppn, vaddr,
-            is_write=is_write, is_user=is_user, is_fetch=is_fetch, pid=pid,
+        entry = self._entry(cr3_ppn, vaddr, is_write, is_user, is_fetch, pid)
+        return Translation(
+            ppn=entry.frame_ppn(vaddr), base_ppn=entry.ppn,
+            flags=entry.flags, leaf_level=entry.leaf_level,
+            pte_paddr=entry.pte_paddr,
         )
-        self.tlb.fill(vaddr, TlbEntry(
-            ppn=translation.base_ppn,
-            flags=translation.flags,
-            leaf_level=translation.leaf_level,
-            pte_paddr=translation.pte_paddr,
-        ))
-        return translation
 
-    def _check_cached_permissions(
-        self, vaddr: int, entry: TlbEntry, *, is_write: bool,
-        is_user: bool, is_fetch: bool, pid: Optional[int],
-    ) -> None:
-        violation = (
-            (is_user and not entry.flags & bits.PTE_USER)
-            or (is_write and is_user and not entry.flags & bits.PTE_RW)
-            or (is_fetch and entry.flags & bits.PTE_NX)
-        )
-        if violation:
+    def _entry(
+        self, cr3_ppn: int, vaddr: int, is_write: bool, is_user: bool,
+        is_fetch: bool, pid: Optional[int],
+    ) -> TlbEntry:
+        """The TLB entry covering ``vaddr``: a hit, permission-checked,
+        or a miss, walked and filled.  A hit builds no object."""
+        entry = self.tlb.lookup(vaddr)
+        if entry is None:
+            translation = self.walker.walk(
+                cr3_ppn, vaddr,
+                is_write=is_write, is_user=is_user, is_fetch=is_fetch,
+                pid=pid,
+            )
+            entry = TlbEntry(
+                ppn=translation.base_ppn,
+                flags=translation.flags,
+                leaf_level=translation.leaf_level,
+                pte_paddr=translation.pte_paddr,
+            )
+            self.tlb.fill(vaddr, entry)
+            return entry
+        flags = entry.flags
+        if (
+            (is_user and not flags & bits.PTE_USER)
+            or (is_write and is_user and not flags & bits.PTE_RW)
+            or (is_fetch and flags & bits.PTE_NX)
+        ):
             raise PageFaultException(PageFaultInfo(
                 vaddr=vaddr,
                 error_code=access_error_code(
@@ -122,6 +120,7 @@ class Mmu:
                 pte_paddr=entry.pte_paddr,
                 pid=pid,
             ))
+        return entry
 
     # ------------------------------------------------------- user access
     def load(
@@ -129,18 +128,28 @@ class Mmu:
         is_user: bool = True, is_fetch: bool = False,
         pid: Optional[int] = None,
     ) -> bytes:
-        """User-mode load, split per page; faults propagate."""
+        """User-mode load, split per page; faults propagate.
+
+        A load inside one page (every hammer-loop touch) is one
+        translation and one cache load.
+        """
+        offset = vaddr & 0xFFF
+        if offset + size <= 4096:
+            if size <= 0:
+                return b""
+            entry = self._entry(cr3_ppn, vaddr, False, is_user, is_fetch,
+                                pid)
+            return self.cache.load(
+                self.dram, (entry.frame_ppn(vaddr) << 12) | offset, size)
         out = bytearray()
         cursor = vaddr
         end = vaddr + size
         while cursor < end:
             page_end = bits.page_base(cursor) + 4096
             chunk = min(page_end - cursor, end - cursor)
-            translation = self.translate(
-                cr3_ppn, cursor, is_write=False, is_user=is_user,
-                is_fetch=is_fetch, pid=pid,
-            )
-            paddr = (translation.ppn << 12) | (cursor & 0xFFF)
+            entry = self._entry(cr3_ppn, cursor, False, is_user, is_fetch,
+                                pid)
+            paddr = (entry.frame_ppn(cursor) << 12) | (cursor & 0xFFF)
             out.extend(self.cache.load(self.dram, paddr, chunk))
             cursor += chunk
         return bytes(out)
@@ -156,10 +165,8 @@ class Mmu:
         while cursor < end:
             page_end = bits.page_base(cursor) + 4096
             chunk = min(page_end - cursor, end - cursor)
-            translation = self.translate(
-                cr3_ppn, cursor, is_write=True, is_user=is_user, pid=pid,
-            )
-            paddr = (translation.ppn << 12) | (cursor & 0xFFF)
+            entry = self._entry(cr3_ppn, cursor, True, is_user, False, pid)
+            paddr = (entry.frame_ppn(cursor) << 12) | (cursor & 0xFFF)
             self.cache.store(self.dram, paddr, data[pos:pos + chunk])
             cursor += chunk
             pos += chunk
@@ -207,11 +214,7 @@ class Mmu:
                 or (is_fetch and entry.flags & bits.PTE_NX)
             ):
                 return 0, None
-            if entry.leaf_level == 2:
-                ppn = entry.ppn + bits.level_index(cursor, 1)
-            else:
-                ppn = entry.ppn
-            paddr = (ppn << 12) | (cursor & 0xFFF)
+            paddr = (entry.frame_ppn(cursor) << 12) | (cursor & 0xFFF)
             line = self.cache.line_of(paddr)
             while line < paddr + chunk:
                 if not self.cache.contains(line):

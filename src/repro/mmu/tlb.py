@@ -23,7 +23,7 @@ from typing import Iterator, Optional
 
 from ..clock import SimClock
 from ..errors import ConfigError
-from .bits import HUGE_2M_SHIFT, PAGE_SHIFT
+from .bits import HUGE_2M_SHIFT, PAGE_SHIFT, level_index
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,12 @@ class TlbEntry:
     #: Physical address of the leaf PTE (kept so a hit still knows where
     #: its translation lives — used only for diagnostics).
     pte_paddr: int
+
+    def frame_ppn(self, vaddr: int) -> int:
+        """PPN of the 4 KiB frame holding ``vaddr`` under this entry."""
+        if self.leaf_level == 2:
+            return self.ppn + level_index(vaddr, 1)
+        return self.ppn
 
 
 class Tlb:

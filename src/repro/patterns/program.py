@@ -4,17 +4,19 @@ pattern → compiled plan → execute on a machine.  Two execution modes
 share one plan format:
 
 * ``mode="rows"`` — ``act`` targets are absolute ``(bank, row)`` DRAM
-  coordinates, replayed as forced row activations, one
-  :meth:`DramModule.hammer_batch` per plan step (equal to a scalar
-  :meth:`DramModule.hammer` + clock advance loop by the DRAM batching
-  contract).  This is the view in-DRAM trackers
-  (ChipTRR, the zoo) see through the activation feed; SoftTRR is blind
-  to it by design (no MMU access, no armed-PTE fault).
+  coordinates, replayed as forced row activations: each plan step's
+  ``acts`` triples go to one :meth:`DramModule.hammer_batch` as they
+  are (equal to a scalar :meth:`DramModule.hammer` + clock advance
+  loop by the DRAM batching contract).  This is the view in-DRAM
+  trackers (ChipTRR, the zoo) see through the activation feed; SoftTRR
+  is blind to it by design (no MMU access, no armed-PTE fault).
 * ``mode="user"`` — ``act`` rows index an aggressor *vaddr* list; each
   run goes clflush + ``kernel.user_read`` (the architecturally visible
   access that takes SoftTRR's RSVD fault) followed by a one-item
   :meth:`DramModule.hammer_batch` burst for the run's remainder — the
-  hybrid loop described in :mod:`repro.attacks.hammer`.
+  hybrid loop described in :mod:`repro.attacks.hammer`.  Each
+  aggressor's paddr and ``(bank, row)`` are resolved once per
+  program.
 
 Kernel timers are dispatched at every plan-step boundary in both modes,
 so SoftTRR's tick interleaves with hammering at authored granularity.
@@ -26,7 +28,7 @@ the whole attack stack lowers through this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import AttackError, PatternError
 from .compile import CompiledPlan, compile_pattern
@@ -155,8 +157,6 @@ class AttackProgram:
 def _run_rows(kernel, plan: CompiledPlan) -> int:
     dram = kernel.dram
     geometry = dram.geometry
-    mapping = dram.mapping
-    paddrs: Dict[Tuple[int, int], int] = {}
     for bank, row in plan.targets():
         if not (0 <= bank < geometry.num_banks
                 and 0 <= row < geometry.rows_per_bank):
@@ -164,21 +164,15 @@ def _run_rows(kernel, plan: CompiledPlan) -> int:
                 f"program {plan.name!r}: target (bank={bank}, row={row}) "
                 f"outside the {geometry.num_banks}x"
                 f"{geometry.rows_per_bank} geometry")
-        paddrs[(bank, row)] = mapping.dram_to_phys(bank, row, 0)
     clock = kernel.clock
     act_ns = plan.act_ns
-    total = 0
     for step in plan.steps:
         if step.acts:
-            dram.hammer_batch(
-                [(paddrs[(bank, row)], count)
-                 for bank, row, count in step.acts],
-                extra_ns=act_ns)
-            total += sum(count for _b, _r, count in step.acts)
+            dram.hammer_batch(step.acts, extra_ns=act_ns)
         if step.wait_ns:
             clock.advance(step.wait_ns)
         kernel.dispatch_timers()
-    return total
+    return plan.total_acts
 
 
 def _resolve_user_paddr(kernel, process, vaddr: int) -> int:
@@ -205,29 +199,31 @@ def _run_user(kernel, process, aggressors: Sequence[int],
             raise AttackError(
                 f"program {plan.name!r}: aggressor index {index} "
                 f"outside the {len(aggressors)}-entry vaddr list")
-    vaddrs = list(aggressors)
-    paddrs = [_resolve_user_paddr(kernel, process, va) for va in vaddrs]
     dram = kernel.dram
+    row_of = dram.mapping.row_of
+    # (vaddr, paddr, bank, row) per aggressor, resolved once.
+    targets = []
+    for vaddr in aggressors:
+        paddr = _resolve_user_paddr(kernel, process, vaddr)
+        targets.append((vaddr, paddr) + row_of(paddr))
     clock = kernel.clock
     mmu = kernel.mmu
     extra_ns = plan.act_ns
-    total = 0
     for step in plan.steps:
         for _bank, index, count in step.acts:
-            vaddr = vaddrs[index]
-            paddr = paddrs[index]
+            vaddr, paddr, bank, row = targets[index]
             # The architecturally visible access of the run: takes the
             # RSVD fault if SoftTRR armed this page.
             mmu.clflush(paddr)
             kernel.user_read(process, vaddr, 8)
             if count > 1:
                 # The rest of the run: same physics, one burst.
-                dram.hammer_batch([(paddr, count - 1)], extra_ns=extra_ns)
-            total += count
+                dram.hammer_batch(((bank, row, count - 1),),
+                                  extra_ns=extra_ns)
         if step.wait_ns:
             clock.advance(step.wait_ns)
         kernel.dispatch_timers()
-    return total
+    return plan.total_acts
 
 
 # ------------------------------------------------------ canned patterns

@@ -2,8 +2,10 @@
 
 Covers the accounting the differential suite cannot isolate on its own:
 origin labels in the PMU sample buffer (``recent_activations``),
-:meth:`BankState.hit_run`'s refusal to mis-count, and
-:meth:`DramModule.write_run`'s precondition checks.
+:meth:`BankState.hit_run`'s refusal to mis-count,
+:meth:`DramModule.write_run`'s precondition checks, and
+:meth:`DramModule.hammer_batch`'s refusal of a bad stream before any
+side effect.
 """
 
 import dataclasses
@@ -12,6 +14,7 @@ import pytest
 
 from repro.config import machine, tiny_machine
 from repro.dram.bank import BankState, RowBufferPolicy
+from repro.errors import DramError
 from repro.kernel.kernel import Kernel
 from repro.machine import Machine, MachineConfig
 
@@ -58,7 +61,8 @@ def threshold_crossing_burst(tracker, *, batched):
     count = int(cells[0].threshold / weight) + 1
     paddr = dram.mapping.dram_to_phys(0, aggressor, 0)
     if batched:
-        dram.hammer_batch([(paddr, count)], extra_ns=15)
+        dram.hammer_batch([(*dram.mapping.row_of(paddr), count)],
+                          extra_ns=15)
     else:
         dram.hammer(paddr, count)
         dram.clock.advance(count * 15)
@@ -82,9 +86,7 @@ class TestHammerOriginAccounting:
         """Each batch item is one data-origin hammer call: one PMU
         sample each, regardless of its count or of run-grouping."""
         dram = build_dram()
-        a = dram.mapping.dram_to_phys(0, 30, 0)
-        b = dram.mapping.dram_to_phys(0, 33, 0)
-        dram.hammer_batch([(a, 5)] * 3 + [(b, 1)] + [(a, 2)])
+        dram.hammer_batch([(0, 30, 5)] * 3 + [(0, 33, 1)] + [(0, 30, 2)])
         assert list(dram.recent_activations) == [
             (0, 30, "data")] * 3 + [(0, 33, "data"), (0, 30, "data")]
 
@@ -166,22 +168,22 @@ class TestWriteRun:
 class TestHammerBatchDegenerates:
     def test_empty_and_nonpositive_items_are_noops(self):
         dram = build_dram()
-        paddr = dram.mapping.dram_to_phys(0, 30, 0)
         before = dram.clock.now_ns
         dram.hammer_batch([])
-        dram.hammer_batch([(paddr, 0), (paddr, -5)])
+        dram.hammer_batch([(0, 30, 0), (0, 30, -5)])
         assert dram.total_activations == 0
         assert dram.clock.now_ns == before
         assert not dram.recent_activations
 
     def test_single_item_equals_scalar_hammer(self):
-        """The HammerKit burst shape: one (paddr, count) item."""
+        """The HammerKit burst shape: one (bank, row, count) item."""
         scalar = build_dram()
         batched = build_dram()
         paddr = scalar.mapping.dram_to_phys(0, 30, 0)
         scalar.hammer(paddr, 99)
         scalar.clock.advance(99 * 15)
-        batched.hammer_batch([(paddr, 99)], extra_ns=15)
+        batched.hammer_batch([(*batched.mapping.row_of(paddr), 99)],
+                             extra_ns=15)
         assert scalar.clock.now_ns == batched.clock.now_ns
         assert scalar.total_activations == batched.total_activations
         assert (scalar.engine.total_deposits
@@ -201,6 +203,30 @@ class TestHammerBatchDegenerates:
         assert scalar["flip_log"]
         assert scalar["telemetry"]["actuator.refreshes"] > 0
         assert scalar == batched
+
+
+class TestHammerBatchRejectsBadStreams:
+    """A bad stream raises a typed error before any side effect: no
+    activation, bank counter, accumulator, sample or clock moves, even
+    when the bad value comes after valid items."""
+
+    @pytest.mark.parametrize("items, extra_ns, match", [
+        ([(0, 30, 5)], -100, "extra_ns must be >= 0, got -100"),
+        ([(0, 30, 5), (8, 0, 1)], 0, r"\(bank=8, row=0\)"),
+        ([(0, 30, 5), (-1, 0, 1)], 0, r"\(bank=-1, row=0\)"),
+        ([(0, 30, 5), (0, 64, 1)], 15, r"\(bank=0, row=64\)"),
+        ([(0, 30, 5), (0, -1, 0)], 15, r"\(bank=0, row=-1\)"),
+    ], ids=["negative_extra_ns", "bank_past_end", "negative_bank",
+            "row_past_end", "negative_row_zero_count"])
+    def test_nothing_moves(self, items, extra_ns, match):
+        machine = Machine(MachineConfig(machine="tiny", seed=7))
+        dram = machine.dram
+        dram.hammer(dram.mapping.dram_to_phys(0, 40, 0), 3)
+        before = fingerprint(machine)
+        with pytest.raises(DramError, match=match):
+            dram.hammer_batch(items, extra_ns=extra_ns)
+        assert fingerprint(machine) == before
+        assert dram.engine.accumulated(0, 31, dram._epoch()) == 0.0
 
 
 def test_perf_testbed_machine_still_boots():

@@ -72,8 +72,7 @@ def batch_hammer(dram, aggressor, count, items):
     returns the flips it produced."""
     assert dram._epoch() == 0
     before = len(dram.flip_log)
-    paddr = dram.mapping.dram_to_phys(0, aggressor, 0)
-    dram.hammer_batch([(paddr, count)] * items)
+    dram.hammer_batch([(0, aggressor, count)] * items)
     assert dram._epoch() == 0
     return dram.flip_log[before:]
 
@@ -228,6 +227,12 @@ def stale_streams(dram, stale_acts):
             "bursts": [(left, 40), (right, 40)]}
 
 
+def coords(dram, items):
+    """``(paddr, count)`` items as the ``(bank, row, count)`` triples
+    :meth:`DramModule.hammer_batch` takes."""
+    return [(*dram.mapping.row_of(paddr), count) for paddr, count in items]
+
+
 def victim_flips(dram):
     return [f for f in dram.flip_log if (f.bank, f.row) == VICTIM]
 
@@ -249,7 +254,7 @@ class TestStaleEpochBucket:
     def test_vulnerable_row_with_stale_tag_still_flips(self):
         for shape in ("periodic", "bursts"):
             dram = module_with_cells(self.CELLS)
-            dram.hammer_batch(stale_streams(dram, 3)[shape])
+            dram.hammer_batch(coords(dram, stale_streams(dram, 3)[shape]))
             assert len(victim_flips(dram)) == 1, shape
             assert dram.engine.accumulated(*VICTIM, 1) == 80.0
             assert dram.engine.accumulated(*VICTIM, 0) == 0.0  # sum gone
@@ -261,7 +266,7 @@ class TestStaleEpochBucket:
                 dram = module_with_cells(self.CELLS)
                 items = stale_streams(dram, 9)[shape]  # 9.0: below 10.0
                 if batched:
-                    dram.hammer_batch(items)
+                    dram.hammer_batch(coords(dram, items))
                 else:
                     for paddr, count in items:
                         dram.hammer(paddr, count)
@@ -275,7 +280,7 @@ class TestStaleEpochBucket:
     def test_invulnerable_row_with_stale_tag_takes_fused_path(self):
         for shape in ("periodic", "bursts"):
             dram = module_with_cells([])
-            dram.hammer_batch(stale_streams(dram, 7)[shape])
+            dram.hammer_batch(coords(dram, stale_streams(dram, 7)[shape]))
             # The new epoch's 80 sequential adds landed in epoch 1;
             # the stale sum is gone and nothing flipped.
             assert dram.engine.accumulated(*VICTIM, 1) == 80.0
@@ -286,8 +291,7 @@ class TestStaleEpochBucket:
     def test_vulnerability_is_not_a_function_of_epochs(self):
         dram = module_with_cells(self.CELLS)
         bank, row = VICTIM
-        items = [(dram.mapping.dram_to_phys(bank, row + d, 0), 1)
-                 for d in (-1, 1)] * 40
+        items = [(bank, row + d, 1) for d in (-1, 1)] * 40
         window = dram.timings.refresh_window_ns
         for epoch in (0, 1, 4):
             dram.clock.advance(epoch * window - dram.clock.now_ns)

@@ -141,8 +141,7 @@ class TestEdgeRowEpochRollover:
         for i in range(5):
             scalar_flips.extend(reference.on_activate(
                 0, aggressor, 3, 2, start + 3 * i * per_act))
-        dram.hammer_batch(
-            [(dram.mapping.dram_to_phys(0, aggressor, 0), 3)] * 5)
+        dram.hammer_batch([(0, aggressor, 3)] * 5)
         batched_flips = dram.flip_log
         assert dram._epoch() == 2
         assert batched_flips == scalar_flips
@@ -153,9 +152,13 @@ class TestEdgeRowEpochRollover:
 
 
 def replay(dram, items, *, extra_ns, batched):
-    """One ``hammer_batch`` call, or the scalar loop it stands for."""
+    """One ``hammer_batch`` call, or the scalar loop it stands for;
+    ``items`` are ``(paddr, count)`` pairs, which the batch takes as
+    their ``(bank, row)``."""
     if batched:
-        dram.hammer_batch(items, extra_ns=extra_ns)
+        dram.hammer_batch(
+            [(*dram.mapping.row_of(paddr), count) for paddr, count in items],
+            extra_ns=extra_ns)
         return
     for paddr, count in items:
         dram.hammer(paddr, count)

@@ -50,7 +50,10 @@ def _finish(machine, paddrs, batched):
     """The post-restore replay: enough hammering to cross thresholds."""
     items = [(paddrs[0], 1), (paddrs[1], 1)] * 1500
     if batched:
-        machine.dram.hammer_batch(items, extra_ns=15)
+        row_of = machine.dram.mapping.row_of
+        machine.dram.hammer_batch(
+            [(*row_of(paddr), count) for paddr, count in items],
+            extra_ns=15)
     else:
         for paddr, count in items:
             machine.dram.hammer(paddr, count)

@@ -26,8 +26,11 @@ item halving) to a minimal reproducing program printed with its seed.
 Programs are plain op tuples so they print, compare and shrink cleanly:
 
 * ``("hammer_batch", items, extra_ns)`` — ``items`` is a tuple of
-  ``(paddr, count)``; batched modes call ``dram.hammer_batch``, scalar
-  modes replay ``dram.hammer`` + ``clock.advance(count * extra_ns)``;
+  ``(paddr, count)``; batched modes call ``dram.hammer_batch`` with
+  each paddr's ``(bank, row)`` from ``mapping.row_of``, scalar modes
+  replay ``dram.hammer(paddr, count)`` +
+  ``clock.advance(count * extra_ns)``, so the differential compares the
+  paddr path with the coordinate path;
 * ``("hammer", paddr, count)`` — always scalar;
 * ``("advance", ns)`` — clock hop (the generator aims some of these
   just before a refresh-epoch boundary by tracking simulated time);
@@ -204,7 +207,10 @@ def run_program(program, *, batched: bool, defense: str = "vanilla",
         if kind == "hammer_batch":
             _kind, items, extra_ns = op
             if batched:
-                dram.hammer_batch(list(items), extra_ns=extra_ns)
+                row_of = dram.mapping.row_of
+                dram.hammer_batch(
+                    [(*row_of(paddr), count) for paddr, count in items],
+                    extra_ns=extra_ns)
             else:
                 for paddr, count in items:
                     dram.hammer(paddr, count)

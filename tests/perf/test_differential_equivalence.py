@@ -99,6 +99,14 @@ def _scalar_hammer(dram, items, extra_ns=0):
             dram.clock.advance(count * extra_ns)
 
 
+def _batch_hammer(dram, items, extra_ns=0):
+    """The same ``(paddr, count)`` stream as one ``hammer_batch`` of
+    ``(bank, row, count)`` triples."""
+    dram.hammer_batch(
+        [(*dram.mapping.row_of(paddr), count) for paddr, count in items],
+        extra_ns=extra_ns)
+
+
 @pytest.mark.parametrize("name", ["thinkpad_x230", "perf_testbed"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_hammer_batch_random_streams(name, seed):
@@ -114,7 +122,7 @@ def test_hammer_batch_random_streams(name, seed):
         count = rng.choice([1, 1, 2, 7, 99])
         items.extend([(paddr, count)] * rng.choice([1, 1, 4, 40]))
     _scalar_hammer(scalar_dram, items)
-    batched_dram.hammer_batch(items)
+    _batch_hammer(batched_dram, items)
     assert_same(dram_fingerprint(scalar_dram),
                 dram_fingerprint(batched_dram))
 
@@ -128,7 +136,7 @@ def test_hammer_batch_with_chiptrr_interleaving():
     right = scalar_dram.mapping.dram_to_phys(0, 31, 0)
     items = [(left, 1), (right, 1)] * 2000
     _scalar_hammer(scalar_dram, items)
-    batched_dram.hammer_batch(items)
+    _batch_hammer(batched_dram, items)
     assert_same(dram_fingerprint(scalar_dram),
                 dram_fingerprint(batched_dram))
 
@@ -144,7 +152,7 @@ def test_hammer_batch_epoch_rollover_mid_run():
     paddr = scalar_dram.mapping.dram_to_phys(0, 30, 0)
     items = [(paddr, 99)] * 2000
     _scalar_hammer(scalar_dram, items, extra_ns=15)
-    batched_dram.hammer_batch(items, extra_ns=15)
+    _batch_hammer(batched_dram, items, extra_ns=15)
     assert_same(dram_fingerprint(scalar_dram),
                 dram_fingerprint(batched_dram))
 
@@ -165,7 +173,7 @@ def test_hammer_batch_identical_flip_stream():
     _victim, aggressor = _vulnerable_victim(scalar_dram)
     items = [(aggressor, 1)] * 20_000  # tiny threshold max is 16 K units
     _scalar_hammer(scalar_dram, items)
-    batched_dram.hammer_batch(items)
+    _batch_hammer(batched_dram, items)
     scalar_fp = dram_fingerprint(scalar_dram)
     assert scalar_fp["flip_log"], "scenario must actually flip bits"
     assert_same(scalar_fp, dram_fingerprint(batched_dram))

@@ -127,7 +127,7 @@ class TestGenerativeDifferential:
         batch_items = [0]  # positive-count items of the open batch
 
         def flagging_batch(dram, items, *args, **kwargs):
-            batch_items[0] = sum(1 for _paddr, count in items if count > 0)
+            batch_items[0] = sum(1 for *_key, count in items if count > 0)
             try:
                 return batch(dram, items, *args, **kwargs)
             finally:
