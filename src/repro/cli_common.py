@@ -72,7 +72,7 @@ def add_jobs_option(parser: argparse.ArgumentParser,
     parser.add_argument(
         "--jobs", type=int, default=default, metavar="N",
         help=f"parallel worker processes (default {default}; "
-             "1 runs serially)")
+             "1 runs in this process)")
 
 
 def add_defenses_option(parser: argparse.ArgumentParser,

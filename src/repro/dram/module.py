@@ -264,6 +264,7 @@ class DramModule:
             return True
         if self.row_policy is not RowBufferPolicy.OPEN_PAGE:
             return False
+        self._check_span(paddr, len(payload))
         plan = []
         bank_rows: Dict[int, int] = {}
         for line_paddr, _offset, _chunk in self._lines(paddr, len(payload)):
@@ -325,11 +326,12 @@ class DramModule:
         """Architectural read: activates rows, costs time, sees flips.
 
         A read inside one line (every cache miss) is one transaction.
+        Only an accepted read counts in ``reads``.
         """
+        self._check_span(paddr, size)
         self.reads += 1
         offset = paddr & (LINE_BYTES - 1)
         if offset + size <= LINE_BYTES:
-            self._check_span(paddr, size)
             self._transact_line(paddr - offset)
             return bytes(self._load(paddr, size))
         out = bytearray()
@@ -339,7 +341,11 @@ class DramModule:
         return bytes(out)
 
     def write(self, paddr: int, payload: bytes) -> None:
-        """Architectural write: activates rows, costs time."""
+        """Architectural write: activates rows, costs time.
+
+        Only an accepted write counts in ``writes``.
+        """
+        self._check_span(paddr, len(payload))
         self.writes += 1
         pos = 0
         for line_paddr, offset, chunk in self._lines(paddr, len(payload)):
@@ -380,8 +386,10 @@ class DramModule:
             )
 
     def _lines(self, paddr: int, size: int):
-        """Split [paddr, paddr+size) into per-line (line_paddr, off, len)."""
-        self._check_span(paddr, size)
+        """Split [paddr, paddr+size) into per-line (line_paddr, off, len).
+
+        The caller checks the span first.
+        """
         end = paddr + size
         cursor = paddr
         while cursor < end:

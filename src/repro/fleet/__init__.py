@@ -3,8 +3,9 @@
 Layers a campaign-scale pipeline over the pure scenario runner: a
 :class:`FleetSpec` expands the scenario x seed x defense x fault-plan
 cross product into content-hashed cells, a supervisor drives them
-across a work-stealing worker pool with per-cell timeouts, bounded
-retry and poison-cell quarantine, every completed cell streams to an
+(in its own process at ``jobs=1``, across a work-stealing worker pool
+above that) with per-cell timeouts, bounded retry and poison-cell
+quarantine, every completed cell streams to an
 append-only per-shard JSONL checkpoint, and a killed fleet resumes
 from its manifest with a byte-identical aggregate report (the
 ``repro-fleet`` CLI).

@@ -1,10 +1,7 @@
-"""The fleet supervisor: work-stealing pool + timeout/retry/quarantine.
+"""The fleet supervisor: timeout/retry/quarantine over one cell ledger.
 
 The supervisor is the only process that touches the result dir.  It
-feeds cell work items into one shared queue (idle workers pull the
-next available cell — work-stealing without a scheduler), watches a
-per-cell wall-clock deadline from the moment a worker announces the
-cell, and finalises every cell exactly once:
+finalises every cell exactly once:
 
 * a completed cell is appended to its shard JSONL immediately
   (flush + fsync — the append *is* the checkpoint);
@@ -13,8 +10,22 @@ cell, and finalises every cell exactly once:
 * a cell that exhausts its budget is **quarantined**: recorded as a
   structured failure and the fleet keeps going — graceful
   degradation, never sink the run;
-* a hung cell is killed (the worker is terminated and replaced) and
-  treated as one failed attempt.
+* a hung cell is stopped at its per-cell deadline and treated as one
+  failed attempt.
+
+Cells run in one of two places:
+
+* at ``jobs == 1`` (after clamping to the pending cell count) every
+  attempt runs in this process, one after another, so a serial
+  fleet's peak memory is one interpreter's.  An ``ITIMER_REAL``
+  interval timer raises :class:`_CellDeadline` into a cell that
+  outlives ``timeout_s``.  A cell that kills the interpreter ends the
+  fleet; ``resume_fleet`` continues it from the shard checkpoint;
+* at ``jobs >= 2`` the supervisor forks a worker pool over one shared
+  queue (idle workers pull the next available cell — work-stealing
+  without a scheduler), watches each cell's deadline from the moment a
+  worker announces it, terminates and replaces a worker whose cell
+  hangs, and refills the pool when a worker dies.
 
 Wall-clock time in this module is deliberate and lint-sanctioned: the
 supervisor operates in the *host* time domain (timeouts, backoff) and
@@ -24,14 +35,17 @@ cell, which is what makes a killed fleet resume byte-identically.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
-import multiprocessing
 import os
 import queue as queue_mod
+import signal
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ConfigError
+from . import runners
 from .checkpoint import ResultDir
 from .runners import run_fleet_cell
 from .spec import FleetCell, FleetSpec
@@ -40,6 +54,10 @@ __all__ = ["FleetSummary", "resume_fleet", "run_fleet"]
 
 #: Supervisor poll interval while waiting on worker results (seconds).
 _POLL_S = 0.02
+
+#: Shortest delay a restored ``ITIMER_REAL`` timer is re-armed with
+#: (a zero delay would disarm it).
+_MIN_TIMER_S = 1e-6
 
 FleetSummary = Dict[str, object]
 _Progress = Optional[Callable[[Mapping], None]]
@@ -60,12 +78,14 @@ def _worker_main(spec_dict: dict, work_q, result_q) -> None:
             payload = run_fleet_cell(
                 cell, spec.runner, spec.runner_params, attempt)
         except Exception as exc:  # noqa: BLE001 — the worker boundary
-            result_q.put(("failed", pid, cell["cell_id"], attempt, {
-                "type": type(exc).__name__,
-                "message": str(exc)[:200],
-            }))
+            result_q.put(("failed", pid, cell["cell_id"], attempt,
+                          _error_of(exc)))
         else:
             result_q.put(("ok", pid, cell["cell_id"], attempt, payload))
+
+
+def _error_of(exc: Exception) -> dict:
+    return {"type": type(exc).__name__, "message": str(exc)[:200]}
 
 
 def run_fleet(spec: FleetSpec, out_dir: str, jobs: int = 1,
@@ -116,8 +136,75 @@ def _drive(result_dir: ResultDir, spec: FleetSpec,
     return summary
 
 
+class _CellDeadline(BaseException):
+    """Raised into an in-process cell whose ``timeout_s`` ran out.
+
+    A ``BaseException``, so a cell's ``except Exception`` cannot
+    swallow it.
+    """
+
+
+class _CellTimer:
+    """The in-process per-cell deadline: ``ITIMER_REAL`` + ``SIGALRM``.
+
+    Entering installs the handler, saving the previous handler and
+    timer; leaving restores both, the timer less the time spent
+    inside.  :meth:`running` arms the timer around one attempt.  Only
+    the main thread may install a signal handler, so a ``jobs=1``
+    fleet is driven from there (another thread gets ``ValueError``).
+    """
+
+    def __init__(self, timeout_s: float) -> None:
+        self.timeout_s = timeout_s
+        self._armed = False
+
+    def __enter__(self) -> "_CellTimer":
+        self._entered_at = time.monotonic()
+        self._saved_timer = signal.setitimer(signal.ITIMER_REAL, 0)
+        self._saved_handler = signal.signal(signal.SIGALRM, self._expire)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        saved = self._saved_handler
+        signal.signal(signal.SIGALRM,
+                      signal.SIG_DFL if saved is None else saved)
+        delay, interval = self._saved_timer
+        if delay > 0:
+            left = delay - (time.monotonic() - self._entered_at)
+            signal.setitimer(signal.ITIMER_REAL,
+                             max(left, _MIN_TIMER_S), interval)
+
+    def _expire(self, signum, frame) -> None:
+        # A signal that lands after the attempt disarmed is stale.
+        if self._armed:
+            self._armed = False
+            raise _CellDeadline
+
+    @contextlib.contextmanager
+    def running(self):
+        self._armed = True
+        signal.setitimer(signal.ITIMER_REAL, self.timeout_s)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            self._armed = False
+
+
+def _forget_process_memos() -> None:
+    """Clear the process-wide memos an interrupted cell may have left
+    half-written (``CellMap.put`` writes two tables); a replaced
+    worker process used to provide this clean state."""
+    from ..dram.address import _build_tables
+    from ..dram.disturbance import shared_cell_map
+
+    shared_cell_map.cache_clear()
+    _build_tables.cache_clear()
+
+
 class _Supervisor:
-    """One fleet drive: owns the pool, the deadlines and the ledger."""
+    """One fleet drive: owns the deadlines, the retries and the ledger."""
 
     def __init__(self, result_dir: ResultDir, spec: FleetSpec,
                  pending: List[FleetCell], jobs: int,
@@ -132,32 +219,92 @@ class _Supervisor:
         self.finalized: set = set()
         #: attempts already *dispatched* per cell id.
         self.attempts: Dict[str, int] = {}
-        #: pid -> (cell_id, attempt, wall deadline).
-        self.in_flight: Dict[int, Tuple[str, int, float]] = {}
+        #: (cell_id, attempt) dispatched and not yet started, in order.
+        self.ready: Deque[Tuple[str, int]] = deque()
         #: (due, sequence, cell_id) retry heap.
         self.retries: List[Tuple[float, int, str]] = []
         self._retry_seq = 0
         self.jobs = max(1, min(jobs, len(pending)))
-        ctx = multiprocessing.get_context()
-        self.work_q = ctx.Queue()
-        self.result_q = ctx.Queue()
-        self.workers: Dict[int, multiprocessing.process.BaseProcess] = {}
-        self._ctx = ctx
 
     # ----------------------------------------------------------- control
     def run(self) -> None:
-        for cell in self.cells.values():
-            self._dispatch(cell.cell_id)
+        for cell_id in self.cells:
+            self._dispatch(cell_id)
+        if self.jobs == 1:
+            self._run_in_process()
+        else:
+            self._run_pool()
+
+    def _dispatch(self, cell_id: str) -> None:
+        attempt = self.attempts.get(cell_id, 0) + 1
+        self.attempts[cell_id] = attempt
+        self.ready.append((cell_id, attempt))
+
+    def _pump_retries(self) -> None:
+        now = time.monotonic()
+        while self.retries and self.retries[0][0] <= now:
+            _, _, cell_id = heapq.heappop(self.retries)
+            if cell_id in self.finalized:
+                continue
+            self._dispatch(cell_id)
+
+    # -------------------------------------------------------- in process
+    def _run_in_process(self) -> None:
+        """Run every attempt here, under the per-cell interval timer."""
+        # The spec exactly as a pool worker rebuilds it.
+        spec = FleetSpec.from_dict(self.spec_dict)
+        with _CellTimer(spec.timeout_s) as timer:
+            while self.outstanding > 0:
+                self._pump_retries()
+                if not self.ready:
+                    # Every open cell waits on a retry's backoff.
+                    time.sleep(max(0.0, self.retries[0][0]
+                                   - time.monotonic()))
+                    continue
+                cell_id, attempt = self.ready.popleft()
+                try:
+                    with timer.running():
+                        payload = runners.run_fleet_cell(
+                            self.cells[cell_id].to_dict(), spec.runner,
+                            spec.runner_params, attempt)
+                except _CellDeadline:
+                    _forget_process_memos()
+                    self._timed_out(cell_id, attempt)
+                except Exception as exc:  # noqa: BLE001 — the cell boundary
+                    self._attempt_failed(cell_id, attempt, _error_of(exc))
+                else:
+                    self._finalize_ok(cell_id, attempt, payload)
+
+    # -------------------------------------------------------------- pool
+    def _run_pool(self) -> None:
+        import multiprocessing
+
+        self._ctx = multiprocessing.get_context()
+        self.work_q = self._ctx.Queue()
+        self.result_q = self._ctx.Queue()
+        self.workers: Dict[int, multiprocessing.process.BaseProcess] = {}
+        #: pid -> (cell_id, attempt, wall deadline).
+        self.in_flight: Dict[int, Tuple[str, int, float]] = {}
+        self._feed_workers()
         for _ in range(self.jobs):
             self._spawn_worker()
         try:
             while self.outstanding > 0:
                 self._pump_retries()
+                self._feed_workers()
                 self._pump_results()
                 self._reap_timeouts()
                 self._reap_dead_workers()
         finally:
             self._shutdown()
+
+    def _feed_workers(self) -> None:
+        while self.ready:
+            cell_id, attempt = self.ready.popleft()
+            self.work_q.put({
+                "cell": self.cells[cell_id].to_dict(),
+                "attempt": attempt,
+            })
 
     def _spawn_worker(self) -> None:
         worker = self._ctx.Process(
@@ -180,24 +327,6 @@ class _Supervisor:
         self.work_q.close()
         self.result_q.close()
 
-    # ---------------------------------------------------------- dispatch
-    def _dispatch(self, cell_id: str) -> None:
-        attempt = self.attempts.get(cell_id, 0) + 1
-        self.attempts[cell_id] = attempt
-        self.work_q.put({
-            "cell": self.cells[cell_id].to_dict(),
-            "attempt": attempt,
-        })
-
-    def _pump_retries(self) -> None:
-        now = time.monotonic()
-        while self.retries and self.retries[0][0] <= now:
-            _, _, cell_id = heapq.heappop(self.retries)
-            if cell_id in self.finalized:
-                continue
-            self._dispatch(cell_id)
-
-    # ----------------------------------------------------------- results
     def _pump_results(self) -> None:
         try:
             kind, pid, cell_id, attempt, extra = self.result_q.get(
@@ -228,13 +357,7 @@ class _Supervisor:
         for pid, (cell_id, attempt, _) in expired:
             del self.in_flight[pid]
             self._kill_worker(pid)
-            self.summary["timeouts"] = int(self.summary["timeouts"]) + 1
-            if cell_id not in self.finalized:
-                self._attempt_failed(cell_id, attempt, {
-                    "type": "CellTimeout",
-                    "message": (f"exceeded the {self.spec.timeout_s}s "
-                                "per-cell wall-clock budget"),
-                })
+            self._timed_out(cell_id, attempt)
             self._spawn_worker()
 
     def _reap_dead_workers(self) -> None:
@@ -285,6 +408,15 @@ class _Supervisor:
         record["payload"] = payload
         self._finalize(cell_id, record)
         self.summary["ok"] = int(self.summary["ok"]) + 1
+
+    def _timed_out(self, cell_id: str, attempt: int) -> None:
+        self.summary["timeouts"] = int(self.summary["timeouts"]) + 1
+        if cell_id not in self.finalized:
+            self._attempt_failed(cell_id, attempt, {
+                "type": "CellTimeout",
+                "message": (f"exceeded the {self.spec.timeout_s}s "
+                            "per-cell wall-clock budget"),
+            })
 
     def _attempt_failed(self, cell_id: str, attempt: int,
                         error: Mapping) -> None:

@@ -545,33 +545,29 @@ class Kernel:
         finally:
             self._in_timer_dispatch = False
 
-    def _user_op(self, process: Process, op: Callable[[], object]) -> object:
-        """Run a user memory operation with the fault-repair loop."""
+    def _user_op(self, process: Process, op: Callable[..., object],
+                 *args, **kwargs) -> object:
+        """Run ``op(*args, **kwargs)``, a user memory operation, with
+        the fault-repair loop."""
         self.dispatch_timers()
         if self.current is not process:
             self.switch_to(process)
         for _ in range(64):
             try:
-                return op()
+                return op(*args, **kwargs)
             except PageFaultException as exc:
                 self.handle_page_fault(process, exc.info)
         raise KernelError("fault livelock: access kept faulting")
 
     def user_read(self, process: Process, vaddr: int, size: int) -> bytes:
         """A user-mode load (with demand paging / tracing side effects)."""
-        return self._user_op(
-            process,
-            lambda: self.mmu.load(
-                process.mm.pml4_ppn, vaddr, size, pid=process.pid),
-        )
+        return self._user_op(process, self.mmu.load, process.mm.pml4_ppn,
+                             vaddr, size, pid=process.pid)
 
     def user_write(self, process: Process, vaddr: int, data: bytes) -> None:
         """A user-mode store."""
-        self._user_op(
-            process,
-            lambda: self.mmu.store(
-                process.mm.pml4_ppn, vaddr, data, pid=process.pid),
-        )
+        self._user_op(process, self.mmu.store, process.mm.pml4_ppn,
+                      vaddr, data, pid=process.pid)
 
     def user_access_run(
         self, process: Process, vaddr: int, count: int, *,
@@ -595,15 +591,16 @@ class Kernel:
             return None
         pml4 = process.mm.pml4_ppn
         if data is not None:
-            op = lambda: self.mmu.store(pml4, vaddr, data, pid=process.pid)
+            op, operand = self.mmu.store, data
         else:
-            op = lambda: self.mmu.load(pml4, vaddr, size, pid=process.pid)
+            op, operand = self.mmu.load, size
         clock = self.clock
         last: Optional[bytes] = None
         done = 0
         while done < count:
             before_ns = clock.now_ns
-            result = self._user_op(process, op)
+            result = self._user_op(process, op, pml4, vaddr, operand,
+                                   pid=process.pid)
             if data is None:
                 last = result
             done += 1
@@ -640,12 +637,8 @@ class Kernel:
 
     def user_fetch(self, process: Process, vaddr: int, size: int = 16) -> bytes:
         """A user-mode instruction fetch."""
-        return self._user_op(
-            process,
-            lambda: self.mmu.load(
-                process.mm.pml4_ppn, vaddr, size, is_fetch=True,
-                pid=process.pid),
-        )
+        return self._user_op(process, self.mmu.load, process.mm.pml4_ppn,
+                             vaddr, size, is_fetch=True, pid=process.pid)
 
     # ================================================================ fork
     def fork(self, parent: Process, name: Optional[str] = None) -> Process:

@@ -1,9 +1,21 @@
-"""Supervisor robustness: retry, quarantine, timeout, resume no-op."""
+"""Supervisor robustness: retry, quarantine, timeout, resume no-op.
+
+The retry, quarantine and timeout cases run at ``jobs=1`` (every
+attempt in the test's own process, timed by ``ITIMER_REAL``) and at
+``jobs=2`` (a forked worker pool).
+"""
+
+import signal
+from multiprocessing.process import BaseProcess
 
 import pytest
 
+from repro.config import tiny_machine
+from repro.dram.address import _build_tables, linear_mapping
+from repro.dram.disturbance import shared_cell_map
 from repro.errors import ConfigError
 from repro.fleet import FleetSpec, ResultDir, resume_fleet, run_fleet
+from repro.fleet import supervisor
 
 
 def _spec(n=6, **overrides):
@@ -31,12 +43,13 @@ def test_clean_fleet_completes_every_cell(tmp_path):
     assert sum(1 for e in events if e["event"] == "ok") == 6
 
 
-def test_poison_cell_is_retried_then_quarantined(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_poison_cell_is_retried_then_quarantined(tmp_path, jobs):
     out = str(tmp_path / "fleet")
     events = []
     spec = _spec(runner_params={"poison": ["synth-002"]},
                  max_attempts=3)
-    summary = run_fleet(spec, out, jobs=2, progress=events.append)
+    summary = run_fleet(spec, out, jobs=jobs, progress=events.append)
     assert summary["ok"] == 5
     assert summary["quarantined"] == 1
     # A poison cell burns max_attempts - 1 retries, exactly.
@@ -59,10 +72,11 @@ def test_poison_cell_is_retried_then_quarantined(tmp_path):
                if r["status"] == "ok")
 
 
-def test_flaky_cell_recovers_with_attempt_count(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_flaky_cell_recovers_with_attempt_count(tmp_path, jobs):
     out = str(tmp_path / "fleet")
     spec = _spec(runner_params={"flaky": {"synth-001": 2}})
-    summary = run_fleet(spec, out, jobs=1)
+    summary = run_fleet(spec, out, jobs=jobs)
     assert summary["ok"] == 6 and summary["quarantined"] == 0
     assert summary["retries"] == 2
     records = ResultDir(out).load_records()
@@ -73,11 +87,34 @@ def test_flaky_cell_recovers_with_attempt_count(tmp_path):
                for i in (0, 2, 3, 4, 5))
 
 
-def test_hung_cell_times_out_and_is_quarantined(tmp_path):
+def _previous_alarm(signum, frame):
+    raise AssertionError("the caller's SIGALRM fired during the test")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_hung_cell_times_out_and_is_quarantined(tmp_path, jobs):
     out = str(tmp_path / "fleet")
     spec = _spec(n=4, runner_params={"hang": ["synth-003"]},
                  timeout_s=0.3, max_attempts=2, backoff_s=0.01)
-    summary = run_fleet(spec, out, jobs=2)
+    # Memos a timed-out in-process attempt must clear.
+    tiny = tiny_machine()
+    shared_cell_map(tiny.disturbance, tiny.geometry.row_bytes)
+    _build_tables(linear_mapping(tiny.geometry))
+    # A caller's own alarm, which the in-process drive must hand back.
+    previous = signal.signal(signal.SIGALRM, _previous_alarm)
+    signal.setitimer(signal.ITIMER_REAL, 3600.0, 1800.0)
+    try:
+        summary = run_fleet(spec, out, jobs=jobs)
+        handler = signal.getsignal(signal.SIGALRM)
+        delay, interval = signal.getitimer(signal.ITIMER_REAL)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert handler is _previous_alarm
+    assert 3500.0 < delay <= 3600.0 and interval == 1800.0
+    if jobs == 1:
+        assert shared_cell_map.cache_info().currsize == 0
+        assert _build_tables.cache_info().currsize == 0
     assert summary["ok"] == 3
     assert summary["quarantined"] == 1
     assert summary["timeouts"] == 2  # one per attempt
@@ -87,6 +124,31 @@ def test_hung_cell_times_out_and_is_quarantined(tmp_path):
     assert bad["scenario"] == "synth-003"
     assert bad["error"]["type"] == "CellTimeout"
     assert "wall-clock budget" in bad["error"]["message"]
+
+
+def test_serial_fleet_starts_no_process(tmp_path, monkeypatch):
+    def no_process(self):
+        raise AssertionError("a jobs=1 fleet must not start a process")
+
+    calls = []
+    worker_entry = supervisor.run_fleet_cell
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return worker_entry(*args, **kwargs)
+
+    monkeypatch.setattr(BaseProcess, "start", no_process)
+    monkeypatch.setattr(supervisor, "run_fleet_cell", counting)
+    out = str(tmp_path / "fleet")
+    spec = _spec(runner_params={"flaky": {"synth-001": 1}})
+    summary = run_fleet(spec, out, jobs=1)
+    assert summary["ok"] == summary["ran"] == 6
+    assert summary["retries"] == 1
+    assert summary["worker_deaths"] == 0
+    assert len(ResultDir(out).load_records()) == 6
+    # The in-process path calls the runner directly, never the pool
+    # workers' entry point.
+    assert calls == []
 
 
 def test_resume_of_complete_fleet_is_a_no_op(tmp_path):

@@ -129,9 +129,29 @@ class TestEmptyAccess:
         before = observe(bed)
         with pytest.raises(DramError, match="size must be positive"):
             bed.dram.read((3 << 12) + 0x48, size)
-        # The call is counted before its span check; nothing else moves.
+        # A rejected read is not counted; nothing moves.
         assert delta(before, observe(bed)) == {
-            "tlb": (0, 0), "cache": (0, 0), "dram": (1, 0), "now_ns": 0}
+            "tlb": (0, 0), "cache": (0, 0), "dram": (0, 0), "now_ns": 0}
+
+
+@pytest.mark.parametrize("op, span", [("write", "empty"),
+                                      ("read", "past_capacity"),
+                                      ("write", "past_capacity")])
+def test_rejected_dram_access_counts_nothing(op, span):
+    bed = build_bed()
+    dram = bed.dram
+    if span == "empty":
+        paddr, size, match = (3 << 12) + 0x48, 0, "size must be positive"
+    else:
+        paddr, size, match = dram.geometry.capacity_bytes - 4, 8, \
+            "outside capacity"
+    before = observe(bed), dram.writes
+    with pytest.raises(DramError, match=match):
+        if op == "read":
+            dram.read(paddr, size)
+        else:
+            dram.write(paddr, bytes(size))
+    assert (observe(bed), dram.writes) == before
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
