@@ -164,6 +164,13 @@ class SimClock:
             return when
         return None
 
+    def has_due(self) -> bool:
+        """Whether :meth:`pop_due` would pop anything now: the heap's
+        head (live or cancelled) is due.  The kernel's dispatch points
+        ask this first, so an idle dispatch costs one compare."""
+        heap = self._heap
+        return bool(heap) and heap[0][0] <= self._now_ns
+
     def pop_due(self) -> List[ScheduledEvent]:
         """Pop (without running) every event due at or before *now*.
 
@@ -173,7 +180,7 @@ class SimClock:
         returned in (time, schedule-order) order.
         """
         due: List[ScheduledEvent] = []
-        while self._heap and self._heap[0][0] <= self._now_ns:
+        while self.has_due():
             _, seq, event = heapq.heappop(self._heap)
             if seq in self._cancelled:
                 self._cancelled.discard(seq)

@@ -30,7 +30,8 @@ on first use and shared by every mapping of equal value:
 
 * :meth:`AddressMapping.phys_to_dram` XORs one 256-entry table per
   address byte, each entry the packed (bank, row, column) of that byte
-  value alone;
+  value alone; :meth:`AddressMapping.row_of` shares that decode and
+  unpacks only (bank, row), building no :class:`DramAddress`;
 * :meth:`AddressMapping.page_rows` is the page base's (bank, row) XOR
   each combination of the in-page line bits that feed a bank mask or a
   row bit (none on the linear mapping, bit 6 on the interleaved one);
@@ -212,9 +213,10 @@ class AddressMapping:
         return _build_tables(self)
 
     # ------------------------------------------------------------ forward
-    def phys_to_dram(self, paddr: int) -> DramAddress:
-        """Map a physical byte address to its DRAM location."""
-        capacity, bank_mask, row_shift, row_mask, col_shift = self._layout
+    def _packed(self, paddr: int) -> int:
+        """The packed (bank, row, column) of ``paddr``: the XOR of one
+        table entry per address byte (see the module doc)."""
+        capacity = self._layout[0]
         if not 0 <= paddr < capacity:
             raise AddressMappingError(
                 f"paddr {paddr:#x} outside module capacity {capacity:#x}"
@@ -223,6 +225,12 @@ class AddressMapping:
         for table in self._tables.phys:
             packed ^= table[paddr & 0xFF]
             paddr >>= 8
+        return packed
+
+    def phys_to_dram(self, paddr: int) -> DramAddress:
+        """Map a physical byte address to its DRAM location."""
+        _, bank_mask, row_shift, row_mask, col_shift = self._layout
+        packed = self._packed(paddr)
         return DramAddress(packed & bank_mask, (packed >> row_shift) & row_mask,
                            packed >> col_shift)
 
@@ -248,9 +256,15 @@ class AddressMapping:
 
     # ------------------------------------------------------------ helpers
     def row_of(self, paddr: int) -> Tuple[int, int]:
-        """(bank, row) of a physical address — the hammer-relevant part."""
-        dram = self.phys_to_dram(paddr)
-        return dram.bank, dram.row
+        """(bank, row) of a physical address — the hammer-relevant part.
+
+        Decodes like :meth:`phys_to_dram` and builds no
+        :class:`DramAddress`: every line transaction resolves its row
+        here.
+        """
+        _, bank_mask, row_shift, row_mask, _ = self._layout
+        packed = self._packed(paddr)
+        return packed & bank_mask, (packed >> row_shift) & row_mask
 
     def same_bank(self, paddr_a: int, paddr_b: int) -> bool:
         """Whether two physical addresses share a DRAM bank."""

@@ -30,6 +30,14 @@ class RowBufferPolicy(enum.Enum):
     CLOSED_PAGE = "closed"
 
 
+# The members as plain module names.  ``EnumType`` defines
+# ``__getattr__``, which puts every attribute lookup on an enum class on
+# a slow path (several times a global lookup); :meth:`BankState.access`
+# and the module's bursts compare against these on every transaction.
+_OPEN_PAGE = RowBufferPolicy.OPEN_PAGE
+_CLOSED_PAGE = RowBufferPolicy.CLOSED_PAGE
+
+
 class BankState:
     """Mutable state of one bank: which row its buffer holds."""
 
@@ -46,11 +54,11 @@ class BankState:
         Under the open-page policy an access to the already-open row is a
         buffer hit and does *not* re-activate (hence does not hammer).
         """
-        if policy is RowBufferPolicy.OPEN_PAGE and self.open_row == row:
+        if policy is _OPEN_PAGE and self.open_row == row:
             self.hits += 1
             return False
         self.activations += 1
-        self.open_row = None if policy is RowBufferPolicy.CLOSED_PAGE else row
+        self.open_row = None if policy is _CLOSED_PAGE else row
         return True
 
     def hit_run(self, row: int, count: int) -> None:

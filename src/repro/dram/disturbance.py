@@ -34,12 +34,12 @@ profile reads the same :class:`CellMap` (see :func:`shared_cell_map`),
 and :meth:`DisturbanceEngine.set_cells` is the one way to override a
 row, on a private copy.
 
-:class:`DisturbanceEngine` keeps the accumulators in two flat per-bank
-arrays indexed by row:
+:class:`DisturbanceEngine` keeps the accumulators in two plain per-bank
+lists indexed by row, allocated on a bank's first touch:
 
-* ``array('d')`` — accumulated disturbance units, and
-* ``array('q')`` — the refresh epoch the row was last deposited into
-  (``-1`` = never touched).
+* floats — accumulated disturbance units, and
+* ints — the refresh epoch the row was last deposited into (``-1`` =
+  never touched).
 
 A row's value is only meaningful when its epoch tag matches the current
 refresh epoch; a deposit into a stale-tagged row first rolls the tag and
@@ -47,9 +47,16 @@ zeroes the value; :meth:`~DisturbanceEngine.heal` zeroes the value but
 never touches the tag, so a healed row still reads 0 in every epoch.
 
 One path writes the store: the plan walk (:meth:`on_activate`, one
-pass over the cached :meth:`victim_plan` with :meth:`deposit`'s
-arithmetic inlined).  Scalar activations take it, and so does every
-item of a :meth:`~repro.dram.module.DramModule.hammer_batch` stream.
+pass over the aggressor's cached plan with :meth:`deposit`'s
+arithmetic inlined).  The engine caches one plan per activated
+``(bank, row)``; each entry carries its victim's first-cell threshold
+(``inf`` for a victim with no cell), so the walk decides with one
+compare per victim whether any cell can have fired.  Coordinates are
+checked where a plan is built, so a ``(bank, row)`` outside the
+geometry raises :class:`~repro.errors.DramError` before anything moves
+and the walk over a cached plan checks nothing.  Scalar activations
+take the walk, and so does every item of a
+:meth:`~repro.dram.module.DramModule.hammer_batch` stream.
 The reference it is proven bit-identical to — per distance
 ``remap.neighbors_at``, then :meth:`deposit` per victim — lives in
 ``tests/dram/reference.py``; ``tests/dram/test_disturbance.py`` and
@@ -61,15 +68,22 @@ every row.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DramError
 from ..rng import derive_rng
 from .geometry import DramGeometry
 from .remap import IdentityRemap, RowRemap
+
+
+#: The first-cell threshold a plan entry carries for a victim with no
+#: cell: no accumulator reaches it.
+_NO_CELL = float("inf")
+
+#: A cached plan: per victim, (row, weight, first-cell threshold, cells).
+_Plan = Tuple[Tuple[int, float, float, Tuple["VulnerableCell", ...]], ...]
 
 
 def crosses(before: float, threshold: float, after: float) -> bool:
@@ -254,17 +268,14 @@ class DisturbanceEngine:
         self.remap = remap or IdentityRemap(geometry.rows_per_bank)
         # The profile's shared cell map, until set_cells() makes it ours.
         self._cell_map = shared_cell_map(params, geometry.row_bytes)
-        # (bank, row) -> cached victim plan (see victim_plan()).  Plans
-        # are per engine: they hang off this engine's remap.
-        self._plans: Dict[
-            Tuple[int, int],
-            Tuple[Tuple[int, float, Tuple[VulnerableCell, ...]], ...],
-        ] = {}
+        # (bank, row) -> cached plan (see _plan()).  Plans are per
+        # engine: they hang off this engine's remap.
+        self._plans: Dict[Tuple[int, int], _Plan] = {}
         banks = geometry.num_banks
         #: Per-bank accumulated units, lazily allocated on first touch.
-        self._values: List[Optional[array]] = [None] * banks
+        self._values: List[Optional[List[float]]] = [None] * banks
         #: Per-bank epoch tags (-1 = never deposited into).
-        self._epochs: List[Optional[array]] = [None] * banks
+        self._epochs: List[Optional[List[int]]] = [None] * banks
         self.total_deposits = 0
         self.total_flip_events = 0
 
@@ -313,23 +324,43 @@ class DisturbanceEngine:
         """The victims one activation of (bank, row) disturbs, in the
         exact order :meth:`on_activate` deposits into them.
 
-        Each entry is ``(victim_row, weight, cells)``.  The plan is a
-        pure function of the geometry/remap/seed, so it is cached; the
-        plan walk iterates it instead of re-walking ``neighbors_at`` per
-        activation.
+        Each entry is ``(victim_row, weight, cells)``: the cached plan
+        the walk iterates, less the first-cell thresholds it carries.
+        A ``(bank, row)`` outside the geometry raises
+        :class:`~repro.errors.DramError`.
         """
-        key = (bank, row)
-        plan = self._plans.get(key)
+        plan = self._plans.get((bank, row))
         if plan is None:
-            entries: List[Tuple[int, float, Tuple[VulnerableCell, ...]]] = []
-            for distance in range(1, self.params.max_distance + 1):
-                weight = self.params.weight(distance)
-                for victim in self.remap.neighbors_at(row, distance):
-                    entries.append(
-                        (victim, weight, self.vulnerable_cells(bank, victim))
-                    )
-            plan = tuple(entries)
-            self._plans[key] = plan
+            plan = self._plan(bank, row)
+        return tuple((victim, weight, cells)
+                     for victim, weight, _first, cells in plan)
+
+    def _plan(self, bank: int, row: int) -> _Plan:
+        """Build and cache the plan of a new aggressor (bank, row).
+
+        Each entry is ``(victim_row, weight, first_threshold, cells)``,
+        ``first_threshold`` being the victim's easiest cell's threshold
+        (``inf`` for a victim with no cell).  The plan is a pure
+        function of the geometry/remap/seed.  This is where coordinates
+        are checked, once per aggressor: a bank or row outside the
+        geometry raises :class:`~repro.errors.DramError`.
+        """
+        geometry = self.geometry
+        if not 0 <= bank < geometry.num_banks:
+            raise DramError(f"bank {bank} outside the {geometry.num_banks}"
+                            f"-bank geometry")
+        if not 0 <= row < geometry.rows_per_bank:
+            raise DramError(f"row {row} outside the "
+                            f"{geometry.rows_per_bank}-row bank")
+        entries = []
+        for distance in range(1, self.params.max_distance + 1):
+            weight = self.params.weight(distance)
+            for victim in self.remap.neighbors_at(row, distance):
+                cells = self.vulnerable_cells(bank, victim)
+                entries.append((victim, weight,
+                                cells[0].threshold if cells else _NO_CELL,
+                                cells))
+        plan = self._plans[(bank, row)] = tuple(entries)
         return plan
 
     # ------------------------------------------------------ activation
@@ -343,29 +374,31 @@ class DisturbanceEngine:
         Returns all flips produced anywhere.
 
         This is the plan walk, the engine's one write path: one pass
-        over the cached :meth:`victim_plan` with :meth:`deposit`'s
-        arithmetic inlined.  Scalar activations take it, and so does
-        every item of a :meth:`~repro.dram.module.DramModule.hammer_batch`
-        stream.  The specification it is held to — ``remap.neighbors_at``
-        per distance, then :meth:`deposit` per victim — lives in
-        ``tests/dram/reference.py``.  The plan and the bank's arrays
-        are read from their caches, built on first use, and the
-        activated row is healed in place with :meth:`heal`'s bounds.
+        over the aggressor's cached plan with :meth:`deposit`'s
+        arithmetic inlined, scanning a victim's cells only once its
+        accumulator reaches the first-cell threshold the plan carries.
+        Scalar activations take it, and so does every item of a
+        :meth:`~repro.dram.module.DramModule.hammer_batch` stream.  The
+        specification it is held to — ``remap.neighbors_at`` per
+        distance, then :meth:`deposit` per victim — lives in
+        ``tests/dram/reference.py``.  The plan and the bank's lists are
+        built on first use; building the plan checks the coordinates
+        (:class:`~repro.errors.DramError` outside the geometry, with
+        nothing moved), so the activated row is healed in place.
         """
         if count <= 0:
             return []
         plan = self._plans.get((bank, row))
         if plan is None:
-            plan = self.victim_plan(bank, row)
+            plan = self._plan(bank, row)
         values = self._values[bank]
         if values is None:
-            values, epochs = self._bank_arrays(bank)
+            values, epochs = self._bank_lists(bank)
         else:
             epochs = self._epochs[bank]
-            if bank >= 0 and 0 <= row < len(values):
-                values[row] = 0.0
+            values[row] = 0.0
         flips: List[FlipEvent] = []
-        for victim, weight, cells in plan:
+        for victim, weight, first, cells in plan:
             if epochs[victim] != epoch:
                 epochs[victim] = epoch
                 before = 0.0
@@ -373,7 +406,7 @@ class DisturbanceEngine:
                 before = values[victim]
             after = before + weight * count
             values[victim] = after
-            if cells and after >= cells[0].threshold:
+            if after >= first:
                 for cell in cells:
                     if before < cell.threshold <= after:
                         flips.append(FlipEvent(
@@ -388,13 +421,12 @@ class DisturbanceEngine:
         return flips
 
     # ------------------------------------------------------ accumulation
-    def _bank_arrays(self, bank: int) -> Tuple[array, array]:
+    def _bank_lists(self, bank: int) -> Tuple[List[float], List[int]]:
         values = self._values[bank]
         if values is None:
             rows = self.geometry.rows_per_bank
-            values = array("d", bytes(8 * rows))
-            self._values[bank] = values
-            self._epochs[bank] = array("q", [-1]) * rows
+            values = self._values[bank] = [0.0] * rows
+            self._epochs[bank] = [-1] * rows
         return values, self._epochs[bank]
 
     def deposit(
@@ -404,13 +436,18 @@ class DisturbanceEngine:
 
         The primitive of the reference oracle in
         ``tests/dram/reference.py``; :meth:`on_activate` inlines its
-        arithmetic.
+        arithmetic.  A row outside the bank takes nothing (the oracle
+        deposits into clipped neighbourhoods); a bank outside the
+        geometry raises :class:`~repro.errors.DramError`.
         """
+        if not 0 <= bank < self.geometry.num_banks:
+            raise DramError(f"bank {bank} outside the "
+                            f"{self.geometry.num_banks}-bank geometry")
         if units <= 0:
             return []
         if row < 0 or row >= self.geometry.rows_per_bank:
             return []
-        values, epochs = self._bank_arrays(bank)
+        values, epochs = self._bank_lists(bank)
         if epochs[row] != epoch:
             # Lazy auto-refresh: the window rolled over since this row's
             # accumulator was last touched, so the charge was restored.

@@ -215,11 +215,8 @@ class ActivationFeed:
     def __init__(self, actuator: RefreshActuator) -> None:
         self.actuator = actuator
         self._trackers: List[Tracker] = []
-
-    @property
-    def active(self) -> bool:
-        """Whether any tracker is subscribed (the hot-path gate)."""
-        return bool(self._trackers)
+        #: Whether any tracker is subscribed (the hot-path gate).
+        self.active = False
 
     def trackers(self) -> Tuple[Tracker, ...]:
         """Subscribed trackers, in subscription order."""
@@ -228,6 +225,7 @@ class ActivationFeed:
     def subscribe(self, tracker: Tracker) -> Tracker:
         """Attach a tracker to the feed; returns it for chaining."""
         self._trackers.append(tracker)
+        self.active = True
         return tracker
 
     def unsubscribe(self, tracker: Tracker) -> None:
@@ -236,15 +234,21 @@ class ActivationFeed:
             self._trackers.remove(tracker)
         except ValueError:
             pass
+        self.active = bool(self._trackers)
 
     def publish(self, bank: int, row: int, count: int, epoch: int,
                 now_ns: int) -> None:
-        """One activation burst: observe, then actuate drained victims."""
+        """One activation burst: observe, then actuate drained victims.
+
+        A tracker is drained only when its observation queued a
+        refresh, which most observations do not.
+        """
         actuator = self.actuator
         for tracker in self._trackers:
             # Policy observation, not a metric mutation (RPR008's
             # ``.observe`` heuristic collides with the Tracker verb).
             tracker.observe(  # repro-lint: disable=RPR008
                 bank, row, count, epoch, now_ns)
-            for victim_bank, victim_row in tracker.drain_refreshes():
-                actuator.refresh_row(victim_bank, victim_row)
+            if tracker._pending:
+                for victim_bank, victim_row in tracker.drain_refreshes():
+                    actuator.refresh_row(victim_bank, victim_row)

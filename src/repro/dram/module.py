@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 from ..clock import SimClock
 from ..errors import DramError
 from .address import AddressMapping
-from .bank import BankState, RowBufferPolicy
+from .bank import _OPEN_PAGE, BankState, RowBufferPolicy
 from .chiptrr import ChipTrr, TrrParams
 from .disturbance import DisturbanceEngine, DisturbanceParams, FlipEvent
 from .feed import ActivationFeed, RefreshActuator
@@ -146,7 +146,7 @@ class DramModule:
 
     def _transact_line(self, paddr: int) -> int:
         """One line-sized memory transaction; returns its latency in ns."""
-        bank, row, _col = self.mapping.phys_to_dram(paddr)
+        bank, row = self.mapping.row_of(paddr)
         if self._banks[bank].access(row, self.row_policy):
             latency = self.timings.conflict_latency_ns
             now_ns = self.clock.now_ns
@@ -225,7 +225,7 @@ class DramModule:
         acts = 0
         now_ns = start_ns
         bank_states = self._banks
-        open_page = self.row_policy is RowBufferPolicy.OPEN_PAGE
+        open_page = self.row_policy is _OPEN_PAGE
         recent_append = self.recent_activations.append
         for bank, row, count in items:
             if count <= 0:
@@ -262,7 +262,7 @@ class DramModule:
         """
         if count <= 0:
             return True
-        if self.row_policy is not RowBufferPolicy.OPEN_PAGE:
+        if self.row_policy is not _OPEN_PAGE:
             return False
         self._check_span(paddr, len(payload))
         plan = []
@@ -303,7 +303,7 @@ class DramModule:
                        count=count, origin=origin)
         bank_state = self._banks[dram.bank]
         bank_state.activations += count
-        bank_state.open_row = dram.row if self.row_policy is RowBufferPolicy.OPEN_PAGE else None
+        bank_state.open_row = dram.row if self.row_policy is _OPEN_PAGE else None
         epoch = self._epoch()
         deposits_before = self.engine.total_deposits
         flips = self.engine.on_activate(dram.bank, dram.row, count, epoch,
@@ -343,20 +343,36 @@ class DramModule:
     def write(self, paddr: int, payload: bytes) -> None:
         """Architectural write: activates rows, costs time.
 
+        A write inside one line (every PTE store) is one transaction.
         Only an accepted write counts in ``writes``.
         """
-        self._check_span(paddr, len(payload))
+        size = len(payload)
+        self._check_span(paddr, size)
         self.writes += 1
+        offset = paddr & (LINE_BYTES - 1)
+        if offset + size <= LINE_BYTES:
+            self._transact_line(paddr - offset)
+            self._store(paddr, payload)
+            return
         pos = 0
-        for line_paddr, offset, chunk in self._lines(paddr, len(payload)):
+        for line_paddr, offset, chunk in self._lines(paddr, size):
             self._transact_line(line_paddr)
             self._store(line_paddr + offset, payload[pos : pos + chunk])
             pos += chunk
 
     # --------------------------------------------------- instrumentation
     def raw_read(self, paddr: int, size: int) -> bytes:
-        """Side-effect-free read for integrity checks and test setup."""
+        """Side-effect-free read for integrity checks and test setup.
+
+        A read inside one page (every cache hit) is one slice.
+        """
         self._check_span(paddr, size)
+        offset = paddr & _PAGE_MASK
+        if offset + size <= PAGE_BYTES:
+            frame = self._frames.get(paddr >> PAGE_SHIFT)
+            if frame is None:
+                return bytes(size)
+            return bytes(frame[offset:offset + size])
         out = b""
         end = paddr + size
         while paddr < end:

@@ -20,6 +20,7 @@ Only the parameters the paper's arithmetic actually touches are modelled:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..clock import NS_PER_MS
 from ..errors import ConfigError
@@ -44,12 +45,14 @@ class DramTimings:
         if self.refresh_window_ns <= self.t_rc_ns:
             raise ConfigError("refresh window must exceed tRC")
 
-    @property
+    # Cached: every memory transaction reads one of the two, and the
+    # fields they sum are frozen.
+    @cached_property
     def conflict_latency_ns(self) -> int:
         """End-to-end latency of a row-buffer conflict (precharge+ACT+CAS)."""
         return self.t_rc_ns + self.ctrl_overhead_ns
 
-    @property
+    @cached_property
     def hit_latency_ns(self) -> int:
         """End-to-end latency of a row-buffer hit."""
         return self.t_cas_ns + self.ctrl_overhead_ns

@@ -65,6 +65,9 @@ KERNEL_RESERVED_FRAMES = 64
 #: Default leaf flags for user mappings.
 USER_PTE_FLAGS = bits.PTE_PRESENT | bits.PTE_RW | bits.PTE_USER
 
+#: (level, index shift) of the PML4, PDPT and PD levels.
+_UPPER_LEVELS = bits.LEVEL_SHIFTS[:3]
+
 
 class Kernel:
     """A booted machine: kernel + MMU + DRAM on one simulated clock."""
@@ -313,29 +316,31 @@ class Kernel:
 
         Unlike the hardware walker this does not fault on rsvd bits or
         permissions — it reports the raw leaf, which is what kernel code
-        (and SoftTRR) needs.  Reads are architectural (cached).
+        (and SoftTRR) needs.  Reads are architectural (cached).  The
+        entry arithmetic of :mod:`repro.mmu.bits` is written out.
         """
+        read_entry = self.mmu.pt_ops.read_entry
         table = mm.pml4_ppn
-        for level in (4, 3, 2):
-            index = bits.level_index(vaddr, level)
-            entry = self.mmu.pt_ops.read_entry(table, index)
-            if not bits.is_present(entry):
+        for level, shift in _UPPER_LEVELS:
+            index = (vaddr >> shift) & bits.INDEX_MASK
+            entry = read_entry(table, index)
+            if not entry & bits.PTE_PRESENT:
                 return None
-            if level == 2 and bits.is_huge(entry):
-                base = bits.pte_ppn(entry)
+            if level == 2 and entry & bits.PTE_PSE:
                 return (
-                    base + bits.level_index(vaddr, 1),
+                    ((entry & bits.PTE_ADDR_MASK) >> bits.PAGE_SHIFT)
+                    + ((vaddr >> bits.PAGE_SHIFT) & bits.INDEX_MASK),
                     2,
                     self.mmu.pt_ops.entry_paddr(table, index),
                     entry,
                 )
-            table = bits.pte_ppn(entry)
-        index = bits.level_index(vaddr, 1)
-        entry = self.mmu.pt_ops.read_entry(table, index)
+            table = (entry & bits.PTE_ADDR_MASK) >> bits.PAGE_SHIFT
+        index = (vaddr >> bits.PAGE_SHIFT) & bits.INDEX_MASK
+        entry = read_entry(table, index)
         if entry == 0:
             return None
         return (
-            bits.pte_ppn(entry),
+            (entry & bits.PTE_ADDR_MASK) >> bits.PAGE_SHIFT,
             1,
             self.mmu.pt_ops.entry_paddr(table, index),
             entry,
@@ -536,8 +541,13 @@ class Kernel:
 
     # ============================================================== access
     def dispatch_timers(self) -> None:
-        """Run due kernel timers (idempotent, non-reentrant)."""
-        if self._in_timer_dispatch:
+        """Run due kernel timers (idempotent, non-reentrant).
+
+        Returns at once when no timer is due (:meth:`SimClock.has_due`,
+        ``pop_due``'s own loop condition), which is what almost every
+        dispatch point finds.
+        """
+        if self._in_timer_dispatch or not self.clock.has_due():
             return
         self._in_timer_dispatch = True
         try:

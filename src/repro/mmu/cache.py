@@ -149,10 +149,21 @@ class CpuCache:
             cursor += LINE_BYTES
 
     def store(self, dram: DramModule, paddr: int, data: bytes) -> None:
-        """Architectural write-through store."""
+        """Architectural write-through store.
+
+        A store inside one line (every PTE store) touches or fills one
+        line.
+        """
         dram.write(paddr, data)
-        cursor = paddr
+        line = paddr & ~(LINE_BYTES - 1)
         end = paddr + len(data)
+        if end <= line + LINE_BYTES:
+            if line in self._lines:
+                self._touch(line)
+            else:
+                self._insert(line)
+            return
+        cursor = paddr
         while cursor < end:
             line = self.line_of(cursor)
             if line in self._lines:
@@ -164,7 +175,7 @@ class CpuCache:
     def clflush(self, paddr: int) -> None:
         """Flush one line (the hammering primitive's best friend)."""
         self.flushes += 1
-        self._lines.pop(self.line_of(paddr), None)
+        self._lines.pop(paddr & ~(LINE_BYTES - 1), None)
         self.clock.advance(self.clflush_ns)
 
     def flush_range(self, paddr: int, size: int) -> None:

@@ -36,6 +36,13 @@ class ErrorCode(enum.IntFlag):
     SGX = 1 << 15
 
 
+_PRESENT = int(ErrorCode.PRESENT)
+_WRITE = int(ErrorCode.WRITE)
+_USER = int(ErrorCode.USER)
+_RSVD = int(ErrorCode.RSVD)
+_INSTR = int(ErrorCode.INSTR)
+
+
 @dataclass(frozen=True)
 class PageFaultInfo:
     """Everything the fault handler learns about a page fault.
@@ -53,30 +60,32 @@ class PageFaultInfo:
     pte_paddr: Optional[int] = None
     pid: Optional[int] = None
 
+    # The predicates mask the code as a plain int: ``ErrorCode``'s own
+    # ``&`` builds a flag member through the enum machinery per test.
     @property
     def is_non_present(self) -> bool:
         """Demand-paging case: the translation was not present."""
-        return not (self.error_code & ErrorCode.PRESENT)
+        return not int(self.error_code) & _PRESENT
 
     @property
     def is_reserved_bit(self) -> bool:
         """The tracer's case: a reserved PTE bit was set."""
-        return bool(self.error_code & ErrorCode.RSVD)
+        return bool(int(self.error_code) & _RSVD)
 
     @property
     def is_write(self) -> bool:
         """Whether the faulting access was a write."""
-        return bool(self.error_code & ErrorCode.WRITE)
+        return bool(int(self.error_code) & _WRITE)
 
     @property
     def is_user(self) -> bool:
         """Whether the faulting access came from user mode."""
-        return bool(self.error_code & ErrorCode.USER)
+        return bool(int(self.error_code) & _USER)
 
     @property
     def is_instruction_fetch(self) -> bool:
         """Whether the faulting access was an instruction fetch."""
-        return bool(self.error_code & ErrorCode.INSTR)
+        return bool(int(self.error_code) & _INSTR)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -88,16 +97,19 @@ class PageFaultInfo:
 def access_error_code(
     *, is_write: bool, is_user: bool, is_fetch: bool, present: bool, rsvd: bool = False
 ) -> ErrorCode:
-    """Build the error code the hardware would push for an access."""
-    code = ErrorCode(0)
+    """Build the error code the hardware would push for an access.
+
+    The bits are combined as a plain int and converted once.
+    """
+    code = 0
     if present:
-        code |= ErrorCode.PRESENT
+        code |= _PRESENT
     if rsvd:
-        code |= ErrorCode.RSVD | ErrorCode.PRESENT
+        code |= _RSVD | _PRESENT
     if is_write:
-        code |= ErrorCode.WRITE
+        code |= _WRITE
     if is_user:
-        code |= ErrorCode.USER
+        code |= _USER
     if is_fetch:
-        code |= ErrorCode.INSTR
-    return code
+        code |= _INSTR
+    return ErrorCode(code)

@@ -12,7 +12,7 @@ from repro.dram.disturbance import (
 )
 from repro.dram.geometry import DramGeometry
 from repro.dram.remap import FoldedRemap, IdentityRemap
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DramError
 from repro.machine import Machine
 
 from .reference import reference_cells, reference_on_activate
@@ -378,7 +378,7 @@ WALK_ROWS = 16
 
 def store(e):
     """Every bank's accumulators and epoch tags (None = untouched)."""
-    return [None if values is None else (values.tolist(), tags.tolist())
+    return [None if values is None else (list(values), list(tags))
             for values, tags in zip(e._values, e._epochs)]
 
 
@@ -442,3 +442,55 @@ class TestPlanWalk:
         assert walk.total_deposits == ref.total_deposits
         assert walk.total_flip_events == ref.total_flip_events
 
+
+
+class TestOutOfGeometry:
+    """Coordinates outside the 8 x 64 geometry raise a ``DramError``
+    naming the value, before any accumulator, tag, counter or plan
+    moves (a negative bank used to index bank 7's lists, a row past
+    the bank deposited into its last rows, a bank past the end raised
+    a bare ``IndexError``)."""
+
+    CASES = {
+        "negative_bank": (lambda e: e.on_activate(-1, 30, 5, 0, 0),
+                          r"bank -1\b"),
+        "deposit_negative_bank": (lambda e: e.deposit(-1, 30, 5.0, 0, 0),
+                                  r"bank -1\b"),
+        "row_past_end": (lambda e: e.on_activate(0, 66, 5, 0, 0),
+                         r"row 66\b"),
+        "bank_past_end": (lambda e: e.on_activate(8, 30, 5, 0, 0),
+                          r"bank 8\b"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_nothing_moves(self, case):
+        call, message = self.CASES[case]
+        e = engine()
+        # Live state in the first and the last bank, near the rows the
+        # bad coordinates would reach.
+        e.on_activate(0, 61, 3, epoch=0, now_ns=0)
+        e.on_activate(7, 30, 3, epoch=0, now_ns=0)
+        e.deposit(7, 31, 50.0, epoch=0, now_ns=0)
+        before = (store(e), e.total_deposits, e.total_flip_events,
+                  dict(e._plans))
+        with pytest.raises(DramError, match=message):
+            call(e)
+        assert (store(e), e.total_deposits, e.total_flip_events,
+                dict(e._plans)) == before
+
+    def test_victim_plan_checks_coordinates(self):
+        e = engine()
+        with pytest.raises(DramError, match=r"row 64\b"):
+            e.victim_plan(0, 64)
+        assert e._plans == {}
+
+    def test_plan_carries_first_cell_thresholds(self):
+        e = engine(row_vuln_probability=0.5)
+        e.set_cells(0, 31, [])
+        plan = e._plan(0, 30)
+        assert any(victim == 31 for victim, _w, _first, _c in plan)
+        for victim, weight, first, cells in plan:
+            assert cells == e.vulnerable_cells(0, victim)
+            assert first == (cells[0].threshold if cells else float("inf"))
+        assert e.victim_plan(0, 30) == tuple(
+            (victim, weight, cells) for victim, weight, _f, cells in plan)

@@ -1,7 +1,7 @@
-"""Snapshot/restore of the array-backed disturbance state.
+"""Snapshot/restore of the list-backed disturbance state.
 
-The disturbance engine keeps its accumulators in per-bank
-``array('d')`` / ``array('q')`` pairs hanging off the engine;
+The disturbance engine keeps its accumulators and epoch tags in
+per-bank pairs of plain lists hanging off the engine;
 ``Machine.snapshot`` must carry them (plain ``deepcopy`` does) so that a
 restore mid-epoch — with partially-filled accumulators that have *not*
 yet crossed a threshold — replays to bit-identical FlipEvents and

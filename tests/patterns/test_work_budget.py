@@ -5,14 +5,18 @@ rows-mode step is one burst of the plan's own ``(bank, row, count)``
 triples.  These tests pin how much address arithmetic and object
 building that costs on a warm vanilla tiny machine: each aggressor's
 ``(bank, row)`` is resolved once per program, each run's load resolves
-its line once, no TLB hit builds a ``Translation``, and a rows-mode
-program never leaves DRAM coordinates.
+its line once and builds no ``DramAddress``, no TLB hit builds a
+``Translation``, no dispatch point enters the timer queue while no
+timer is due, the engine caches one plan per activated ``(bank, row)``,
+and a rows-mode program never leaves DRAM coordinates.
 """
 
 import pytest
 
 from repro.attacks.hammer import HammerKit
-from repro.dram.address import AddressMapping
+from repro.dram.address import AddressMapping, DramAddress
+from repro.dram.disturbance import DisturbanceEngine
+from repro.kernel.timer import KernelTimers
 from repro.kernel.vma import PAGE
 from repro.machine import Machine, MachineConfig
 from repro.mmu.walker import Translation
@@ -33,8 +37,7 @@ def counting(monkeypatch, owner, name):
     return calls
 
 
-@pytest.fixture
-def warm():
+def warm_kit():
     """A vanilla tiny machine that has run the 20-run program once:
     the aggressor pages are mapped and their translations cached."""
     machine = Machine(MachineConfig(machine="tiny"))
@@ -48,6 +51,11 @@ def warm():
     return kit, program, vaddrs
 
 
+@pytest.fixture
+def warm():
+    return warm_kit()
+
+
 def test_program_has_twenty_runs(warm):
     _kit, program, vaddrs = warm
     runs = sum(len(step.acts) for step in program.plan().steps)
@@ -56,11 +64,57 @@ def test_program_has_twenty_runs(warm):
 
 def test_user_runs_resolve_dram_coordinates_once(warm, monkeypatch):
     kit, program, vaddrs = warm
-    calls = counting(monkeypatch, AddressMapping, "phys_to_dram")
+    calls = counting(monkeypatch, AddressMapping, "row_of")
     outcome = kit.run(program, vaddrs)
     assert outcome.activations == 2 * 1000
     # One per run's line transaction, one per aggressor's bursts.
     assert calls[0] == 20 + len(vaddrs)
+
+
+def test_user_runs_build_no_dram_address(warm, monkeypatch):
+    kit, program, vaddrs = warm
+    built = counting(monkeypatch, DramAddress, "__new__")
+    kit.run(program, vaddrs)
+    assert built[0] == 0
+    # The counter sees a build: phys_to_dram still returns one.
+    kit.kernel.dram.mapping.phys_to_dram(0)
+    assert built[0] == 1
+
+
+def test_idle_dispatch_never_enters_the_timer_queue(warm, monkeypatch):
+    kit, program, vaddrs = warm
+    idle = []
+    original = KernelTimers.run_pending
+
+    def run_pending(timers):
+        if not timers.clock.has_due():
+            idle.append(timers.clock.now_ns)
+        return original(timers)
+
+    monkeypatch.setattr(KernelTimers, "run_pending", run_pending)
+    kit.run(program, vaddrs)
+    assert idle == []
+
+
+def test_one_cached_plan_per_activated_row(monkeypatch):
+    activated = set()
+    original = DisturbanceEngine.on_activate
+
+    def on_activate(engine, bank, row, count, epoch, now_ns):
+        if count > 0:
+            activated.add((bank, row))
+        return original(engine, bank, row, count, epoch, now_ns)
+
+    monkeypatch.setattr(DisturbanceEngine, "on_activate", on_activate)
+    kit, program, vaddrs = warm_kit()
+    engine = kit.kernel.dram.engine
+    cached = dict(engine._plans)
+    kit.run(program, vaddrs)
+    # Every row ever activated has its one plan, and nothing else is
+    # cached; the warm run builds none.
+    assert set(engine._plans) == activated
+    assert all(engine._plans[key] is plan for key, plan in cached.items())
+    assert len(engine._plans) == len(cached)
 
 
 def test_tlb_hits_build_no_translation(warm, monkeypatch):

@@ -1,9 +1,15 @@
 """Tests for the simulated clock and cycle accountant."""
 
+import copy
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.clock import NS_PER_MS, CycleAccountant, SimClock
 from repro.errors import ConfigError
+from repro.kernel.kernel import Kernel
+from repro.kernel.timer import KernelTimers
 
 
 class TestSimClock:
@@ -122,6 +128,83 @@ class TestScheduling:
         clock.schedule(10, lambda: None)
         clock.schedule(20, lambda: None)
         assert clock.pending_count() == 2
+
+
+#: One step of a timer schedule: arm a one-shot timer whose callback
+#: advances the clock a little, or a periodic one (a periodic callback
+#: that advanced the clock by a period would re-arm due forever),
+#: cancel the n-th armed timer (often the heap's head), advance a
+#: little, stall past several periods, or dispatch.
+_STEPS = st.one_of(
+    st.tuples(st.just("oneshot"), st.integers(0, 40), st.integers(0, 3)),
+    st.tuples(st.just("periodic"), st.integers(1, 25)),
+    st.tuples(st.just("cancel"), st.integers(0, 30)),
+    st.tuples(st.just("advance"), st.integers(0, 12)),
+    st.tuples(st.just("stall"), st.integers(60, 400)),
+    st.tuples(st.just("dispatch")),
+)
+
+
+def _would_pop(clock):
+    """Whether ``pop_due()`` pops anything: run it on a copy and see
+    whether the copy's head entry left its heap."""
+    probe = copy.deepcopy(clock)
+    if not probe._heap:
+        return False
+    head = probe._heap[0]
+    probe.pop_due()
+    return all(entry is not head for entry in probe._heap)
+
+
+class TestDueCheck:
+    """``has_due`` is ``pop_due``'s loop condition, and the kernel's
+    dispatch returns on it without touching the timer queue."""
+
+    @given(st.lists(_STEPS, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_due_check_matches_pop_due(self, steps):
+        clock = SimClock()
+        timers = KernelTimers(clock)
+        # Kernel.dispatch_timers needs only these three attributes.
+        kernel = SimpleNamespace(_in_timer_dispatch=False, clock=clock,
+                                 timers=timers)
+        armed = []
+
+        def callback(cost):
+            return lambda: clock.advance(cost)
+
+        for step in steps:
+            kind = step[0]
+            if kind == "oneshot":
+                armed.append(timers.add_oneshot(step[1], callback(step[2])))
+            elif kind == "periodic":
+                armed.append(timers.add_periodic(step[1], callback(0)))
+            elif kind == "cancel" and armed:
+                timers.cancel(armed[step[1] % len(armed)])
+            elif kind in ("advance", "stall"):
+                clock.advance(step[1])
+            elif kind == "dispatch":
+                due = clock.has_due()
+                before = (timers.fired, clock.now_ns, list(clock._heap),
+                          set(clock._cancelled))
+                Kernel.dispatch_timers(kernel)
+                after = (timers.fired, clock.now_ns, list(clock._heap),
+                         set(clock._cancelled))
+                if not due:
+                    assert after == before
+                assert not clock.has_due()
+            assert clock.has_due() == _would_pop(clock)
+
+    def test_cancelled_head_is_due(self):
+        clock = SimClock()
+        head = clock.schedule(5, lambda: None)
+        clock.schedule(50, lambda: None)
+        clock.cancel(head)
+        clock.advance(10)
+        # pop_due pops the cancelled head (and returns nothing).
+        assert clock.has_due()
+        assert clock.pop_due() == []
+        assert not clock.has_due()
 
 
 class TestCycleAccountant:
