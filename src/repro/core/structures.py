@@ -201,17 +201,9 @@ class SoftTrrStructures:
                     yield candidate, bank_struct
 
     def has_pt_near(self, row: int, bank: int, max_distance: int) -> bool:
-        """Whether any L1PT row lies within ``max_distance`` of ``row``:
-        :meth:`pt_rows_near` is non-empty.
-
-        Answered from the bank-struct handles, which hold one key per
-        live ``(row, bank)`` bank struct.
-        """
-        handles = self._bank_handles
-        for distance in range(1, max_distance + 1):
-            for candidate in self.neighbor_rows(row, distance):
-                if (candidate, bank) in handles:
-                    return True
+        """Whether any L1PT row lies within ``max_distance`` of ``row``."""
+        for _ in self.pt_rows_near(row, bank, max_distance):
+            return True
         return False
 
     # ------------------------------------------------------------ memory

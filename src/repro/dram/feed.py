@@ -162,8 +162,6 @@ class Tracker:
 
     def drain_refreshes(self) -> List[Tuple[int, int]]:
         """Victim rows queued since the last drain (cleared on return)."""
-        if not self._pending:
-            return self._pending
         drained = self._pending
         self._pending = []
         return drained

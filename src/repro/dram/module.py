@@ -343,36 +343,20 @@ class DramModule:
     def write(self, paddr: int, payload: bytes) -> None:
         """Architectural write: activates rows, costs time.
 
-        A write inside one line (every PTE store) is one transaction.
         Only an accepted write counts in ``writes``.
         """
-        size = len(payload)
-        self._check_span(paddr, size)
+        self._check_span(paddr, len(payload))
         self.writes += 1
-        offset = paddr & (LINE_BYTES - 1)
-        if offset + size <= LINE_BYTES:
-            self._transact_line(paddr - offset)
-            self._store(paddr, payload)
-            return
         pos = 0
-        for line_paddr, offset, chunk in self._lines(paddr, size):
+        for line_paddr, offset, chunk in self._lines(paddr, len(payload)):
             self._transact_line(line_paddr)
             self._store(line_paddr + offset, payload[pos : pos + chunk])
             pos += chunk
 
     # --------------------------------------------------- instrumentation
     def raw_read(self, paddr: int, size: int) -> bytes:
-        """Side-effect-free read for integrity checks and test setup.
-
-        A read inside one page (every cache hit) is one slice.
-        """
+        """Side-effect-free read for integrity checks and test setup."""
         self._check_span(paddr, size)
-        offset = paddr & _PAGE_MASK
-        if offset + size <= PAGE_BYTES:
-            frame = self._frames.get(paddr >> PAGE_SHIFT)
-            if frame is None:
-                return bytes(size)
-            return bytes(frame[offset:offset + size])
         out = b""
         end = paddr + size
         while paddr < end:

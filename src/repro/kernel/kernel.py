@@ -65,9 +65,6 @@ KERNEL_RESERVED_FRAMES = 64
 #: Default leaf flags for user mappings.
 USER_PTE_FLAGS = bits.PTE_PRESENT | bits.PTE_RW | bits.PTE_USER
 
-#: (level, index shift) of the PML4, PDPT and PD levels.
-_UPPER_LEVELS = bits.LEVEL_SHIFTS[:3]
-
 
 class Kernel:
     """A booted machine: kernel + MMU + DRAM on one simulated clock."""
@@ -316,31 +313,29 @@ class Kernel:
 
         Unlike the hardware walker this does not fault on rsvd bits or
         permissions — it reports the raw leaf, which is what kernel code
-        (and SoftTRR) needs.  Reads are architectural (cached).  The
-        entry arithmetic of :mod:`repro.mmu.bits` is written out.
+        (and SoftTRR) needs.  Reads are architectural (cached).
         """
-        read_entry = self.mmu.pt_ops.read_entry
         table = mm.pml4_ppn
-        for level, shift in _UPPER_LEVELS:
-            index = (vaddr >> shift) & bits.INDEX_MASK
-            entry = read_entry(table, index)
-            if not entry & bits.PTE_PRESENT:
+        for level in (4, 3, 2):
+            index = bits.level_index(vaddr, level)
+            entry = self.mmu.pt_ops.read_entry(table, index)
+            if not bits.is_present(entry):
                 return None
-            if level == 2 and entry & bits.PTE_PSE:
+            if level == 2 and bits.is_huge(entry):
+                base = bits.pte_ppn(entry)
                 return (
-                    ((entry & bits.PTE_ADDR_MASK) >> bits.PAGE_SHIFT)
-                    + ((vaddr >> bits.PAGE_SHIFT) & bits.INDEX_MASK),
+                    base + bits.level_index(vaddr, 1),
                     2,
                     self.mmu.pt_ops.entry_paddr(table, index),
                     entry,
                 )
-            table = (entry & bits.PTE_ADDR_MASK) >> bits.PAGE_SHIFT
-        index = (vaddr >> bits.PAGE_SHIFT) & bits.INDEX_MASK
-        entry = read_entry(table, index)
+            table = bits.pte_ppn(entry)
+        index = bits.level_index(vaddr, 1)
+        entry = self.mmu.pt_ops.read_entry(table, index)
         if entry == 0:
             return None
         return (
-            (entry & bits.PTE_ADDR_MASK) >> bits.PAGE_SHIFT,
+            bits.pte_ppn(entry),
             1,
             self.mmu.pt_ops.entry_paddr(table, index),
             entry,

@@ -47,10 +47,6 @@ ENTRIES_PER_TABLE = 512
 PAGE_SHIFT = 12
 HUGE_2M_SHIFT = 21
 VADDR_BITS = 48
-#: (level, shift of its table index), root first, and the index mask:
-#: :func:`level_index` written out, for the page walks' loops.
-LEVEL_SHIFTS = tuple((level, PAGE_SHIFT + 9 * (level - 1)) for level in LEVELS)
-INDEX_MASK = ENTRIES_PER_TABLE - 1
 
 
 def make_pte(ppn: int, flags: int) -> int:
@@ -86,7 +82,7 @@ def is_huge(entry: int) -> bool:
 def level_index(vaddr: int, level: int) -> int:
     """The 9-bit table index for ``vaddr`` at paging ``level`` (1..4)."""
     shift = PAGE_SHIFT + 9 * (level - 1)
-    return (vaddr >> shift) & INDEX_MASK
+    return (vaddr >> shift) & (ENTRIES_PER_TABLE - 1)
 
 
 def split_vaddr(vaddr: int) -> Tuple[int, int, int, int, int]:

@@ -149,28 +149,16 @@ class CpuCache:
             cursor += LINE_BYTES
 
     def store(self, dram: DramModule, paddr: int, data: bytes) -> None:
-        """Architectural write-through store.
-
-        A store inside one line (every PTE store) touches or fills one
-        line.
-        """
+        """Architectural write-through store."""
         dram.write(paddr, data)
-        line = paddr & ~(LINE_BYTES - 1)
+        cursor = paddr & ~(LINE_BYTES - 1)
         end = paddr + len(data)
-        if end <= line + LINE_BYTES:
-            if line in self._lines:
-                self._touch(line)
-            else:
-                self._insert(line)
-            return
-        cursor = paddr
         while cursor < end:
-            line = self.line_of(cursor)
-            if line in self._lines:
-                self._touch(line)
+            if cursor in self._lines:
+                self._touch(cursor)
             else:
-                self._insert(line)
-            cursor = line + LINE_BYTES
+                self._insert(cursor)
+            cursor += LINE_BYTES
 
     def clflush(self, paddr: int) -> None:
         """Flush one line (the hammering primitive's best friend)."""

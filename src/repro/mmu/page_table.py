@@ -46,18 +46,14 @@ class PageTableOps:
 
         The DRAM activation (if the line misses) is tagged as
         walker-originated: load-address PMU sampling cannot see it,
-        which is why ANVIL-style detectors miss PThammer.  The entry
-        address is :meth:`entry_paddr`'s, computed once, in place.
+        which is why ANVIL-style detectors miss PThammer.
         """
-        if not 0 <= index < ENTRIES_PER_TABLE:
-            raise MmuError(f"PTE index {index} out of range")
-        dram = self.dram
-        dram.walk_origin = True
+        paddr = self.entry_paddr(table_ppn, index)
+        self.dram.walk_origin = True
         try:
-            return _ENTRY.unpack(self.cache.load(
-                dram, (table_ppn << PAGE_SHIFT) + index * 8, 8))[0]
+            return _ENTRY.unpack(self.cache.load(self.dram, paddr, 8))[0]
         finally:
-            dram.walk_origin = False
+            self.dram.walk_origin = False
 
     def write_entry(self, table_ppn: int, index: int, value: int) -> None:
         """Store an entry through the cache (kernel mapping code)."""

@@ -22,18 +22,6 @@ from dataclasses import dataclass
 
 from ..errors import MmuError, PageFaultException
 from . import bits
-from .bits import (
-    INDEX_MASK,
-    LEVEL_SHIFTS,
-    PAGE_SHIFT,
-    PTE_ADDR_MASK,
-    PTE_NX,
-    PTE_PRESENT,
-    PTE_PSE,
-    PTE_RESERVED_MASK,
-    PTE_RW,
-    PTE_USER,
-)
 from .faults import PageFaultInfo, access_error_code
 from .page_table import PageTableOps
 
@@ -72,24 +60,19 @@ class Walker:
         is_fetch: bool = False,
         pid=None,
     ) -> Translation:
-        """Translate ``vaddr`` or raise :class:`PageFaultException`.
-
-        The entry arithmetic of :mod:`repro.mmu.bits` is written out in
-        the loop, and the entry address is computed only where a fault
-        or the leaf needs it.
-        """
+        """Translate ``vaddr`` or raise :class:`PageFaultException`."""
         if not bits.is_canonical(vaddr):
             raise MmuError(f"non-canonical virtual address {vaddr:#x}")
         self.walks += 1
-        pt_ops = self.pt_ops
         table_ppn = cr3_ppn
         eff_rw = True
         eff_user = True
         nx = False
-        for level, shift in LEVEL_SHIFTS:
-            index = (vaddr >> shift) & INDEX_MASK
-            entry = pt_ops.read_entry(table_ppn, index)
-            if not entry & PTE_PRESENT:
+        for level in (4, 3, 2, 1):
+            index = bits.level_index(vaddr, level)
+            pte_paddr = self.pt_ops.entry_paddr(table_ppn, index)
+            entry = self.pt_ops.read_entry(table_ppn, index)
+            if not bits.is_present(entry):
                 raise PageFaultException(PageFaultInfo(
                     vaddr=vaddr,
                     error_code=access_error_code(
@@ -97,10 +80,10 @@ class Walker:
                         present=False,
                     ),
                     leaf_level=level,
-                    pte_paddr=pt_ops.entry_paddr(table_ppn, index),
+                    pte_paddr=pte_paddr,
                     pid=pid,
                 ))
-            if entry & PTE_RESERVED_MASK:
+            if bits.has_reserved_bits(entry):
                 raise PageFaultException(PageFaultInfo(
                     vaddr=vaddr,
                     error_code=access_error_code(
@@ -108,49 +91,47 @@ class Walker:
                         present=True, rsvd=True,
                     ),
                     leaf_level=level,
-                    pte_paddr=pt_ops.entry_paddr(table_ppn, index),
+                    pte_paddr=pte_paddr,
                     pid=pid,
                 ))
-            if not entry & PTE_RW:
-                eff_rw = False
-            if not entry & PTE_USER:
-                eff_user = False
-            if entry & PTE_NX:
-                nx = True
+            eff_rw = eff_rw and bool(entry & bits.PTE_RW)
+            eff_user = eff_user and bool(entry & bits.PTE_USER)
+            nx = nx or bool(entry & bits.PTE_NX)
             if level == 1:
-                base_ppn = (entry & PTE_ADDR_MASK) >> PAGE_SHIFT
+                base_ppn = bits.pte_ppn(entry)
                 leaf_level = 1
+                leaf_paddr = pte_paddr
                 break
-            if level == 2 and entry & PTE_PSE:
-                base_ppn = (entry & PTE_ADDR_MASK) >> PAGE_SHIFT
+            if level == 2 and bits.is_huge(entry):
+                base_ppn = bits.pte_ppn(entry)
                 if base_ppn & 0x1FF:
                     raise MmuError(
                         f"2 MiB mapping at {vaddr:#x} has unaligned base "
                         f"ppn {base_ppn:#x}"
                     )
                 leaf_level = 2
+                leaf_paddr = pte_paddr
                 break
-            if level == 3 and entry & PTE_PSE:
+            if level == 3 and bits.is_huge(entry):
                 raise MmuError("1 GiB pages are not modelled")
-            table_ppn = (entry & PTE_ADDR_MASK) >> PAGE_SHIFT
+            table_ppn = bits.pte_ppn(entry)
         else:  # pragma: no cover - loop always breaks or raises
             raise MmuError("walk fell through")
-        leaf_paddr = pt_ops.entry_paddr(table_ppn, index)
 
         flags = 0
         if eff_rw:
-            flags |= PTE_RW
+            flags |= bits.PTE_RW
         if eff_user:
-            flags |= PTE_USER
+            flags |= bits.PTE_USER
         if nx:
-            flags |= PTE_NX
+            flags |= bits.PTE_NX
         self._check_permissions(
             vaddr, flags,
             is_write=is_write, is_user=is_user, is_fetch=is_fetch,
             leaf_level=leaf_level, pte_paddr=leaf_paddr, pid=pid,
         )
         if leaf_level == 2:
-            ppn = base_ppn + ((vaddr >> PAGE_SHIFT) & INDEX_MASK)
+            ppn = base_ppn + bits.level_index(vaddr, 1)
         else:
             ppn = base_ppn
         return Translation(
@@ -165,9 +146,9 @@ class Walker:
     ) -> None:
         """Raise a protection fault if the effective flags forbid access."""
         violation = (
-            (is_user and not flags & PTE_USER)
-            or (is_write and is_user and not flags & PTE_RW)
-            or (is_fetch and flags & PTE_NX)
+            (is_user and not flags & bits.PTE_USER)
+            or (is_write and is_user and not flags & bits.PTE_RW)
+            or (is_fetch and flags & bits.PTE_NX)
         )
         if violation:
             raise PageFaultException(PageFaultInfo(

@@ -1,7 +1,6 @@
 """Tests for pte_ringbuf and the Table I structures."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.ringbuf import (
     DEFAULT_CAPACITY,
@@ -10,7 +9,6 @@ from repro.core.ringbuf import (
     PteRingBuffer,
 )
 from repro.core.structures import SoftTrrStructures
-from repro.dram.remap import FoldedRemap, IdentityRemap
 from repro.errors import SoftTrrError
 
 
@@ -129,31 +127,6 @@ class TestStructures:
         assert not s.has_pt_near(12, 0, 1)
         assert s.has_pt_near(12, 0, 2)
         assert not s.has_pt_near(11, 1, 6)
-
-    @given(
-        remap=st.sampled_from(["none", "identity", "folded"]),
-        edits=st.lists(st.tuples(st.booleans(), st.integers(0, 31),
-                                 st.integers(0, 1)), max_size=30),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_has_pt_near_agrees_with_pt_rows_near(self, remap, edits):
-        """The handle-map answer equals the tree walk's, after every
-        add or remove, for every row, bank and distance 1-6."""
-        rows = 32
-        s = SoftTrrStructures({"none": None,
-                               "identity": IdentityRemap(rows),
-                               "folded": FoldedRemap(rows)}[remap])
-        for add, row, bank in edits:
-            if add:
-                s.add_pt_location(row, bank)
-            else:
-                s.remove_pt_location(row, bank)
-            for probe in range(rows):
-                for probe_bank in (0, 1):
-                    for distance in range(1, 7):
-                        assert s.has_pt_near(probe, probe_bank, distance) \
-                            == any(s.pt_rows_near(probe, probe_bank,
-                                                  distance))
 
     def test_memory_accounting_grows_and_shrinks(self):
         s = SoftTrrStructures()

@@ -169,6 +169,11 @@ class TestReverseMap:
         assert rmap.mapped_page_count() == 2
 
 
+class _RunawayDrain(Exception):
+    """A timer callback fired far more often than its timer was due:
+    the drain that ran it would not have returned."""
+
+
 class TestKernelTimers:
     def test_periodic_fires_each_period(self):
         clock = SimClock()
@@ -219,6 +224,32 @@ class TestKernelTimers:
         clock.advance(30)
         assert timers.run_pending() == 2
         assert timers.fired == 2
+
+    @pytest.mark.parametrize("costs", [(100,), (50, 50)],
+                             ids=["one_timer", "two_timers"])
+    @pytest.mark.xfail(
+        strict=True, raises=_RunawayDrain,
+        reason="run_pending never returns once the periodic callbacks "
+               "advance the clock by a full period per period: every "
+               "re-armed timer is due again")
+    def test_callbacks_costing_a_period_fire_once(self, costs):
+        clock = SimClock()
+        timers = KernelTimers(clock)
+        fires = []
+
+        def tick(cost):
+            def callback():
+                fires.append(cost)
+                if len(fires) > 100:
+                    raise _RunawayDrain
+                clock.advance(cost)
+            return callback
+
+        for cost in costs:
+            timers.add_periodic(100, tick(cost))
+        clock.advance(100)
+        timers.run_pending()
+        assert len(fires) == len(costs)
 
 
 class TestSiblingCancellation:

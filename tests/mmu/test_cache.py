@@ -67,6 +67,17 @@ class TestDataPath:
         cache.store(dram, 0x3000, b"hi")
         assert dram.raw_read(0x3000, 2) == b"hi"
 
+    @pytest.mark.parametrize("paddr, size", [(0x3008, 8), (0x30F8, 16)],
+                             ids=["inside_one_line", "across_two_lines"])
+    def test_store_fills_the_lines_it_spans(self, paddr, size):
+        clock, dram, cache = bed()
+        cache.store(dram, paddr, bytes(range(size)))
+        lines = range(CpuCache.line_of(paddr), paddr + size, 64)
+        assert len(cache) == len(lines)
+        assert all(cache.contains(line) for line in lines)
+        assert cache.load(dram, paddr, size) == bytes(range(size))
+        assert (cache.hits, cache.misses) == (len(lines), 0)
+
     def test_load_spanning_lines(self):
         clock, dram, cache = bed()
         payload = bytes(range(130))
