@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from .errors import ConfigError
 
@@ -152,17 +152,6 @@ class SimClock:
         relies on the pending cancellation to die at the next pop.
         """
         self._cancelled.discard(event.seq)
-
-    def next_due_ns(self) -> Optional[int]:
-        """Timestamp of the earliest pending event, or ``None``."""
-        while self._heap:
-            when, seq, event = self._heap[0]
-            if seq in self._cancelled:
-                heapq.heappop(self._heap)
-                self._cancelled.discard(seq)
-                continue
-            return when
-        return None
 
     def has_due(self) -> bool:
         """Whether :meth:`pop_due` would pop anything now: the heap's

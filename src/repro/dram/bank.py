@@ -61,23 +61,6 @@ class BankState:
         self.open_row = None if policy is _CLOSED_PAGE else row
         return True
 
-    def hit_run(self, row: int, count: int) -> None:
-        """Record ``count`` consecutive row-buffer hits on ``row``.
-
-        Replay primitive for the batched access paths: equivalent to
-        ``count`` :meth:`access` calls to the already-open row under the
-        open-page policy.  The row must actually be open — calling this
-        for any other row would silently mis-count activations, so it
-        raises instead.
-        """
-        if count <= 0:
-            return
-        if self.open_row != row:
-            raise ValueError(
-                f"hit_run on row {row} but open row is {self.open_row}"
-            )
-        self.hits += count
-
     def activate_run(self, row: int, count: int, open_page: bool) -> None:
         """Record ``count`` forced activations ending on ``row``.
 

@@ -75,7 +75,7 @@ class DramModule:
         # (actuation).  The profile's ChipTRR subscribes like any other
         # tracker; zoo trackers join via ``feed.subscribe`` at defense
         # install time.
-        self.actuator = RefreshActuator(self._heal_row)
+        self.actuator = RefreshActuator(self.engine.heal)
         self.feed = ActivationFeed(self.actuator)
         self.trr = ChipTrr(trr, remap=self.remap)
         if trr.enabled:
@@ -121,11 +121,6 @@ class DramModule:
         if frame == _ZERO_PAGE:
             del frames[ppn]
 
-    def _heal_row(self, bank: int, row: int) -> None:
-        """Refresh callback target (TRR / auto / SoftTRR-induced reads)."""
-        if 0 <= row < self.geometry.rows_per_bank:
-            self.engine.heal(bank, row)
-
     def _apply_flips(self, flips: List[FlipEvent]) -> None:
         trace = self.trace
         for flip in flips:
@@ -168,7 +163,7 @@ class DramModule:
     def hammer_batch(self, items, extra_ns: int = 0) -> None:
         """Replay a stream of forced activation runs in one pass.
 
-        ``items`` is a sequence (read twice: checked, then replayed) of
+        ``items`` is a sequence (checked, replayed, then traced) of
         ``(bank, row, count)`` triples, the
         :attr:`~repro.patterns.compile.PlanStep.acts` format; items with
         ``count <= 0`` are skipped.  The batch is *semantically
@@ -192,7 +187,13 @@ class DramModule:
 
         The whole stream is checked before anything moves: a negative
         ``extra_ns`` or a ``(bank, row)`` outside the geometry raises
-        :class:`~repro.errors.DramError`.
+        :class:`~repro.errors.DramError`.  A traced burst emits one
+        ``dram.activate`` per live item, with its ``bank`` and ``row``,
+        as :meth:`hammer` does.
+
+        It stays an entry point of its own beside :meth:`hammer`
+        because ``perfbench/layertrace.py`` resolves the name when it
+        installs.
         """
         if extra_ns < 0:
             raise DramError(f"hammer_batch extra_ns must be >= 0, "
@@ -244,45 +245,13 @@ class DramModule:
         self.total_activations += acts
         self.clock.advance(now_ns - start_ns)
         if trace is not None:
-            trace.emit("dram.activate", count=acts, origin="data", batched=1)
+            for bank, row, count in items:
+                if count > 0:
+                    trace.emit("dram.activate", bank=bank, row=row,
+                               count=count, origin="data")
             trace.emit("dram.deposit",
                        count=engine.total_deposits - deposits_before)
             trace.span_end("dram.hammer_batch", span_start)
-
-    def write_run(self, paddr: int, payload: bytes, count: int) -> bool:
-        """Replay ``count`` identical architectural writes of ``payload``.
-
-        Equivalent to ``for _ in range(count): self.write(paddr,
-        payload)`` when every line of the span is a row-buffer hit for
-        the whole run; returns False (having changed nothing) when that
-        cannot be guaranteed — closed-page policy, a line whose row is
-        not open, or two different rows of one bank in the span (they
-        would conflict-ping-pong).  The caller then falls back to the
-        scalar path.
-        """
-        if count <= 0:
-            return True
-        if self.row_policy is not _OPEN_PAGE:
-            return False
-        self._check_span(paddr, len(payload))
-        plan = []
-        bank_rows: Dict[int, int] = {}
-        for line_paddr, _offset, _chunk in self._lines(paddr, len(payload)):
-            dram = self.mapping.phys_to_dram(line_paddr)
-            state = self._banks[dram.bank]
-            if state.open_row != dram.row:
-                return False
-            seen = bank_rows.get(dram.bank)
-            if seen is not None and seen != dram.row:
-                return False
-            bank_rows[dram.bank] = dram.row
-            plan.append((state, dram.row))
-        for state, row in plan:
-            state.hit_run(row, count)
-        self.writes += count
-        self.raw_write(paddr, payload)  # same bytes every repetition
-        self.clock.advance(len(plan) * count * self.timings.hit_latency_ns)
-        return True
 
     def hammer(self, paddr: int, count: int, origin: str = "data") -> None:
         """``count`` forced row activations of the row holding ``paddr``.

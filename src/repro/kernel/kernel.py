@@ -578,66 +578,19 @@ class Kernel:
         self, process: Process, vaddr: int, count: int, *,
         size: int = 8, data: Optional[bytes] = None,
     ) -> Optional[bytes]:
-        """Repeat one user access ``count`` times, batching safe repeats.
+        """``count`` :meth:`user_read` calls of ``size`` bytes (or
+        :meth:`user_write` calls when ``data`` is given); returns the
+        last read's bytes (None for writes).
 
-        Semantically identical to ``count`` :meth:`user_read` calls (or
-        :meth:`user_write` when ``data`` is given): the same faults are
-        taken — one trace-bit fault per touch while a page stays armed,
-        since re-arming needs a timer tick and the batched replay never
-        crosses one — the same timers fire at the same simulated times,
-        and the clock advances identically.  Each iteration runs one
-        touch through the full scalar path (timer dispatch + fault
-        loop), measures its cost, and replays as many further touches
-        as provably fit before the next timer deadline via
-        :meth:`Mmu.access_run`.  Returns the last read's bytes (None
-        for writes).
+        No package code calls it; it stays because
+        ``perfbench/layertrace.py`` resolves the name when it installs.
         """
-        if count <= 0:
-            return None
-        pml4 = process.mm.pml4_ppn
-        if data is not None:
-            op, operand = self.mmu.store, data
-        else:
-            op, operand = self.mmu.load, size
-        clock = self.clock
         last: Optional[bytes] = None
-        done = 0
-        while done < count:
-            before_ns = clock.now_ns
-            result = self._user_op(process, op, pml4, vaddr, operand,
-                                   pid=process.pid)
+        for _ in range(count):
             if data is None:
-                last = result
-            done += 1
-            if done >= count:
-                break
-            per_touch = clock.now_ns - before_ns
-            deadline = clock.next_due_ns()
-            if deadline is None:
-                room = count - done
-            elif per_touch <= 0 or deadline <= clock.now_ns:
-                continue
+                last = self.user_read(process, vaddr, size)
             else:
-                # Replayed touch k starts at now + k*per_touch; the
-                # scalar loop's timer dispatch before it is a no-op as
-                # long as that start stays before the deadline.  The
-                # measured cost is an upper bound on the replay cost
-                # (the first touch may have walked/faulted), so this
-                # never overshoots.
-                room = min(
-                    count - done,
-                    (deadline - clock.now_ns - 1) // per_touch + 1,
-                )
-                if room <= 0:
-                    continue
-            completed, payload = self.mmu.access_run(
-                pml4, vaddr, size, room, data=data, pid=process.pid,
-            )
-            if data is None and payload is not None:
-                last = payload
-            done += completed
-            # completed < room: preconditions broke — the loop's next
-            # scalar touch restores them (or takes the fault).
+                self.user_write(process, vaddr, data)
         return last
 
     def user_fetch(self, process: Process, vaddr: int, size: int = 16) -> bytes:

@@ -172,9 +172,7 @@ class Machine:
         return module
 
     def run_workload(self, profile, seed: int = 1234):
-        """Run a :class:`WorkloadProfile` on this machine's kernel, on
-        the batched path (the scalar reference path is
-        ``SliceWorkload(..., use_batch=False)``)."""
+        """Run a :class:`WorkloadProfile` on this machine's kernel."""
         from ..workloads.base import SliceWorkload
 
         return SliceWorkload(self.kernel, profile, seed=seed).run()

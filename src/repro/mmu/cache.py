@@ -110,44 +110,6 @@ class CpuCache:
             cursor += chunk
         return bytes(out)
 
-    def hit_run(self, paddr: int, size: int, count: int) -> bool:
-        """Replay ``count`` all-hit loads of ``[paddr, paddr+size)``.
-
-        Equivalent to ``count`` :meth:`load` calls whose every line is
-        cached (the caller reads the bytes itself via ``dram.raw_read``,
-        exactly as the hit path of :meth:`load` does).  Returns False —
-        with no side effects — if any line of the span is missing.
-        """
-        if count <= 0:
-            return True
-        lines = []
-        cursor = self.line_of(paddr)
-        end = paddr + size
-        while cursor < end:
-            if cursor not in self._lines:
-                return False
-            lines.append(cursor)
-            cursor += LINE_BYTES
-        for line in lines:
-            self._touch(line)
-        self.hits += len(lines) * count
-        self.clock.advance(len(lines) * count * self.hit_ns)
-        return True
-
-    def touch_span(self, paddr: int, size: int) -> None:
-        """Move every present line of the span to MRU (no stats, no time).
-
-        Replay helper for repeated write-through stores: :meth:`store`
-        only touches lines, so N identical stores leave the same LRU
-        order as one touch pass.
-        """
-        cursor = self.line_of(paddr)
-        end = paddr + size
-        while cursor < end:
-            if cursor in self._lines:
-                self._touch(cursor)
-            cursor += LINE_BYTES
-
     def store(self, dram: DramModule, paddr: int, data: bytes) -> None:
         """Architectural write-through store."""
         dram.write(paddr, data)

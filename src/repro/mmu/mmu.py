@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..clock import SimClock
-from ..dram.geometry import LINE_BYTES
 from ..dram.module import DramModule
 from ..errors import PageFaultException
 from . import bits
@@ -173,72 +172,22 @@ class Mmu:
 
     def access_run(
         self, cr3_ppn: int, vaddr: int, size: int, count: int, *,
-        data: Optional[bytes] = None, is_user: bool = True,
-        is_fetch: bool = False, pid: Optional[int] = None,
+        data: Optional[bytes] = None, pid: Optional[int] = None,
     ) -> Tuple[int, Optional[bytes]]:
-        """Replay ``count`` repetitions of one user access, translating
-        once per page instead of once per touch.
+        """``count`` user-mode :meth:`load` calls (or :meth:`store` calls
+        when ``data`` is given); returns ``(count, last_bytes)``, where
+        ``last_bytes`` is None for stores.  Faults propagate.
 
-        Semantically identical to ``count`` :meth:`load` calls (or
-        :meth:`store` calls when ``data`` is given): TLB hit counters,
-        LRU order, permission semantics, cache stats and DRAM traffic
-        all match the scalar loop.  The replay only engages while it is
-        provably equivalent — every page chunk has a TLB entry whose
-        permissions pass, every line is already cached, and (stores) the
-        span is a guaranteed row-buffer hit.  Returns ``(completed,
-        last_bytes)``; ``completed == 0`` with no side effects when the
-        preconditions fail, so the caller finishes scalar-ly (taking any
-        fault — e.g. one trace-bit fault per touch of an armed page —
-        on the scalar path; this method never raises one).  The caller
-        must ensure no kernel timer falls due during the run, since the
-        scalar loop would dispatch between touches.
+        No package code calls it; it stays because
+        ``perfbench/layertrace.py`` resolves the name when it installs.
         """
-        is_write = data is not None
-        if is_write:
-            size = len(data)
-        if count <= 0 or size <= 0:
-            return 0, None
-        # Validation pass: entirely side-effect-free (peek/contains).
-        chunks = []
-        cursor = vaddr
-        end = vaddr + size
-        while cursor < end:
-            page_end = bits.page_base(cursor) + 4096
-            chunk = min(page_end - cursor, end - cursor)
-            entry = self.tlb.peek(cursor)
-            if entry is None:
-                return 0, None
-            if (
-                (is_user and not entry.flags & bits.PTE_USER)
-                or (is_write and is_user and not entry.flags & bits.PTE_RW)
-                or (is_fetch and entry.flags & bits.PTE_NX)
-            ):
-                return 0, None
-            paddr = (entry.frame_ppn(cursor) << 12) | (cursor & 0xFFF)
-            line = self.cache.line_of(paddr)
-            while line < paddr + chunk:
-                if not self.cache.contains(line):
-                    return 0, None
-                line += LINE_BYTES
-            chunks.append((cursor, chunk, paddr))
-            cursor += chunk
-        if is_write:
-            if len(chunks) != 1:
-                return 0, None
-            _va, _chunk, paddr = chunks[0]
-            # write_run validates the row-buffer preconditions itself
-            # and applies nothing when they fail.
-            if not self.dram.write_run(paddr, data, count):
-                return 0, None
-            self.tlb.hit_run(vaddr, count)
-            self.cache.touch_span(paddr, len(data))
-            return count, None
-        out = bytearray()
-        for va, chunk, paddr in chunks:
-            self.tlb.hit_run(va, count)
-            self.cache.hit_run(paddr, chunk, count)
-            out.extend(self.dram.raw_read(paddr, chunk))
-        return count, bytes(out)
+        last: Optional[bytes] = None
+        for _ in range(count):
+            if data is None:
+                last = self.load(cr3_ppn, vaddr, size, pid=pid)
+            else:
+                self.store(cr3_ppn, vaddr, data, pid=pid)
+        return max(count, 0), last
 
     # ------------------------------------------------------ kernel access
     def phys_load(self, paddr: int, size: int) -> bytes:

@@ -87,29 +87,6 @@ class Tlb:
         self.misses += 1
         return None
 
-    def hit_run(self, vaddr: int, count: int) -> bool:
-        """Replay ``count`` hitting lookups of ``vaddr`` in one step.
-
-        Equivalent to ``count`` :meth:`lookup` calls that all hit: the
-        hit counter and clock advance by ``count`` times their unit and
-        the entry moves to MRU (idempotent under repetition).  Returns
-        False — with no side effects — if no entry covers ``vaddr``,
-        in which case the caller must take the scalar path.
-        """
-        if count <= 0:
-            return True
-        vpn = vaddr >> PAGE_SHIFT
-        if vpn in self._small:
-            self._small.move_to_end(vpn)
-        else:
-            hvpn = vaddr >> HUGE_2M_SHIFT
-            if hvpn not in self._huge:
-                return False
-            self._huge.move_to_end(hvpn)
-        self.hits += count
-        self.clock.advance(count * self.hit_ns)
-        return True
-
     def peek(self, vaddr: int) -> Optional[TlbEntry]:
         """Side-effect-free lookup: no time, no LRU movement, no stats.
 

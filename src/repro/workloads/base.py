@@ -55,10 +55,6 @@ class WorkloadProfile:
     churn_pages: int = 8
     fork_every_slices: Optional[int] = None
     syscalls_per_slice: int = 0
-    #: Touches per hot page per slice (memory-bound programs hit their
-    #: resident set many times per millisecond).  Values > 1 are where
-    #: the batched access path (:meth:`Kernel.user_access_run`) pays off.
-    hot_touch_repeat: int = 1
     category: str = "cpu"
 
     def __post_init__(self) -> None:
@@ -68,8 +64,6 @@ class WorkloadProfile:
             raise ConfigError("cold pool must contain the hot set")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ConfigError("write_fraction must be a probability")
-        if self.hot_touch_repeat < 1:
-            raise ConfigError("hot_touch_repeat must be >= 1")
 
     def replace(self, **overrides) -> "WorkloadProfile":
         """A copy with ``overrides`` applied (validation re-runs)."""
@@ -94,15 +88,11 @@ class WorkloadResult:
 class SliceWorkload:
     """Runs one :class:`WorkloadProfile` against a kernel."""
 
-    def __init__(self, kernel, profile: WorkloadProfile, seed: int = 1234,
-                 use_batch: bool = True) -> None:
+    def __init__(self, kernel, profile: WorkloadProfile,
+                 seed: int = 1234) -> None:
         self.kernel = kernel
         self.profile = profile
         self.seed = seed
-        #: False replays the hot set access by access (the scalar
-        #: reference path); the differential suite asserts both paths
-        #: byte-equivalent, so this cannot change any measurement.
-        self.use_batch = use_batch
 
     def run(self) -> WorkloadResult:
         """Execute the workload; returns its measured result."""
@@ -121,32 +111,19 @@ class SliceWorkload:
             kernel.user_write(process, vaddr, b"w")
         accounting_before = kernel.accountant.snapshot()
         touches = forks = churn_events = syscalls = 0
-        repeat = prof.hot_touch_repeat
-        use_batch = self.use_batch
         defense_seen = kernel.defense_overhead_ns()
         start_ns = kernel.clock.now_ns
         for slice_index in range(prof.duration_ms):
             slice_start = kernel.clock.now_ns
             kernel.dispatch_timers()
-            # Hot set: touched every slice (hot_touch_repeat times per
-            # page).  One rng draw per page decides read vs write for
-            # the whole repeat run, so both paths consume the seed
-            # identically.
+            # Hot set: every page touched once per slice; one rng draw
+            # per page decides read vs write.
             for vaddr in hot:
-                is_write = rng.random() < prof.write_fraction
-                if use_batch:
-                    if is_write:
-                        kernel.user_access_run(
-                            process, vaddr, repeat, data=b"x")
-                    else:
-                        kernel.user_access_run(process, vaddr, repeat, size=8)
-                elif is_write:
-                    for _ in range(repeat):
-                        kernel.user_write(process, vaddr, b"x")
+                if rng.random() < prof.write_fraction:
+                    kernel.user_write(process, vaddr, b"x")
                 else:
-                    for _ in range(repeat):
-                        kernel.user_read(process, vaddr, 8)
-                touches += repeat
+                    kernel.user_read(process, vaddr, 8)
+                touches += 1
             # Cold spread.
             for _ in range(prof.cold_touches):
                 vaddr = rng.choice(cold)

@@ -77,20 +77,28 @@ class TestL2Protection:
     def test_l2_row_refreshed_when_neighbour_hammered(self):
         kernel, module = build(protect_levels=(1, 2))
         proc = kernel.create_process("app")
-        base = kernel.mmap(proc, 8 * PAGE)
-        for i in range(8):
-            kernel.user_write(proc, base + i * PAGE, b"x")
+        base = kernel.mmap(proc, 16 * PAGE)
+        vaddrs = [base + i * PAGE for i in range(16)]
+        for vaddr in vaddrs:
+            kernel.user_write(proc, vaddr, b"x")
         l2 = next(ppn for ppn, lvl in proc.mm.table_levels.items()
                   if lvl == 2)
         bank, row = kernel.dram.mapping.page_rows(l2)[0]
-        # A user page in a row adjacent to the L2 row becomes traced;
-        # hammering it must bump the L2 row's charge-leak counter.
-        candidates = [
-            p for p in kernel.dram.mapping.row_pages(bank, row + 1)
-            if kernel.rmap.is_mapped(p)]
-        if not candidates:
-            pytest.skip("layout placed no user page next to the L2 row")
-        assert module.collector.is_adjacent(candidates[0])
+        # A user page in the row after the L2 row is traced as the L2
+        # page's neighbour; hammering it must make SoftTRR refresh the
+        # L2 row, and only that row.
+        kit = HammerKit(kernel, proc)
+        neighbour = next(
+            vaddr for vaddr in vaddrs
+            if kernel.dram.mapping.row_of(kit.paddr_of(vaddr))
+            == (bank, row + 1))
+        assert module.collector.is_adjacent(kit.paddr_of(neighbour) >> 12)
+        logged = len(module.refresher.refresh_log)
+        kit.run_for([neighbour], 300_000)
+        refreshed = [(b, r) for b, r, _ in
+                     module.refresher.refresh_log[logged:]]
+        assert refreshed
+        assert set(refreshed) == {(bank, row)}
 
     def test_huge_mapping_reachable_set(self):
         """L2 protection with huge pages: the reachable user page of a

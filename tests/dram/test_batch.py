@@ -1,19 +1,14 @@
-"""Unit tests for the DRAM-level batched execution primitives.
+"""Unit tests for the DRAM-level batched hammer path.
 
 Covers the accounting the differential suite cannot isolate on its own:
-origin labels in the PMU sample buffer (``recent_activations``),
-:meth:`BankState.hit_run`'s refusal to mis-count,
-:meth:`DramModule.write_run`'s precondition checks, and
+origin labels in the PMU sample buffer (``recent_activations``) and
 :meth:`DramModule.hammer_batch`'s refusal of a bad stream before any
 side effect.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.config import machine, tiny_machine
-from repro.dram.bank import BankState, RowBufferPolicy
 from repro.errors import DramError
 from repro.kernel.kernel import Kernel
 from repro.machine import Machine, MachineConfig
@@ -32,9 +27,8 @@ TRACKER_PARAMS = {
 }
 
 
-def build_dram(policy=RowBufferPolicy.OPEN_PAGE):
-    spec = dataclasses.replace(tiny_machine(seed=7), row_policy=policy)
-    return Kernel(spec).dram
+def build_dram():
+    return Kernel(tiny_machine(seed=7)).dram
 
 
 def threshold_crossing_burst(tracker, *, batched):
@@ -101,68 +95,6 @@ class TestHammerOriginAccounting:
         dram._transact_line(dram.mapping.dram_to_phys(2, 9, 0))
         assert list(dram.recent_activations) == [
             (2, 7, "walk"), (2, 9, "data")]
-
-
-class TestBankHitRun:
-    def test_hit_run_counts(self):
-        bank = BankState()
-        bank.access(30, RowBufferPolicy.OPEN_PAGE)
-        bank.hit_run(30, 7)
-        assert bank.hits == 7
-        assert bank.activations == 1
-
-    def test_hit_run_rejects_wrong_row(self):
-        bank = BankState()
-        bank.access(30, RowBufferPolicy.OPEN_PAGE)
-        with pytest.raises(ValueError):
-            bank.hit_run(31, 1)
-
-    def test_hit_run_rejects_closed_buffer(self):
-        bank = BankState()
-        with pytest.raises(ValueError):
-            bank.hit_run(30, 1)
-
-    def test_hit_run_ignores_nonpositive_count(self):
-        bank = BankState()
-        bank.hit_run(30, 0)
-        bank.hit_run(30, -3)
-        assert bank.hits == 0
-
-
-class TestWriteRun:
-    def test_replays_open_row_writes(self):
-        dram = build_dram()
-        paddr = dram.mapping.dram_to_phys(0, 30, 0)
-        dram.write(paddr, b"seed")  # opens the row
-        writes_before = dram.writes
-        start = dram.clock.now_ns
-        assert dram.write_run(paddr, b"data", 5)
-        assert dram.writes - writes_before == 5
-        assert dram.raw_read(paddr, 4) == b"data"
-        assert (dram.clock.now_ns - start
-                == 5 * dram.timings.hit_latency_ns)
-        assert dram.bank_state(0).hits >= 5
-
-    def test_refuses_when_row_not_open(self):
-        dram = build_dram()
-        paddr = dram.mapping.dram_to_phys(0, 30, 0)
-        before = dram.clock.now_ns
-        assert not dram.write_run(paddr, b"data", 5)
-        assert dram.writes == 0
-        assert dram.clock.now_ns == before
-        assert dram.raw_read(paddr, 4) == b"\x00" * 4
-
-    def test_refuses_under_closed_page(self):
-        dram = build_dram(policy=RowBufferPolicy.CLOSED_PAGE)
-        paddr = dram.mapping.dram_to_phys(0, 30, 0)
-        dram.write(paddr, b"seed")
-        assert not dram.write_run(paddr, b"data", 5)
-
-    def test_zero_count_is_a_noop_success(self):
-        dram = build_dram()
-        paddr = dram.mapping.dram_to_phys(0, 30, 0)
-        assert dram.write_run(paddr, b"data", 0)
-        assert dram.writes == 0
 
 
 class TestHammerBatchDegenerates:

@@ -1,5 +1,8 @@
 """The Machine facade: config validation, assembly, counters."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import tiny_machine
@@ -121,6 +124,20 @@ class TestMachineFacade:
         second = Machine(machine="tiny").run_workload(SHORT, seed=99)
         assert first.runtime_ns == second.runtime_ns
         assert first.slices == second.slices
+
+    def test_dropped_vanilla_machine_is_freed_by_refcount(self):
+        # No reference cycle holds a vanilla machine's parts, so they go
+        # with the last reference, not at the next cyclic collection.
+        gc.disable()
+        try:
+            m = Machine(machine="tiny")
+            dram = weakref.ref(m.dram)
+            kernel = weakref.ref(m.kernel)
+            del m
+            assert dram() is None
+            assert kernel() is None
+        finally:
+            gc.enable()
 
 
 class TestTelemetry:

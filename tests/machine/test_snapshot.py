@@ -3,8 +3,7 @@
 The acceptance property: snapshot a machine, disturb it (hammer DRAM,
 run workloads, let SoftTRR tick), record the FlipEvent stream and the
 full counter registry, then restore and replay the same inputs — every
-observable must match, under strict sanitizers, with batching pinned on
-and off.
+observable must match, under strict sanitizers.
 """
 
 import pytest
@@ -14,7 +13,6 @@ from repro.defenses import DEFENSES
 from repro.faults import FaultPlan, FaultSpec
 from repro.kernel.vma import PAGE
 from repro.machine import Machine
-from repro.workloads.base import SliceWorkload
 from repro.workloads.spec import SPEC_PROFILES
 
 SHORT = SPEC_PROFILES["exchange2_s"].replace(duration_ms=4)
@@ -81,12 +79,6 @@ def _observables(machine):
             machine.telemetry.as_flat_dict())
 
 
-def _run_workload(machine, batch, seed):
-    """``SHORT`` on the batched or the scalar reference path."""
-    return SliceWorkload(machine.kernel, SHORT, seed=seed,
-                         use_batch=batch).run()
-
-
 class TestSnapshotRestore:
     def test_restore_replays_identical_flip_stream(self):
         m = Machine(machine="tiny", sanitizers="strict")
@@ -126,16 +118,15 @@ class TestSnapshotRestore:
         # The manager's wrappers are live again (uninstall clears them).
         assert m.sanitizers._originals
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_workload_replay_matches_under_both_exec_paths(self, batch):
+    def test_workload_replay_matches(self):
         m = Machine(machine="tiny", defense="softtrr",
                     defense_params={"timer_inr_ns": 50_000},
                     sanitizers="strict")
         snap = m.snapshot()
-        first = _run_workload(m, batch, seed=11)
+        first = m.run_workload(SHORT, seed=11)
         first_obs = _observables(m)
         m.restore(snap)
-        second = _run_workload(m, batch, seed=11)
+        second = m.run_workload(SHORT, seed=11)
         assert (first.runtime_ns, first.slices) == (
             second.runtime_ns, second.slices)
         assert first_obs == _observables(m)
@@ -200,24 +191,23 @@ class TestSnapshotWithFaultPlan:
                        defense_params=HEALING, sanitizers="report",
                        fault_plan=CHAOS_PLAN)
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_fault_stream_replays_identically(self, batch):
+    def test_fault_stream_replays_identically(self):
         m = self._machine()
         snap = m.snapshot()
-        _run_workload(m, batch, seed=11)
+        m.run_workload(SHORT, seed=11)
         first = _observables(m)
         # The run must have actually drawn from the fault streams,
         # otherwise this test proves nothing.
         assert any(value > 0 for key, value in first[2].items()
                    if key.startswith("faults.") and key.endswith(".injected"))
         m.restore(snap)
-        _run_workload(m, batch, seed=11)
+        m.run_workload(SHORT, seed=11)
         assert first == _observables(m)
 
     def test_restore_reinstalls_the_injector(self):
         m = self._machine()
         snap = m.snapshot()
-        _run_workload(m, False, seed=11)
+        m.run_workload(SHORT, seed=11)
         m.restore(snap)
         assert m.fault_injector is not None
         assert m.fault_injector.installed

@@ -1,18 +1,16 @@
-"""Differential equivalence: the batched execution layer is invisible.
+"""Differential equivalence: the batched hammer path is invisible.
 
-Every batched entry point — ``DramModule.hammer_batch`` /
-``write_run``, ``Mmu.access_run``, ``Kernel.user_access_run``, the
-workload engine's replayed hot-page touches and :class:`HammerKit`'s
-one-item bursts — must be *semantically identical* to the scalar code
-it stands for: identical DRAM bytes, identical ``FlipEvent`` streams
-(including timestamps), identical simulated nanoseconds, every nonzero
-accumulator bit for bit, and identical counters in every layer the
-evaluation reads.  These tests run each scenario twice on freshly built
-machines — scalar and batched — with strict runtime sanitizers
-installed (``install_sanitizers(kernel, strict=True)``), so the first
-invariant violation raises, and compare a full fingerprint.  The kit
-cases compare :class:`HammerKit` with a scalar replay of its plan
-written here.
+``DramModule.hammer_batch`` and :class:`HammerKit`'s one-item bursts
+must be *semantically identical* to the scalar code they stand for,
+``DramModule.hammer`` bursts: identical DRAM bytes, identical
+``FlipEvent`` streams (including timestamps), identical simulated
+nanoseconds, every nonzero accumulator bit for bit, and identical
+counters in every layer the evaluation reads.  These tests run each
+scenario twice on freshly built machines — scalar and batched — with
+strict runtime sanitizers installed (``install_sanitizers(kernel,
+strict=True)``), so the first invariant violation raises, and compare
+a full fingerprint.  The kit cases compare :class:`HammerKit` with a
+scalar replay of its plan written here.
 """
 
 import dataclasses
@@ -264,64 +262,8 @@ def test_kit_one_location_closed_page():
 
 
 # --------------------------------------------------------------------------
-# Kernel / workload level
+# End to end: kit bursts around workload traffic
 # --------------------------------------------------------------------------
-
-def _access_run_scenario(batched):
-    kernel = strict_kernel(machine("thinkpad_x230"))
-    kernel.load_module("softtrr", SoftTrr(SoftTrrParams()))
-    process = kernel.create_process("app")
-    base = kernel.mmap(process, 4 * PAGE, name="ws")
-    for i in range(4):
-        kernel.user_write(process, base + i * PAGE, b"w")
-    payload = None
-    for repeat in (1, 5, 33):
-        for i in range(4):
-            vaddr = base + i * PAGE + 128
-            if batched:
-                kernel.user_access_run(process, vaddr, repeat, data=b"x")
-                payload = kernel.user_access_run(process, vaddr, repeat,
-                                                 size=8)
-            else:
-                for _ in range(repeat):
-                    kernel.user_write(process, vaddr, b"x")
-                for _ in range(repeat):
-                    payload = kernel.user_read(process, vaddr, 8)
-    return kernel_fingerprint(kernel), payload
-
-
-def test_user_access_run_equals_scalar_touches():
-    (scalar_fp, scalar_payload) = _access_run_scenario(batched=False)
-    (batched_fp, batched_payload) = _access_run_scenario(batched=True)
-    assert scalar_payload == batched_payload
-    assert_same(scalar_fp, batched_fp)
-
-
-def _workload_scenario(use_batch, softtrr):
-    profile = WorkloadProfile(
-        name="diff-memlat", duration_ms=30, hot_pages=8,
-        cold_pool_pages=32, cold_touches=2, write_fraction=0.4,
-        churn_prob=0.2, fork_every_slices=10, syscalls_per_slice=2,
-        hot_touch_repeat=4)
-    kernel = strict_kernel(machine("thinkpad_x230"))
-    if softtrr:
-        kernel.load_module("softtrr", SoftTrr(SoftTrrParams()))
-    result = SliceWorkload(kernel, profile, seed=99,
-                           use_batch=use_batch).run()
-    return kernel_fingerprint(kernel), result
-
-
-def test_workload_slices_batched_equals_scalar():
-    """A full churny workload on a SoftTRR-protected kernel: the two
-    hot-loop paths consume the seed identically and leave identical
-    machines — so every overhead measurement is path-independent."""
-    scalar_fp, scalar_result = _workload_scenario(use_batch=False,
-                                                  softtrr=True)
-    batched_fp, batched_result = _workload_scenario(use_batch=True,
-                                                    softtrr=True)
-    assert scalar_result == batched_result
-    assert_same(scalar_fp, batched_fp)
-
 
 def test_full_softtrr_run_equivalence():
     """End to end: SoftTRR-protected machine, timers ticking, hammer
@@ -338,8 +280,8 @@ def test_full_softtrr_run_equivalence():
         _kit_run(kit, round_robin(2, 1000), vaddrs, scalar)
         profile = WorkloadProfile(
             name="diff-mix", duration_ms=10, hot_pages=4,
-            cold_pool_pages=16, cold_touches=2, hot_touch_repeat=3)
-        SliceWorkload(kernel, profile, seed=5, use_batch=not scalar).run()
+            cold_pool_pages=16, cold_touches=2)
+        SliceWorkload(kernel, profile, seed=5).run()
         _kit_run(kit, round_robin(2, 1000), vaddrs, scalar)
         fingerprint = kernel_fingerprint(kernel)
         assert "softtrr_stats" in fingerprint

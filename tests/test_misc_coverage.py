@@ -92,6 +92,3 @@ class TestBankStats:
 class TestClockEdges:
     def test_pop_due_empty(self):
         assert SimClock().pop_due() == []
-
-    def test_next_due_none(self):
-        assert SimClock().next_due_ns() is None

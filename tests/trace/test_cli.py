@@ -40,6 +40,16 @@ class TestAcceptance:
             for row in window["rows"]:
                 assert row["arm_ns"] <= row["access_ns"] <= row["refresh_ns"]
 
+    def test_every_activation_names_its_row(self, smoke_machine):
+        # Per-row activation records are what tells which row a tracker
+        # saw, so no burst may fold its items into one event.
+        activations = [event.payload
+                       for event in smoke_machine.telemetry.events()
+                       if event.site == "dram.activate"]
+        assert activations
+        assert all("bank" in payload and "row" in payload
+                   for payload in activations)
+
     def test_span_sites_recorded(self, smoke_machine):
         names = smoke_machine.telemetry.span_histograms()
         assert "span.softtrr.tick_ns" in names

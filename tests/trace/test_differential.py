@@ -5,8 +5,9 @@ clock or any RNG, so a trace-enabled machine replays the exact run a
 trace-off machine does — identical FlipEvent streams, identical
 behavioural counters (``telemetry.as_flat_dict()`` deliberately
 excludes trace-side keys), identical simulated nanoseconds.  Checked
-across batching on/off, strict sanitizers, and an active fault plan;
-plus snapshot/restore of a partially-filled (and wrapped) ring buffer.
+at every trace level, under strict sanitizers and under an active fault
+plan; plus snapshot/restore of a partially-filled (and wrapped) ring
+buffer.
 """
 
 import pytest
@@ -14,7 +15,6 @@ import pytest
 from repro.faults import FaultPlan, FaultSpec
 from repro.kernel.vma import PAGE
 from repro.machine import Machine, MachineConfig
-from repro.workloads.base import SliceWorkload
 from repro.workloads.spec import SPEC_PROFILES
 
 SHORT = SPEC_PROFILES["exchange2_s"].replace(duration_ms=4)
@@ -49,9 +49,9 @@ def _aggressor_paddr(machine):
     return dram.mapping.dram_to_phys(0, best[0] - 1, 0)
 
 
-def _drive(machine, batch=True):
+def _drive(machine):
     """A fixed mixed load: workload slices + hammer bursts + a tick."""
-    SliceWorkload(machine.kernel, SHORT, seed=11, use_batch=batch).run()
+    machine.run_workload(SHORT, seed=11)
     aggr = _aggressor_paddr(machine)
     for _ in range(40):
         machine.dram.hammer(aggr, 1_000)
@@ -64,9 +64,9 @@ def _observables(machine):
             machine.telemetry.as_flat_dict())
 
 
-def _run(trace, batch=True, **overrides):
+def _run(trace, **overrides):
     machine = Machine(_config(trace, **overrides))
-    _drive(machine, batch)
+    _drive(machine)
     return _observables(machine)
 
 
@@ -74,10 +74,6 @@ class TestTraceOffEquivalence:
     @pytest.mark.parametrize("level", ["metrics", "events", "spans"])
     def test_every_level_matches_off(self, level):
         assert _run(level) == _run("off")
-
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_matches_under_both_exec_paths(self, batch):
-        assert _run("spans", batch=batch) == _run("off", batch=batch)
 
     def test_matches_under_strict_sanitizers(self):
         on = _run("spans", sanitizers="strict")

@@ -39,29 +39,6 @@ class TestProfileValidation:
             WorkloadProfile(name="x", hot_pages=64, cold_pool_pages=32)
 
 
-class TestHotTouchRepeat:
-    def test_default_is_one(self):
-        assert WorkloadProfile(name="p").hot_touch_repeat == 1
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ConfigError):
-            WorkloadProfile(name="p", hot_touch_repeat=0)
-
-
-def test_batched_path_is_the_default(monkeypatch):
-    # The scalar reference path is only ever an explicit opt-out (the
-    # differential suites pass use_batch=False).
-    from repro.machine import Machine
-
-    kernel = Kernel(tiny_machine())
-    assert SliceWorkload(kernel, SMALL).use_batch is True
-    paths = []
-    monkeypatch.setattr(SliceWorkload, "run",
-                        lambda self: paths.append(self.use_batch))
-    Machine.from_parts(tiny_machine()).run_workload(SMALL)
-    assert paths == [True]
-
-
 class TestSliceEngine:
     def test_runtime_at_least_duration(self):
         result, _ = run_on_fresh_kernel(SMALL)
