@@ -79,6 +79,20 @@ def _observables(machine):
             machine.telemetry.as_flat_dict())
 
 
+def _faulted_run(machine, aggr, batch):
+    """``SHORT``, then 40 hammer bursts on the scalar or the batched
+    DRAM path, then a SoftTRR tick."""
+    machine.run_workload(SHORT, seed=11)
+    if batch:
+        bank, row = machine.dram.mapping.row_of(aggr)
+        machine.dram.hammer_batch([(bank, row, 1_000)] * 40)
+    else:
+        for _ in range(40):
+            machine.dram.hammer(aggr, 1_000)
+    machine.clock.advance(2 * NS_PER_MS)
+    machine.kernel.dispatch_timers()
+
+
 class TestSnapshotRestore:
     def test_restore_replays_identical_flip_stream(self):
         m = Machine(machine="tiny", sanitizers="strict")
@@ -191,17 +205,19 @@ class TestSnapshotWithFaultPlan:
                        defense_params=HEALING, sanitizers="report",
                        fault_plan=CHAOS_PLAN)
 
-    def test_fault_stream_replays_identically(self):
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_fault_stream_replays_identically(self, batch):
         m = self._machine()
+        aggr = _aggressor_paddr(m)
         snap = m.snapshot()
-        m.run_workload(SHORT, seed=11)
+        _faulted_run(m, aggr, batch)
         first = _observables(m)
         # The run must have actually drawn from the fault streams,
         # otherwise this test proves nothing.
         assert any(value > 0 for key, value in first[2].items()
                    if key.startswith("faults.") and key.endswith(".injected"))
         m.restore(snap)
-        m.run_workload(SHORT, seed=11)
+        _faulted_run(m, aggr, batch)
         assert first == _observables(m)
 
     def test_restore_reinstalls_the_injector(self):

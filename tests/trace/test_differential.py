@@ -5,7 +5,8 @@ clock or any RNG, so a trace-enabled machine replays the exact run a
 trace-off machine does — identical FlipEvent streams, identical
 behavioural counters (``telemetry.as_flat_dict()`` deliberately
 excludes trace-side keys), identical simulated nanoseconds.  Checked
-at every trace level, under strict sanitizers and under an active fault
+at every trace level, with the hammer bursts on the scalar and on the
+batched DRAM path, under strict sanitizers and under an active fault
 plan; plus snapshot/restore of a partially-filled (and wrapped) ring
 buffer.
 """
@@ -49,12 +50,20 @@ def _aggressor_paddr(machine):
     return dram.mapping.dram_to_phys(0, best[0] - 1, 0)
 
 
-def _drive(machine):
-    """A fixed mixed load: workload slices + hammer bursts + a tick."""
+def _drive(machine, batch=False):
+    """A fixed mixed load: workload slices + hammer bursts + a tick.
+
+    ``batch`` sends the 40 bursts through one ``hammer_batch`` call
+    instead of 40 ``hammer`` calls.
+    """
     machine.run_workload(SHORT, seed=11)
     aggr = _aggressor_paddr(machine)
-    for _ in range(40):
-        machine.dram.hammer(aggr, 1_000)
+    if batch:
+        bank, row = machine.dram.mapping.row_of(aggr)
+        machine.dram.hammer_batch([(bank, row, 1_000)] * 40)
+    else:
+        for _ in range(40):
+            machine.dram.hammer(aggr, 1_000)
     machine.clock.advance(2 * 50_000)
     machine.kernel.dispatch_timers()
 
@@ -64,9 +73,9 @@ def _observables(machine):
             machine.telemetry.as_flat_dict())
 
 
-def _run(trace, **overrides):
+def _run(trace, batch=False, **overrides):
     machine = Machine(_config(trace, **overrides))
-    _drive(machine)
+    _drive(machine, batch)
     return _observables(machine)
 
 
@@ -74,6 +83,10 @@ class TestTraceOffEquivalence:
     @pytest.mark.parametrize("level", ["metrics", "events", "spans"])
     def test_every_level_matches_off(self, level):
         assert _run(level) == _run("off")
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_matches_under_both_exec_paths(self, batch):
+        assert _run("spans", batch=batch) == _run("off", batch=batch)
 
     def test_matches_under_strict_sanitizers(self):
         on = _run("spans", sanitizers="strict")
