@@ -59,7 +59,7 @@ POOL_METHODS = frozenset({
     "map", "imap", "imap_unordered", "starmap", "map_async",
     "starmap_async", "apply", "apply_async", "submit",
 })
-_TRACE_EMIT_METHODS = frozenset({"emit", "span_begin", "span_end"})
+_TRACE_EMIT_METHODS = frozenset({"emit", "emit_at", "span_begin", "span_end"})
 #: Builder-style methods assumed to return ``self`` for type chaining
 #: (``FaultInjector(kernel, plan).install()``).
 _CHAINING_METHODS = frozenset({"install", "replace"})

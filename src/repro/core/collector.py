@@ -179,25 +179,24 @@ class PageTableCollector:
         # (a) Explicit adjacency: user pages in rows physically near
         # this page's rows (translated through the in-DRAM remap).
         rows_per_bank = self.mapping.geometry.rows_per_bank
+        max_distance = self.params.max_distance
         for bank, row in rows:
-            for distance in range(1, self.params.max_distance + 1):
-                for near_row in self.structs.neighbor_rows(row, distance):
-                    if not 0 <= near_row < rows_per_bank:
+            for near_row in self.structs.near_rows(row, max_distance):
+                if not 0 <= near_row < rows_per_bank:
+                    continue
+                for candidate in self.mapping.row_pages(bank, near_row):
+                    if candidate == ppn:
                         continue
-                    for candidate in self.mapping.row_pages(bank, near_row):
-                        if candidate == ppn:
-                            continue
-                        if self._user_accessible(candidate):
-                            contrib.add(candidate)
+                    if self._user_accessible(candidate):
+                        contrib.add(candidate)
         # (b) Implicit adjacency: if another protected page's row is
         # near, every user page reachable through either page table
         # becomes adjacent (the PThammer surface).  Plain protected
         # objects are not walked through, so they have no reachable set.
         near_pts: Set[int] = set()
         for bank, row in rows:
-            for distance in range(1, self.params.max_distance + 1):
-                for near_row in self.structs.neighbor_rows(row, distance):
-                    near_pts |= self._pts_at.get((bank, near_row), set())
+            for near_row in self.structs.near_rows(row, max_distance):
+                near_pts |= self._pts_at.get((bank, near_row), set())
         near_pts.discard(ppn)
         if near_pts:
             contrib.update(self._reachable_user_pages(ppn))

@@ -141,6 +141,11 @@ class SoftTrrStructures:
                                      self.row_slab.free)
         #: bank-struct slab handles keyed by (row, bank).
         self._bank_handles: Dict[Tuple[int, int], int] = {}
+        #: ``pt_row_rbtree``'s own dict: the adjacency scans look rows
+        #: up in it without a method call per candidate.
+        self._pt_rows: Dict[int, PtRowEntry] = self.pt_row_rbtree._values
+        #: :meth:`near_rows` memo, keyed by ``(row, max_distance)``.
+        self._near: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
     # --------------------------------------------------------- pt rows
     def add_pt_location(self, row: int, bank: int) -> BankStruct:
@@ -186,6 +191,22 @@ class SoftTrrStructures:
             return self.remap.neighbors_at(row, distance)
         return [row - distance, row + distance]
 
+    def near_rows(self, row: int, max_distance: int) -> Tuple[int, ...]:
+        """Rows physically 1..``max_distance`` from ``row``, distance by
+        distance in :meth:`neighbor_rows` order.
+
+        A pure function of the remap, so it is computed once per
+        ``(row, max_distance)`` asked about and kept: the memo grows
+        only with the rows touched.
+        """
+        key = (row, max_distance)
+        near = self._near.get(key)
+        if near is None:
+            near = self._near[key] = tuple(
+                candidate for distance in range(1, max_distance + 1)
+                for candidate in self.neighbor_rows(row, distance))
+        return near
+
     def pt_rows_near(self, row: int, bank: int, max_distance: int
                      ) -> Iterator[Tuple[int, BankStruct]]:
         """(pt_row, bank_struct) pairs physically within ``max_distance``
@@ -194,16 +215,22 @@ class SoftTrrStructures:
         Distance 0 is excluded: an access to a row recharges that row,
         it does not disturb it.
         """
-        for distance in range(1, max_distance + 1):
-            for candidate in self.neighbor_rows(row, distance):
-                bank_struct = self.bank_struct(candidate, bank)
+        pt_rows = self._pt_rows
+        for candidate in self.near_rows(row, max_distance):
+            entry = pt_rows.get(candidate)
+            if entry is not None:
+                bank_struct = entry.banks.get(bank)
                 if bank_struct is not None:
                     yield candidate, bank_struct
 
     def has_pt_near(self, row: int, bank: int, max_distance: int) -> bool:
-        """Whether any L1PT row lies within ``max_distance`` of ``row``."""
-        for _ in self.pt_rows_near(row, bank, max_distance):
-            return True
+        """Whether any L1PT row lies within ``max_distance`` of ``row``:
+        ``any(pt_rows_near(...))`` without building a pair."""
+        pt_rows = self._pt_rows
+        for candidate in self.near_rows(row, max_distance):
+            entry = pt_rows.get(candidate)
+            if entry is not None and bank in entry.banks:
+                return True
         return False
 
     # ------------------------------------------------------------ memory

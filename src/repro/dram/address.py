@@ -280,14 +280,15 @@ class AddressMapping:
 
         Pages can span multiple banks on interleaved mappings, which is
         why SoftTRR's ``pt_row_rbtree`` nodes can carry several
-        ``bank_struct`` entries (Table I, [50]).
+        ``bank_struct`` entries (Table I, [50]).  The base decodes
+        through :meth:`row_of`, so no :class:`DramAddress` is built.
         """
         base = ppn << PAGE_SHIFT
         capacity = self._layout[0]
         if base + PAGE_BYTES > capacity:
             raise AddressMappingError(
                 f"page {ppn:#x} outside module capacity {capacity:#x}")
-        bank, row, _ = self.phys_to_dram(base)
+        bank, row = self.row_of(base)
         return [(bank ^ d_bank, row ^ d_row)
                 for d_bank, d_row in self._tables.page_deltas]
 

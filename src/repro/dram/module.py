@@ -188,8 +188,8 @@ class DramModule:
         The whole stream is checked before anything moves: a negative
         ``extra_ns`` or a ``(bank, row)`` outside the geometry raises
         :class:`~repro.errors.DramError`.  A traced burst emits one
-        ``dram.activate`` per live item, with its ``bank`` and ``row``,
-        as :meth:`hammer` does.
+        ``dram.activate`` per live item, with its ``bank`` and ``row``
+        and stamped at the item's start, as :meth:`hammer` does.
 
         It stays an entry point of its own beside :meth:`hammer`
         because ``perfbench/layertrace.py`` resolves the name when it
@@ -245,10 +245,14 @@ class DramModule:
         self.total_activations += acts
         self.clock.advance(now_ns - start_ns)
         if trace is not None:
+            # Each item's event carries its own start, as the scalar
+            # ``hammer`` + ``clock.advance`` loop stamps it.
+            at_ns = start_ns
             for bank, row, count in items:
                 if count > 0:
-                    trace.emit("dram.activate", bank=bank, row=row,
-                               count=count, origin="data")
+                    trace.emit_at(at_ns, "dram.activate", bank=bank,
+                                  row=row, count=count, origin="data")
+                    at_ns += count * per_act_ns
             trace.emit("dram.deposit",
                        count=engine.total_deposits - deposits_before)
             trace.span_end("dram.hammer_batch", span_start)
@@ -312,20 +316,40 @@ class DramModule:
     def write(self, paddr: int, payload: bytes) -> None:
         """Architectural write: activates rows, costs time.
 
+        A write inside one line (every PTE store) is one transaction.
         Only an accepted write counts in ``writes``.
         """
-        self._check_span(paddr, len(payload))
+        size = len(payload)
+        self._check_span(paddr, size)
         self.writes += 1
+        offset = paddr & (LINE_BYTES - 1)
+        if offset + size <= LINE_BYTES:
+            self._transact_line(paddr - offset)
+            self._store(paddr, payload)
+            return
         pos = 0
-        for line_paddr, offset, chunk in self._lines(paddr, len(payload)):
+        for line_paddr, offset, chunk in self._lines(paddr, size):
             self._transact_line(line_paddr)
             self._store(line_paddr + offset, payload[pos : pos + chunk])
             pos += chunk
 
     # --------------------------------------------------- instrumentation
     def raw_read(self, paddr: int, size: int) -> bytes:
-        """Side-effect-free read for integrity checks and test setup."""
-        self._check_span(paddr, size)
+        """Side-effect-free read for integrity checks and test setup.
+
+        A read inside one frame (every cache-hit load and PTE read) is
+        one frame lookup and one slice; the span test is inlined, and
+        only a bad span calls :meth:`_check_span` to raise.
+        """
+        if size <= 0 or paddr < 0 or paddr + size > self._capacity:
+            self._check_span(paddr, size)
+        offset = paddr & _PAGE_MASK
+        if offset + size <= PAGE_BYTES:
+            frame = self._frames.get(paddr >> PAGE_SHIFT)
+            if frame is None:
+                return bytes(size)
+            # Concatenation is the cheapest bytes copy of a bytearray slice.
+            return b"" + frame[offset:offset + size]
         out = b""
         end = paddr + size
         while paddr < end:

@@ -99,12 +99,16 @@ class PageFaultException(ReproError):
 
     Carries a :class:`repro.mmu.faults.PageFaultInfo` describing the
     faulting virtual address and the x86 error code bits of Figure 2 of
-    the paper.
+    the paper.  The message is built only when asked for: the kernel's
+    fault loop catches every one of these and never prints it.
     """
 
     def __init__(self, info) -> None:
-        super().__init__(f"page fault: {info}")
+        super().__init__(info)
         self.info = info
+
+    def __str__(self) -> str:
+        return f"page fault: {self.info}"
 
 
 class SegmentationFault(ReproError):

@@ -36,6 +36,8 @@ from ..errors import (
     SegmentationFault,
 )
 from ..mmu import bits
+from ..mmu.bits import (INDEX_MASK, LEVEL_SHIFT, PAGE_SHIFT, PTE_ADDR_MASK,
+                        PTE_PRESENT, PTE_PSE)
 from ..mmu.faults import PageFaultInfo
 from ..mmu.mmu import Mmu
 from .buddy import BuddyAllocator
@@ -313,33 +315,28 @@ class Kernel:
 
         Unlike the hardware walker this does not fault on rsvd bits or
         permissions — it reports the raw leaf, which is what kernel code
-        (and SoftTRR) needs.  Reads are architectural (cached).
+        (and SoftTRR) needs.  Reads are architectural (cached).  Each
+        level's index and entry address are computed once, with the
+        :mod:`~repro.mmu.bits` masks and shift table.
         """
+        read_entry = self.mmu.pt_ops.read_entry
         table = mm.pml4_ppn
         for level in (4, 3, 2):
-            index = bits.level_index(vaddr, level)
-            entry = self.mmu.pt_ops.read_entry(table, index)
-            if not bits.is_present(entry):
+            index = (vaddr >> LEVEL_SHIFT[level]) & INDEX_MASK
+            entry = read_entry(table, index)
+            if not entry & PTE_PRESENT:
                 return None
-            if level == 2 and bits.is_huge(entry):
-                base = bits.pte_ppn(entry)
-                return (
-                    base + bits.level_index(vaddr, 1),
-                    2,
-                    self.mmu.pt_ops.entry_paddr(table, index),
-                    entry,
-                )
-            table = bits.pte_ppn(entry)
-        index = bits.level_index(vaddr, 1)
-        entry = self.mmu.pt_ops.read_entry(table, index)
+            if level == 2 and entry & PTE_PSE:
+                return (((entry & PTE_ADDR_MASK) >> PAGE_SHIFT)
+                        + ((vaddr >> PAGE_SHIFT) & INDEX_MASK), 2,
+                        (table << PAGE_SHIFT) + index * 8, entry)
+            table = (entry & PTE_ADDR_MASK) >> PAGE_SHIFT
+        index = (vaddr >> PAGE_SHIFT) & INDEX_MASK
+        entry = read_entry(table, index)
         if entry == 0:
             return None
-        return (
-            bits.pte_ppn(entry),
-            1,
-            self.mmu.pt_ops.entry_paddr(table, index),
-            entry,
-        )
+        return ((entry & PTE_ADDR_MASK) >> PAGE_SHIFT, 1,
+                (table << PAGE_SHIFT) + index * 8, entry)
 
     # ================================================================= mmap
     def mmap(self, process: Process, length: int, *,
@@ -523,7 +520,7 @@ class Kernel:
         flags = bits.PTE_PRESENT | bits.PTE_USER
         if vma.is_writable():
             flags |= bits.PTE_RW
-        if not vma.flags & VmaFlags.EXEC:
+        if not vma.is_executable():
             flags |= bits.PTE_NX
         if vma.is_huge():
             base = bits.huge_base(vaddr)

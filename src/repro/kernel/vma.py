@@ -39,6 +39,14 @@ class VmaFlags(enum.Flag):
         return cls.READ | cls.WRITE
 
 
+#: Plain-int values of the flags the fault path tests.  ``VmaFlags``'
+#: own ``&`` builds a flag member through the enum machinery per test;
+#: ``flags._value_ & _WRITE`` is one int operation.
+_WRITE = VmaFlags.WRITE.value
+_EXEC = VmaFlags.EXEC.value
+_HUGEPAGE = VmaFlags.HUGEPAGE.value
+
+
 @dataclass
 class Vma:
     """One mapping: [start, end) with flags."""
@@ -83,8 +91,12 @@ class Vma:
 
     def is_writable(self) -> bool:
         """Whether the VMA permits writes."""
-        return bool(self.flags & VmaFlags.WRITE)
+        return self.flags._value_ & _WRITE != 0
+
+    def is_executable(self) -> bool:
+        """Whether the VMA permits instruction fetches."""
+        return self.flags._value_ & _EXEC != 0
 
     def is_huge(self) -> bool:
         """Whether the VMA uses 2 MiB pages."""
-        return bool(self.flags & VmaFlags.HUGEPAGE)
+        return self.flags._value_ & _HUGEPAGE != 0

@@ -44,9 +44,17 @@ PTE_RESERVED_MASK = (((1 << 52) - 1) ^ ((1 << MAXPHYADDR) - 1)) & ~0xFFF | PTE_R
 #: level 1 = PT (4 KiB leaves), 2 = PD, 3 = PDPT, 4 = PML4.
 LEVELS = (4, 3, 2, 1)
 ENTRIES_PER_TABLE = 512
+#: Mask of one level's 9-bit table index, once shifted down.
+INDEX_MASK = ENTRIES_PER_TABLE - 1
 PAGE_SHIFT = 12
 HUGE_2M_SHIFT = 21
 VADDR_BITS = 48
+#: Shift of each level's table index in a virtual address, indexed by
+#: level (entry 0 unused): ``level_index(v, level)`` is
+#: ``(v >> LEVEL_SHIFT[level]) & INDEX_MASK``.  The page walks read it
+#: instead of calling :func:`level_index` per level.
+LEVEL_SHIFT = (0,) + tuple(PAGE_SHIFT + 9 * (level - 1)
+                           for level in (1, 2, 3, 4))
 
 
 def make_pte(ppn: int, flags: int) -> int:
@@ -82,7 +90,7 @@ def is_huge(entry: int) -> bool:
 def level_index(vaddr: int, level: int) -> int:
     """The 9-bit table index for ``vaddr`` at paging ``level`` (1..4)."""
     shift = PAGE_SHIFT + 9 * (level - 1)
-    return (vaddr >> shift) & (ENTRIES_PER_TABLE - 1)
+    return (vaddr >> shift) & INDEX_MASK
 
 
 def split_vaddr(vaddr: int) -> Tuple[int, int, int, int, int]:

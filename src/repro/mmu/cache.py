@@ -30,6 +30,8 @@ from ..dram.geometry import LINE_BYTES
 from ..dram.module import DramModule
 from ..errors import ConfigError
 
+_LINE_MASK = ~(LINE_BYTES - 1)
+
 
 class CpuCache:
     """Fully-associative LRU cache of line presence."""
@@ -56,10 +58,7 @@ class CpuCache:
     @staticmethod
     def line_of(paddr: int) -> int:
         """The 64-byte line address containing ``paddr``."""
-        return paddr & ~(LINE_BYTES - 1)
-
-    def _touch(self, line: int) -> None:
-        self._lines.move_to_end(line)
+        return paddr & _LINE_MASK
 
     def _insert(self, line: int) -> None:
         self._lines[line] = True
@@ -77,15 +76,17 @@ class CpuCache:
 
         Cached lines cost ``hit_ns`` each; missing lines go to DRAM
         (activating rows) and are filled.  A load inside one line (every
-        hammer-loop touch) is one lookup and at most one DRAM read.
+        hammer-loop touch and PTE read) is one lookup and at most one
+        DRAM read.
         """
-        line = paddr & ~(LINE_BYTES - 1)
+        line = paddr & _LINE_MASK
         if paddr + size <= line + LINE_BYTES:
             if size <= 0:
                 return b""
-            if line in self._lines:
+            lines = self._lines
+            if line in lines:
+                lines.move_to_end(line)
                 self.hits += 1
-                self._touch(line)
                 self.clock.advance(self.hit_ns)
                 return dram.raw_read(paddr, size)
             self.misses += 1
@@ -100,7 +101,7 @@ class CpuCache:
             chunk = min(line + LINE_BYTES - cursor, end - cursor)
             if line in self._lines:
                 self.hits += 1
-                self._touch(line)
+                self._lines.move_to_end(line)
                 self.clock.advance(self.hit_ns)
                 out.extend(dram.raw_read(cursor, chunk))
             else:
@@ -111,21 +112,29 @@ class CpuCache:
         return bytes(out)
 
     def store(self, dram: DramModule, paddr: int, data: bytes) -> None:
-        """Architectural write-through store."""
+        """Architectural write-through store.
+
+        ``dram.write`` rejects an empty store, so at least one line is
+        touched: a store inside one line (every PTE store) makes one
+        pass and one bound test.
+        """
         dram.write(paddr, data)
-        cursor = paddr & ~(LINE_BYTES - 1)
+        line = paddr & _LINE_MASK
         end = paddr + len(data)
-        while cursor < end:
-            if cursor in self._lines:
-                self._touch(cursor)
+        lines = self._lines
+        while True:
+            if line in lines:
+                lines.move_to_end(line)
             else:
-                self._insert(cursor)
-            cursor += LINE_BYTES
+                self._insert(line)
+            line += LINE_BYTES
+            if line >= end:
+                return
 
     def clflush(self, paddr: int) -> None:
         """Flush one line (the hammering primitive's best friend)."""
         self.flushes += 1
-        self._lines.pop(paddr & ~(LINE_BYTES - 1), None)
+        self._lines.pop(paddr & _LINE_MASK, None)
         self.clock.advance(self.clflush_ns)
 
     def flush_range(self, paddr: int, size: int) -> None:

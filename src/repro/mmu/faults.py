@@ -41,6 +41,9 @@ _WRITE = int(ErrorCode.WRITE)
 _USER = int(ErrorCode.USER)
 _RSVD = int(ErrorCode.RSVD)
 _INSTR = int(ErrorCode.INSTR)
+#: Every code :func:`access_error_code` can build, indexed by its int
+#: value: ``ErrorCode(code)`` runs the enum machinery per fault.
+_CODES = tuple(ErrorCode(code) for code in range(_INSTR << 1))
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,8 @@ def access_error_code(
 ) -> ErrorCode:
     """Build the error code the hardware would push for an access.
 
-    The bits are combined as a plain int and converted once.
+    The bits are combined as a plain int and looked up in a table of
+    the prebuilt codes.
     """
     code = 0
     if present:
@@ -112,4 +116,4 @@ def access_error_code(
         code |= _USER
     if is_fetch:
         code |= _INSTR
-    return ErrorCode(code)
+    return _CODES[code]

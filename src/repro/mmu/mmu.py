@@ -157,7 +157,18 @@ class Mmu:
         self, cr3_ppn: int, vaddr: int, data: bytes, *,
         is_user: bool = True, pid: Optional[int] = None,
     ) -> None:
-        """User-mode store, split per page; faults propagate."""
+        """User-mode store, split per page; faults propagate.
+
+        A store inside one page is one translation and one cache store.
+        """
+        offset = vaddr & 0xFFF
+        if offset + len(data) <= 4096:
+            if not data:
+                return
+            entry = self._entry(cr3_ppn, vaddr, True, is_user, False, pid)
+            self.cache.store(
+                self.dram, (entry.frame_ppn(vaddr) << 12) | offset, data)
+            return
         cursor = vaddr
         pos = 0
         end = vaddr + len(data)

@@ -12,6 +12,10 @@ Two access planes again:
 * **raw** (:meth:`PageTableOps.raw_read_entry` / ``raw_write_entry``) —
   instrumentation for tests and integrity checks; free of time and
   side effects.
+
+Entries are little-endian 64-bit words.  The two reads, every page
+walk's steps, check the index and compute the entry's address once and
+decode with ``int.from_bytes``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,10 @@ from .cache import CpuCache
 _ENTRY = struct.Struct("<Q")
 
 
+def _index_error(index: int) -> MmuError:
+    return MmuError(f"PTE index {index} out of range")
+
+
 class PageTableOps:
     """Entry-granular access to page tables stored in DRAM."""
 
@@ -37,7 +45,7 @@ class PageTableOps:
     def entry_paddr(table_ppn: int, index: int) -> int:
         """Physical address of entry ``index`` of the table page."""
         if not 0 <= index < ENTRIES_PER_TABLE:
-            raise MmuError(f"PTE index {index} out of range")
+            raise _index_error(index)
         return (table_ppn << PAGE_SHIFT) + index * 8
 
     # ------------------------------------------------------ architectural
@@ -48,12 +56,15 @@ class PageTableOps:
         walker-originated: load-address PMU sampling cannot see it,
         which is why ANVIL-style detectors miss PThammer.
         """
-        paddr = self.entry_paddr(table_ppn, index)
-        self.dram.walk_origin = True
+        if not 0 <= index < ENTRIES_PER_TABLE:
+            raise _index_error(index)
+        dram = self.dram
+        dram.walk_origin = True
         try:
-            return _ENTRY.unpack(self.cache.load(self.dram, paddr, 8))[0]
+            return int.from_bytes(self.cache.load(
+                dram, (table_ppn << PAGE_SHIFT) + index * 8, 8), "little")
         finally:
-            self.dram.walk_origin = False
+            dram.walk_origin = False
 
     def write_entry(self, table_ppn: int, index: int, value: int) -> None:
         """Store an entry through the cache (kernel mapping code)."""
@@ -63,8 +74,10 @@ class PageTableOps:
     # ------------------------------------------------------------- raw
     def raw_read_entry(self, table_ppn: int, index: int) -> int:
         """Instrumentation read: no time, no activation."""
-        paddr = self.entry_paddr(table_ppn, index)
-        return _ENTRY.unpack(self.dram.raw_read(paddr, 8))[0]
+        if not 0 <= index < ENTRIES_PER_TABLE:
+            raise _index_error(index)
+        return int.from_bytes(self.dram.raw_read(
+            (table_ppn << PAGE_SHIFT) + index * 8, 8), "little")
 
     def raw_write_entry(self, table_ppn: int, index: int, value: int) -> None:
         """Instrumentation write: no time, no activation."""

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 from ..errors import MmuError, PageFaultException
 from . import bits
+from .bits import (INDEX_MASK, LEVEL_SHIFT, PAGE_SHIFT, PTE_ADDR_MASK,
+                   PTE_PRESENT, PTE_PSE, PTE_RESERVED_MASK)
 from .faults import PageFaultInfo, access_error_code
 from .page_table import PageTableOps
 
@@ -60,83 +62,67 @@ class Walker:
         is_fetch: bool = False,
         pid=None,
     ) -> Translation:
-        """Translate ``vaddr`` or raise :class:`PageFaultException`."""
+        """Translate ``vaddr`` or raise :class:`PageFaultException`.
+
+        Each level's index and entry address are computed once, with
+        the :mod:`bits` masks and shift table, and the entry is decoded
+        in place (``tests/mmu/reference_walk.py`` holds the walk to its
+        spelling in :mod:`bits` helpers).
+        """
         if not bits.is_canonical(vaddr):
             raise MmuError(f"non-canonical virtual address {vaddr:#x}")
         self.walks += 1
+        read_entry = self.pt_ops.read_entry
         table_ppn = cr3_ppn
-        eff_rw = True
-        eff_user = True
-        nx = False
+        # RW and US survive only if every level grants them; NX sticks
+        # once any level sets it.
+        granted = bits.PTE_RW | bits.PTE_USER
+        denied = 0
         for level in (4, 3, 2, 1):
-            index = bits.level_index(vaddr, level)
-            pte_paddr = self.pt_ops.entry_paddr(table_ppn, index)
-            entry = self.pt_ops.read_entry(table_ppn, index)
-            if not bits.is_present(entry):
+            index = (vaddr >> LEVEL_SHIFT[level]) & INDEX_MASK
+            entry = read_entry(table_ppn, index)
+            present = entry & PTE_PRESENT
+            if not present or entry & PTE_RESERVED_MASK:
                 raise PageFaultException(PageFaultInfo(
                     vaddr=vaddr,
                     error_code=access_error_code(
                         is_write=is_write, is_user=is_user, is_fetch=is_fetch,
-                        present=False,
+                        present=bool(present), rsvd=bool(present),
                     ),
                     leaf_level=level,
-                    pte_paddr=pte_paddr,
+                    pte_paddr=(table_ppn << PAGE_SHIFT) + index * 8,
                     pid=pid,
                 ))
-            if bits.has_reserved_bits(entry):
-                raise PageFaultException(PageFaultInfo(
-                    vaddr=vaddr,
-                    error_code=access_error_code(
-                        is_write=is_write, is_user=is_user, is_fetch=is_fetch,
-                        present=True, rsvd=True,
-                    ),
-                    leaf_level=level,
-                    pte_paddr=pte_paddr,
-                    pid=pid,
-                ))
-            eff_rw = eff_rw and bool(entry & bits.PTE_RW)
-            eff_user = eff_user and bool(entry & bits.PTE_USER)
-            nx = nx or bool(entry & bits.PTE_NX)
-            if level == 1:
-                base_ppn = bits.pte_ppn(entry)
-                leaf_level = 1
-                leaf_paddr = pte_paddr
+            granted &= entry
+            denied |= entry
+            if level == 1 or (level == 2 and entry & PTE_PSE):
                 break
-            if level == 2 and bits.is_huge(entry):
-                base_ppn = bits.pte_ppn(entry)
-                if base_ppn & 0x1FF:
-                    raise MmuError(
-                        f"2 MiB mapping at {vaddr:#x} has unaligned base "
-                        f"ppn {base_ppn:#x}"
-                    )
-                leaf_level = 2
-                leaf_paddr = pte_paddr
-                break
-            if level == 3 and bits.is_huge(entry):
+            if level == 3 and entry & PTE_PSE:
                 raise MmuError("1 GiB pages are not modelled")
-            table_ppn = bits.pte_ppn(entry)
+            table_ppn = (entry & PTE_ADDR_MASK) >> PAGE_SHIFT
         else:  # pragma: no cover - loop always breaks or raises
             raise MmuError("walk fell through")
 
-        flags = 0
-        if eff_rw:
-            flags |= bits.PTE_RW
-        if eff_user:
-            flags |= bits.PTE_USER
-        if nx:
-            flags |= bits.PTE_NX
+        base_ppn = (entry & PTE_ADDR_MASK) >> PAGE_SHIFT
+        if level == 2 and base_ppn & 0x1FF:
+            raise MmuError(
+                f"2 MiB mapping at {vaddr:#x} has unaligned base "
+                f"ppn {base_ppn:#x}"
+            )
+        leaf_paddr = (table_ppn << PAGE_SHIFT) + index * 8
+        flags = granted | (denied & bits.PTE_NX)
         self._check_permissions(
             vaddr, flags,
             is_write=is_write, is_user=is_user, is_fetch=is_fetch,
-            leaf_level=leaf_level, pte_paddr=leaf_paddr, pid=pid,
+            leaf_level=level, pte_paddr=leaf_paddr, pid=pid,
         )
-        if leaf_level == 2:
-            ppn = base_ppn + bits.level_index(vaddr, 1)
+        if level == 2:
+            ppn = base_ppn + ((vaddr >> PAGE_SHIFT) & INDEX_MASK)
         else:
             ppn = base_ppn
         return Translation(
             ppn=ppn, base_ppn=base_ppn, flags=flags,
-            leaf_level=leaf_level, pte_paddr=leaf_paddr,
+            leaf_level=level, pte_paddr=leaf_paddr,
         )
 
     @staticmethod

@@ -50,17 +50,21 @@ class TraceHub:
 
     # ------------------------------------------------------------ emission
     def emit(self, site: str, /, **payload: object) -> None:
-        """Record one point event at ``site``.
+        """Record one point event at ``site``, stamped now.
 
         Always counted (``site.<name>`` counter); buffered only at
         ``events`` level and above.  ``site`` is positional-only so a
         payload may carry its own ``site`` key (the fault injector's
         events do).
         """
+        self.emit_at(self.clock.now_ns, site, **payload)
+
+    def emit_at(self, at_ns: int, site: str, /, **payload: object) -> None:
+        """:meth:`emit`, stamped ``at_ns`` instead of now: a burst that
+        settles the clock once stamps each of its items at its start."""
         self.registry.counter(f"site.{site}").inc()
         if self._events_on:
-            self.buffer.append(
-                TraceEvent(self.clock.now_ns, site, "event", payload))
+            self.buffer.append(TraceEvent(at_ns, site, "event", payload))
 
     def span_begin(self, site: str) -> int:
         """Open a span at ``site``; returns the start timestamp."""

@@ -99,6 +99,31 @@ class TestTablesMatchPerLineDefinitions:
             min_value=0, max_value=(mapping.geometry.capacity_bytes >> 12) - 1))
         assert mapping.page_rows(ppn) == brute_page_rows(mapping, ppn)
 
+    def test_page_rows_of_every_tiny_page(self, monkeypatch):
+        """Every page of the tiny machine: ``page_rows`` (decoded through
+        ``row_of``) equals the distinct (bank, row) of the page's lines
+        decoded as ``DramAddress``es, and builds none itself."""
+        mapping = Machine(machine="tiny").dram.mapping
+        pages = mapping.geometry.capacity_bytes >> 12
+        expected = []
+        for ppn in range(pages):
+            seen = []
+            for off in range(0, 4096, LINE_BYTES):
+                dram = mapping.phys_to_dram((ppn << 12) + off)
+                if (dram.bank, dram.row) not in seen:
+                    seen.append((dram.bank, dram.row))
+            expected.append(seen)
+        built = []
+        original = DramAddress.__new__
+
+        def counted(cls, *args):
+            built.append(args)
+            return original(cls, *args)
+
+        monkeypatch.setattr(DramAddress, "__new__", counted)
+        assert [mapping.page_rows(ppn) for ppn in range(pages)] == expected
+        assert built == []
+
     @given(mapping=any_mappings(), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_row_pages(self, mapping, data):

@@ -137,6 +137,43 @@ class TestHammerBatchDegenerates:
         assert scalar == batched
 
 
+class TestHammerBatchTraceStamps:
+    """A traced burst emits one ``dram.activate`` per live item, stamped
+    at the item's own start, exactly as the scalar ``hammer`` +
+    ``clock.advance`` loop emits them."""
+
+    ITEMS = [(0, 30, 100), (0, 32, 100), (1, 10, 0), (1, 10, 50),
+             (3, 7, 1), (0, 30, 40)]
+
+    @staticmethod
+    def activations(machine):
+        return [(event.ns, event.payload["bank"], event.payload["row"],
+                 event.payload["count"], event.payload["origin"])
+                for event in machine.kernel.trace_hub.events()
+                if event.site == "dram.activate"]
+
+    @pytest.mark.parametrize("extra_ns", [0, 15])
+    def test_events_match_the_scalar_loop(self, extra_ns):
+        scalar = Machine(MachineConfig(machine="tiny", seed=7,
+                                       trace="events"))
+        batched = Machine(MachineConfig(machine="tiny", seed=7,
+                                        trace="events"))
+        for machine in (scalar, batched):
+            machine.dram.hammer(machine.dram.mapping.dram_to_phys(2, 5), 3)
+        dram = scalar.dram
+        for bank, row, count in self.ITEMS:
+            dram.hammer(dram.mapping.dram_to_phys(bank, row), count)
+            dram.clock.advance(count * extra_ns)
+        batched.dram.hammer_batch(self.ITEMS, extra_ns=extra_ns)
+        expected = self.activations(scalar)
+        assert self.activations(batched) == expected
+        # Five live items after the warm-up burst, each at its start.
+        assert len(expected) == 6
+        assert [ns for ns, *_ in expected] == sorted(
+            {ns for ns, *_ in expected})
+        assert scalar.clock.now_ns == batched.clock.now_ns
+
+
 class TestHammerBatchRejectsBadStreams:
     """A bad stream raises a typed error before any side effect: no
     activation, bank counter, accumulator, sample or clock moves, even

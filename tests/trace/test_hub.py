@@ -52,6 +52,16 @@ class TestHubLevels:
         hub.emit("tlb.invlpg", vaddr=0)
         assert hub.events()[0].ns == 123
 
+    def test_emit_at_stamps_the_given_time(self):
+        clock = SimClock()
+        hub = TraceHub(clock, "events")
+        clock.advance(500)
+        hub.emit_at(120, "dram.activate", bank=1, row=2)
+        hub.emit("dram.activate", bank=1, row=3)
+        assert [(event.ns, event.payload["row"])
+                for event in hub.events()] == [(120, 2), (500, 3)]
+        assert hub.registry.counter("site.dram.activate").value == 2
+
     def test_site_names_strip_prefix(self):
         hub = TraceHub(SimClock(), "metrics")
         hub.emit("dram.flip")
